@@ -13,8 +13,10 @@ to delta ~ 0.2 where the eigenfunction width ~ e^(pi/2delta) still fits on a
 grid.  Route two ("schrodinger_form") changes variables to y with weight
 mu(y) and instead solves delta^2 = E_1(kappa) for kappa, where E_1 is the
 ground level of -d^2/dy^2 + kappa mu(y); carried entirely in log kappa it
-reaches delta = 0.01 (kappa ~ e^-157).  Analytic two-sided estimates for E_1
-(step-potential lower bound, cosine-trial upper bound) bracket every solve.
+reaches delta = 0.01 (kappa ~ e^-157).  The root is one brentq solve on one
+grid; each E_1 on it is already Richardson-extrapolated in the eigen-solver.
+Analytic two-sided estimates for E_1 (step-potential lower side, cosine-trial
+upper side) are reported with every solve.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .units import DEFAULT_CONSTANTS, PhysicalConstants, log10_tesla_of_log_B
 __all__ = [
     "CriticalFieldResult",
     "SandwichBracket",
-    "GapConstants",
     "m_delta",
     "critical_field_direct",
     "critical_field_schrodinger",
@@ -43,7 +44,6 @@ __all__ = [
     "bracket_E1",
     "hhh_bounds",
     "sandwich",
-    "gap_constants",
     "nu_bar",
     "d_of_delta",
 ]
@@ -93,20 +93,9 @@ class SandwichBracket:
     upper_tesla_log10: float
 
 
-@dataclass(frozen=True)
-class GapConstants:
-    """Spectral-gap bookkeeping constants of the projection comparison."""
-
-    nu_bar: float
-
-    @staticmethod
-    def d(delta: float) -> float:
-        return (1.0 - 2.0 * delta) * math.sqrt(2.0) - 2.0 * delta
-
-
 def d_of_delta(delta: float) -> float:
     """(1 - 2 delta) sqrt(2) - 2 delta; positive iff delta < 1 - sqrt(2)/2."""
-    return GapConstants.d(delta)
+    return (1.0 - 2.0 * delta) * math.sqrt(2.0) - 2.0 * delta
 
 
 @lru_cache(maxsize=1)
@@ -115,10 +104,6 @@ def nu_bar() -> float:
     target = 2.0 - math.sqrt(2.0)
     return brentq(lambda nu: 2.0 * (nu + math.sqrt(nu)) - target, 1e-12, 0.5,
                   xtol=1e-12, rtol=8.9e-16)
-
-
-def gap_constants() -> GapConstants:
-    return GapConstants(nu_bar=nu_bar())
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +204,7 @@ def E1_of_kappa(log_kappa: float, delta_hint: float | None = None, *,
 
 
 def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:
-    """Rigorous two-sided estimate of E_1(kappa), both sides analytic.
+    """Analytic two-sided estimate of E_1(kappa).
 
     Lower: ground level of the step potential that vanishes on
     (-sigma, sigma), sigma = -log kappa, and equals kappa mu(sigma) outside;
@@ -228,6 +213,11 @@ def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:
     quotient of the half-cosine of half-width s, pi^2/(4 s^2) + 2 kappa c
     (e^s - 1) with mu <= c e^|y|, minimized over a grid of s (clamped to
     s >= 1 where that closed form is valid).
+
+    Not a proof: c is :func:`mu_bound_constant`, a maximum over a grid scan
+    rather than a proven supremum, and the bracket refers to the uncapped
+    potential, while :func:`E1_of_kappa` caps kappa mu at WALL_CAP, an effect
+    on E_1 that is not quantified here.
     """
     if not (log_kappa < 0.0):
         raise ValueError(f"bracket requires kappa < 1, got log kappa = {log_kappa}")
@@ -252,16 +242,20 @@ def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:
     return float(lower), upper
 
 
-def _solve_log_kappa(delta: float, h: float, guess: float | None = None) -> float:
-    """Root of E_1(kappa) = delta^2 in log kappa, to |E1 - delta^2| <= 1e-12 delta^2."""
+def _solve_log_kappa(delta: float, h: float) -> float:
+    """Root of E_1(kappa) = delta^2 in log kappa on grid step h.
+
+    Each E_1 value is already Richardson-extrapolated over (h, h/2) by
+    :func:`sturm_liouville.lowest_eigenvalue`.  The bracket around the
+    small-delta guess -pi/(2 delta) is widened until E_1 - delta^2 changes
+    sign (else BracketError); brentq's xtol = 1e-12 in log kappa then stops
+    the search.
+    """
     target = delta * delta
-    if guess is None:
-        guess = -math.pi / (2.0 * delta)
-        half = max(8.0, 0.6 * abs(guess))
-    else:
-        half = 0.05  # warm start from a coarser grid's root
+    guess = -math.pi / (2.0 * delta)
+    half = max(8.0, 0.6 * abs(guess))
     lo, hi = guess - half, min(guess + half, -1e-3)
-    Y = abs(guess) + max(8.0, 0.6 * math.pi / (2.0 * delta)) + 30.0
+    Y = abs(guess) + half + 30.0
 
     def f(lk: float) -> float:
         return E1_of_kappa(lk, Y=Y, h=h, stabilize=False).value - target
@@ -282,33 +276,22 @@ def _solve_log_kappa(delta: float, h: float, guess: float | None = None) -> floa
         raise BracketError(
             f"E1(kappa) - delta^2 has no sign change: endpoints {f_lo:.3e}, {f_hi:.3e}"
         )
-    lk = brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    # polish until the spec'd E1-consistency criterion is certain
-    for _ in range(60):
-        err = f(lk)
-        if abs(err) <= 1e-12 * target:
-            break
-        d_err = (f(lk + 1e-6) - err) / 1e-6
-        if d_err == 0.0:
-            break
-        lk -= err / d_err
-    return lk
+    return brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
 
 
 def critical_field_schrodinger(delta: float, *, h: float = 0.02) -> CriticalFieldResult:
     """log B_L from delta^2 = E_1(kappa); everything carried in logs.
 
-    The root in log kappa is solved on step h and h/2 grids and Richardson
-    extrapolated, then converted through sqrt(B_L) = 2 delta / kappa.
+    One root in log kappa on grid step h, with every E_1 value extrapolated
+    over (h, h/2) inside :mod:`sturm_liouville` and the root search stopped
+    by brentq's xtol; then sqrt(B_L) = 2 delta / kappa.
     """
     if not (DELTA_MIN <= delta <= DELTA_MAX_SCHRODINGER):
         raise ValueError(
             f"schrodinger method supports {DELTA_MIN} <= delta <= "
             f"{DELTA_MAX_SCHRODINGER}, got {delta}"
         )
-    lk_h = _solve_log_kappa(delta, h)
-    lk_h2 = _solve_log_kappa(delta, h / 2.0, guess=lk_h)
-    log_kappa = (4.0 * lk_h2 - lk_h) / 3.0
+    log_kappa = _solve_log_kappa(delta, h)
     log_BL = 2.0 * (math.log(2.0 * delta) - log_kappa)
     return CriticalFieldResult(
         delta=delta, log_BL=log_BL, method="schrodinger_form",

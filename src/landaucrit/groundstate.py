@@ -96,9 +96,8 @@ class _Grid:
     def T(self, lam: float) -> float:
         self.evaluations += 1
         p_mid = 1.0 / (1.0 + lam + self.spec.nu * self.a_mids)
-        diag = (p_mid[:-1] + p_mid[1:]) / self.h**2 + self.q_nodes
-        offdiag = -p_mid[1:-1] / self.h**2
-        return sturm_liouville._lowest(diag, offdiag)
+        return sturm_liouville.lowest_of_tridiagonal(
+            *sturm_liouville.tridiagonal(p_mid, self.q_nodes, self.h))
 
 
 def T_of_lambda(spec: PotentialSpec, lam: float, *, L: float | None = None,
@@ -187,7 +186,8 @@ def ground_state_lambda(spec: PotentialSpec, *, residual_tol: float = 1e-10,
             if attempt == max_doublings:
                 raise
             total_evals += grid.evaluations
-            cur_L, cur_n = 2.0 * cur_L, 2 * cur_n
+            # n -> 2n+1 with L doubled keeps h fixed and z = 0 on a node
+            cur_L, cur_n = 2.0 * cur_L, 2 * cur_n + 1
             continue
 
         if root_n is None:

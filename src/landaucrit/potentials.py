@@ -311,17 +311,28 @@ def _y_at_switch() -> float:
     return val
 
 
-def _tail_correction(z: float) -> float:
-    """D(z) with y(z) = log z + gamma + D(z) for z >= Z0; D = O(1/z^2)."""
-    iz2 = 1.0 / (z * z)
-    return iz2 * (0.5 + iz2 * (-0.75 + iz2 * (15.0 / 6.0 + iz2 * (-105.0 / 8.0))))
+def _tail_correction(z2inv):
+    """D with y(z) = log z + gamma + D for z >= Z0, in z2inv = 1/z^2; D = O(1/z^2).
+
+    Horner form; accepts floats and arrays.
+    """
+    return z2inv * (0.5 + z2inv * (-0.75 + z2inv * (15.0 / 6.0 + z2inv * (-105.0 / 8.0))))
 
 
 @lru_cache(maxsize=1)
 def _log_offset() -> float:
     """gamma = lim_(z->inf) [y(z) - log z], via the tail series at the switch."""
     z0 = SWITCH_RADIUS
-    return _y_at_switch() - math.log(z0) - _tail_correction(z0)
+    return _y_at_switch() - math.log(z0) - _tail_correction(1.0 / (z0 * z0))
+
+
+def _log_z_far(y: np.ndarray) -> np.ndarray:
+    """log z(y) for y beyond y(Z0): fixed point of log z = y - gamma - D(z)."""
+    target = y - _log_offset()
+    log_z = target.copy()
+    for _ in range(3):
+        log_z = target - _tail_correction(np.exp(-2.0 * np.minimum(log_z, 350.0)))
+    return log_z
 
 
 @lru_cache(maxsize=1)
@@ -348,12 +359,7 @@ def _z_of_y_core(y: float) -> tuple[float, float]:
         z = float(chebyshev.chebval(2.0 * y / y0 - 1.0, coeffs))
         z = max(z, 0.0)
         return z, (math.log(z) if z > 0.0 else -math.inf)
-    target = y - _log_offset()
-    log_z = target
-    for _ in range(3):
-        z2inv = math.exp(-2.0 * min(log_z, 350.0))
-        d = z2inv * (0.5 + z2inv * (-0.75 + z2inv * (15.0 / 6.0 + z2inv * (-105.0 / 8.0))))
-        log_z = target - d
+    log_z = float(_log_z_far(np.array([y]))[0])
     try:
         z = math.exp(log_z)
     except OverflowError:
@@ -369,7 +375,7 @@ def y_of_z(z: float) -> VariableMap:
     if az <= SWITCH_RADIUS:
         y, _ = quad(_a0_scalar, 0.0, az, **_QUAD_OPTS)
     else:
-        y = _log_offset() + math.log(az) + _tail_correction(az)
+        y = _log_offset() + math.log(az) + _tail_correction(1.0 / (az * az))
     a_val = _a0_scalar(az)
     y = math.copysign(y, z) if z != 0.0 else 0.0
     return VariableMap(
@@ -415,12 +421,7 @@ def log_mu_of_y(y) -> np.ndarray:
         z = chebyshev.chebval(2.0 * y[near] / y0 - 1.0, coeffs)
         out[near] = -np.log(a0_scaled(z))
     if np.any(~near):
-        target = y[~near] - _log_offset()
-        log_z = target.copy()
-        for _ in range(3):
-            z2inv = np.exp(-2.0 * np.minimum(log_z, 350.0))
-            d = z2inv * (0.5 + z2inv * (-0.75 + z2inv * (15.0 / 6.0 + z2inv * (-105.0 / 8.0))))
-            log_z = target - d
+        log_z = _log_z_far(y[~near])
         z2inv = np.exp(-2.0 * np.minimum(log_z, 350.0))
         series = 1.0 + z2inv * (-1.0 + z2inv * (3.0 + z2inv * (-15.0 + z2inv * 105.0)))
         out[~near] = log_z - np.log(series)

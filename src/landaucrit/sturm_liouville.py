@@ -27,6 +27,8 @@ __all__ = [
     "lowest_eigenvalue",
     "convergence_study",
     "build_tridiagonal",
+    "tridiagonal",
+    "lowest_of_tridiagonal",
     "sturm_count",
 ]
 
@@ -94,26 +96,33 @@ def build_tridiagonal(problem: SturmLiouvilleProblem, L: float | None = None,
         bad = mids[np.nonzero(~np.isfinite(p_mid) | (p_mid <= 0.0))[0][0]]
         raise CoefficientError(f"p must be positive and finite; offending midpoint z={bad}")
     q_node = np.asarray(problem.q(nodes), dtype=float)
+    return (*tridiagonal(p_mid, q_node, h), h)
+
+
+def tridiagonal(p_mid: np.ndarray, q_node: np.ndarray,
+                h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, offdiagonal) from p at the n + 1 midpoints and q at the n nodes."""
     diag = (p_mid[:-1] + p_mid[1:]) / h**2 + q_node
     offdiag = -p_mid[1:-1] / h**2
-    return diag, offdiag, h
+    return diag, offdiag
 
 
-def _lowest(diag: np.ndarray, offdiag: np.ndarray) -> float:
+def lowest_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray) -> float:
+    """Lowest eigenvalue of the symmetric tridiagonal matrix (diag, offdiag)."""
     w = eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
                          select_range=(0, 0), tol=BISECTION_TOL)
     return float(w[0])
 
 
 def _solve_grid(problem: SturmLiouvilleProblem, L: float, n: int, richardson: bool) -> EigenResult:
-    e_n = _lowest(*build_tridiagonal(problem, L, n)[:2])
+    e_n = lowest_of_tridiagonal(*build_tridiagonal(problem, L, n)[:2])
     if not richardson:
         return EigenResult(value=e_n, L=L, n=n, extrapolated=False, error_estimate=0.0)
     # n -> 2n+1 halves h exactly and keeps every coarse node on the fine grid,
     # so both solves share one h^2 error family and extrapolation is clean
     # even for coefficients with a kink at a node (e.g. |z|-like potentials).
     n_fine = 2 * n + 1
-    e_fine = _lowest(*build_tridiagonal(problem, L, n_fine)[:2])
+    e_fine = lowest_of_tridiagonal(*build_tridiagonal(problem, L, n_fine)[:2])
     value = (4.0 * e_fine - e_n) / 3.0
     return EigenResult(value=value, L=L, n=n_fine, extrapolated=True,
                        error_estimate=abs(e_fine - e_n) / 3.0)

@@ -9,6 +9,7 @@ from scipy.sparse.linalg import eigsh
 from scipy.special import erfcx
 
 from landaucrit import critical_field as cf
+from landaucrit import sturm_liouville
 from landaucrit.errors import TruncationError
 from landaucrit.sturm_liouville import EigenResult
 
@@ -143,6 +144,26 @@ class TestBracket:
             cf.bracket_E1(0.5, 0.5)
 
 
+class TestSchrodingerSolve:
+    def test_eigensolve_count(self, monkeypatch):
+        calls = []
+        real = sturm_liouville.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", counting)
+        cf.critical_field_schrodinger(0.5)
+        assert 0 < len(calls) <= 100
+
+    @pytest.mark.parametrize("delta", [0.1, 0.5])
+    def test_grid_convergence(self, delta):
+        coarse = cf.critical_field_schrodinger(delta, h=0.02).log_BL
+        fine = cf.critical_field_schrodinger(delta, h=0.01).log_BL
+        assert abs(coarse - fine) <= 1e-8 * abs(fine)
+
+
 class TestAsymptotic:
     def test_schrodinger_approaches_asymptotic_form(self, schrodinger_01):
         asym = cf.critical_field_asymptotic(0.1)
@@ -205,6 +226,3 @@ class TestGapConstants:
     def test_gap_function_values(self):
         assert cf.d_of_delta(0.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert abs(cf.d_of_delta(1.0 - math.sqrt(2.0) / 2.0)) < 1e-14
-        gc = cf.gap_constants()
-        assert gc.nu_bar == cf.nu_bar()
-        assert gc.d(0.1) == cf.d_of_delta(0.1)

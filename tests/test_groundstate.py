@@ -9,6 +9,8 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 from scipy.special import erfcx
 
+from landaucrit import groundstate
+from landaucrit.errors import BracketError
 from landaucrit.groundstate import (
     FixedPointResult,
     T_of_lambda,
@@ -123,6 +125,28 @@ class TestGroundState:
         a = ground_state_lambda(spec, L=60.0, n=4801).lam
         b = ground_state_lambda(spec, L=120.0, n=9603).lam
         assert abs(a - b) < 1e-6
+
+    def test_bracket_retry_keeps_spacing_and_odd_n(self, monkeypatch):
+        grids = []
+        real_grid, real_root = groundstate._Grid, groundstate._root_on_grid
+
+        class RecordingGrid(real_grid):
+            def __init__(self, spec, L, n):
+                grids.append((L, n))
+                super().__init__(spec, L, n)
+
+        def fail_once(grid, *args, **kwargs):
+            if len(grids) == 1:
+                raise BracketError("forced")
+            return real_root(grid, *args, **kwargs)
+
+        monkeypatch.setattr(groundstate, "_Grid", RecordingGrid)
+        monkeypatch.setattr(groundstate, "_root_on_grid", fail_once)
+        ground_state_lambda(PotentialSpec(0.5, 1.0), L=60.0, n=4801)
+        assert all(n % 2 == 1 for _, n in grids)
+        (L0, n0), (L1, n1) = grids[:2]
+        assert L1 == 2.0 * L0
+        assert 2.0 * L1 / (n1 + 1) == 2.0 * L0 / (n0 + 1)
 
     def test_deep_supercritical_is_degenerate(self):
         res = ground_state_lambda(PotentialSpec(0.5, 1e6))
