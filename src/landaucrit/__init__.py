@@ -9,18 +9,24 @@ rigorous analytic brackets for the three-dimensional critical field, and the
 conversions to Tesla.
 """
 
+from .critical_field import (CriticalFieldResult, SandwichBracket, critical_field_direct,
+                             critical_field_schrodinger, sandwich)
 from .errors import BracketError, CoefficientError, QuadratureError, TruncationError
-from .potentials import (
-    PotentialEvaluation,
-    PotentialSpec,
-    VariableMap,
-    a_ell,
-    a_ell_direct,
-    a_ell_grid,
-    mu_bound_constant,
-    scaling_check,
-    y_of_z,
-    z_of_y,
-)
+from .groundstate import FixedPointResult, ground_state_lambda
+from .potentials import (PotentialEvaluation, PotentialSpec, VariableMap, a_ell, a_ell_direct,
+                         a_ell_grid, mu_bound_constant, scaling_check, y_of_z, z_of_y)
+from .trial_bounds import (UpperBoundCertificate, certify_critical_upper_bound,
+                           check_sqrt5_inequality)
+
+__all__ = [
+    # entry points and their results
+    "critical_field_schrodinger", "critical_field_direct", "sandwich", "CriticalFieldResult",
+    "SandwichBracket", "ground_state_lambda", "FixedPointResult", "certify_critical_upper_bound",
+    "check_sqrt5_inequality", "UpperBoundCertificate",
+    # potentials, the change of variables and the error types
+    "PotentialSpec", "PotentialEvaluation", "VariableMap", "a_ell", "a_ell_direct", "a_ell_grid",
+    "mu_bound_constant", "scaling_check", "y_of_z", "z_of_y",
+    "BracketError", "CoefficientError", "QuadratureError", "TruncationError",
+]
 
 __version__ = "0.1.0"

@@ -14,7 +14,9 @@ grid.  Route two ("schrodinger_form") changes variables to y with weight
 mu(y) and instead solves delta^2 = E_1(kappa) for kappa, where E_1 is the
 ground level of -d^2/dy^2 + kappa mu(y); carried entirely in log kappa it
 reaches delta = 0.01 (kappa ~ e^-157).  The root is one brentq solve on one
-grid; each E_1 on it is already Richardson-extrapolated in the eigen-solver.
+fixed grid pair on [-Y, Y] (n and 2n + 1 points, no Y-doubling); log mu(y) is
+sampled on it once, so each E_1 on the way only exponentiates
+log kappa + log mu and does one Richardson step over the two eigen-solves.
 Analytic two-sided estimates for E_1 (step-potential lower side, cosine-trial
 upper side) are reported with every solve.
 """
@@ -59,6 +61,9 @@ DELTA_MAX_SCHRODINGER = 0.7
 #: practical lower edge of the direct z-space route
 DELTA_MIN_DIRECT = 0.15
 
+#: domain of the direct route, in widths e^(pi/2delta) of the eigenfunction
+DIRECT_PAD = 24.0
+
 #: exponential-wall cap for -g'' + kappa mu(y) g; heights beyond this act as
 #: infinite for eigenvalues <= O(1) while keeping the matrix well conditioned
 WALL_CAP = 1.0e4
@@ -98,20 +103,16 @@ def d_of_delta(delta: float) -> float:
     return (1.0 - 2.0 * delta) * math.sqrt(2.0) - 2.0 * delta
 
 
-@lru_cache(maxsize=1)
 def nu_bar() -> float:
-    """Root of 2 (nu + sqrt(nu)) = 2 - sqrt(2), about 0.0561, by bisection."""
-    target = 2.0 - math.sqrt(2.0)
-    return brentq(lambda nu: 2.0 * (nu + math.sqrt(nu)) - target, 1e-12, 0.5,
-                  xtol=1e-12, rtol=8.9e-16)
+    """Root of 2 (nu + sqrt(nu)) = 2 - sqrt(2), about 0.0561; a quadratic in sqrt(nu)."""
+    return ((math.sqrt(5.0 - 2.0 * math.sqrt(2.0)) - 1.0) / 2.0) ** 2
 
 
 # ---------------------------------------------------------------------------
 # direct z-space route
 # ---------------------------------------------------------------------------
 
-def m_delta(delta: float, *, B: float = 1.0, h: float = 0.05,
-            pad: float = 24.0) -> float:
+def m_delta(delta: float, *, B: float = 1.0, h: float = 0.05) -> float:
     """m = lambda(delta, B) - 1 < 0 from the longitudinal eigenproblem.
 
     For B = 1 this is the scale-reduced quantity entering sqrt(B_L); general
@@ -125,10 +126,8 @@ def m_delta(delta: float, *, B: float = 1.0, h: float = 0.05,
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     rootB = math.sqrt(B)
-    L = pad * math.exp(math.pi / (2.0 * delta)) / rootB
-    h_z = h / rootB
-    n = int(round(2.0 * L / h_z)) - 1
-    n += 1 - n % 2  # odd: kink of a_0 at z = 0 sits on a node
+    L = DIRECT_PAD * math.exp(math.pi / (2.0 * delta)) / rootB
+    n = sturm_liouville.odd_points(L, h / rootB)
     if n > sturm_liouville.MAX_GRID_POINTS // 2:
         raise TruncationError(
             f"direct z-space solve needs ~{n:.2e} grid points at delta = {delta}; "
@@ -167,40 +166,46 @@ def critical_field_direct(delta: float) -> CriticalFieldResult:
 # Schrodinger-form route
 # ---------------------------------------------------------------------------
 
-def E1_of_kappa(log_kappa: float, delta_hint: float | None = None, *,
-                Y: float | None = None, h: float = 0.02,
-                richardson: bool = True,
-                stabilize: bool = True) -> sturm_liouville.EigenResult:
+@lru_cache(maxsize=4)
+def _log_mu_grids(Y: float, h: float) -> tuple[tuple[float, np.ndarray], ...]:
+    """(step, log mu at the nodes) on the n- and (2n + 1)-point grids of [-Y, Y];
+    sampled once per (Y, h) and shared, hence read-only."""
+    n = sturm_liouville.odd_points(Y, h)
+    grids = []
+    for m in (n, 2 * n + 1):
+        step, nodes, _ = sturm_liouville.grid_nodes(Y, m)
+        log_mu = log_mu_of_y(nodes)
+        log_mu.setflags(write=False)
+        grids.append((step, log_mu))
+    return tuple(grids)
+
+
+def E1_of_kappa(log_kappa: float, *, Y: float | None = None,
+                h: float = 0.02) -> sturm_liouville.EigenResult:
     """Ground level of -g'' + kappa mu(y) g on [-Y, Y] with Dirichlet ends.
 
     The potential is assembled as exp(log kappa + log mu(y)) so that
-    kappa ~ e^-157 regimes never underflow, and capped at WALL_CAP where the
-    exponential wall has long since become impenetrable for levels of O(1).
-    Default Y is |log kappa| + 30, comfortably past the classical turning
-    point; Y-doubling (via the generic domain stabilization) verifies it.
+    kappa ~ e^-157 regimes never underflow (kappa = 0 is log kappa = -inf),
+    and capped at WALL_CAP where the exponential wall has long since become
+    impenetrable for levels of O(1).  Y (default |log kappa| + 30, past the
+    turning point) is fixed, not doubled; the value is Richardson-extrapolated
+    over the grid pair of spacing h and h/2, whose log mu samples are cached.
     """
     if Y is None:
         if not math.isfinite(log_kappa):
             raise ValueError("Y must be given explicitly when kappa = 0")
         Y = abs(log_kappa) + 30.0
-    if math.isfinite(log_kappa):
-        log_cap = math.log(WALL_CAP)
-
-        def q(y):
-            return np.exp(np.minimum(log_kappa + log_mu_of_y(y), log_cap))
-    else:
-        def q(y):
-            return np.zeros_like(np.asarray(y, dtype=float))
-
-    n = int(round(2.0 * Y / h)) - 1
-    n += 1 - n % 2
-    problem = sturm_liouville.SturmLiouvilleProblem(
-        p=lambda y: np.ones_like(np.asarray(y, dtype=float)), q=q, L=Y, n=max(n, 17),
-    )
-    return sturm_liouville.lowest_eigenvalue(
-        problem, richardson=richardson, stabilize_domain=stabilize,
-        domain_tol=1e-13, max_doublings=6,
-    )
+    if not (Y > 0.0 and math.isfinite(Y)):
+        raise ValueError(f"Y must be positive and finite, got {Y}")
+    log_cap = math.log(WALL_CAP)
+    levels = []
+    for step, log_mu in _log_mu_grids(Y, h):
+        q = np.exp(np.minimum(log_kappa + log_mu, log_cap))
+        levels.append(sturm_liouville.lowest_of_tridiagonal(
+            *sturm_liouville.tridiagonal(np.ones(q.size + 1), q, step)))
+    value, error = sturm_liouville.richardson_step(*levels)
+    return sturm_liouville.EigenResult(value=value, L=Y, n=q.size, extrapolated=True,
+                                       error_estimate=error)
 
 
 def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:
@@ -214,10 +219,9 @@ def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:
     (e^s - 1) with mu <= c e^|y|, minimized over a grid of s (clamped to
     s >= 1 where that closed form is valid).
 
-    Not a proof: c is :func:`mu_bound_constant`, a maximum over a grid scan
-    rather than a proven supremum, and the bracket refers to the uncapped
-    potential, while :func:`E1_of_kappa` caps kappa mu at WALL_CAP, an effect
-    on E_1 that is not quantified here.
+    Not a proof: the bracket refers to the uncapped potential, while
+    :func:`E1_of_kappa` caps kappa mu at WALL_CAP, an effect on E_1 that is
+    not quantified here.
     """
     if not (log_kappa < 0.0):
         raise ValueError(f"bracket requires kappa < 1, got log kappa = {log_kappa}")
@@ -245,33 +249,22 @@ def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:
 def _solve_log_kappa(delta: float, h: float) -> float:
     """Root of E_1(kappa) = delta^2 in log kappa on grid step h.
 
-    Each E_1 value is already Richardson-extrapolated over (h, h/2) by
-    :func:`sturm_liouville.lowest_eigenvalue`.  The bracket around the
-    small-delta guess -pi/(2 delta) is widened until E_1 - delta^2 changes
-    sign (else BracketError); brentq's xtol = 1e-12 in log kappa then stops
-    the search.
+    Every E_1 is Richardson-extrapolated on one fixed grid pair on [-Y, Y],
+    Y = |lo| + 30, with log mu sampled once for the whole root and no
+    Y-doubling.  The bracket around the small-delta guess -pi/(2 delta) is
+    checked once (BracketError without a sign change of E_1 - delta^2);
+    brentq's xtol = 1e-12 in log kappa then stops the search.
     """
     target = delta * delta
     guess = -math.pi / (2.0 * delta)
     half = max(8.0, 0.6 * abs(guess))
     lo, hi = guess - half, min(guess + half, -1e-3)
-    Y = abs(guess) + half + 30.0
+    Y = abs(lo) + 30.0
 
     def f(lk: float) -> float:
-        return E1_of_kappa(lk, Y=Y, h=h, stabilize=False).value - target
+        return E1_of_kappa(lk, Y=Y, h=h).value - target
 
     f_lo, f_hi = f(lo), f(hi)
-    for _ in range(40):
-        if f_lo < 0.0:
-            break
-        lo -= 8.0
-        Y = max(Y, abs(lo) + 30.0)
-        f_lo = f(lo)
-    for _ in range(40):
-        if f_hi > 0.0:
-            break
-        hi = min(hi + 4.0, -1e-9)
-        f_hi = f(hi)
     if not (f_lo < 0.0 < f_hi):
         raise BracketError(
             f"E1(kappa) - delta^2 has no sign change: endpoints {f_lo:.3e}, {f_hi:.3e}"
@@ -282,9 +275,9 @@ def _solve_log_kappa(delta: float, h: float) -> float:
 def critical_field_schrodinger(delta: float, *, h: float = 0.02) -> CriticalFieldResult:
     """log B_L from delta^2 = E_1(kappa); everything carried in logs.
 
-    One root in log kappa on grid step h, with every E_1 value extrapolated
-    over (h, h/2) inside :mod:`sturm_liouville` and the root search stopped
-    by brentq's xtol; then sqrt(B_L) = 2 delta / kappa.
+    One root in log kappa on one fixed grid pair of step h and h/2, with
+    log mu sampled once and every E_1 value Richardson-extrapolated, the
+    search stopped by brentq's xtol; then sqrt(B_L) = 2 delta / kappa.
     """
     if not (DELTA_MIN <= delta <= DELTA_MAX_SCHRODINGER):
         raise ValueError(

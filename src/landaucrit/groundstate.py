@@ -36,8 +36,18 @@ C_TAIL = 10.0
 #: grid spacing h = H_SCALE / sqrt(max(1, B)); resolves the field-scale well.
 H_SCALE = 0.05
 
-#: soft cap on interior points for automatically chosen grids.
-N_SOFT = 1_500_000
+#: soft cap on interior points for automatically chosen grids; odd, like
+#: every grid here.
+N_SOFT = 1_500_001
+
+# Stopping rules of ground_state_lambda: brentq xtol is RESIDUAL_TOL / 4;
+# Phi(-1) <= DEGENERACY_TOL is the degenerate level lambda = -1; the domain
+# grows until the extrapolated root moves by less than DOMAIN_TOL, at most
+# MAX_DOUBLINGS times before TruncationError.
+RESIDUAL_TOL = 1e-10
+DEGENERACY_TOL = 1e-9
+DOMAIN_TOL = 1e-7
+MAX_DOUBLINGS = 6
 
 
 @dataclass(frozen=True)
@@ -64,18 +74,12 @@ def _default_spacing(spec: PotentialSpec) -> float:
     return H_SCALE / math.sqrt(max(1.0, spec.B))
 
 
-def _odd(n: int) -> int:
-    return n if n % 2 == 1 else n + 1
-
-
 def _clip_to_budget(L: float, h: float) -> tuple[float, int]:
-    # odd n puts z = 0 on a node, so the |z|-kink of the potential sits at a
-    # fixed grid location across refinements
-    n = _odd(int(round(2.0 * L / h)) - 1)
-    if n > N_SOFT:
-        n = _odd(N_SOFT)
+    n = sturm_liouville.odd_points(L, h)
+    if n >= N_SOFT:
+        n = N_SOFT
         L = 0.5 * h * (n + 1)
-    return L, max(n, 17)
+    return L, n
 
 
 class _Grid:
@@ -83,14 +87,9 @@ class _Grid:
 
     def __init__(self, spec: PotentialSpec, L: float, n: int):
         self.spec = spec
-        self.L = L
-        self.n = n
-        self.h = 2.0 * L / (n + 1)
-        nodes = -L + self.h * np.arange(1, n + 1)
-        mids = -L + self.h * (np.arange(n + 1) + 0.5)
-        self.a_nodes = a_ell_grid(spec, nodes)
+        self.h, nodes, mids = sturm_liouville.grid_nodes(L, n)
         self.a_mids = a_ell_grid(spec, mids)
-        self.q_nodes = 1.0 - spec.nu * self.a_nodes
+        self.q_nodes = 1.0 - spec.nu * a_ell_grid(spec, nodes)
         self.evaluations = 0
 
     def T(self, lam: float) -> float:
@@ -128,8 +127,7 @@ def T_of_lambda(spec: PotentialSpec, lam: float, *, L: float | None = None,
     ).value
 
 
-def _root_on_grid(grid: _Grid, residual_tol: float, degeneracy_tol: float,
-                  bracket: tuple[float, float] | None = None):
+def _root_on_grid(grid: _Grid, bracket: tuple[float, float] | None = None):
     """Root of Phi on one grid, or None if the grid is degenerate there.
 
     Returns (lam or None, phi_at_minus_one).  Raises BracketError if no sign
@@ -137,7 +135,7 @@ def _root_on_grid(grid: _Grid, residual_tol: float, degeneracy_tol: float,
     """
     phi = lambda lam: grid.T(lam) - lam
     phi_m1 = phi(-1.0)
-    if phi_m1 <= degeneracy_tol:
+    if phi_m1 <= DEGENERACY_TOL:
         return None, phi_m1
     if bracket is not None:
         lo, hi = bracket
@@ -155,20 +153,18 @@ def _root_on_grid(grid: _Grid, residual_tol: float, degeneracy_tol: float,
             f"Phi has no sign change in [-1, {hi}]; T(1) > 1 indicates an "
             "under-resolved domain"
         )
-    root = brentq(phi, lo, hi, xtol=0.25 * residual_tol, rtol=8.9e-16)
+    root = brentq(phi, lo, hi, xtol=0.25 * RESIDUAL_TOL, rtol=8.9e-16)
     return float(root), phi_m1
 
 
-def ground_state_lambda(spec: PotentialSpec, *, residual_tol: float = 1e-10,
-                        degeneracy_tol: float = 1e-9, domain_tol: float = 1e-7,
-                        max_doublings: int = 6, L: float | None = None,
+def ground_state_lambda(spec: PotentialSpec, *, L: float | None = None,
                         n: int | None = None) -> FixedPointResult:
     """Ground state lambda_1(nu, B) of the lowest-Landau effective theory.
 
     Bisection-with-interpolation on Phi(lambda) = T(lambda) - lambda, root
     Richardson-extrapolated over n, domain doubled until the root moves by
-    less than ``domain_tol``.  Declares the degenerate lambda = -1 outcome
-    when T(-1) + 1 <= ``degeneracy_tol``.
+    less than DOMAIN_TOL.  Declares the degenerate lambda = -1 outcome
+    when T(-1) + 1 <= DEGENERACY_TOL.
     """
     h = _default_spacing(spec)
     if L is not None and n is not None:
@@ -178,12 +174,12 @@ def ground_state_lambda(spec: PotentialSpec, *, residual_tol: float = 1e-10,
 
     prev_root: float | None = None
     total_evals = 0
-    for attempt in range(max_doublings + 1):
+    for attempt in range(MAX_DOUBLINGS + 1):
         grid = _Grid(spec, cur_L, cur_n)
         try:
-            root_n, phi_m1 = _root_on_grid(grid, residual_tol, degeneracy_tol)
+            root_n, phi_m1 = _root_on_grid(grid)
         except BracketError:
-            if attempt == max_doublings:
+            if attempt == MAX_DOUBLINGS:
                 raise
             total_evals += grid.evaluations
             # n -> 2n+1 with L doubled keeps h fixed and z = 0 on a node
@@ -203,19 +199,18 @@ def ground_state_lambda(spec: PotentialSpec, *, residual_tol: float = 1e-10,
         n_fine = 2 * cur_n + 1
         fine = _Grid(spec, cur_L, n_fine)
         width = max(1e-4, 8.0 * abs(root_n - (prev_root if prev_root is not None else root_n)))
-        root_fine, _ = _root_on_grid(fine, residual_tol, degeneracy_tol,
-                                     bracket=(root_n - width, root_n + width))
+        root_fine, _ = _root_on_grid(fine, bracket=(root_n - width, root_n + width))
         total_evals += grid.evaluations + fine.evaluations
         if root_fine is None:
             return FixedPointResult(
                 lam=-1.0, iterations=total_evals, residual=0.0,
                 degenerate=True, L=cur_L, n=n_fine,
             )
-        root = (4.0 * root_fine - root_n) / 3.0
+        root, _ = sturm_liouville.richardson_step(root_n, root_fine)
 
         tail_L = C_TAIL / max(1.0 - root, 1e-3)
         need_wider = tail_L > cur_L
-        if prev_root is not None and abs(root - prev_root) < domain_tol and not need_wider:
+        if prev_root is not None and abs(root - prev_root) < DOMAIN_TOL and not need_wider:
             residual = abs(fine.T(root_fine) - root_fine)
             total_evals += 1
             return FixedPointResult(
@@ -224,7 +219,7 @@ def ground_state_lambda(spec: PotentialSpec, *, residual_tol: float = 1e-10,
             )
         prev_root = root
         cur_L = max(2.0 * cur_L, min(tail_L, 8.0 * cur_L))
-        cur_n = _odd(int(round(2.0 * cur_L / grid.h)) - 1)
+        cur_n = sturm_liouville.odd_points(cur_L, grid.h)
         if cur_n > sturm_liouville.MAX_GRID_POINTS:
             raise TruncationError(
                 f"ground-state domain grew past the grid cap (n={cur_n})",
@@ -232,7 +227,7 @@ def ground_state_lambda(spec: PotentialSpec, *, residual_tol: float = 1e-10,
             )
 
     raise TruncationError(
-        f"ground-state root did not stabilize within {max_doublings} domain doublings",
+        f"ground-state root did not stabilize within {MAX_DOUBLINGS} domain doublings",
         last_values=(prev_root, root),
     )
 

@@ -126,27 +126,22 @@ def _a_scaled_quadrature(ell: int, zeta: float) -> float:
     return value
 
 
-def _a_scaled_asymptotic(ell: int, zeta: float, kmax: int = 16) -> float:
-    """Large-|zeta| series (1/|zeta|) sum_k (-1)^k g_k |zeta|^(-2k).
+def _a_scaled_asymptotic(ell: int, zeta):
+    """Large-|zeta| series (1/|zeta|) sum_k (-1)^k g_k |zeta|^(-2k), k <= 12.
 
     g_k = C(2k,k) 2^(-k) (ell+k)!/ell! comes from expanding 1/sqrt(t^2+zeta^2)
-    and integrating Gaussian moments termwise.  The series is asymptotic;
-    summation stops once terms stop decreasing, which beyond the switch
-    radius happens far below double precision.
+    and integrating Gaussian moments termwise.  The series is asymptotic, but
+    beyond the switch radius its terms still decrease at k = 12, where they
+    are far below double precision.  Accepts floats and arrays.
     """
     z2inv = 1.0 / (zeta * zeta)
-    total = 1.0
-    g = 1.0
-    prev = math.inf
-    sign = 1.0
-    for k in range(1, kmax + 1):
+    total = power = 1.0
+    g, sign = 1.0, 1.0
+    for k in range(1, 13):
         g *= (2 * k - 1) / k * (ell + k)
         sign = -sign
-        term = sign * g * z2inv**k
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
+        power = power * z2inv
+        total = total + sign * g * power
     return total / abs(zeta)
 
 
@@ -199,19 +194,6 @@ def _scaled_cheb_coeffs(ell: int) -> np.ndarray:
     return chebyshev.chebfit(2.0 * nodes / SWITCH_RADIUS - 1.0, vals, 320)
 
 
-def _a_scaled_asymptotic_vec(ell: int, zeta: np.ndarray, kmax: int = 12) -> np.ndarray:
-    z2inv = 1.0 / (zeta * zeta)
-    total = np.ones_like(zeta)
-    g, sign = 1.0, 1.0
-    power = np.ones_like(zeta)
-    for k in range(1, kmax + 1):
-        g *= (2 * k - 1) / k * (ell + k)
-        sign = -sign
-        power = power * z2inv
-        total += sign * g * power
-    return total / zeta
-
-
 def a_scaled_vec(ell: int, zeta) -> np.ndarray:
     """Vectorized a_ell(zeta; 1): erfcx closed form for ell = 0, cached
     Chebyshev interpolant inside the switch radius plus the asymptotic series
@@ -225,7 +207,7 @@ def a_scaled_vec(ell: int, zeta) -> np.ndarray:
     if np.any(near):
         out[near] = chebyshev.chebval(2.0 * zeta[near] / SWITCH_RADIUS - 1.0, coeffs)
     if np.any(~near):
-        out[~near] = _a_scaled_asymptotic_vec(ell, zeta[~near])
+        out[~near] = _a_scaled_asymptotic(ell, zeta[~near])
     return out
 
 
@@ -291,8 +273,7 @@ def scaling_check(B: float, z: float) -> float:
     spec = PotentialSpec(nu=0.5, B=B, ell=0)
     direct = a_ell_direct(spec, z)
     zeta = math.sqrt(B) * z
-    scaled = math.sqrt(B) * (_a_scaled_quadrature(0, zeta) if abs(zeta) <= SWITCH_RADIUS
-                             else _a_scaled_asymptotic(0, zeta))
+    scaled = math.sqrt(B) * _a_scaled(0, zeta)[0]
     return abs(direct - scaled) / direct
 
 
@@ -428,14 +409,14 @@ def log_mu_of_y(y) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
 def mu_bound_constant() -> float:
-    """Smallest c with mu(y) <= c e^|y| on a dense grid (plus the y->inf limit).
+    """Smallest c with mu(y) <= c e^|y| for all y: c = mu(0) = 1/a_0(0) = sqrt(2/pi).
 
-    mu(y) e^(-|y|) decreases monotonically from mu(0) = sqrt(2/pi) toward
-    e^(-gamma), so the supremum sits at y = 0; the grid scan and the limit
-    are both kept to make that robust rather than assumed.
+    Proof that mu(y) e^(-|y|) strictly decreases in |y|: a_0(z;1) =
+    sqrt(pi/2) erfcx(z/sqrt(2)) is the normal Mills ratio, so a_0' = z a_0 - 1
+    for z >= 0, and dz/dy = 1/a_0.  With log mu = -log a_0 that gives
+    d/dy [log mu - y] = (1 - z a_0 - a_0^2) / a_0^2, and Birnbaum's bound
+    a_0 > (sqrt(z^2 + 4) - z)/2 (Ann. Math. Statist. 13, 1942) is the
+    statement a_0 (a_0 + z) > 1, so the derivative is negative.
     """
-    ys = np.linspace(0.0, 400.0, 100_001)
-    vals = np.exp(log_mu_of_y(ys) - ys)
-    return float(max(vals.max(), math.exp(-_log_offset())))
+    return math.sqrt(2.0 / math.pi)

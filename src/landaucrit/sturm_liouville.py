@@ -26,6 +26,9 @@ __all__ = [
     "ConvergenceStudy",
     "lowest_eigenvalue",
     "convergence_study",
+    "odd_points",
+    "grid_nodes",
+    "richardson_step",
     "build_tridiagonal",
     "tridiagonal",
     "lowest_of_tridiagonal",
@@ -83,14 +86,33 @@ class ConvergenceStudy:
         return self.observed_orders[-1] if self.observed_orders else math.nan
 
 
+def odd_points(L: float, h: float) -> int:
+    """Odd interior point count n >= 17 for spacing ~h on [-L, L]; odd n keeps
+    a kink of the coefficients at 0 on a node under every refinement n -> 2n+1."""
+    n = int(round(2.0 * L / h)) - 1
+    n += 1 - n % 2
+    return max(n, 17)
+
+
+def grid_nodes(L: float, n: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(h, the n interior nodes, the n + 1 cell midpoints) on [-L, L]."""
+    h = 2.0 * L / (n + 1)
+    nodes = -L + h * np.arange(1, n + 1)
+    mids = -L + h * (np.arange(n + 1) + 0.5)
+    return h, nodes, mids
+
+
+def richardson_step(coarse: float, fine: float) -> tuple[float, float]:
+    """(extrapolated value, error estimate) from values on h and h/2 (h^2 error)."""
+    return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
+
+
 def build_tridiagonal(problem: SturmLiouvilleProblem, L: float | None = None,
                       n: int | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """(diagonal, offdiagonal, h) of the discretized operator."""
     L = problem.L if L is None else L
     n = problem.n if n is None else n
-    h = 2.0 * L / (n + 1)
-    nodes = -L + h * np.arange(1, n + 1)
-    mids = -L + h * (np.arange(n + 1) + 0.5)
+    h, nodes, mids = grid_nodes(L, n)
     p_mid = np.asarray(problem.p(mids), dtype=float)
     if np.any(~np.isfinite(p_mid)) or np.any(p_mid <= 0.0):
         bad = mids[np.nonzero(~np.isfinite(p_mid) | (p_mid <= 0.0))[0][0]]
@@ -123,9 +145,8 @@ def _solve_grid(problem: SturmLiouvilleProblem, L: float, n: int, richardson: bo
     # even for coefficients with a kink at a node (e.g. |z|-like potentials).
     n_fine = 2 * n + 1
     e_fine = lowest_of_tridiagonal(*build_tridiagonal(problem, L, n_fine)[:2])
-    value = (4.0 * e_fine - e_n) / 3.0
-    return EigenResult(value=value, L=L, n=n_fine, extrapolated=True,
-                       error_estimate=abs(e_fine - e_n) / 3.0)
+    value, error = richardson_step(e_n, e_fine)
+    return EigenResult(value=value, L=L, n=n_fine, extrapolated=True, error_estimate=error)
 
 
 def lowest_eigenvalue(problem: SturmLiouvilleProblem, *, richardson: bool = True,

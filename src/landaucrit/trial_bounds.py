@@ -48,6 +48,9 @@ __all__ = [
 
 _QUAD_OPTS = dict(epsabs=1e-300, epsrel=1e-10, limit=300)
 
+#: coordinate sweeps (half-width, then ramp ratio) of the plateau minimization
+PLATEAU_SWEEPS = 3
+
 # smoothstep ramp s(t) = 1 - (10 t^3 - 15 t^4 + 6 t^5): C^2, s(0)=1, s(1)=0
 _RAMP_SQ_INTEGRAL = 181.0 / 462.0     # ∫_0^1 s(t)^2 dt
 _RAMP_DSQ_INTEGRAL = 10.0 / 7.0       # ∫_0^1 s'(t)^2 dt
@@ -331,8 +334,7 @@ def _g1(nu: float, ell: int, profile) -> float:
     return ev.G_B / profile.norm_sq()
 
 
-def certify_critical_upper_bound(nu: float, family: str = "gaussian", *,
-                                 sweeps: int = 3) -> UpperBoundCertificate:
+def certify_critical_upper_bound(nu: float, family: str = "gaussian") -> UpperBoundCertificate:
     """Certified upper bound for the critical field from one trial family.
 
     Minimizes the scale-reduced functional over the family's shape
@@ -354,7 +356,7 @@ def certify_critical_upper_bound(nu: float, family: str = "gaussian", *,
         # shape parameters: half-width d (log10 scale) and ramp ratio r/d
         x = math.log10(50.0)
         rho = 1.0
-        for _ in range(sweeps):
+        for _ in range(PLATEAU_SWEEPS):
             res = minimize_scalar(
                 lambda lx: _g1(nu, 0, PlateauProfile(10.0**lx, rho * 10.0**lx)),
                 bounds=(-0.5, 6.5), method="bounded",

@@ -111,12 +111,12 @@ class TestCrossMethod:
 class TestE1:
     def test_zero_potential_gives_free_dirichlet_level(self):
         for Y in (10.0, 100.0):
-            res = cf.E1_of_kappa(-math.inf, Y=Y, stabilize=False)
+            res = cf.E1_of_kappa(-math.inf, Y=Y)
             assert isinstance(res, EigenResult)
             assert res.value == pytest.approx((math.pi / (2.0 * Y)) ** 2, rel=1e-5)
 
     def test_monotone_increasing_in_kappa(self):
-        vals = [cf.E1_of_kappa(lk, Y=40.0, stabilize=False).value
+        vals = [cf.E1_of_kappa(lk, Y=40.0).value
                 for lk in (-8.0, -5.0, -3.0, -1.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -128,6 +128,21 @@ class TestE1:
     def test_kappa_zero_requires_explicit_domain(self):
         with pytest.raises(ValueError):
             cf.E1_of_kappa(-math.inf)
+
+    @pytest.mark.parametrize("log_kappa", [-8.0, -1.0, -math.inf])
+    def test_matches_generic_solver(self, log_kappa):
+        """The cached-grid path equals the generic Sturm-Liouville solve on the
+        same grid pair, with log mu sampled inside the potential."""
+        Y = 40.0
+        log_cap = math.log(cf.WALL_CAP)
+        problem = sturm_liouville.SturmLiouvilleProblem(
+            p=lambda y: np.ones_like(y),
+            q=lambda y: np.exp(np.minimum(log_kappa + cf.log_mu_of_y(y), log_cap)),
+            L=Y,
+            n=int(round(2.0 * Y / 0.02)) - 1,
+        )
+        want = sturm_liouville.lowest_eigenvalue(problem, stabilize_domain=False).value
+        assert cf.E1_of_kappa(log_kappa, Y=Y).value == want
 
 
 class TestBracket:
@@ -157,6 +172,20 @@ class TestSchrodingerSolve:
         cf.critical_field_schrodinger(0.5)
         assert 0 < len(calls) <= 100
 
+    def test_log_mu_sampled_once_per_root(self, monkeypatch):
+        calls = []
+        real = cf.log_mu_of_y
+
+        def counting(y):
+            calls.append(1)
+            return real(y)
+
+        monkeypatch.setattr(cf, "log_mu_of_y", counting)
+        cf._log_mu_grids.cache_clear()
+        cf.critical_field_schrodinger(0.5)
+        # one sampling per grid of the pair, one for the analytic bracket
+        assert 0 < len(calls) <= 3
+
     @pytest.mark.parametrize("delta", [0.1, 0.5])
     def test_grid_convergence(self, delta):
         coarse = cf.critical_field_schrodinger(delta, h=0.02).log_BL
@@ -171,9 +200,10 @@ class TestAsymptotic:
         assert asym.log_BL == pytest.approx(schrodinger_01.log_BL, rel=0.12)
         assert asym.method == "asymptotic"
 
-    def test_scaled_log_kappa_near_limit(self):
-        res = cf.critical_field_schrodinger(0.05)
-        assert 0.8 <= (-2.0 * 0.05 / math.pi) * res.log_kappa <= 1.2
+    @pytest.mark.parametrize("delta", [cf.DELTA_MIN, 0.05])
+    def test_scaled_log_kappa_near_limit(self, delta):
+        res = cf.critical_field_schrodinger(delta)
+        assert 0.8 <= (-2.0 * delta / math.pi) * res.log_kappa <= 1.2
 
 
 class TestHhhBounds:

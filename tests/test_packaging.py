@@ -1,6 +1,7 @@
 """Tests for the packaging metadata in pyproject.toml."""
 
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -13,3 +14,15 @@ def test_console_scripts_resolve():
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_public_names_resolve():
+    import landaucrit
+
+    modules = [landaucrit] + [
+        importlib.import_module(f"landaucrit.{info.name}")
+        for info in pkgutil.iter_modules(landaucrit.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
