@@ -13,12 +13,13 @@ to delta ~ 0.2 where the eigenfunction width ~ e^(pi/2delta) still fits on a
 grid.  Route two ("schrodinger_form") changes variables to y with weight
 mu(y) and instead solves delta^2 = E_1(kappa) for kappa, where E_1 is the
 ground level of -d^2/dy^2 + kappa mu(y); carried entirely in log kappa it
-reaches delta = 0.01 (kappa ~ e^-157).  The root is one brentq solve on one
-fixed grid pair on [-Y, Y] (n and 2n + 1 points, no Y-doubling); log mu(y) is
-sampled on it once, so each E_1 on the way only exponentiates
-log kappa + log mu and does one Richardson step over the two eigen-solves.
-Analytic two-sided estimates for E_1 (step-potential lower side, cosine-trial
-upper side) are reported with every solve.
+reaches delta = 0.01 (kappa ~ e^-157).  The root is one safeguarded Newton
+solve on one fixed grid pair on [-Y, Y] (n and 2n + 1 points, no
+Y-doubling); log mu(y) is sampled on it once, so each E_1 on the way only
+exponentiates log kappa + log mu and does one Richardson step over two
+eigenpair solves, whose eigenvectors give the exact slope dE_1/dlog kappa
+(Hellmann-Feynman).  Analytic two-sided estimates for E_1 (step-potential
+lower side, cosine-trial upper side) are reported with every solve.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ class CriticalFieldResult:
     m_delta: float
     log_kappa: float
     e1_bracket: tuple[float, float] | None
+    #: solver floor of log_BL (Schrodinger form only): 2 NEWTON_FTOL / (dE_1/dlog kappa)
+    log_BL_error: float | None = None
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,8 @@ def _log_mu_grids(Y: float, h: float) -> tuple[tuple[float, np.ndarray], ...]:
 
 def E1_of_kappa(log_kappa: float, *, Y: float | None = None,
                 h: float = 0.02) -> sturm_liouville.EigenResult:
-    """Ground level of -g'' + kappa mu(y) g on [-Y, Y] with Dirichlet ends.
+    """Ground level of -g'' + kappa mu(y) g on [-Y, Y] with Dirichlet ends, and
+    its slope dE_1/dlog kappa.
 
     The potential is assembled as exp(log kappa + log mu(y)) so that
     kappa ~ e^-157 regimes never underflow (kappa = 0 is log kappa = -inf),
@@ -190,6 +194,8 @@ def E1_of_kappa(log_kappa: float, *, Y: float | None = None,
     impenetrable for levels of O(1).  Y (default |log kappa| + 30, past the
     turning point) is fixed, not doubled; the value is Richardson-extrapolated
     over the grid pair of spacing h and h/2, whose log mu samples are cached.
+    ``slope`` is the exact derivative of that value: the same Richardson step
+    over sum(g^2 kappa mu) on the uncapped nodes, g the unit eigenvector.
     """
     if Y is None:
         if not math.isfinite(log_kappa):
@@ -198,14 +204,18 @@ def E1_of_kappa(log_kappa: float, *, Y: float | None = None,
     if not (Y > 0.0 and math.isfinite(Y)):
         raise ValueError(f"Y must be positive and finite, got {Y}")
     log_cap = math.log(WALL_CAP)
-    levels = []
+    levels, slopes = [], []
     for step, log_mu in _log_mu_grids(Y, h):
-        q = np.exp(np.minimum(log_kappa + log_mu, log_cap))
-        levels.append(sturm_liouville.lowest_of_tridiagonal(
-            *sturm_liouville.tridiagonal(np.ones(q.size + 1), q, step)))
+        log_q = log_kappa + log_mu
+        q = np.exp(np.minimum(log_q, log_cap))
+        level, g = sturm_liouville.lowest_pair_of_tridiagonal(
+            *sturm_liouville.tridiagonal(np.ones(q.size + 1), q, step))
+        levels.append(level)
+        slopes.append(float(np.sum(g**2 * np.where(log_q < log_cap, q, 0.0))))
     value, error = sturm_liouville.richardson_step(*levels)
     return sturm_liouville.EigenResult(value=value, L=Y, n=q.size, extrapolated=True,
-                                       error_estimate=error)
+                                       error_estimate=error,
+                                       slope=sturm_liouville.richardson_step(*slopes)[0])
 
 
 def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:
@@ -246,14 +256,17 @@ def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:
     return float(lower), upper
 
 
-def _solve_log_kappa(delta: float, h: float) -> float:
-    """Root of E_1(kappa) = delta^2 in log kappa on grid step h.
+def _solve_log_kappa(delta: float, h: float) -> tuple[float, float]:
+    """Root of E_1(kappa) = delta^2 in log kappa on grid step h, and the slope
+    dE_1/dlog kappa there.
 
     Every E_1 is Richardson-extrapolated on one fixed grid pair on [-Y, Y],
     Y = |lo| + 30, with log mu sampled once for the whole root and no
-    Y-doubling.  The bracket around the small-delta guess -pi/(2 delta) is
-    checked once (BracketError without a sign change of E_1 - delta^2);
-    brentq's xtol = 1e-12 in log kappa then stops the search.
+    Y-doubling.  Newton starts at the small-delta guess -pi/(2 delta) inside
+    the bracket [lo, hi] around it, with the Hellmann-Feynman slope of each
+    E_1; it stops at |E_1 - delta^2| <= NEWTON_FTOL or a step <= 1e-12 in
+    log kappa, and raises BracketError if the root lies outside the bracket
+    or ConvergenceError if it runs out of steps.
     """
     target = delta * delta
     guess = -math.pi / (2.0 * delta)
@@ -261,35 +274,38 @@ def _solve_log_kappa(delta: float, h: float) -> float:
     lo, hi = guess - half, min(guess + half, -1e-3)
     Y = abs(lo) + 30.0
 
-    def f(lk: float) -> float:
-        return E1_of_kappa(lk, Y=Y, h=h).value - target
+    def fs(lk: float) -> tuple[float, float]:
+        res = E1_of_kappa(lk, Y=Y, h=h)
+        return res.value - target, res.slope
 
-    f_lo, f_hi = f(lo), f(hi)
-    if not (f_lo < 0.0 < f_hi):
-        raise BracketError(
-            f"E1(kappa) - delta^2 has no sign change: endpoints {f_lo:.3e}, {f_hi:.3e}"
-        )
-    return brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
+    root, _, slope = sturm_liouville.newton_root(fs, guess, lo, hi, xtol=1e-12)
+    return root, slope
 
 
 def critical_field_schrodinger(delta: float, *, h: float = 0.02) -> CriticalFieldResult:
     """log B_L from delta^2 = E_1(kappa); everything carried in logs.
 
-    One root in log kappa on one fixed grid pair of step h and h/2, with
-    log mu sampled once and every E_1 value Richardson-extrapolated, the
-    search stopped by brentq's xtol; then sqrt(B_L) = 2 delta / kappa.
+    One Newton root in log kappa on one fixed grid pair of step h and h/2,
+    with log mu sampled once and every E_1 value and slope
+    Richardson-extrapolated; then sqrt(B_L) = 2 delta / kappa.
+
+    ``log_BL_error`` is the solver floor of that root: E_1 is resolved to
+    NEWTON_FTOL, which fixes log kappa to NEWTON_FTOL / (dE_1/dlog kappa) and
+    log B_L to twice that (about 6e-6 at delta = 0.01, 3e-11 at delta = 0.7).
+    It leaves out the discretization error of the grid pair.
     """
     if not (DELTA_MIN <= delta <= DELTA_MAX_SCHRODINGER):
         raise ValueError(
             f"schrodinger method supports {DELTA_MIN} <= delta <= "
             f"{DELTA_MAX_SCHRODINGER}, got {delta}"
         )
-    log_kappa = _solve_log_kappa(delta, h)
+    log_kappa, slope = _solve_log_kappa(delta, h)
     log_BL = 2.0 * (math.log(2.0 * delta) - log_kappa)
     return CriticalFieldResult(
         delta=delta, log_BL=log_BL, method="schrodinger_form",
         m_delta=-math.exp(log_kappa) / delta, log_kappa=log_kappa,
         e1_bracket=bracket_E1(delta, log_kappa),
+        log_BL_error=2.0 * sturm_liouville.NEWTON_FTOL / slope,
     )
 
 

@@ -21,5 +21,9 @@ class BracketError(RuntimeError):
     """A root search could not establish (or lost) a sign-change bracket."""
 
 
+class ConvergenceError(RuntimeError):
+    """An iteration used up its step budget without meeting its stopping rule."""
+
+
 class QuadratureError(RuntimeError):
     """A quadrature failed to reach its requested tolerance."""

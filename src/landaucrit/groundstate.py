@@ -7,9 +7,13 @@ in lambda, so Phi(lambda) = T(lambda) - lambda has slope <= -1 and a unique
 root in (-1, 1] whenever Phi(-1) > 0.  If Phi(-1) <= 0 the level has reached
 the lower continuum edge and the solve reports the degenerate value -1.
 
-Bracketing exploits the slope bound: the root always lies inside
-[-1, -1 + Phi(-1)], which keeps the near-critical search cheap.  Grid control
-is Richardson extrapolation in n at fixed h-ratio plus domain doubling in L.
+The root is found by safeguarded Newton steps (sturm_liouville.newton_root)
+with the exact slope dT/dlambda = -sum p^2 (f')^2 of the same eigen-solve
+(Hellmann-Feynman, dp/dlambda = -p^2).  On the coarse grid Newton starts at
+-1, where Phi(-1) also decides degeneracy, and the slope bound keeps it
+inside [-1, -1 + Phi(-1)]; on the fine grid it starts at the coarse root.
+Grid control is Richardson extrapolation in n at fixed h-ratio plus domain
+doubling in L.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import sturm_liouville
 from .errors import BracketError, TruncationError
@@ -40,7 +43,7 @@ H_SCALE = 0.05
 #: every grid here.
 N_SOFT = 1_500_001
 
-# Stopping rules of ground_state_lambda: brentq xtol is RESIDUAL_TOL / 4;
+# Stopping rules of ground_state_lambda: the Newton xtol is RESIDUAL_TOL / 4;
 # Phi(-1) <= DEGENERACY_TOL is the degenerate level lambda = -1; the domain
 # grows until the extrapolated root moves by less than DOMAIN_TOL, at most
 # MAX_DOUBLINGS times before TruncationError.
@@ -92,11 +95,15 @@ class _Grid:
         self.q_nodes = 1.0 - spec.nu * a_ell_grid(spec, nodes)
         self.evaluations = 0
 
-    def T(self, lam: float) -> float:
+    def T(self, lam: float) -> tuple[float, float]:
+        """(T(lambda), dT/dlambda), the slope -sum p_mid^2 (f_{i+1} - f_i)^2 / h^2
+        of the unit eigenvector f with f_0 = f_{n+1} = 0 (Hellmann-Feynman)."""
         self.evaluations += 1
         p_mid = 1.0 / (1.0 + lam + self.spec.nu * self.a_mids)
-        return sturm_liouville.lowest_of_tridiagonal(
+        value, f = sturm_liouville.lowest_pair_of_tridiagonal(
             *sturm_liouville.tridiagonal(p_mid, self.q_nodes, self.h))
+        df = np.diff(f, prepend=0.0, append=0.0)
+        return value, -float(np.sum((p_mid * df) ** 2)) / self.h**2
 
 
 def T_of_lambda(spec: PotentialSpec, lam: float, *, L: float | None = None,
@@ -127,44 +134,43 @@ def T_of_lambda(spec: PotentialSpec, lam: float, *, L: float | None = None,
     ).value
 
 
-def _root_on_grid(grid: _Grid, bracket: tuple[float, float] | None = None):
-    """Root of Phi on one grid, or None if the grid is degenerate there.
+def _root_on_grid(grid: _Grid, guess: float | None = None) -> tuple[float | None, float]:
+    """Root of Phi on one grid and |Phi| at the last evaluation, or
+    (None, max(Phi(-1), 0)) if the grid is degenerate.
 
-    Returns (lam or None, phi_at_minus_one).  Raises BracketError if no sign
-    change exists up to lambda = 1 (callers may enlarge the domain first).
+    Without ``guess``, Newton starts from Phi(-1): Phi(-1) <= DEGENERACY_TOL
+    is the degenerate short-circuit, and the slope bound puts the root in
+    [-1, -1 + Phi(-1)].  With one (the coarse root, on the fine grid), Newton
+    starts there inside [-1, 1].  Raises BracketError if the root lies outside
+    the bracket (callers may enlarge the domain first).
     """
-    phi = lambda lam: grid.T(lam) - lam
-    phi_m1 = phi(-1.0)
-    if phi_m1 <= DEGENERACY_TOL:
-        return None, phi_m1
-    if bracket is not None:
-        lo, hi = bracket
-        lo, hi = max(lo, -1.0), min(hi, 1.0)
-        width = hi - lo
-        while phi(lo) < 0.0 and lo > -1.0:
-            lo = max(-1.0, lo - width)
-        while phi(hi) > 0.0 and hi < 1.0:
-            hi = min(1.0, hi + width)
+    def phi(lam: float) -> tuple[float, float]:
+        t, dt = grid.T(lam)
+        return t - lam, dt - 1.0
+
+    if guess is None:
+        start = phi(-1.0)
+        if start[0] <= DEGENERACY_TOL:
+            return None, max(start[0], 0.0)
+        x0, hi = -1.0, min(1.0, -1.0 + start[0] * (1.0 + 1e-12) + 1e-13)
     else:
-        lo = -1.0
-        hi = min(1.0, -1.0 + phi_m1 * (1.0 + 1e-12) + 1e-13)
-    if phi(hi) > 0.0:
-        raise BracketError(
-            f"Phi has no sign change in [-1, {hi}]; T(1) > 1 indicates an "
-            "under-resolved domain"
-        )
-    root = brentq(phi, lo, hi, xtol=0.25 * RESIDUAL_TOL, rtol=8.9e-16)
-    return float(root), phi_m1
+        start, x0, hi = None, guess, 1.0
+    root, residual, _ = sturm_liouville.newton_root(phi, x0, -1.0, hi,
+                                                    xtol=0.25 * RESIDUAL_TOL, start=start)
+    return root, abs(residual)
 
 
 def ground_state_lambda(spec: PotentialSpec, *, L: float | None = None,
                         n: int | None = None) -> FixedPointResult:
     """Ground state lambda_1(nu, B) of the lowest-Landau effective theory.
 
-    Bisection-with-interpolation on Phi(lambda) = T(lambda) - lambda, root
-    Richardson-extrapolated over n, domain doubled until the root moves by
-    less than DOMAIN_TOL.  Declares the degenerate lambda = -1 outcome
-    when T(-1) + 1 <= DEGENERACY_TOL.
+    Safeguarded Newton on Phi(lambda) = T(lambda) - lambda with the
+    Hellmann-Feynman slope, on grids of n and 2n + 1 points, the root
+    Richardson-extrapolated over the two, the domain doubled until the root
+    moves by less than DOMAIN_TOL.  A BracketError on either grid doubles the
+    domain too.  Declares the degenerate lambda = -1 outcome when
+    T(-1) + 1 <= DEGENERACY_TOL.  ``residual`` is |Phi| at the last Newton
+    evaluation on the fine grid.
     """
     h = _default_spacing(spec)
     if L is not None and n is not None:
@@ -175,51 +181,41 @@ def ground_state_lambda(spec: PotentialSpec, *, L: float | None = None,
     prev_root: float | None = None
     total_evals = 0
     for attempt in range(MAX_DOUBLINGS + 1):
-        grid = _Grid(spec, cur_L, cur_n)
+        grids = [_Grid(spec, cur_L, cur_n)]
         try:
-            root_n, phi_m1 = _root_on_grid(grid)
+            root_n, residual = _root_on_grid(grids[0])
+            if root_n is not None:
+                # n -> 2n+1 halves h exactly, keeping the refinement in one h^2 family
+                grids.append(_Grid(spec, cur_L, 2 * cur_n + 1))
+                root_fine, residual = _root_on_grid(grids[1], root_n)
         except BracketError:
             if attempt == MAX_DOUBLINGS:
                 raise
-            total_evals += grid.evaluations
             # n -> 2n+1 with L doubled keeps h fixed and z = 0 on a node
             cur_L, cur_n = 2.0 * cur_L, 2 * cur_n + 1
             continue
+        finally:
+            total_evals += sum(g.evaluations for g in grids)
 
         if root_n is None:
             # short-circuit: deeper in the degenerate regime for larger L
             # (T(-1) only decreases with the domain), so -1 is final.
-            total_evals += grid.evaluations
             return FixedPointResult(
-                lam=-1.0, iterations=total_evals, residual=max(phi_m1, 0.0),
+                lam=-1.0, iterations=total_evals, residual=residual,
                 degenerate=True, L=cur_L, n=cur_n,
             )
 
-        # n -> 2n+1 halves h exactly, keeping the refinement in one h^2 family
-        n_fine = 2 * cur_n + 1
-        fine = _Grid(spec, cur_L, n_fine)
-        width = max(1e-4, 8.0 * abs(root_n - (prev_root if prev_root is not None else root_n)))
-        root_fine, _ = _root_on_grid(fine, bracket=(root_n - width, root_n + width))
-        total_evals += grid.evaluations + fine.evaluations
-        if root_fine is None:
-            return FixedPointResult(
-                lam=-1.0, iterations=total_evals, residual=0.0,
-                degenerate=True, L=cur_L, n=n_fine,
-            )
         root, _ = sturm_liouville.richardson_step(root_n, root_fine)
-
         tail_L = C_TAIL / max(1.0 - root, 1e-3)
         need_wider = tail_L > cur_L
         if prev_root is not None and abs(root - prev_root) < DOMAIN_TOL and not need_wider:
-            residual = abs(fine.T(root_fine) - root_fine)
-            total_evals += 1
             return FixedPointResult(
                 lam=float(np.clip(root, -1.0, 1.0)), iterations=total_evals,
-                residual=residual, degenerate=False, L=cur_L, n=n_fine,
+                residual=residual, degenerate=False, L=cur_L, n=2 * cur_n + 1,
             )
         prev_root = root
         cur_L = max(2.0 * cur_L, min(tail_L, 8.0 * cur_L))
-        cur_n = sturm_liouville.odd_points(cur_L, grid.h)
+        cur_n = sturm_liouville.odd_points(cur_L, grids[0].h)
         if cur_n > sturm_liouville.MAX_GRID_POINTS:
             raise TruncationError(
                 f"ground-state domain grew past the grid cap (n={cur_n})",

@@ -7,6 +7,11 @@ extracted by Sturm-sequence bisection (LAPACK dstebz through
 badly scaled coefficient ranges cannot degrade small eigenvalues).  A plain
 Python Sturm count is exposed as well; tests use it to certify that exactly
 one eigenvalue sits below the converged value.
+
+Roots of monotone eigenvalue functions go through :func:`newton_root`, which
+keeps every Newton step inside a bracket.  Callers take the slope from the
+same eigen-solve (:func:`lowest_pair_of_tridiagonal`) by Hellmann-Feynman:
+for a unit eigenvector v of A(theta), dE/dtheta = v^T (dA/dtheta) v.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import CoefficientError, TruncationError
+from .errors import BracketError, CoefficientError, ConvergenceError, TruncationError
 
 __all__ = [
     "SturmLiouvilleProblem",
@@ -32,6 +37,8 @@ __all__ = [
     "build_tridiagonal",
     "tridiagonal",
     "lowest_of_tridiagonal",
+    "lowest_pair_of_tridiagonal",
+    "newton_root",
     "sturm_count",
 ]
 
@@ -41,6 +48,13 @@ BISECTION_TOL = 1e-12
 
 #: Hard cap on interior grid points during domain doubling.
 MAX_GRID_POINTS = 16_000_000
+
+#: newton_root stops once |f| <= NEWTON_FTOL; a few bisection tolerances, so
+#: the floor of eigenvalue noise (<= 1.8e-12 for a Richardson step) lies below.
+NEWTON_FTOL = 4.0 * BISECTION_TOL
+
+#: newton_root raises ConvergenceError after this many steps.
+MAX_NEWTON = 40
 
 
 @dataclass(frozen=True)
@@ -70,6 +84,7 @@ class EigenResult:
     n: int
     extrapolated: bool
     error_estimate: float
+    slope: float | None = None  # d value / d (the caller's parameter), where computed
 
     @property
     def grid(self) -> tuple[float, int]:
@@ -134,6 +149,68 @@ def lowest_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray) -> float:
     w = eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
                          select_range=(0, 0), tol=BISECTION_TOL)
     return float(w[0])
+
+
+def lowest_pair_of_tridiagonal(diag: np.ndarray,
+                               offdiag: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue, the same one :func:`lowest_of_tridiagonal` returns,
+    and its unit eigenvector, which costs an inverse-iteration solve more."""
+    w, v = eigh_tridiagonal(diag, offdiag, eigvals_only=False, select="i",
+                            select_range=(0, 0), tol=BISECTION_TOL)
+    return float(w[0]), v[:, 0]
+
+
+def newton_root(fs: Callable[[float], tuple[float, float]], x0: float, lo: float,
+                hi: float, *, xtol: float,
+                start: tuple[float, float] | None = None) -> tuple[float, float, float]:
+    """Root of a monotone f in [lo, hi] by Newton steps kept inside a bracket.
+
+    ``fs(x)`` returns (f(x), f'(x)); f may increase or decrease, since the
+    sign of f f' says on which side of x the root lies.  Every evaluated
+    iterate shrinks the bracket.  A step that leaves it goes to the bracket's
+    end on that side if that end was never evaluated, else to the midpoint.
+    lo and hi are evaluated only when a step is clamped to them, and
+    :class:`BracketError` is raised if f there puts the root outside
+    [lo, hi].  ``start`` = (f(x0), f'(x0)) reuses an evaluation the caller
+    already has.
+
+    Stops when |f| <= NEWTON_FTOL at an iterate, which is returned, or when a
+    step is at most ``xtol``, and then returns the point it steps to.  Raises
+    :class:`ConvergenceError` after MAX_NEWTON steps.  Returns the root and
+    (f, f') of the last evaluation.
+    """
+    if not lo <= x0 <= hi:
+        raise ValueError(f"start {x0} lies outside [{lo}, {hi}]")
+    lo_seen = hi_seen = False
+    x = x0
+    f, df = fs(x) if start is None else start
+    for _ in range(MAX_NEWTON):
+        if abs(f) <= NEWTON_FTOL:
+            return x, f, df
+        if f * df > 0.0:  # root below x
+            if x <= lo:
+                raise BracketError(f"root lies below {lo}: f = {f:.3e} there")
+            hi, hi_seen = x, True
+        else:
+            if x >= hi:
+                raise BracketError(f"root lies above {hi}: f = {f:.3e} there")
+            lo, lo_seen = x, True
+        x_new = x - f / df if df else math.nan
+        clamped = False
+        if not lo < x_new < hi:
+            if x_new >= hi and not hi_seen:
+                x_new, clamped = hi, True
+            elif x_new <= lo and not lo_seen:
+                x_new, clamped = lo, True
+            else:
+                x_new = 0.5 * (lo + hi)
+        if not clamped and abs(x_new - x) <= xtol:
+            return x_new, f, df
+        x = x_new
+        f, df = fs(x)
+    raise ConvergenceError(
+        f"Newton root not converged after {MAX_NEWTON} steps: x = {x!r}, f = {f:.3e}"
+    )
 
 
 def _solve_grid(problem: SturmLiouvilleProblem, L: float, n: int, richardson: bool) -> EigenResult:

@@ -53,7 +53,6 @@ PLATEAU_SWEEPS = 3
 
 # smoothstep ramp s(t) = 1 - (10 t^3 - 15 t^4 + 6 t^5): C^2, s(0)=1, s(1)=0
 _RAMP_SQ_INTEGRAL = 181.0 / 462.0     # ∫_0^1 s(t)^2 dt
-_RAMP_DSQ_INTEGRAL = 10.0 / 7.0       # ∫_0^1 s'(t)^2 dt
 
 
 class GaussianProfile:

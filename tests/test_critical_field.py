@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 from scipy.special import erfcx
@@ -92,6 +93,8 @@ class TestCrossMethod:
         assert rel < 1e-3
         assert direct.method == "direct_scaling"
         assert schrod.method == "schrodinger_form"
+        assert direct.log_BL_error is None
+        assert 0.0 < schrod.log_BL_error < 1e-9
 
     def test_monotone_decreasing_in_coupling(self):
         vals = [cf.critical_field_schrodinger(d).log_BL for d in (0.2, 0.35, 0.5, 0.65)]
@@ -144,6 +147,14 @@ class TestE1:
         want = sturm_liouville.lowest_eigenvalue(problem, stabilize_domain=False).value
         assert cf.E1_of_kappa(log_kappa, Y=Y).value == want
 
+    @pytest.mark.parametrize("log_kappa", [-8.0, -1.0])
+    def test_slope_matches_central_difference(self, log_kappa):
+        d = 1e-3
+        fd = (cf.E1_of_kappa(log_kappa + d, Y=40.0).value
+              - cf.E1_of_kappa(log_kappa - d, Y=40.0).value) / (2.0 * d)
+        # 1e-6 tells the Richardson-extrapolated slope from the fine-grid one
+        assert cf.E1_of_kappa(log_kappa, Y=40.0).slope == pytest.approx(fd, rel=1e-6)
+
 
 class TestBracket:
     def test_bracket_orders_and_scales(self, schrodinger_01):
@@ -160,7 +171,8 @@ class TestBracket:
 
 
 class TestSchrodingerSolve:
-    def test_eigensolve_count(self, monkeypatch):
+    @pytest.mark.parametrize("delta", [0.01, 0.5])
+    def test_eigensolve_count(self, monkeypatch, delta):
         calls = []
         real = sturm_liouville.eigh_tridiagonal
 
@@ -169,8 +181,27 @@ class TestSchrodingerSolve:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", counting)
-        cf.critical_field_schrodinger(0.5)
-        assert 0 < len(calls) <= 100
+        cf.critical_field_schrodinger(delta)
+        assert 0 < len(calls) <= 16
+
+    @pytest.mark.parametrize("delta", [0.03, 0.5])
+    def test_newton_root_matches_brentq_on_same_grid(self, monkeypatch, delta):
+        """Same-grid brentq oracle: the two roots agree within the reported floor."""
+        domains = []
+        real = cf.E1_of_kappa
+
+        def recording(log_kappa, **kwargs):
+            domains.append(kwargs["Y"])
+            return real(log_kappa, **kwargs)
+
+        monkeypatch.setattr(cf, "E1_of_kappa", recording)
+        res = cf.critical_field_schrodinger(delta)
+        Y = domains[0]
+        assert set(domains) == {Y}
+        want = brentq(lambda lk: real(lk, Y=Y).value - delta * delta,
+                      res.log_kappa - 1.0, res.log_kappa + 1.0, xtol=1e-12, rtol=8.9e-16)
+        assert 0.0 < res.log_BL_error < 1e-5
+        assert abs(res.log_BL - 2.0 * (math.log(2.0 * delta) - want)) <= res.log_BL_error
 
     def test_log_mu_sampled_once_per_root(self, monkeypatch):
         calls = []
@@ -199,6 +230,7 @@ class TestAsymptotic:
         # leading form only: agreement at the 10% level in log B_L
         assert asym.log_BL == pytest.approx(schrodinger_01.log_BL, rel=0.12)
         assert asym.method == "asymptotic"
+        assert asym.log_BL_error is None
 
     @pytest.mark.parametrize("delta", [cf.DELTA_MIN, 0.05])
     def test_scaled_log_kappa_near_limit(self, delta):

@@ -9,7 +9,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 from scipy.special import erfcx
 
-from landaucrit import groundstate
+from landaucrit import groundstate, sturm_liouville
 from landaucrit.errors import BracketError
 from landaucrit.groundstate import (
     FixedPointResult,
@@ -147,6 +147,32 @@ class TestGroundState:
         (L0, n0), (L1, n1) = grids[:2]
         assert L1 == 2.0 * L0
         assert 2.0 * L1 / (n1 + 1) == 2.0 * L0 / (n0 + 1)
+
+    def test_eigensolve_count(self, monkeypatch):
+        calls = []
+        real = sturm_liouville.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", counting)
+        res = ground_state_lambda(PotentialSpec(0.3, 2.0))
+        assert 0 < len(calls) == res.iterations <= 24
+
+    @pytest.mark.parametrize("lam", [-0.5, 0.3])
+    def test_slope_matches_central_difference(self, lam):
+        grid = groundstate._Grid(PotentialSpec(0.5, 1.0), 60.0, 4801)
+        d = 1e-4
+        fd = (grid.T(lam + d)[0] - grid.T(lam - d)[0]) / (2.0 * d)
+        assert grid.T(lam)[1] == pytest.approx(fd, rel=1e-5)
+
+    def test_newton_root_matches_brentq_on_same_grid(self):
+        grid = groundstate._Grid(PotentialSpec(0.3, 2.0), 60.0, 4801)
+        root, residual = groundstate._root_on_grid(grid)
+        want = brentq(lambda lam: grid.T(lam)[0] - lam, -1.0, 1.0, xtol=1e-13, rtol=8.9e-16)
+        assert abs(root - want) <= 1e-10
+        assert residual <= groundstate.RESIDUAL_TOL
 
     def test_deep_supercritical_is_degenerate(self):
         res = ground_state_lambda(PotentialSpec(0.5, 1e6))

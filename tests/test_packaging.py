@@ -7,9 +7,12 @@ from pathlib import Path
 import pytest
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def test_console_scripts_resolve():
     tomllib = pytest.importorskip("tomllib")
-    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+    with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
@@ -26,3 +29,12 @@ def test_public_names_resolve():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_benchmark_wrap_points_exist(monkeypatch):
+    """Every module attribute the traced benchmark wraps still exists; a missing
+    one would turn its per-layer metrics into null without any error."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    for module, attr, *_ in layers.WRAP_POINTS:
+        assert hasattr(module, attr), f"{module.__name__}.{attr}"

@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from landaucrit.errors import CoefficientError, TruncationError
+from landaucrit.errors import BracketError, CoefficientError, ConvergenceError, TruncationError
 from landaucrit.sturm_liouville import (
+    NEWTON_FTOL,
     ConvergenceStudy,
     SturmLiouvilleProblem,
     build_tridiagonal,
     convergence_study,
     lowest_eigenvalue,
+    lowest_of_tridiagonal,
+    lowest_pair_of_tridiagonal,
+    newton_root,
     sturm_count,
 )
 
@@ -158,3 +162,75 @@ class TestResultInvariants:
             SturmLiouvilleProblem(ONES, q, 24.0, 4800), stabilize_domain=False
         )
         assert stabilized.value == pytest.approx(wide.value, abs=1e-8)
+
+
+class TestEigenpair:
+    def test_pair_matches_value_only_solve(self):
+        problem = SturmLiouvilleProblem(p=ONES, q=lambda z: z * z, L=10.0, n=801)
+        diag, offdiag, _ = build_tridiagonal(problem)
+        value, v = lowest_pair_of_tridiagonal(diag, offdiag)
+        assert value == lowest_of_tridiagonal(diag, offdiag)
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+        residual = diag * v - value * v
+        residual[:-1] += offdiag * v[1:]
+        residual[1:] += offdiag * v[:-1]
+        assert np.max(np.abs(residual)) < 1e-8
+
+
+class TestNewtonRoot:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_converges_for_either_direction(self, sign):
+        evals = []
+
+        def fs(x):
+            evals.append(x)
+            return sign * (x**3 - 2.0), sign * 3.0 * x * x
+
+        root, f, df = newton_root(fs, 1.5, 0.0, 2.0, xtol=1e-14)
+        # |f'| > 1 near the root, so |f| <= NEWTON_FTOL fixes x to NEWTON_FTOL
+        assert abs(root - 2.0 ** (1.0 / 3.0)) <= NEWTON_FTOL
+        assert (f, df) == fs(root)
+        assert len(evals) <= 8
+
+    def test_start_reuses_the_callers_evaluation(self):
+        evals = []
+
+        def fs(x):
+            evals.append(x)
+            return x - 0.25, 1.0
+
+        root, _, _ = newton_root(fs, 0.0, 0.0, 1.0, xtol=1e-12, start=fs(0.0))
+        assert root == pytest.approx(0.25, abs=NEWTON_FTOL)
+        assert evals == [0.0, 0.25]
+
+    def test_overshoot_is_clamped_then_bisected(self):
+        # from 3 Newton on atan overshoots past lo = -5, which is clamped to and
+        # evaluated; the next step overshoots the evaluated hi = 3 and bisects
+        evals = []
+
+        def fs(x):
+            evals.append(x)
+            return math.atan(x), 1.0 / (1.0 + x * x)
+
+        root, _, _ = newton_root(fs, 3.0, -5.0, 10.0, xtol=1e-13)
+        assert abs(root) <= NEWTON_FTOL
+        assert evals[:3] == [3.0, -5.0, -1.0]
+
+    @pytest.mark.parametrize("fs", [
+        lambda x: (x - 5.0, 1.0),
+        lambda x: (5.0 - x, -1.0),
+        lambda x: (x + 5.0, 1.0),
+        lambda x: (-5.0 - x, -1.0),
+    ], ids=["above-increasing", "above-decreasing", "below-increasing", "below-decreasing"])
+    def test_root_outside_bracket_raises(self, fs):
+        with pytest.raises(BracketError):
+            newton_root(fs, 0.5, 0.0, 1.0, xtol=1e-12)
+
+    def test_stalling_slope_raises(self):
+        # a slope 1e6 times too steep makes every step a crawl
+        with pytest.raises(ConvergenceError):
+            newton_root(lambda x: (x - 0.5, 1e6), 0.0, 0.0, 1.0, xtol=1e-12)
+
+    def test_start_outside_bracket_rejected(self):
+        with pytest.raises(ValueError):
+            newton_root(lambda x: (x, 1.0), 2.0, 0.0, 1.0, xtol=1e-12)

@@ -57,6 +57,14 @@ class TestProfiles:
         num = quad(lambda z: p.value(z) ** 2, -5.0, 5.0, points=[-2.0, 2.0])[0]
         assert num == pytest.approx(p.norm_sq(), rel=1e-10)
 
+    @pytest.mark.parametrize("d,r", [(2.0, 3.0), (0.5, 0.25)])
+    def test_plateau_kinetic_closed_form(self, d, r):
+        # two ramps, each (1/r) ∫_0^1 s'(t)^2 dt = 10/(7r)
+        p = PlateauProfile(d, r)
+        num = quad(lambda z: p.derivative(z) ** 2, -d - r, d + r,
+                   points=[-d, d], epsabs=0.0, epsrel=1e-12)[0]
+        assert num == pytest.approx(20.0 / (7.0 * r), rel=1e-10)
+
     def test_plateau_derivative_consistent(self):
         p = PlateauProfile(1.0, 2.0)
         zs = np.linspace(-3.2, 3.2, 41)
