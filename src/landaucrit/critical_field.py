@@ -1,25 +1,28 @@
 """Critical field B_L of the lowest-Landau theory, by two routes, with brackets.
 
-The scale invariance lambda(delta, B) = 1 + sqrt(B) (lambda(delta, 1) - 1)
-reduces the critical condition lambda = -1 to the single number
-m(delta) = lambda(delta, 1) - 1 < 0:
+At lambda = -1 the ground-level fixed point (groundstate) has the exact
+threshold value T(-1; nu, B) = 1 + sqrt(B) m(nu), where m(delta) < 0 is the
+lowest eigenvalue of the linear problem -(f'/(delta a_0))' - delta a_0 f at
+B = 1, which scales as m(delta, B) = sqrt(B) m(delta, 1).  The level reaches
+-1 once T(-1) <= -1, so
 
     sqrt(B_L) = 2 / |m(delta)| = 2 delta / kappa(delta),
-    kappa(delta) = delta (1 - lambda(delta, 1)).
+    kappa(delta) = -delta m(delta).
 
-Route one ("direct_scaling") computes m(delta) as the lowest eigenvalue of
--(f'/( delta a_0))' - delta a_0 f in the longitudinal coordinate; usable down
-to delta ~ 0.2 where the eigenfunction width ~ e^(pi/2delta) still fits on a
-grid.  Route two ("schrodinger_form") changes variables to y with weight
-mu(y) and instead solves delta^2 = E_1(kappa) for kappa, where E_1 is the
-ground level of -d^2/dy^2 + kappa mu(y); carried entirely in log kappa it
-reaches delta = 0.01 (kappa ~ e^-157).  The root is one safeguarded Newton
-solve on one fixed grid pair on [-Y, Y] (n and 2n + 1 points, no
-Y-doubling); log mu(y) is sampled on it once, so each E_1 on the way only
-exponentiates log kappa + log mu and does one Richardson step over two
-eigenpair solves, whose eigenvectors give the exact slope dE_1/dlog kappa
-(Hellmann-Feynman).  Analytic two-sided estimates for E_1 (step-potential
-lower side, cosine-trial upper side) are reported with every solve.
+Route one ("direct_scaling") computes m(delta) in the longitudinal
+coordinate; usable down to delta ~ 0.2 where the eigenfunction width
+~ e^(pi/2delta) still fits on a grid.  Route two ("schrodinger_form") takes
+y with dy = a_0 dz and mu = 1/a_0, where the same problem reads
+-g'' - delta^2 g = -kappa mu g, i.e. delta^2 = E_1(kappa) for the ground
+level of -d^2/dy^2 + kappa mu.  So -kappa is the lowest eigenvalue of the
+pencil (A, M), A = -d^2/dy^2 - delta^2, M = diag(mu): higher modes need
+wider wells and have smaller kappa.  Scaled to the symmetric tridiagonal
+S A S, S = diag(mu^-1/2), it has the inertia of A - sigma M (Sylvester), so
+one bisection per grid gives kappa with no root loop.  log mu is sampled
+once on a grid pair (n and 2n + 1 points on [-Y, Y], Y = pi/(2 delta) + 30)
+and log kappa Richardson-extrapolated over it; in logs this reaches
+delta = 0.01 (kappa ~ e^-157).  Analytic two-sided estimates for E_1
+(step-potential lower side, cosine-trial upper side) come with every solve.
 """
 
 from __future__ import annotations
@@ -59,15 +62,25 @@ DELTA_MIN = 0.01
 #: stay positive and well separated from 0)
 DELTA_MAX_SCHRODINGER = 0.7
 
-#: practical lower edge of the direct z-space route
+#: advertised edge of the direct route, which does not run there: below
+#: delta ~ 0.174 the grid cap raises TruncationError before any solve, and
+#: delta = 0.2 takes about 44 s; perfbench's zspace_scan expects that error at 0.15
 DELTA_MIN_DIRECT = 0.15
 
 #: domain of the direct route, in widths e^(pi/2delta) of the eigenfunction
 DIRECT_PAD = 24.0
 
-#: exponential-wall cap for -g'' + kappa mu(y) g; heights beyond this act as
-#: infinite for eigenvalues <= O(1) while keeping the matrix well conditioned
+#: exponential-wall cap for -g'' + kappa mu(y) g in E1_of_kappa; heights
+#: beyond this act as infinite for eigenvalues <= O(1)
 WALL_CAP = 1.0e4
+
+#: the pencil's bisection tolerance: tiny, so that bisection runs to
+#: relative accuracy (sigma_1 ~ -e^-157 at delta = 0.01)
+PENCIL_TOL = 1e-300
+
+#: float floor of the pencil in E_1, in eps / h^2; the error against 40-digit
+#: Sturm bisection measured <= 0.73 (delta in [0.01, 0.7], h = 0.02 and 0.01)
+PENCIL_FLOOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -80,7 +93,7 @@ class CriticalFieldResult:
     m_delta: float
     log_kappa: float
     e1_bracket: tuple[float, float] | None
-    #: solver floor of log_BL (Schrodinger form only): 2 NEWTON_FTOL / (dE_1/dlog kappa)
+    #: float floor of log_BL (Schrodinger form only), without discretization
     log_BL_error: float | None = None
 
 
@@ -116,7 +129,7 @@ def nu_bar() -> float:
 # ---------------------------------------------------------------------------
 
 def m_delta(delta: float, *, B: float = 1.0, h: float = 0.05) -> float:
-    """m = lambda(delta, B) - 1 < 0 from the longitudinal eigenproblem.
+    """m(delta, B) < 0, the lowest eigenvalue of -(f'/(delta a_0))' - delta a_0 f.
 
     For B = 1 this is the scale-reduced quantity entering sqrt(B_L); general
     B exists to check the exact relation m(delta, B) = sqrt(B) m(delta, 1)
@@ -185,8 +198,7 @@ def _log_mu_grids(Y: float, h: float) -> tuple[tuple[float, np.ndarray], ...]:
 
 def E1_of_kappa(log_kappa: float, *, Y: float | None = None,
                 h: float = 0.02) -> sturm_liouville.EigenResult:
-    """Ground level of -g'' + kappa mu(y) g on [-Y, Y] with Dirichlet ends, and
-    its slope dE_1/dlog kappa.
+    """Ground level of -g'' + kappa mu(y) g on [-Y, Y] with Dirichlet ends.
 
     The potential is assembled as exp(log kappa + log mu(y)) so that
     kappa ~ e^-157 regimes never underflow (kappa = 0 is log kappa = -inf),
@@ -194,8 +206,8 @@ def E1_of_kappa(log_kappa: float, *, Y: float | None = None,
     impenetrable for levels of O(1).  Y (default |log kappa| + 30, past the
     turning point) is fixed, not doubled; the value is Richardson-extrapolated
     over the grid pair of spacing h and h/2, whose log mu samples are cached.
-    ``slope`` is the exact derivative of that value: the same Richardson step
-    over sum(g^2 kappa mu) on the uncapped nodes, g the unit eigenvector.
+    Value only: the oracle for delta^2 = E_1(kappa), which the pencil of
+    :func:`critical_field_schrodinger` solves without calling it.
     """
     if Y is None:
         if not math.isfinite(log_kappa):
@@ -204,18 +216,14 @@ def E1_of_kappa(log_kappa: float, *, Y: float | None = None,
     if not (Y > 0.0 and math.isfinite(Y)):
         raise ValueError(f"Y must be positive and finite, got {Y}")
     log_cap = math.log(WALL_CAP)
-    levels, slopes = [], []
+    levels = []
     for step, log_mu in _log_mu_grids(Y, h):
-        log_q = log_kappa + log_mu
-        q = np.exp(np.minimum(log_q, log_cap))
-        level, g = sturm_liouville.lowest_pair_of_tridiagonal(
-            *sturm_liouville.tridiagonal(np.ones(q.size + 1), q, step))
-        levels.append(level)
-        slopes.append(float(np.sum(g**2 * np.where(log_q < log_cap, q, 0.0))))
+        q = np.exp(np.minimum(log_kappa + log_mu, log_cap))
+        levels.append(sturm_liouville.lowest_of_tridiagonal(
+            *sturm_liouville.tridiagonal(np.ones(q.size + 1), q, step)))
     value, error = sturm_liouville.richardson_step(*levels)
     return sturm_liouville.EigenResult(value=value, L=Y, n=q.size, extrapolated=True,
-                                       error_estimate=error,
-                                       slope=sturm_liouville.richardson_step(*slopes)[0])
+                                       error_estimate=error)
 
 
 def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:
@@ -229,9 +237,8 @@ def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:
     (e^s - 1) with mu <= c e^|y|, minimized over a grid of s (clamped to
     s >= 1 where that closed form is valid).
 
-    Not a proof: the bracket refers to the uncapped potential, while
-    :func:`E1_of_kappa` caps kappa mu at WALL_CAP, an effect on E_1 that is
-    not quantified here.
+    Both sides bound the continuum E_1 of the uncapped potential, the one the
+    pencil discretizes; its O(h^2) grid error is not part of the bracket.
     """
     if not (log_kappa < 0.0):
         raise ValueError(f"bracket requires kappa < 1, got log kappa = {log_kappa}")
@@ -256,56 +263,49 @@ def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:
     return float(lower), upper
 
 
-def _solve_log_kappa(delta: float, h: float) -> tuple[float, float]:
-    """Root of E_1(kappa) = delta^2 in log kappa on grid step h, and the slope
-    dE_1/dlog kappa there.
-
-    Every E_1 is Richardson-extrapolated on one fixed grid pair on [-Y, Y],
-    Y = |lo| + 30, with log mu sampled once for the whole root and no
-    Y-doubling.  Newton starts at the small-delta guess -pi/(2 delta) inside
-    the bracket [lo, hi] around it, with the Hellmann-Feynman slope of each
-    E_1; it stops at |E_1 - delta^2| <= NEWTON_FTOL or a step <= 1e-12 in
-    log kappa, and raises BracketError if the root lies outside the bracket
-    or ConvergenceError if it runs out of steps.
-    """
-    target = delta * delta
-    guess = -math.pi / (2.0 * delta)
-    half = max(8.0, 0.6 * abs(guess))
-    lo, hi = guess - half, min(guess + half, -1e-3)
-    Y = abs(lo) + 30.0
-
-    def fs(lk: float) -> tuple[float, float]:
-        res = E1_of_kappa(lk, Y=Y, h=h)
-        return res.value - target, res.slope
-
-    root, _, slope = sturm_liouville.newton_root(fs, guess, lo, hi, xtol=1e-12)
-    return root, slope
+def _pencil_log_kappa(delta: float, step: float, log_mu: np.ndarray,
+                      slope: float | None = None) -> tuple[float, float, float]:
+    """(log kappa = log(-sigma_1), slope dE_1/dlog kappa, float floor of log kappa)
+    on one grid; the slope kappa / sum(g^2 / mu) comes from the unit eigenvector
+    g of S A S unless it is given, and the floor is PENCIL_FLOOR eps / step^2
+    over it."""
+    s = np.exp(-0.5 * log_mu)
+    diag, offdiag = sturm_liouville.tridiagonal(np.ones(s.size + 1),
+                                                np.full(s.size, -delta * delta), step)
+    diag, offdiag = diag * s * s, offdiag * s[:-1] * s[1:]
+    if slope is None:
+        sigma, g = sturm_liouville.lowest_pair_of_tridiagonal(diag, offdiag, tol=PENCIL_TOL)
+        slope = -sigma / float(np.sum((g * s) ** 2))
+    else:
+        sigma = sturm_liouville.lowest_of_tridiagonal(diag, offdiag, tol=PENCIL_TOL)
+    return math.log(-sigma), slope, PENCIL_FLOOR * np.finfo(float).eps / (step**2 * slope)
 
 
 def critical_field_schrodinger(delta: float, *, h: float = 0.02) -> CriticalFieldResult:
-    """log B_L from delta^2 = E_1(kappa); everything carried in logs.
+    """log B_L from the lowest eigenvalue -kappa of the pencil; in logs throughout.
 
-    One Newton root in log kappa on one fixed grid pair of step h and h/2,
-    with log mu sampled once and every E_1 value and slope
-    Richardson-extrapolated; then sqrt(B_L) = 2 delta / kappa.
-
-    ``log_BL_error`` is the solver floor of that root: E_1 is resolved to
-    NEWTON_FTOL, which fixes log kappa to NEWTON_FTOL / (dE_1/dlog kappa) and
-    log B_L to twice that (about 6e-6 at delta = 0.01, 3e-11 at delta = 0.7).
-    It leaves out the discretization error of the grid pair.
+    One eigenpair solve on step h and one value solve on h/2, on [-Y, Y] with
+    Y = pi/(2 delta) + 30 > pi/(2 delta), so that A has a negative eigenvalue
+    and sigma_1 < 0; log kappa is Richardson-extrapolated over the pair.
+    ``log_BL_error`` is the float floor, not the discretization error: the
+    per-grid floors (coarse slope) combined as (4 fine + coarse) / 3 and
+    doubled for log B_L, about 2e-5 at delta = 0.01 and < 1e-9 at >= 0.3.
     """
     if not (DELTA_MIN <= delta <= DELTA_MAX_SCHRODINGER):
         raise ValueError(
             f"schrodinger method supports {DELTA_MIN} <= delta <= "
             f"{DELTA_MAX_SCHRODINGER}, got {delta}"
         )
-    log_kappa, slope = _solve_log_kappa(delta, h)
+    (h0, log_mu0), (h1, log_mu1) = _log_mu_grids(math.pi / (2.0 * delta) + 30.0, h)
+    coarse, slope, floor_coarse = _pencil_log_kappa(delta, h0, log_mu0)
+    fine, _, floor_fine = _pencil_log_kappa(delta, h1, log_mu1, slope)
+    log_kappa, _ = sturm_liouville.richardson_step(coarse, fine)
     log_BL = 2.0 * (math.log(2.0 * delta) - log_kappa)
     return CriticalFieldResult(
         delta=delta, log_BL=log_BL, method="schrodinger_form",
         m_delta=-math.exp(log_kappa) / delta, log_kappa=log_kappa,
         e1_bracket=bracket_E1(delta, log_kappa),
-        log_BL_error=2.0 * sturm_liouville.NEWTON_FTOL / slope,
+        log_BL_error=2.0 * (4.0 * floor_fine + floor_coarse) / 3.0,
     )
 
 

@@ -23,7 +23,3 @@ class BracketError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An iteration used up its step budget without meeting its stopping rule."""
-
-
-class QuadratureError(RuntimeError):
-    """A quadrature failed to reach its requested tolerance."""

@@ -4,14 +4,15 @@ Second-order central differences with p sampled at cell midpoints and q at
 the interior nodes give a symmetric tridiagonal matrix whose eigenvalues are
 extracted by Sturm-sequence bisection (LAPACK dstebz through
 ``scipy.linalg.eigh_tridiagonal``, with an explicit absolute tolerance so
-badly scaled coefficient ranges cannot degrade small eigenvalues).  A plain
-Python Sturm count is exposed as well; tests use it to certify that exactly
-one eigenvalue sits below the converged value.
+badly scaled coefficient ranges cannot degrade small eigenvalues; a tiny
+``tol`` bisects to relative accuracy instead).  A plain Python Sturm count is
+exposed as well; tests use it to certify that exactly one eigenvalue sits
+below the converged value.
 
-Roots of monotone eigenvalue functions go through :func:`newton_root`, which
-keeps every Newton step inside a bracket.  Callers take the slope from the
-same eigen-solve (:func:`lowest_pair_of_tridiagonal`) by Hellmann-Feynman:
-for a unit eigenvector v of A(theta), dE/dtheta = v^T (dA/dtheta) v.
+:func:`newton_root` serves the ground-state fixed point, keeping every Newton
+step inside a bracket.  The caller takes the slope from the same eigen-solve
+(:func:`lowest_pair_of_tridiagonal`) by Hellmann-Feynman: for a unit
+eigenvector v of A(theta), dE/dtheta = v^T (dA/dtheta) v.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ __all__ = [
     "sturm_count",
 ]
 
-#: LAPACK bisection absolute tolerance; explicit so matrices whose norm is
-#: dominated by stiff tails still resolve O(1) eigenvalues fully.
+#: LAPACK bisection absolute tolerance, the kernels' default ``tol``; resolves
+#: O(1) eigenvalues fully under stiff tails, ~12 levels short of relative accuracy.
 BISECTION_TOL = 1e-12
 
 #: Hard cap on interior grid points during domain doubling.
@@ -84,7 +85,6 @@ class EigenResult:
     n: int
     extrapolated: bool
     error_estimate: float
-    slope: float | None = None  # d value / d (the caller's parameter), where computed
 
     @property
     def grid(self) -> tuple[float, int]:
@@ -144,19 +144,21 @@ def tridiagonal(p_mid: np.ndarray, q_node: np.ndarray,
     return diag, offdiag
 
 
-def lowest_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray) -> float:
-    """Lowest eigenvalue of the symmetric tridiagonal matrix (diag, offdiag)."""
+def lowest_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, *,
+                          tol: float = BISECTION_TOL) -> float:
+    """Lowest eigenvalue of the symmetric tridiagonal matrix (diag, offdiag),
+    bisected to max(``tol``, relative accuracy)."""
     w = eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
-                         select_range=(0, 0), tol=BISECTION_TOL)
+                         select_range=(0, 0), tol=tol)
     return float(w[0])
 
 
-def lowest_pair_of_tridiagonal(diag: np.ndarray,
-                               offdiag: np.ndarray) -> tuple[float, np.ndarray]:
+def lowest_pair_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, *,
+                               tol: float = BISECTION_TOL) -> tuple[float, np.ndarray]:
     """Lowest eigenvalue, the same one :func:`lowest_of_tridiagonal` returns,
     and its unit eigenvector, which costs an inverse-iteration solve more."""
     w, v = eigh_tridiagonal(diag, offdiag, eigvals_only=False, select="i",
-                            select_range=(0, 0), tol=BISECTION_TOL)
+                            select_range=(0, 0), tol=tol)
     return float(w[0]), v[:, 0]
 
 

@@ -12,6 +12,8 @@ from scipy.special import erfcx
 from landaucrit import critical_field as cf
 from landaucrit import sturm_liouville
 from landaucrit.errors import TruncationError
+from landaucrit.groundstate import T_of_lambda
+from landaucrit.potentials import PotentialSpec
 from landaucrit.sturm_liouville import EigenResult
 
 NU_BAR_REF = 0.056080339709502179  # 30-digit bisection on 2(nu+sqrt(nu)) = 2-sqrt(2)
@@ -25,6 +27,16 @@ def schrodinger_05():
 @pytest.fixture(scope="module")
 def schrodinger_01():
     return cf.critical_field_schrodinger(0.1)
+
+
+@pytest.fixture(scope="module")
+def m_05():
+    return cf.m_delta(0.5)
+
+
+def pencil_grid(delta, h):
+    """(step, log mu) of the coarse grid that critical_field_schrodinger uses at h."""
+    return cf._log_mu_grids(math.pi / (2.0 * delta) + 30.0, h)[0]
 
 
 def oracle_m_delta(delta, L=2000.0, n=100001):
@@ -73,6 +85,12 @@ class TestMDelta:
         for B in (4.0, 25.0):
             mB = cf.m_delta(0.5, B=B)
             assert abs(mB - math.sqrt(B) * m1) < 1e-4
+
+    @pytest.mark.parametrize("B", [1.0, 4.0, 9.0])
+    def test_threshold_operator_is_one_plus_sqrt_B_m(self, m_05, B):
+        """T(-1; nu, B) = 1 + sqrt(B) m(nu), the identity behind sqrt(B_L) = 2/|m|."""
+        got = T_of_lambda(PotentialSpec(0.5, B), -1.0)
+        assert abs(got - (1.0 + math.sqrt(B) * m_05)) <= 1e-9
 
     def test_small_coupling_raises_toward_other_method(self):
         with pytest.raises(TruncationError) as err:
@@ -147,14 +165,6 @@ class TestE1:
         want = sturm_liouville.lowest_eigenvalue(problem, stabilize_domain=False).value
         assert cf.E1_of_kappa(log_kappa, Y=Y).value == want
 
-    @pytest.mark.parametrize("log_kappa", [-8.0, -1.0])
-    def test_slope_matches_central_difference(self, log_kappa):
-        d = 1e-3
-        fd = (cf.E1_of_kappa(log_kappa + d, Y=40.0).value
-              - cf.E1_of_kappa(log_kappa - d, Y=40.0).value) / (2.0 * d)
-        # 1e-6 tells the Richardson-extrapolated slope from the fine-grid one
-        assert cf.E1_of_kappa(log_kappa, Y=40.0).slope == pytest.approx(fd, rel=1e-6)
-
 
 class TestBracket:
     def test_bracket_orders_and_scales(self, schrodinger_01):
@@ -182,26 +192,58 @@ class TestSchrodingerSolve:
 
         monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", counting)
         cf.critical_field_schrodinger(delta)
-        assert 0 < len(calls) <= 16
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("delta", [0.03, 0.5])
-    def test_newton_root_matches_brentq_on_same_grid(self, monkeypatch, delta):
-        """Same-grid brentq oracle: the two roots agree within the reported floor."""
-        domains = []
-        real = cf.E1_of_kappa
+    def test_pencil_matches_brentq_on_same_grid(self, delta):
+        """By Sylvester the pencil's kappa is the root of delta^2 = E_1(kappa) on
+        its own grid: a brentq root of the uncapped single-grid E_1 agrees within
+        the pencil floor plus the oracle's own (its bisection tolerance, the
+        same float floor in E_1, and brentq's xtol)."""
+        step, log_mu = pencil_grid(delta, 0.02)
+        log_kappa, slope, floor = cf._pencil_log_kappa(delta, step, log_mu)
 
-        def recording(log_kappa, **kwargs):
-            domains.append(kwargs["Y"])
-            return real(log_kappa, **kwargs)
+        def e1(lk):
+            q = np.exp(lk + log_mu)
+            return sturm_liouville.lowest_of_tridiagonal(
+                *sturm_liouville.tridiagonal(np.ones(q.size + 1), q, step))
 
-        monkeypatch.setattr(cf, "E1_of_kappa", recording)
-        res = cf.critical_field_schrodinger(delta)
-        Y = domains[0]
-        assert set(domains) == {Y}
-        want = brentq(lambda lk: real(lk, Y=Y).value - delta * delta,
-                      res.log_kappa - 1.0, res.log_kappa + 1.0, xtol=1e-12, rtol=8.9e-16)
-        assert 0.0 < res.log_BL_error < 1e-5
-        assert abs(res.log_BL - 2.0 * (math.log(2.0 * delta) - want)) <= res.log_BL_error
+        want = brentq(lambda lk: e1(lk) - delta * delta, log_kappa - 1.0, log_kappa + 1.0,
+                      xtol=1e-12, rtol=8.9e-16)
+        oracle = floor + sturm_liouville.BISECTION_TOL / slope + 1e-12
+        assert abs(log_kappa - want) <= floor + oracle
+        # the floor divides by the eigenvector's slope dE_1/dlog kappa
+        d = 1e-2
+        assert slope == pytest.approx((e1(want + d) - e1(want - d)) / (2.0 * d), rel=1e-3)
+
+    @pytest.mark.parametrize("delta, h", [(0.7, 0.1), (0.1, 0.2), (0.01, 0.5)])
+    def test_pencil_within_floor_of_exact_bisection(self, delta, h):
+        """Sturm-count bisection on A - sigma M at 50 digits, from the same float
+        log mu samples: the float pencil's log kappa is within its floor."""
+        mpmath = pytest.importorskip("mpmath")
+        step, log_mu = pencil_grid(delta, h)
+        log_kappa, _, floor = cf._pencil_log_kappa(delta, step, log_mu)
+        with mpmath.workdps(50):
+            diag = 2 / mpmath.mpf(step) ** 2 - mpmath.mpf(delta) ** 2
+            off2 = 1 / mpmath.mpf(step) ** 4
+            mu = [mpmath.exp(mpmath.mpf(x)) for x in log_mu]
+
+            def below(lk):
+                """Pencil eigenvalues below sigma = -e^lk (Sylvester: the
+                negative pivots of A - sigma M)."""
+                sigma, d, count = -mpmath.exp(lk), None, 0
+                for m in mu:
+                    d = diag - sigma * m - (off2 / d if d is not None else 0)
+                    count += d < 0
+                return count
+
+            lo, hi = mpmath.mpf(log_kappa) - 1e-3, mpmath.mpf(log_kappa) + 1e-3
+            assert below(lo) == 1 and below(hi) == 0
+            while hi - lo > 1e-18:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if below(mid) else (lo, mid)
+            exact = float((lo + hi) / 2)
+        assert abs(log_kappa - exact) <= floor
 
     def test_log_mu_sampled_once_per_root(self, monkeypatch):
         calls = []

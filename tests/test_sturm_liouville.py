@@ -176,6 +176,17 @@ class TestEigenpair:
         residual[1:] += offdiag * v[:-1]
         assert np.max(np.abs(residual)) < 1e-8
 
+    def test_tiny_tol_resolves_a_tiny_eigenvalue(self):
+        # c tridiag(-1, 2, -1) has lowest eigenvalue 4 c sin^2(pi / (2 (n + 1)))
+        c, n = 1e-40, 301
+        diag, offdiag = np.full(n, 2.0 * c), np.full(n - 1, -c)
+        want = 4.0 * c * math.sin(math.pi / (2.0 * (n + 1))) ** 2
+        value = lowest_of_tridiagonal(diag, offdiag, tol=1e-300)
+        assert value == pytest.approx(want, rel=1e-12)
+        assert lowest_pair_of_tridiagonal(diag, offdiag, tol=1e-300)[0] == value
+        # the default absolute tolerance cannot see an eigenvalue of 1e-44
+        assert abs(lowest_of_tridiagonal(diag, offdiag) - want) > 1e3 * want
+
 
 class TestNewtonRoot:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
