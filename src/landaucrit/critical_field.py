@@ -10,8 +10,11 @@ B = 1, which scales as m(delta, B) = sqrt(B) m(delta, 1).  The level reaches
     kappa(delta) = -delta m(delta).
 
 Route one ("direct_scaling") computes m(delta) in the longitudinal
-coordinate; usable down to delta ~ 0.2 where the eigenfunction width
-~ e^(pi/2delta) still fits on a grid.  Route two ("schrodinger_form") takes
+coordinate z on the map z = sinh(t): a grid uniform in t is fine near z = 0
+and uniform in log z far out, so the eigenfunction width ~ e^(pi/2delta)
+costs about pi/(delta h) rows, not e^(pi/2delta)/h.  The weight cosh t
+makes the problem a symmetric-definite pencil, bisected to relative
+accuracy down to DELTA_MIN_DIRECT = 0.05.  Route two ("schrodinger_form") takes
 y with dy = a_0 dz and mu = 1/a_0, where the same problem reads
 -g'' - delta^2 g = -kappa mu g, i.e. delta^2 = E_1(kappa) for the ground
 level of -d^2/dy^2 + kappa mu.  So -kappa is the lowest eigenvalue of the
@@ -62,13 +65,20 @@ DELTA_MIN = 0.01
 #: stay positive and well separated from 0)
 DELTA_MAX_SCHRODINGER = 0.7
 
-#: advertised edge of the direct route, which does not run there: below
-#: delta ~ 0.174 the grid cap raises TruncationError before any solve, and
-#: delta = 0.2 takes about 44 s; perfbench's zspace_scan expects that error at 0.15
-DELTA_MIN_DIRECT = 0.15
+#: smallest coupling for the direct route.  The rows grow like 1/delta: at
+#: 0.05 a call makes 8 eigen-solves of at most 5 979 rows in about 50 ms (one
+#: thread).  The float floor of m relative to |m| ~ e^(-pi/2delta) grows
+#: faster: ~5e-10 at 0.05, and at 0.03 it exceeds DIRECT_DOMAIN_TOL, so the
+#: domain test cannot be met there (TruncationError)
+DELTA_MIN_DIRECT = 0.05
 
-#: domain of the direct route, in widths e^(pi/2delta) of the eigenfunction
+#: initial domain of the direct route, in widths e^(pi/2delta) of the eigenfunction
 DIRECT_PAD = 24.0
+
+#: the direct route doubles its domain until m moves by at most this much,
+#: relative, and raises TruncationError after MAX_DIRECT_DOUBLINGS doublings
+DIRECT_DOMAIN_TOL = 1e-9
+MAX_DIRECT_DOUBLINGS = 4
 
 #: exponential-wall cap for -g'' + kappa mu(y) g in E1_of_kappa; heights
 #: beyond this act as infinite for eigenvalues <= O(1)
@@ -128,42 +138,67 @@ def nu_bar() -> float:
 # direct z-space route
 # ---------------------------------------------------------------------------
 
-def m_delta(delta: float, *, B: float = 1.0, h: float = 0.05) -> float:
+def _mapped_level(delta: float, rootB: float, T: float, n: int) -> float:
+    """Lowest eigenvalue of the direct problem on n interior nodes of t in [-T, T],
+    sqrt(B) z = sinh(t): the pencil -(P f_t)_t + Q f = m W f with
+    P = 1/(delta a_0 cosh t) at the midpoints, Q = -delta a_0 cosh t and
+    W = cosh(t)/sqrt(B) at the nodes, a_0 = a_0(sinh t; 1)."""
+    step, nodes, mids = sturm_liouville.grid_nodes(T, n)
+    p_mid = 1.0 / (delta * a0_scaled(np.sinh(mids)) * np.cosh(mids))
+    jacobian = np.cosh(nodes)
+    q_node = -delta * a0_scaled(np.sinh(nodes)) * jacobian
+    return sturm_liouville.lowest_of_tridiagonal(
+        *sturm_liouville.scaled_pencil(p_mid, q_node, np.sqrt(rootB / jacobian), step),
+        tol=PENCIL_TOL)
+
+
+def m_delta(delta: float, *, B: float = 1.0, h: float = 0.025) -> float:
     """m(delta, B) < 0, the lowest eigenvalue of -(f'/(delta a_0))' - delta a_0 f.
 
     For B = 1 this is the scale-reduced quantity entering sqrt(B_L); general
     B exists to check the exact relation m(delta, B) = sqrt(B) m(delta, 1)
     directly against the B-dependent quadratic form.
 
-    The eigenfunction width grows like e^(pi/2delta), so small delta needs
-    grids beyond the cap; the raised TruncationError points to
-    :func:`critical_field_schrodinger`, which has no such limit.
+    The eigenfunction spreads over |z| ~ e^(pi/2delta).  On the map
+    sqrt(B) z = sinh(t), uniform in t with step h, the spacing is h/sqrt(B)
+    near z = 0 and the step in log z is h far out, so [-L, L] with
+    L = DIRECT_PAD e^(pi/2delta)/sqrt(B) takes about
+    2 (pi/(2 delta) + log(2 DIRECT_PAD))/h rows (729 at delta = 0.3, 2 823 at
+    0.05).  The pencil of :func:`_mapped_level` is bisected to relative
+    accuracy (|m| ~ 3e-13 at delta = 0.05) and Richardson-extrapolated over
+    n -> 2n + 1 (odd n keeps the kink of a_0 at z = 0 on a node); the domain
+    is doubled in z, about 2 log(2)/h rows more each time, until m moves by
+    at most DIRECT_DOMAIN_TOL relative, and TruncationError is raised after
+    MAX_DIRECT_DOUBLINGS doublings.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     rootB = math.sqrt(B)
-    L = DIRECT_PAD * math.exp(math.pi / (2.0 * delta)) / rootB
-    n = sturm_liouville.odd_points(L, h / rootB)
-    if n > sturm_liouville.MAX_GRID_POINTS // 2:
-        raise TruncationError(
-            f"direct z-space solve needs ~{n:.2e} grid points at delta = {delta}; "
-            "use critical_field_schrodinger instead",
-            last_values=None,
-        )
-    problem = sturm_liouville.SturmLiouvilleProblem(
-        p=lambda z: 1.0 / (delta * rootB * a0_scaled(rootB * z)),
-        q=lambda z: -delta * rootB * a0_scaled(rootB * z),
-        L=L,
-        n=n,
+    T = math.asinh(DIRECT_PAD * math.exp(math.pi / (2.0 * delta)))
+    prev = m = math.nan
+    for _ in range(MAX_DIRECT_DOUBLINGS + 1):
+        n = sturm_liouville.odd_points(T, h)
+        prev = m
+        m, _ = sturm_liouville.richardson_step(_mapped_level(delta, rootB, T, n),
+                                               _mapped_level(delta, rootB, T, 2 * n + 1))
+        if abs(m - prev) <= DIRECT_DOMAIN_TOL * abs(m):
+            return m
+        T = math.asinh(2.0 * math.sinh(T))
+    raise TruncationError(
+        f"m(delta = {delta}) did not stabilize within {MAX_DIRECT_DOUBLINGS} domain "
+        f"doublings (last relative shift {abs(m - prev) / abs(m):.3e})",
+        last_values=(prev, m),
     )
-    result = sturm_liouville.lowest_eigenvalue(problem, richardson=True,
-                                               stabilize_domain=True,
-                                               domain_tol=1e-9, max_doublings=2)
-    return result.value
 
 
 def critical_field_direct(delta: float) -> CriticalFieldResult:
-    """log B_L by the scale identity, sqrt(B_L) = 2/|m(delta)|."""
+    """log B_L by the scale identity, sqrt(B_L) = 2/|m(delta)|, with m from the
+    sinh-mapped z-space solve of :func:`m_delta` at its default step.
+
+    An oracle independent of the Schrodinger form (no y map, no log mu): the
+    two agree to about 2e-8 in log B_L over [DELTA_MIN_DIRECT, 0.7].  No error
+    estimate is reported (``log_BL_error`` is None).
+    """
     if not (DELTA_MIN_DIRECT <= delta < 1.0):
         raise ValueError(
             f"direct method supports {DELTA_MIN_DIRECT} <= delta < 1, got {delta}"
@@ -270,9 +305,8 @@ def _pencil_log_kappa(delta: float, step: float, log_mu: np.ndarray,
     g of S A S unless it is given, and the floor is PENCIL_FLOOR eps / step^2
     over it."""
     s = np.exp(-0.5 * log_mu)
-    diag, offdiag = sturm_liouville.tridiagonal(np.ones(s.size + 1),
-                                                np.full(s.size, -delta * delta), step)
-    diag, offdiag = diag * s * s, offdiag * s[:-1] * s[1:]
+    diag, offdiag = sturm_liouville.scaled_pencil(np.ones(s.size + 1),
+                                                  np.full(s.size, -delta * delta), s, step)
     if slope is None:
         sigma, g = sturm_liouville.lowest_pair_of_tridiagonal(diag, offdiag, tol=PENCIL_TOL)
         slope = -sigma / float(np.sum((g * s) ** 2))

@@ -5,7 +5,9 @@ the interior nodes give a symmetric tridiagonal matrix whose eigenvalues are
 extracted by Sturm-sequence bisection (LAPACK dstebz through
 ``scipy.linalg.eigh_tridiagonal``, with an explicit absolute tolerance so
 badly scaled coefficient ranges cannot degrade small eigenvalues; a tiny
-``tol`` bisects to relative accuracy instead).  A plain Python Sturm count is
+``tol`` bisects to relative accuracy instead).  A weight, -(p f')' + q f =
+lambda w f, makes the pencil (A, diag(w)); :func:`scaled_pencil` returns the
+symmetric tridiagonal matrix with the same eigenvalues.  A plain Python Sturm count is
 exposed as well; tests use it to certify that exactly one eigenvalue sits
 below the converged value.
 
@@ -37,6 +39,7 @@ __all__ = [
     "richardson_step",
     "build_tridiagonal",
     "tridiagonal",
+    "scaled_pencil",
     "lowest_of_tridiagonal",
     "lowest_pair_of_tridiagonal",
     "newton_root",
@@ -142,6 +145,19 @@ def tridiagonal(p_mid: np.ndarray, q_node: np.ndarray,
     diag = (p_mid[:-1] + p_mid[1:]) / h**2 + q_node
     offdiag = -p_mid[1:-1] / h**2
     return diag, offdiag
+
+
+def scaled_pencil(p_mid: np.ndarray, q_node: np.ndarray, scale: np.ndarray,
+                  h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, offdiagonal) of S A S, S = diag(scale), for the pencil
+    A f = lambda W f with A from :func:`tridiagonal` and W = S^-2 > 0, a weight
+    given by its scale w^-1/2 at the n nodes.
+
+    S A S is similar to W^-1 A, so its eigenvalues are those of the pencil, and
+    by Sylvester it has the inertia of A - sigma W at each shift sigma.
+    """
+    diag, offdiag = tridiagonal(p_mid, q_node, h)
+    return diag * scale * scale, offdiag * scale[:-1] * scale[1:]
 
 
 def lowest_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, *,

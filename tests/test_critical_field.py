@@ -10,13 +10,30 @@ from scipy.sparse.linalg import eigsh
 from scipy.special import erfcx
 
 from landaucrit import critical_field as cf
-from landaucrit import sturm_liouville
+from landaucrit import groundstate, sturm_liouville
 from landaucrit.errors import TruncationError
 from landaucrit.groundstate import T_of_lambda
 from landaucrit.potentials import PotentialSpec
 from landaucrit.sturm_liouville import EigenResult
 
 NU_BAR_REF = 0.056080339709502179  # 30-digit bisection on 2(nu+sqrt(nu)) = 2-sqrt(2)
+
+#: upper bound on the Schrodinger route's log_BL_error (its float floor, which
+#: grows as delta falls: 1.6e-7 at 0.05, 7.9e-10 at 0.3)
+SCHRODINGER_FLOOR_MAX = {0.05: 1e-6, 0.1: 1e-7, 0.15: 1e-8, 0.3: 1e-9, 0.5: 1e-9, 0.7: 1e-9}
+
+
+def count_eigensolves(monkeypatch):
+    """Row count of every eigen-solve made through sturm_liouville from now on."""
+    rows = []
+    real = sturm_liouville.eigh_tridiagonal
+
+    def counting(diag, *args, **kwargs):
+        rows.append(len(diag))
+        return real(diag, *args, **kwargs)
+
+    monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", counting)
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -88,14 +105,28 @@ class TestMDelta:
 
     @pytest.mark.parametrize("B", [1.0, 4.0, 9.0])
     def test_threshold_operator_is_one_plus_sqrt_B_m(self, m_05, B):
-        """T(-1; nu, B) = 1 + sqrt(B) m(nu), the identity behind sqrt(B_L) = 2/|m|."""
-        got = T_of_lambda(PotentialSpec(0.5, B), -1.0)
+        """T(-1; nu, B) = 1 + sqrt(B) m(nu), the identity behind sqrt(B_L) = 2/|m|.
+
+        T is taken on the h/2 grid of its default domain: on its default grid
+        it is about 1.7e-9 sqrt(B) off, the grid error of m there."""
+        spec = PotentialSpec(0.5, B)
+        L, n = groundstate._clip_to_budget(groundstate._default_domain(spec),
+                                           groundstate._default_spacing(spec))
+        got = T_of_lambda(spec, -1.0, L=L, n=2 * n + 1)
         assert abs(got - (1.0 + math.sqrt(B) * m_05)) <= 1e-9
 
-    def test_small_coupling_raises_toward_other_method(self):
-        with pytest.raises(TruncationError) as err:
-            cf.m_delta(0.05)
-        assert "schrodinger" in str(err.value)
+    @pytest.mark.parametrize("delta", [0.05, 0.3])
+    def test_eigensolve_count(self, monkeypatch, delta):
+        """The sinh-mapped grid needs about 2 (pi/(2 delta) + log 48)/h rows."""
+        rows = count_eigensolves(monkeypatch)
+        cf.critical_field_direct(delta)
+        assert 0 < len(rows) <= 10
+        assert max(rows) <= 10_000
+
+    def test_doubling_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(cf, "MAX_DIRECT_DOUBLINGS", 0)
+        with pytest.raises(TruncationError):
+            cf.m_delta(0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -103,16 +134,15 @@ class TestMDelta:
 
 
 class TestCrossMethod:
-    @pytest.mark.parametrize("delta", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.15, 0.3, 0.5, 0.7])
     def test_direct_and_schrodinger_agree(self, delta):
         direct = cf.critical_field_direct(delta)
         schrod = cf.critical_field_schrodinger(delta)
-        rel = abs(direct.log_BL - schrod.log_BL) / abs(direct.log_BL)
-        assert rel < 1e-3
+        assert abs(direct.log_BL - schrod.log_BL) <= 1e-7
         assert direct.method == "direct_scaling"
         assert schrod.method == "schrodinger_form"
         assert direct.log_BL_error is None
-        assert 0.0 < schrod.log_BL_error < 1e-9
+        assert 0.0 < schrod.log_BL_error < SCHRODINGER_FLOOR_MAX[delta]
 
     def test_monotone_decreasing_in_coupling(self):
         vals = [cf.critical_field_schrodinger(d).log_BL for d in (0.2, 0.35, 0.5, 0.65)]
@@ -120,7 +150,7 @@ class TestCrossMethod:
 
     def test_direct_range_gate(self):
         with pytest.raises(ValueError):
-            cf.critical_field_direct(0.1)
+            cf.critical_field_direct(0.04)
 
     def test_schrodinger_range_gate(self):
         with pytest.raises(ValueError):
@@ -183,16 +213,9 @@ class TestBracket:
 class TestSchrodingerSolve:
     @pytest.mark.parametrize("delta", [0.01, 0.5])
     def test_eigensolve_count(self, monkeypatch, delta):
-        calls = []
-        real = sturm_liouville.eigh_tridiagonal
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", counting)
+        rows = count_eigensolves(monkeypatch)
         cf.critical_field_schrodinger(delta)
-        assert len(calls) == 2
+        assert len(rows) == 2
 
     @pytest.mark.parametrize("delta", [0.03, 0.5])
     def test_pencil_matches_brentq_on_same_grid(self, delta):
