@@ -11,7 +11,7 @@ conversions to Tesla.
 
 from .critical_field import (CriticalFieldResult, SandwichBracket, critical_field_direct,
                              critical_field_schrodinger, sandwich)
-from .errors import BracketError, CoefficientError, ConvergenceError, TruncationError
+from .errors import BracketError, CoefficientError, TruncationError
 from .groundstate import FixedPointResult, ground_state_lambda
 from .potentials import (PotentialEvaluation, PotentialSpec, VariableMap, a_ell, a_ell_direct,
                          a_ell_grid, mu_bound_constant, scaling_check, y_of_z, z_of_y)
@@ -26,7 +26,7 @@ __all__ = [
     # potentials, the change of variables and the error types
     "PotentialSpec", "PotentialEvaluation", "VariableMap", "a_ell", "a_ell_direct", "a_ell_grid",
     "mu_bound_constant", "scaling_check", "y_of_z", "z_of_y",
-    "BracketError", "CoefficientError", "ConvergenceError", "TruncationError",
+    "BracketError", "CoefficientError", "TruncationError",
 ]
 
 __version__ = "0.1.0"

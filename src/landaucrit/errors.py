@@ -19,7 +19,3 @@ class TruncationError(RuntimeError):
 
 class BracketError(RuntimeError):
     """A root search could not establish (or lost) a sign-change bracket."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iteration used up its step budget without meeting its stopping rule."""

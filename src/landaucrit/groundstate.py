@@ -1,17 +1,24 @@
-"""Nonlinear fixed point for the lowest level of the effective 1D theory.
+"""Lowest level of the effective 1D theory as one eigenvalue of a Dirac matrix.
 
 For fixed lambda the Rayleigh functional is the quadratic form of the linear
 operator -(p f')' + q f with p = 1/(1 + lambda + nu a_ell) and
 q = 1 - nu a_ell; its lowest Dirichlet eigenvalue T(lambda) is nonincreasing
-in lambda, so Phi(lambda) = T(lambda) - lambda has slope <= -1 and a unique
-root in (-1, 1] whenever Phi(-1) > 0.  If Phi(-1) <= 0 the level has reached
-the lower continuum edge and the solve reports the degenerate value -1.
+in lambda, so Phi(lambda) = T(lambda) - lambda has a unique root in (-1, 1]
+whenever Phi(-1) > 0.  If Phi(-1) <= 0 the level has reached the lower
+continuum edge and the solve reports the degenerate value -1.
 
-The root is found by safeguarded Newton steps (sturm_liouville.newton_root)
-with the exact slope dT/dlambda = -sum p^2 (f')^2 of the same eigen-solve
-(Hellmann-Feynman, dp/dlambda = -p^2).  On the coarse grid Newton starts at
--1, where Phi(-1) also decides degeneracy, and the slope bound keeps it
-inside [-1, -1 + Phi(-1)]; on the fine grid it starts at the coarse root.
+The root is an eigenvalue in the gap of the first-order system
+-(1 + nu a) g + f' = lambda g, (1 - nu a) f - g' = lambda f (Dolbeault,
+Esteban and Sere).  With g at the n + 1 cell midpoints and f at the n nodes
+it is the symmetric tridiagonal matrix H of size 2n + 1 whose diagonal is
+-(1 + nu a) at the midpoints and 1 - nu a at the nodes, every off-diagonal
+entry 1/h up to a sign that a diagonal similarity removes.  Eliminating g
+gives back the three-point matrix A(lambda) of T.  For lambda >= -1 the g
+block -(1 + lambda + nu a) is negative definite, so by Haynsworth's inertia
+additivity of the Schur complement H has n + 1 + #{eig A(lambda) < lambda}
+eigenvalues below lambda: a grid's root of Phi is eigenvalue number n + 1
+(0-based) of H, one bisection solve with no iteration in lambda.
+
 Grid control is Richardson extrapolation in n at fixed h-ratio plus domain
 doubling in L.
 """
@@ -25,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import sturm_liouville
-from .errors import BracketError, TruncationError
+from .errors import TruncationError
 from .potentials import PotentialSpec, a_ell_grid
 
 __all__ = ["FixedPointResult", "T_of_lambda", "ground_state_lambda", "ground_state_per_ell"]
@@ -43,10 +50,11 @@ H_SCALE = 0.05
 #: every grid here.
 N_SOFT = 1_500_001
 
-# Stopping rules of ground_state_lambda: the Newton xtol is RESIDUAL_TOL / 4;
-# Phi(-1) <= DEGENERACY_TOL is the degenerate level lambda = -1; the domain
-# grows until the extrapolated root moves by less than DOMAIN_TOL, at most
-# MAX_DOUBLINGS times before TruncationError.
+# Stopping rules of ground_state_lambda: Phi(-1) <= DEGENERACY_TOL is the
+# degenerate level lambda = -1; the domain grows until the extrapolated level
+# moves by less than DOMAIN_TOL, at most MAX_DOUBLINGS times before
+# TruncationError.  RESIDUAL_TOL bounds the |Phi| that a level bisected to
+# BISECTION_TOL leaves on its grid.
 RESIDUAL_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 DOMAIN_TOL = 1e-7
@@ -55,7 +63,13 @@ MAX_DOUBLINGS = 6
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Converged lowest level lambda_1(nu, B) with solve diagnostics."""
+    """Converged lowest level lambda_1(nu, B) with solve diagnostics.
+
+    ``iterations`` counts the eigen-solves of the call.  ``residual`` is
+    |Phi| = |T(lambda) - lambda| on the fine grid (L, n) at that grid's own
+    level; for a degenerate result it is max(Phi(-1), 0) on the grid (L, n)
+    that decided it.
+    """
 
     lam: float
     iterations: int
@@ -86,24 +100,29 @@ def _clip_to_budget(L: float, h: float) -> tuple[float, int]:
 
 
 class _Grid:
-    """Potential samples on one (L, n) grid, reused across lambda iterations."""
+    """Potential samples on one (L, n) grid, shared by T and the level."""
 
     def __init__(self, spec: PotentialSpec, L: float, n: int):
         self.spec = spec
+        self.n = n
         self.h, nodes, mids = sturm_liouville.grid_nodes(L, n)
         self.a_mids = a_ell_grid(spec, mids)
         self.q_nodes = 1.0 - spec.nu * a_ell_grid(spec, nodes)
-        self.evaluations = 0
 
-    def T(self, lam: float) -> tuple[float, float]:
-        """(T(lambda), dT/dlambda), the slope -sum p_mid^2 (f_{i+1} - f_i)^2 / h^2
-        of the unit eigenvector f with f_0 = f_{n+1} = 0 (Hellmann-Feynman)."""
-        self.evaluations += 1
+    def T(self, lam: float) -> float:
+        """T(lambda), the lowest eigenvalue of A(lambda) = -(p f')' + q f."""
         p_mid = 1.0 / (1.0 + lam + self.spec.nu * self.a_mids)
-        value, f = sturm_liouville.lowest_pair_of_tridiagonal(
+        return sturm_liouville.lowest_of_tridiagonal(
             *sturm_liouville.tridiagonal(p_mid, self.q_nodes, self.h))
-        df = np.diff(f, prepend=0.0, append=0.0)
-        return value, -float(np.sum((p_mid * df) ** 2)) / self.h**2
+
+    def level(self) -> float:
+        """Root of Phi on this grid if Phi(-1) > 0: eigenvalue n + 1 of the
+        staggered H, g at the midpoints interleaved with f at the nodes."""
+        diag = np.empty(2 * self.n + 1)
+        diag[0::2] = -(1.0 + self.spec.nu * self.a_mids)
+        diag[1::2] = self.q_nodes
+        return sturm_liouville.lowest_of_tridiagonal(
+            diag, np.full(2 * self.n, 1.0 / self.h), index=self.n + 1)
 
 
 def T_of_lambda(spec: PotentialSpec, lam: float, *, L: float | None = None,
@@ -134,43 +153,18 @@ def T_of_lambda(spec: PotentialSpec, lam: float, *, L: float | None = None,
     ).value
 
 
-def _root_on_grid(grid: _Grid, guess: float | None = None) -> tuple[float | None, float]:
-    """Root of Phi on one grid and |Phi| at the last evaluation, or
-    (None, max(Phi(-1), 0)) if the grid is degenerate.
-
-    Without ``guess``, Newton starts from Phi(-1): Phi(-1) <= DEGENERACY_TOL
-    is the degenerate short-circuit, and the slope bound puts the root in
-    [-1, -1 + Phi(-1)].  With one (the coarse root, on the fine grid), Newton
-    starts there inside [-1, 1].  Raises BracketError if the root lies outside
-    the bracket (callers may enlarge the domain first).
-    """
-    def phi(lam: float) -> tuple[float, float]:
-        t, dt = grid.T(lam)
-        return t - lam, dt - 1.0
-
-    if guess is None:
-        start = phi(-1.0)
-        if start[0] <= DEGENERACY_TOL:
-            return None, max(start[0], 0.0)
-        x0, hi = -1.0, min(1.0, -1.0 + start[0] * (1.0 + 1e-12) + 1e-13)
-    else:
-        start, x0, hi = None, guess, 1.0
-    root, residual, _ = sturm_liouville.newton_root(phi, x0, -1.0, hi,
-                                                    xtol=0.25 * RESIDUAL_TOL, start=start)
-    return root, abs(residual)
-
-
 def ground_state_lambda(spec: PotentialSpec, *, L: float | None = None,
                         n: int | None = None) -> FixedPointResult:
     """Ground state lambda_1(nu, B) of the lowest-Landau effective theory.
 
-    Safeguarded Newton on Phi(lambda) = T(lambda) - lambda with the
-    Hellmann-Feynman slope, on grids of n and 2n + 1 points, the root
-    Richardson-extrapolated over the two, the domain doubled until the root
-    moves by less than DOMAIN_TOL.  A BracketError on either grid doubles the
-    domain too.  Declares the degenerate lambda = -1 outcome when
-    T(-1) + 1 <= DEGENERACY_TOL.  ``residual`` is |Phi| at the last Newton
-    evaluation on the fine grid.
+    On each domain one value solve decides degeneracy: T(-1) + 1 <=
+    DEGENERACY_TOL on the n-point grid returns the degenerate lambda = -1.
+    Otherwise the level is eigenvalue n + 1 of the staggered Dirac matrix H
+    (module docstring) on n and 2n + 1 points, Richardson-extrapolated over
+    the two, and the domain is doubled until the level moves by less than
+    DOMAIN_TOL.  A fine level <= -1 (degenerate on the fine grid only)
+    doubles the domain at fixed h.  One value solve of T at the returned fine
+    level gives ``residual``, which checks the eigenvalue index.
     """
     h = _default_spacing(spec)
     if L is not None and n is not None:
@@ -178,44 +172,40 @@ def ground_state_lambda(spec: PotentialSpec, *, L: float | None = None,
     else:
         cur_L, cur_n = _clip_to_budget(L if L is not None else _default_domain(spec), h)
 
-    prev_root: float | None = None
-    total_evals = 0
-    for attempt in range(MAX_DOUBLINGS + 1):
-        grids = [_Grid(spec, cur_L, cur_n)]
-        try:
-            root_n, residual = _root_on_grid(grids[0])
-            if root_n is not None:
-                # n -> 2n+1 halves h exactly, keeping the refinement in one h^2 family
-                grids.append(_Grid(spec, cur_L, 2 * cur_n + 1))
-                root_fine, residual = _root_on_grid(grids[1], root_n)
-        except BracketError:
-            if attempt == MAX_DOUBLINGS:
-                raise
+    prev_root = root = None
+    solves = 0
+    for _ in range(MAX_DOUBLINGS + 1):
+        coarse = _Grid(spec, cur_L, cur_n)
+        phi_minus_one = coarse.T(-1.0) + 1.0
+        solves += 1
+        if phi_minus_one <= DEGENERACY_TOL:
+            # deeper in the degenerate regime for larger L (T(-1) only
+            # decreases with the domain), so -1 is final.
+            return FixedPointResult(
+                lam=-1.0, iterations=solves, residual=max(phi_minus_one, 0.0),
+                degenerate=True, L=cur_L, n=cur_n,
+            )
+        # n -> 2n+1 halves h exactly, keeping the refinement in one h^2 family
+        fine = _Grid(spec, cur_L, 2 * cur_n + 1)
+        level_n, level_fine = coarse.level(), fine.level()
+        solves += 2
+        if level_fine <= -1.0:
             # n -> 2n+1 with L doubled keeps h fixed and z = 0 on a node
             cur_L, cur_n = 2.0 * cur_L, 2 * cur_n + 1
             continue
-        finally:
-            total_evals += sum(g.evaluations for g in grids)
 
-        if root_n is None:
-            # short-circuit: deeper in the degenerate regime for larger L
-            # (T(-1) only decreases with the domain), so -1 is final.
-            return FixedPointResult(
-                lam=-1.0, iterations=total_evals, residual=residual,
-                degenerate=True, L=cur_L, n=cur_n,
-            )
-
-        root, _ = sturm_liouville.richardson_step(root_n, root_fine)
+        root, _ = sturm_liouville.richardson_step(level_n, level_fine)
         tail_L = C_TAIL / max(1.0 - root, 1e-3)
         need_wider = tail_L > cur_L
         if prev_root is not None and abs(root - prev_root) < DOMAIN_TOL and not need_wider:
+            residual = abs(fine.T(level_fine) - level_fine)
             return FixedPointResult(
-                lam=float(np.clip(root, -1.0, 1.0)), iterations=total_evals,
-                residual=residual, degenerate=False, L=cur_L, n=2 * cur_n + 1,
+                lam=float(np.clip(root, -1.0, 1.0)), iterations=solves + 1,
+                residual=residual, degenerate=False, L=cur_L, n=fine.n,
             )
         prev_root = root
         cur_L = max(2.0 * cur_L, min(tail_L, 8.0 * cur_L))
-        cur_n = sturm_liouville.odd_points(cur_L, grids[0].h)
+        cur_n = sturm_liouville.odd_points(cur_L, coarse.h)
         if cur_n > sturm_liouville.MAX_GRID_POINTS:
             raise TruncationError(
                 f"ground-state domain grew past the grid cap (n={cur_n})",

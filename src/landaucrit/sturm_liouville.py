@@ -10,11 +10,6 @@ lambda w f, makes the pencil (A, diag(w)); :func:`scaled_pencil` returns the
 symmetric tridiagonal matrix with the same eigenvalues.  A plain Python Sturm count is
 exposed as well; tests use it to certify that exactly one eigenvalue sits
 below the converged value.
-
-:func:`newton_root` serves the ground-state fixed point, keeping every Newton
-step inside a bracket.  The caller takes the slope from the same eigen-solve
-(:func:`lowest_pair_of_tridiagonal`) by Hellmann-Feynman: for a unit
-eigenvector v of A(theta), dE/dtheta = v^T (dA/dtheta) v.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import BracketError, CoefficientError, ConvergenceError, TruncationError
+from .errors import CoefficientError, TruncationError
 
 __all__ = [
     "SturmLiouvilleProblem",
@@ -42,7 +37,6 @@ __all__ = [
     "scaled_pencil",
     "lowest_of_tridiagonal",
     "lowest_pair_of_tridiagonal",
-    "newton_root",
     "sturm_count",
 ]
 
@@ -52,13 +46,6 @@ BISECTION_TOL = 1e-12
 
 #: Hard cap on interior grid points during domain doubling.
 MAX_GRID_POINTS = 16_000_000
-
-#: newton_root stops once |f| <= NEWTON_FTOL; a few bisection tolerances, so
-#: the floor of eigenvalue noise (<= 1.8e-12 for a Richardson step) lies below.
-NEWTON_FTOL = 4.0 * BISECTION_TOL
-
-#: newton_root raises ConvergenceError after this many steps.
-MAX_NEWTON = 40
 
 
 @dataclass(frozen=True)
@@ -161,11 +148,12 @@ def scaled_pencil(p_mid: np.ndarray, q_node: np.ndarray, scale: np.ndarray,
 
 
 def lowest_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, *,
-                          tol: float = BISECTION_TOL) -> float:
-    """Lowest eigenvalue of the symmetric tridiagonal matrix (diag, offdiag),
-    bisected to max(``tol``, relative accuracy)."""
+                          tol: float = BISECTION_TOL, index: int = 0) -> float:
+    """Eigenvalue number ``index`` (0-based, ascending; the lowest by default)
+    of the symmetric tridiagonal matrix (diag, offdiag), bisected to
+    max(``tol``, relative accuracy)."""
     w = eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
-                         select_range=(0, 0), tol=tol)
+                         select_range=(index, index), tol=tol)
     return float(w[0])
 
 
@@ -176,59 +164,6 @@ def lowest_pair_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, *,
     w, v = eigh_tridiagonal(diag, offdiag, eigvals_only=False, select="i",
                             select_range=(0, 0), tol=tol)
     return float(w[0]), v[:, 0]
-
-
-def newton_root(fs: Callable[[float], tuple[float, float]], x0: float, lo: float,
-                hi: float, *, xtol: float,
-                start: tuple[float, float] | None = None) -> tuple[float, float, float]:
-    """Root of a monotone f in [lo, hi] by Newton steps kept inside a bracket.
-
-    ``fs(x)`` returns (f(x), f'(x)); f may increase or decrease, since the
-    sign of f f' says on which side of x the root lies.  Every evaluated
-    iterate shrinks the bracket.  A step that leaves it goes to the bracket's
-    end on that side if that end was never evaluated, else to the midpoint.
-    lo and hi are evaluated only when a step is clamped to them, and
-    :class:`BracketError` is raised if f there puts the root outside
-    [lo, hi].  ``start`` = (f(x0), f'(x0)) reuses an evaluation the caller
-    already has.
-
-    Stops when |f| <= NEWTON_FTOL at an iterate, which is returned, or when a
-    step is at most ``xtol``, and then returns the point it steps to.  Raises
-    :class:`ConvergenceError` after MAX_NEWTON steps.  Returns the root and
-    (f, f') of the last evaluation.
-    """
-    if not lo <= x0 <= hi:
-        raise ValueError(f"start {x0} lies outside [{lo}, {hi}]")
-    lo_seen = hi_seen = False
-    x = x0
-    f, df = fs(x) if start is None else start
-    for _ in range(MAX_NEWTON):
-        if abs(f) <= NEWTON_FTOL:
-            return x, f, df
-        if f * df > 0.0:  # root below x
-            if x <= lo:
-                raise BracketError(f"root lies below {lo}: f = {f:.3e} there")
-            hi, hi_seen = x, True
-        else:
-            if x >= hi:
-                raise BracketError(f"root lies above {hi}: f = {f:.3e} there")
-            lo, lo_seen = x, True
-        x_new = x - f / df if df else math.nan
-        clamped = False
-        if not lo < x_new < hi:
-            if x_new >= hi and not hi_seen:
-                x_new, clamped = hi, True
-            elif x_new <= lo and not lo_seen:
-                x_new, clamped = lo, True
-            else:
-                x_new = 0.5 * (lo + hi)
-        if not clamped and abs(x_new - x) <= xtol:
-            return x_new, f, df
-        x = x_new
-        f, df = fs(x)
-    raise ConvergenceError(
-        f"Newton root not converged after {MAX_NEWTON} steps: x = {x!r}, f = {f:.3e}"
-    )
 
 
 def _solve_grid(problem: SturmLiouvilleProblem, L: float, n: int, richardson: bool) -> EigenResult:

@@ -10,7 +10,6 @@ from scipy.sparse.linalg import eigsh
 from scipy.special import erfcx
 
 from landaucrit import groundstate, sturm_liouville
-from landaucrit.errors import BracketError
 from landaucrit.groundstate import (
     FixedPointResult,
     T_of_lambda,
@@ -55,6 +54,19 @@ def oracle_T(nu, B, lam, L, n, ell=0):
     diag = (p[:-1] + p[1:]) / h**2 + q
     offdiag = -p[1:-1] / h**2
     return oracle_lowest_eig(diag, offdiag)
+
+
+def record_eigensolves(monkeypatch):
+    """``eigvals_only`` of every eigen-solve made through sturm_liouville from now on."""
+    calls = []
+    real = sturm_liouville.eigh_tridiagonal
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("eigvals_only", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", recording)
+    return calls
 
 
 def oracle_lambda(nu, B, L=60.0, ell=0):
@@ -127,52 +139,47 @@ class TestGroundState:
         assert abs(a - b) < 1e-6
 
     def test_bracket_retry_keeps_spacing_and_odd_n(self, monkeypatch):
+        # a fine level <= -1 where the coarse grid is not degenerate doubles
+        # the domain at fixed h
         grids = []
-        real_grid, real_root = groundstate._Grid, groundstate._root_on_grid
 
-        class RecordingGrid(real_grid):
+        class RecordingGrid(groundstate._Grid):
             def __init__(self, spec, L, n):
                 grids.append((L, n))
+                self.order = len(grids)
                 super().__init__(spec, L, n)
 
-        def fail_once(grid, *args, **kwargs):
-            if len(grids) == 1:
-                raise BracketError("forced")
-            return real_root(grid, *args, **kwargs)
+            def level(self):
+                return -1.0 if self.order == 2 else super().level()
 
         monkeypatch.setattr(groundstate, "_Grid", RecordingGrid)
-        monkeypatch.setattr(groundstate, "_root_on_grid", fail_once)
         ground_state_lambda(PotentialSpec(0.5, 1.0), L=60.0, n=4801)
+        assert grids[1] == (60.0, 9603)
         assert all(n % 2 == 1 for _, n in grids)
-        (L0, n0), (L1, n1) = grids[:2]
+        (L0, n0), (L1, n1) = grids[0], grids[2]
         assert L1 == 2.0 * L0
         assert 2.0 * L1 / (n1 + 1) == 2.0 * L0 / (n0 + 1)
 
     def test_eigensolve_count(self, monkeypatch):
-        calls = []
-        real = sturm_liouville.eigh_tridiagonal
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", counting)
+        calls = record_eigensolves(monkeypatch)
         res = ground_state_lambda(PotentialSpec(0.3, 2.0))
-        assert 0 < len(calls) == res.iterations <= 24
+        assert 0 < len(calls) == res.iterations <= 8
 
-    @pytest.mark.parametrize("lam", [-0.5, 0.3])
-    def test_slope_matches_central_difference(self, lam):
-        grid = groundstate._Grid(PotentialSpec(0.5, 1.0), 60.0, 4801)
-        d = 1e-4
-        fd = (grid.T(lam + d)[0] - grid.T(lam - d)[0]) / (2.0 * d)
-        assert grid.T(lam)[1] == pytest.approx(fd, rel=1e-5)
+    def test_degenerate_call_is_one_value_solve(self, monkeypatch):
+        calls = record_eigensolves(monkeypatch)
+        res = ground_state_lambda(PotentialSpec(0.85, 1e4))
+        assert res.degenerate
+        assert calls == [True]
+        assert res.iterations == 1
 
-    def test_newton_root_matches_brentq_on_same_grid(self):
-        grid = groundstate._Grid(PotentialSpec(0.3, 2.0), 60.0, 4801)
-        root, residual = groundstate._root_on_grid(grid)
-        want = brentq(lambda lam: grid.T(lam)[0] - lam, -1.0, 1.0, xtol=1e-13, rtol=8.9e-16)
-        assert abs(root - want) <= 1e-10
-        assert residual <= groundstate.RESIDUAL_TOL
+    @pytest.mark.parametrize("nu,B,ell", [(0.3, 2.0, 0), (0.3, 2.0, 2), (0.65, 50.0, 0)])
+    def test_level_matches_brentq_on_same_grid(self, nu, B, ell):
+        # the root of Phi is eigenvalue n + 1 of the staggered Dirac matrix
+        grid = groundstate._Grid(PotentialSpec(nu, B, ell), 60.0, 4801)
+        level = grid.level()
+        want = brentq(lambda lam: grid.T(lam) - lam, -1.0, 1.0, xtol=1e-13, rtol=8.9e-16)
+        assert abs(level - want) <= 1e-10
+        assert abs(grid.T(level) - level) <= groundstate.RESIDUAL_TOL
 
     def test_deep_supercritical_is_degenerate(self):
         res = ground_state_lambda(PotentialSpec(0.5, 1e6))

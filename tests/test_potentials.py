@@ -98,6 +98,14 @@ class TestAEll:
             ref = np.array([a_ell(spec, z).value for z in zs])
             assert np.max(np.abs(grid - ref) / ref) < 1e-11
 
+    def test_chebyshev_fit_matches_panels(self):
+        # the fit inside the switch radius against the Gauss-Legendre panels
+        # it interpolates, on a grid far denser than its nodes
+        zetas = np.linspace(0.0, pot.SWITCH_RADIUS, 20001)
+        for ell in (1, 2, 3, 5):
+            ref = pot._a_scaled_grid_gl(ell, zetas)
+            assert np.max(np.abs(pot.a_scaled_vec(ell, zetas) - ref) / ref) <= 2e-13
+
     def test_positive_and_bounded_by_center(self):
         spec = PotentialSpec(0.9, 0.7, ell=2)
         center = a_ell(spec, 0.0).value

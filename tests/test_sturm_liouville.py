@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from landaucrit.errors import BracketError, CoefficientError, ConvergenceError, TruncationError
+from landaucrit.errors import CoefficientError, TruncationError
 from landaucrit.sturm_liouville import (
-    NEWTON_FTOL,
     ConvergenceStudy,
     SturmLiouvilleProblem,
     build_tridiagonal,
@@ -15,7 +14,6 @@ from landaucrit.sturm_liouville import (
     lowest_eigenvalue,
     lowest_of_tridiagonal,
     lowest_pair_of_tridiagonal,
-    newton_root,
     sturm_count,
 )
 
@@ -187,61 +185,11 @@ class TestEigenpair:
         # the default absolute tolerance cannot see an eigenvalue of 1e-44
         assert abs(lowest_of_tridiagonal(diag, offdiag) - want) > 1e3 * want
 
-
-class TestNewtonRoot:
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_converges_for_either_direction(self, sign):
-        evals = []
-
-        def fs(x):
-            evals.append(x)
-            return sign * (x**3 - 2.0), sign * 3.0 * x * x
-
-        root, f, df = newton_root(fs, 1.5, 0.0, 2.0, xtol=1e-14)
-        # |f'| > 1 near the root, so |f| <= NEWTON_FTOL fixes x to NEWTON_FTOL
-        assert abs(root - 2.0 ** (1.0 / 3.0)) <= NEWTON_FTOL
-        assert (f, df) == fs(root)
-        assert len(evals) <= 8
-
-    def test_start_reuses_the_callers_evaluation(self):
-        evals = []
-
-        def fs(x):
-            evals.append(x)
-            return x - 0.25, 1.0
-
-        root, _, _ = newton_root(fs, 0.0, 0.0, 1.0, xtol=1e-12, start=fs(0.0))
-        assert root == pytest.approx(0.25, abs=NEWTON_FTOL)
-        assert evals == [0.0, 0.25]
-
-    def test_overshoot_is_clamped_then_bisected(self):
-        # from 3 Newton on atan overshoots past lo = -5, which is clamped to and
-        # evaluated; the next step overshoots the evaluated hi = 3 and bisects
-        evals = []
-
-        def fs(x):
-            evals.append(x)
-            return math.atan(x), 1.0 / (1.0 + x * x)
-
-        root, _, _ = newton_root(fs, 3.0, -5.0, 10.0, xtol=1e-13)
-        assert abs(root) <= NEWTON_FTOL
-        assert evals[:3] == [3.0, -5.0, -1.0]
-
-    @pytest.mark.parametrize("fs", [
-        lambda x: (x - 5.0, 1.0),
-        lambda x: (5.0 - x, -1.0),
-        lambda x: (x + 5.0, 1.0),
-        lambda x: (-5.0 - x, -1.0),
-    ], ids=["above-increasing", "above-decreasing", "below-increasing", "below-decreasing"])
-    def test_root_outside_bracket_raises(self, fs):
-        with pytest.raises(BracketError):
-            newton_root(fs, 0.5, 0.0, 1.0, xtol=1e-12)
-
-    def test_stalling_slope_raises(self):
-        # a slope 1e6 times too steep makes every step a crawl
-        with pytest.raises(ConvergenceError):
-            newton_root(lambda x: (x - 0.5, 1e6), 0.0, 0.0, 1.0, xtol=1e-12)
-
-    def test_start_outside_bracket_rejected(self):
-        with pytest.raises(ValueError):
-            newton_root(lambda x: (x, 1.0), 2.0, 0.0, 1.0, xtol=1e-12)
+    def test_index_selects_that_eigenvalue(self):
+        # tridiag(-1, 2, -1) has eigenvalues 4 sin^2(k pi / (2 (n + 1))), k = 1..n
+        n = 41
+        diag, offdiag = np.full(n, 2.0), np.full(n - 1, -1.0)
+        for index in (0, 20, 40):
+            want = 4.0 * math.sin((index + 1) * math.pi / (2.0 * (n + 1))) ** 2
+            assert lowest_of_tridiagonal(diag, offdiag, index=index) == pytest.approx(
+                want, abs=1e-11)
