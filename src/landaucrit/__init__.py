@@ -13,8 +13,7 @@ from .critical_field import (CriticalFieldResult, SandwichBracket, critical_fiel
                              critical_field_schrodinger, sandwich)
 from .errors import BracketError, CoefficientError, TruncationError
 from .groundstate import FixedPointResult, ground_state_lambda
-from .potentials import (PotentialEvaluation, PotentialSpec, VariableMap, a_ell, a_ell_direct,
-                         a_ell_grid, mu_bound_constant, scaling_check, y_of_z, z_of_y)
+from .potentials import PotentialSpec, VariableMap, a_ell_grid, mu_bound_constant, z_of_y
 from .trial_bounds import (UpperBoundCertificate, certify_critical_upper_bound,
                            check_sqrt5_inequality)
 
@@ -24,8 +23,7 @@ __all__ = [
     "SandwichBracket", "ground_state_lambda", "FixedPointResult", "certify_critical_upper_bound",
     "check_sqrt5_inequality", "UpperBoundCertificate",
     # potentials, the change of variables and the error types
-    "PotentialSpec", "PotentialEvaluation", "VariableMap", "a_ell", "a_ell_direct", "a_ell_grid",
-    "mu_bound_constant", "scaling_check", "y_of_z", "z_of_y",
+    "PotentialSpec", "VariableMap", "a_ell_grid", "mu_bound_constant", "z_of_y",
     "BracketError", "CoefficientError", "TruncationError",
 ]
 

@@ -1,5 +1,7 @@
 """Exception types shared across the solver modules."""
 
+__all__ = ["CoefficientError", "TruncationError", "BracketError"]
+
 
 class CoefficientError(ValueError):
     """A Sturm-Liouville coefficient violates its sign constraint (p must be positive)."""

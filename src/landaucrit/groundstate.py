@@ -35,7 +35,7 @@ from . import sturm_liouville
 from .errors import TruncationError
 from .potentials import PotentialSpec, a_ell_grid
 
-__all__ = ["FixedPointResult", "T_of_lambda", "ground_state_lambda", "ground_state_per_ell"]
+__all__ = ["FixedPointResult", "ground_state_lambda", "ground_state_per_ell"]
 
 # Domain rule L = max(C_FIELD/sqrt(B), C_COULOMB/nu, C_TAIL/(1 - lambda_est)),
 # then doubled until the root is stable.
@@ -125,34 +125,6 @@ class _Grid:
             diag, np.full(2 * self.n, 1.0 / self.h), index=self.n + 1)
 
 
-def T_of_lambda(spec: PotentialSpec, lam: float, *, L: float | None = None,
-                n: int | None = None, richardson: bool = True,
-                stabilize_domain: bool = True) -> float:
-    """Lowest eigenvalue T(lambda) of the linearized operator.
-
-    At lambda = -1 the kinetic denominator reduces to nu a_ell, which is
-    positive on any truncated domain, so the solve needs no regularization.
-    """
-    if not math.isfinite(lam) or lam < -1.0:
-        raise ValueError(f"lambda must be finite and >= -1, got {lam}")
-    if L is None or n is None:
-        L0 = _default_domain(spec) if L is None else L
-        L0, n0 = _clip_to_budget(L0, _default_spacing(spec))
-        L = L0 if L is None else L
-        n = n0 if n is None else n
-    nu = spec.nu
-    problem = sturm_liouville.SturmLiouvilleProblem(
-        p=lambda z: 1.0 / (1.0 + lam + nu * a_ell_grid(spec, z)),
-        q=lambda z: 1.0 - nu * a_ell_grid(spec, z),
-        L=L,
-        n=n,
-    )
-    return sturm_liouville.lowest_eigenvalue(
-        problem, richardson=richardson, stabilize_domain=stabilize_domain,
-        domain_tol=1e-9,
-    ).value
-
-
 def ground_state_lambda(spec: PotentialSpec, *, L: float | None = None,
                         n: int | None = None) -> FixedPointResult:
     """Ground state lambda_1(nu, B) of the lowest-Landau effective theory.
@@ -163,8 +135,10 @@ def ground_state_lambda(spec: PotentialSpec, *, L: float | None = None,
     (module docstring) on n and 2n + 1 points, Richardson-extrapolated over
     the two, and the domain is doubled until the level moves by less than
     DOMAIN_TOL.  A fine level <= -1 (degenerate on the fine grid only)
-    doubles the domain at fixed h.  One value solve of T at the returned fine
-    level gives ``residual``, which checks the eigenvalue index.
+    doubles the domain at fixed h and keeps the previous domain's root, so
+    that a Richardson root at -1 is never taken as stable.  One value solve
+    of T at the returned fine level gives ``residual``, which checks the
+    eigenvalue index.
     """
     h = _default_spacing(spec)
     if L is not None and n is not None:

@@ -6,9 +6,11 @@ one-dimensional attraction
     a_ell(z; B) = (B^(ell+1) / (2^ell ell!)) ∫_0^∞ s^(2ell+1) e^(-B s^2/2) / sqrt(s^2+z^2) ds,
 
 which obeys the exact scaling a_ell(z; B) = sqrt(B) * a_ell(sqrt(B) z; 1), so
-everything is computed in the scaled variable zeta = sqrt(B) z.  Small |zeta|
-uses adaptive quadrature, large |zeta| the Gaussian-moment asymptotic series
-in 1/zeta^2; the two regimes agree to ~1e-15 at the switch radius.
+everything is computed in the scaled variable zeta = sqrt(B) z.  For ell = 0
+the closed form sqrt(pi/2) erfcx(|zeta|/sqrt(2)) holds everywhere; for
+ell >= 1, |zeta| <= SWITCH_RADIUS uses a degree-80 Chebyshev fit of composite
+Gauss-Legendre panels of the defining integral, and larger |zeta| the
+Gaussian-moment asymptotic series in 1/zeta^2.
 
 The change of variables y(z) = ∫_0^z a_0(t;1) dt and the weight
 mu(y) = 1/a_0(z(y);1) turn the critical-field condition into a Schrodinger
@@ -30,15 +32,11 @@ from scipy.special import erfcx, roots_legendre
 
 __all__ = [
     "PotentialSpec",
-    "PotentialEvaluation",
     "VariableMap",
     "SWITCH_RADIUS",
-    "a_ell",
-    "a_ell_direct",
     "a_ell_grid",
+    "a_scaled_vec",
     "a0_scaled",
-    "scaling_check",
-    "y_of_z",
     "z_of_y",
     "log_mu_of_y",
     "mu_bound_constant",
@@ -47,7 +45,7 @@ __all__ = [
 SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 
 # Switch radius in the scaled variable zeta = sqrt(B) z.  Beyond it the
-# asymptotic series (truncated adaptively) is accurate to ~1e-15.
+# asymptotic series (12 terms) is accurate to ~1e-15.
 SWITCH_RADIUS = 30.0
 
 _QUAD_OPTS = dict(epsabs=1e-300, epsrel=1e-13, limit=400)
@@ -68,15 +66,6 @@ class PotentialSpec:
             raise ValueError(f"B must be positive and finite, got {self.B}")
         if self.ell < 0 or self.ell != int(self.ell):
             raise ValueError(f"ell must be a nonnegative integer, got {self.ell}")
-
-
-@dataclass(frozen=True)
-class PotentialEvaluation:
-    """One potential value with the evaluation regime that produced it."""
-
-    z: float
-    value: float
-    regime: str  # "quadrature" or "asymptotic"
 
 
 @dataclass(frozen=True)
@@ -103,27 +92,9 @@ def a0_scaled(zeta):
     """a_0(zeta; 1) = sqrt(pi/2) * erfcx(|zeta|/sqrt(2)), exact for all zeta.
 
     Closed form obtained from the substitution u^2 = t^2 + zeta^2 in the
-    defining integral; it is the reference route against which the
-    quadrature/asymptotic dispatch of :func:`a_ell` is cross-checked.
+    defining integral; the library's only route for ell = 0.
     """
     return SQRT_PI_OVER_2 * erfcx(np.abs(zeta) / np.sqrt(2.0))
-
-
-def _a_scaled_quadrature(ell: int, zeta: float) -> float:
-    """Adaptive quadrature of the defining integral in the scaled variable."""
-    zeta = abs(zeta)
-    log_norm = -ell * math.log(2.0) - math.lgamma(ell + 1)
-
-    def integrand(t):
-        if t == 0.0:
-            return 0.0
-        return math.exp(log_norm + (2 * ell + 1) * math.log(t) - 0.5 * t * t) / math.hypot(t, zeta)
-
-    t_peak = math.sqrt(2 * ell + 1)
-    t_max = t_peak + 40.0
-    pts = sorted({p for p in (zeta, t_peak) if 0.0 < p < t_max})
-    value, _ = quad(integrand, 0.0, t_max, points=pts or None, **_QUAD_OPTS)
-    return value
 
 
 def _a_scaled_asymptotic(ell: int, zeta):
@@ -143,12 +114,6 @@ def _a_scaled_asymptotic(ell: int, zeta):
         power = power * z2inv
         total = total + sign * g * power
     return total / abs(zeta)
-
-
-def _a_scaled(ell: int, zeta: float) -> tuple[float, str]:
-    if abs(zeta) <= SWITCH_RADIUS:
-        return _a_scaled_quadrature(ell, zeta), "quadrature"
-    return _a_scaled_asymptotic(ell, zeta), "asymptotic"
 
 
 # Fixed Gauss-Legendre panels for the vectorized grid evaluator (ell >= 1).
@@ -220,67 +185,12 @@ def a_scaled_vec(ell: int, zeta) -> np.ndarray:
 def a_ell_grid(spec: PotentialSpec, z: np.ndarray) -> np.ndarray:
     """Vectorized a_ell(z; B) on an array of z values.
 
-    Agrees with the scalar :func:`a_ell` to ~1e-11 relative (tested), at
-    array speed.
+    The library's one evaluation path for a_ell; it agrees with an adaptive
+    quadrature of the defining integral to ~1e-11 relative (tested).
     """
     z = np.asarray(z, dtype=float)
     rootB = math.sqrt(spec.B)
     return rootB * a_scaled_vec(spec.ell, rootB * z)
-
-
-def a_ell(spec: PotentialSpec, z: float) -> PotentialEvaluation:
-    """Evaluate a_ell(z; B) at a single point with regime bookkeeping.
-
-    Relative accuracy ~1e-13, well inside the 1e-10 contract; the quadrature
-    and asymptotic regimes agree at the switch radius to ~1e-15.
-    """
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z}")
-    rootB = math.sqrt(spec.B)
-    value, regime = _a_scaled(spec.ell, rootB * z)
-    return PotentialEvaluation(z=z, value=rootB * value, regime=regime)
-
-
-def a_ell_direct(spec: PotentialSpec, z: float) -> float:
-    """a_ell(z; B) by quadrature in the unscaled variable s.
-
-    Deliberately does not route through the sqrt(B)-scaling identity, so it
-    provides an independent side for :func:`scaling_check`.
-    """
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z}")
-    B = spec.B
-    ell = spec.ell
-    log_norm = (ell + 1) * math.log(B) - ell * math.log(2.0) - math.lgamma(ell + 1)
-    az = abs(z)
-
-    def integrand(s):
-        if s == 0.0:
-            return 0.0
-        return math.exp(log_norm + (2 * ell + 1) * math.log(s) - 0.5 * B * s * s) / math.hypot(s, az)
-
-    s_peak = math.sqrt((2 * ell + 1) / B)
-    s_max = s_peak + 40.0 / math.sqrt(B)
-    pts = sorted({p for p in (az, s_peak) if 0.0 < p < s_max})
-    value, _ = quad(integrand, 0.0, s_max, points=pts or None, **_QUAD_OPTS)
-    return value
-
-
-def scaling_check(B: float, z: float) -> float:
-    """Relative residual of a_0(z; B) = sqrt(B) a_0(sqrt(B) z; 1).
-
-    Both sides are computed by independent quadratures (unscaled s-integral
-    versus scaled t-integral); the contract is a residual <= 1e-10.
-    """
-    if not (B > 0.0 and math.isfinite(B)):
-        raise ValueError(f"B must be positive and finite, got {B}")
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z}")
-    spec = PotentialSpec(nu=0.5, B=B, ell=0)
-    direct = a_ell_direct(spec, z)
-    zeta = math.sqrt(B) * z
-    scaled = math.sqrt(B) * _a_scaled(0, zeta)[0]
-    return abs(direct - scaled) / direct
 
 
 # ---------------------------------------------------------------------------
@@ -352,26 +262,6 @@ def _z_of_y_core(y: float) -> tuple[float, float]:
     except OverflowError:
         z = math.inf
     return z, log_z
-
-
-def y_of_z(z: float) -> VariableMap:
-    """Forward map y(z) = ∫_0^z a_0(t;1) dt with the weight mu at that point."""
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z}")
-    az = abs(z)
-    if az <= SWITCH_RADIUS:
-        y, _ = quad(_a0_scalar, 0.0, az, **_QUAD_OPTS)
-    else:
-        y = _log_offset() + math.log(az) + _tail_correction(1.0 / (az * az))
-    a_val = _a0_scalar(az)
-    y = math.copysign(y, z) if z != 0.0 else 0.0
-    return VariableMap(
-        z=z,
-        y=y,
-        mu_at_y=1.0 / a_val,
-        log_abs_z=math.log(az) if az > 0.0 else -math.inf,
-        log_mu=-math.log(a_val),
-    )
 
 
 def z_of_y(y: float) -> VariableMap:

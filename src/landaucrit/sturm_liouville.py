@@ -7,9 +7,7 @@ extracted by Sturm-sequence bisection (LAPACK dstebz through
 badly scaled coefficient ranges cannot degrade small eigenvalues; a tiny
 ``tol`` bisects to relative accuracy instead).  A weight, -(p f')' + q f =
 lambda w f, makes the pencil (A, diag(w)); :func:`scaled_pencil` returns the
-symmetric tridiagonal matrix with the same eigenvalues.  A plain Python Sturm count is
-exposed as well; tests use it to certify that exactly one eigenvalue sits
-below the converged value.
+symmetric tridiagonal matrix with the same eigenvalues.
 """
 
 from __future__ import annotations
@@ -26,9 +24,7 @@ from .errors import CoefficientError, TruncationError
 __all__ = [
     "SturmLiouvilleProblem",
     "EigenResult",
-    "ConvergenceStudy",
     "lowest_eigenvalue",
-    "convergence_study",
     "odd_points",
     "grid_nodes",
     "richardson_step",
@@ -37,7 +33,6 @@ __all__ = [
     "scaled_pencil",
     "lowest_of_tridiagonal",
     "lowest_pair_of_tridiagonal",
-    "sturm_count",
 ]
 
 #: LAPACK bisection absolute tolerance, the kernels' default ``tol``; resolves
@@ -79,16 +74,6 @@ class EigenResult:
     @property
     def grid(self) -> tuple[float, int]:
         return (self.L, self.n)
-
-
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    results: list[EigenResult]
-    observed_orders: list[float]
-
-    @property
-    def observed_order(self) -> float:
-        return self.observed_orders[-1] if self.observed_orders else math.nan
 
 
 def odd_points(L: float, h: float) -> int:
@@ -211,42 +196,3 @@ def lowest_eigenvalue(problem: SturmLiouvilleProblem, *, richardson: bool = True
         f"(last shift {abs(cur.value - prev.value):.3e})",
         last_values=(prev.value, cur.value),
     )
-
-
-def convergence_study(problem: SturmLiouvilleProblem, refinements: int) -> ConvergenceStudy:
-    """Eigenvalues at n, 2n, 4n, ... with the observed convergence order.
-
-    Raw (non-extrapolated) values at fixed L, so the h^2 behaviour of the
-    scheme is visible; orders come from Richardson ratios of consecutive
-    differences.
-    """
-    if refinements < 2:
-        raise ValueError(f"refinements must be at least 2, got {refinements}")
-    results = [
-        _solve_grid(problem, problem.L, problem.n * 2**k, richardson=False)
-        for k in range(refinements)
-    ]
-    orders = []
-    for a, b, c in zip(results, results[1:], results[2:]):
-        d1, d2 = a.value - b.value, b.value - c.value
-        orders.append(math.log2(abs(d1 / d2)) if d2 != 0.0 else math.nan)
-    return ConvergenceStudy(results=results, observed_orders=orders)
-
-
-def sturm_count(diag: np.ndarray, offdiag: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the tridiagonal matrix strictly below x.
-
-    Standard LDL^T sign count with the usual tiny-pivot guard; pure Python,
-    used as an independent certificate on converged eigenvalues.
-    """
-    tiny = 1e-300
-    count = 0
-    d = diag[0] - x
-    if d < 0.0:
-        count += 1
-    for i in range(1, len(diag)):
-        denom = d if abs(d) > tiny else math.copysign(tiny, d if d != 0.0 else 1.0)
-        d = (diag[i] - x) - offdiag[i - 1] ** 2 / denom
-        if d < 0.0:
-            count += 1
-    return count

@@ -41,6 +41,7 @@ __all__ = [
     "TrialState",
     "TrialEvaluation",
     "UpperBoundCertificate",
+    "w_scaled_vec",
     "evaluate_GB",
     "certify_critical_upper_bound",
     "check_sqrt5_inequality",

@@ -12,9 +12,10 @@ from scipy.special import erfcx
 from landaucrit import critical_field as cf
 from landaucrit import groundstate, sturm_liouville
 from landaucrit.errors import TruncationError
-from landaucrit.groundstate import T_of_lambda
 from landaucrit.potentials import PotentialSpec
 from landaucrit.sturm_liouville import EigenResult
+
+from _reference import T_of_lambda
 
 NU_BAR_REF = 0.056080339709502179  # 30-digit bisection on 2(nu+sqrt(nu)) = 2-sqrt(2)
 

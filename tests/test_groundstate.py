@@ -10,13 +10,10 @@ from scipy.sparse.linalg import eigsh
 from scipy.special import erfcx
 
 from landaucrit import groundstate, sturm_liouville
-from landaucrit.groundstate import (
-    FixedPointResult,
-    T_of_lambda,
-    ground_state_lambda,
-    ground_state_per_ell,
-)
+from landaucrit.groundstate import FixedPointResult, ground_state_lambda, ground_state_per_ell
 from landaucrit.potentials import PotentialSpec, a_ell_grid
+
+from _reference import T_of_lambda
 
 
 # --- independent oracle -----------------------------------------------------
@@ -159,6 +156,30 @@ class TestGroundState:
         (L0, n0), (L1, n1) = grids[0], grids[2]
         assert L1 == 2.0 * L0
         assert 2.0 * L1 / (n1 + 1) == 2.0 * L0 / (n0 + 1)
+
+    def test_fine_level_at_minus_one_is_not_a_stable_root(self, monkeypatch):
+        # levels just above -1 on the first domain, then -1 on both grids of
+        # the second: their Richardson roots differ by 3e-8 < DOMAIN_TOL, so
+        # only the fine-level <= -1 branch keeps the second domain from
+        # returning lam = -1 as a non-degenerate level
+        forced = {1: -0.9999999, 2: -0.99999995, 3: -1.0, 4: -1.0}
+        grids = []
+
+        class RecordingGrid(groundstate._Grid):
+            def __init__(self, spec, L, n):
+                grids.append((L, n))
+                self.order = len(grids)
+                super().__init__(spec, L, n)
+
+            def level(self):
+                if self.order in forced:
+                    return forced[self.order]
+                return super().level()
+
+        monkeypatch.setattr(groundstate, "_Grid", RecordingGrid)
+        res = ground_state_lambda(PotentialSpec(0.5, 1.0), L=60.0, n=4801)
+        assert not res.degenerate
+        assert res.lam > -1.0 + 1e-3
 
     def test_eigensolve_count(self, monkeypatch):
         calls = record_eigensolves(monkeypatch)

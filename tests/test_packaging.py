@@ -1,6 +1,7 @@
 """Tests for the packaging metadata in pyproject.toml."""
 
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -29,6 +30,22 @@ def test_public_names_resolve():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_all_lists_every_public_definition():
+    import landaucrit
+
+    missing = []
+    for info in pkgutil.iter_modules(landaucrit.__path__):
+        module = importlib.import_module(f"landaucrit.{info.name}")
+        listed = getattr(module, "__all__", ())
+        missing += [
+            f"{module.__name__}.{name}" for name, obj in vars(module).items()
+            if not name.startswith("_") and name not in listed
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__
+        ]
+    assert not missing
 
 
 def test_benchmark_wrap_points_exist(monkeypatch):

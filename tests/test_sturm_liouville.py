@@ -7,15 +7,14 @@ import pytest
 
 from landaucrit.errors import CoefficientError, TruncationError
 from landaucrit.sturm_liouville import (
-    ConvergenceStudy,
     SturmLiouvilleProblem,
     build_tridiagonal,
-    convergence_study,
     lowest_eigenvalue,
     lowest_of_tridiagonal,
     lowest_pair_of_tridiagonal,
-    sturm_count,
 )
+
+from _reference import ConvergenceStudy, convergence_study, sturm_count
 
 ONES = lambda z: np.ones_like(z)
 ZEROS = lambda z: np.zeros_like(z)
