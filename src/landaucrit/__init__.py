@@ -11,7 +11,7 @@ conversions to Tesla.
 
 from .critical_field import (CriticalFieldResult, SandwichBracket, critical_field_direct,
                              critical_field_schrodinger, sandwich)
-from .errors import BracketError, CoefficientError, TruncationError
+from .errors import AccuracyError, BracketError, CoefficientError, TruncationError
 from .groundstate import FixedPointResult, ground_state_lambda
 from .potentials import PotentialSpec, VariableMap, a_ell_grid, mu_bound_constant, z_of_y
 from .trial_bounds import (UpperBoundCertificate, certify_critical_upper_bound,
@@ -24,7 +24,7 @@ __all__ = [
     "check_sqrt5_inequality", "UpperBoundCertificate",
     # potentials, the change of variables and the error types
     "PotentialSpec", "VariableMap", "a_ell_grid", "mu_bound_constant", "z_of_y",
-    "BracketError", "CoefficientError", "TruncationError",
+    "AccuracyError", "BracketError", "CoefficientError", "TruncationError",
 ]
 
 __version__ = "0.1.0"

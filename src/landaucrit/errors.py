@@ -1,6 +1,6 @@
 """Exception types shared across the solver modules."""
 
-__all__ = ["CoefficientError", "TruncationError", "BracketError"]
+__all__ = ["CoefficientError", "TruncationError", "BracketError", "AccuracyError"]
 
 
 class CoefficientError(ValueError):
@@ -21,3 +21,7 @@ class TruncationError(RuntimeError):
 
 class BracketError(RuntimeError):
     """A root search could not establish (or lost) a sign-change bracket."""
+
+
+class AccuracyError(RuntimeError):
+    """A result failed its own accuracy check."""

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import sturm_liouville
-from .errors import TruncationError
+from .errors import AccuracyError, TruncationError
 from .potentials import PotentialSpec, a_ell_grid
 
 __all__ = ["FixedPointResult", "ground_state_lambda", "ground_state_per_ell"]
@@ -54,7 +54,7 @@ N_SOFT = 1_500_001
 # degenerate level lambda = -1; the domain grows until the extrapolated level
 # moves by less than DOMAIN_TOL, at most MAX_DOUBLINGS times before
 # TruncationError.  RESIDUAL_TOL bounds the |Phi| that a level bisected to
-# BISECTION_TOL leaves on its grid.
+# BISECTION_TOL leaves on its grid; a larger one raises AccuracyError.
 RESIDUAL_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 DOMAIN_TOL = 1e-7
@@ -138,7 +138,7 @@ def ground_state_lambda(spec: PotentialSpec, *, L: float | None = None,
     doubles the domain at fixed h and keeps the previous domain's root, so
     that a Richardson root at -1 is never taken as stable.  One value solve
     of T at the returned fine level gives ``residual``, which checks the
-    eigenvalue index.
+    eigenvalue index: above RESIDUAL_TOL it raises AccuracyError.
     """
     h = _default_spacing(spec)
     if L is not None and n is not None:
@@ -173,6 +173,10 @@ def ground_state_lambda(spec: PotentialSpec, *, L: float | None = None,
         need_wider = tail_L > cur_L
         if prev_root is not None and abs(root - prev_root) < DOMAIN_TOL and not need_wider:
             residual = abs(fine.T(level_fine) - level_fine)
+            if residual > RESIDUAL_TOL:
+                raise AccuracyError(
+                    f"fine-grid level {level_fine!r} leaves |Phi| = {residual:.3e} "
+                    f"> RESIDUAL_TOL = {RESIDUAL_TOL:g}")
             return FixedPointResult(
                 lam=float(np.clip(root, -1.0, 1.0)), iterations=solves + 1,
                 residual=residual, degenerate=False, L=cur_L, n=fine.n,

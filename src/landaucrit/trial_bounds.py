@@ -30,6 +30,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 from scipy.special import roots_legendre
 
+from .errors import AccuracyError
 from .potentials import a0_scaled, a_scaled_vec
 
 __all__ = [
@@ -145,7 +146,8 @@ class TabulatedProfile:
         return max(abs(self._lo), abs(self._hi))
 
     def breakpoints(self):
-        return [self._lo, 0.0, self._hi]
+        # the knots: the spline is one cubic between neighbours
+        return [0.0, *self._spline.x]
 
 
 class HermiteBasisProfile:
@@ -292,13 +294,41 @@ def w_scaled_vec(ell: int, zeta) -> np.ndarray:
     return np.sqrt(t[None, :] ** 2 + zeta[..., None] ** 2) @ w
 
 
+# --- composite Gauss-Legendre panels in z for the reduced integrals
+
+_GLX32, _GLW32 = roots_legendre(32)
+
+
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-point rule on every panel between edges."""
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return ((mid[:, None] + half[:, None] * _GLX32[None, :]).ravel(),
+            (half[:, None] * _GLW32[None, :]).ravel())
+
+
+def _panel_edges(profile, rootB: float) -> np.ndarray:
+    """±R, 0, the profile's breakpoints and the dyadic edges ±2^k/(4 sqrt(B))
+    below R; the dyadic edges keep the 1/|z| tail of a_ell to a ratio of two
+    per panel."""
+    R = profile.support_radius()
+    dyadic = 0.25 / rootB * 2.0 ** np.arange(max(0, math.ceil(math.log2(4.0 * R * rootB))))
+    edges = np.concatenate(([-R, 0.0, R], profile.breakpoints(), dyadic, -dyadic))
+    return np.unique(edges[(edges >= -R) & (edges <= R)])
+
+
 def evaluate_GB(nu: float, B: float, trial: TrialState, *,
                 epsrel: float = 1e-10) -> TrialEvaluation:
     """Instability functional on a zero-mode trial, by the reduced integrals.
 
     The transverse plane is integrated out exactly (Gaussian-weight moments),
-    leaving adaptive quadrature over z of w_ell/nu |f'|^2 - nu a_ell |f|^2.
-    Relative accuracy ~1e-9.
+    leaving kin = ∫ w_ell |f'|^2 and pot = ∫ a_ell |f|^2 over z.  Both are
+    summed by the 32-point Gauss-Legendre rule on fixed panels between ±R,
+    0, the profile's breakpoints and the dyadic edges ±2^k/(4 sqrt(B)), with
+    one array evaluation of the weights and the profile per rule.  The
+    rule is applied again with every panel split in two, and that value is
+    returned.  ``epsrel`` is the stopping criterion: if the two values of G
+    differ by more than epsrel (kin/nu + nu pot), AccuracyError is raised.
     """
     if not (0.0 < nu < 1.0):
         raise ValueError(f"nu must lie in (0, 1), got {nu}")
@@ -308,22 +338,22 @@ def evaluate_GB(nu: float, B: float, trial: TrialState, *,
     profile = trial.profile
     rootB = math.sqrt(B)
 
-    def kin_integrand(z):
-        zz = np.array([z])
-        w = w_scaled_vec(ell, rootB * zz) / rootB
-        return float((w * profile.derivative(zz) ** 2)[0])
+    def integrals(edges):
+        z, wt = _panel_nodes(edges)
+        kin = wt @ (w_scaled_vec(ell, rootB * z) / rootB * profile.derivative(z) ** 2)
+        pot = wt @ (rootB * a_scaled_vec(ell, rootB * z) * profile.value(z) ** 2)
+        return float(kin), float(pot)
 
-    def pot_integrand(z):
-        zz = np.array([z])
-        a = rootB * a_scaled_vec(ell, rootB * zz)
-        return float((a * profile.value(zz) ** 2)[0])
-
-    R = profile.support_radius()
-    pts = sorted({p for p in profile.breakpoints() if -R < p < R})
-    opts = dict(epsabs=1e-300, epsrel=epsrel, limit=300, points=pts or None)
-    kin, _ = quad(kin_integrand, -R, R, **opts)
-    pot, _ = quad(pot_integrand, -R, R, **opts)
+    edges = _panel_edges(profile, rootB)
+    kin_c, pot_c = integrals(edges)
+    split = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
+    kin, pot = integrals(split)
     g = kin / nu - nu * pot
+    gap = abs(g - (kin_c / nu - nu * pot_c))
+    if gap > epsrel * (kin / nu + nu * pot):
+        raise AccuracyError(
+            f"panel doubling moved G by {gap:.3e}, more than epsrel = {epsrel:g} "
+            f"of kin/nu + nu pot = {kin / nu + nu * pot:.6e}")
     j = g + 2.0 * profile.norm_sq()
     return TrialEvaluation(G_B=g, J_at_minus1=j, certified=j <= 0.0)
 

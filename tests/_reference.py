@@ -16,6 +16,9 @@ Each takes a different route from the library's one evaluation path:
 - ``T_of_lambda`` is T(lambda) at a fixed lambda on the grids of
   ``groundstate._Grid``, Richardson-extrapolated and domain-doubled, where
   ``ground_state_lambda`` takes its level from the staggered Dirac matrix.
+- ``evaluate_GB_quad`` sums the zero-mode trial functional by adaptive
+  ``quad`` of point-wise integrands, where ``trial_bounds.evaluate_GB`` uses
+  fixed Gauss-Legendre panels and one array evaluation per rule.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from landaucrit import potentials as pot
 from landaucrit.errors import TruncationError
 from landaucrit.potentials import PotentialSpec, VariableMap
 from landaucrit.sturm_liouville import EigenResult, SturmLiouvilleProblem
+from landaucrit.trial_bounds import TrialEvaluation, TrialState, w_scaled_vec
 
 _QUAD_OPTS = dict(epsabs=1e-300, epsrel=1e-13, limit=400)
 
@@ -231,3 +235,40 @@ def T_of_lambda(spec: PotentialSpec, lam: float, *, L: float | None = None,
         f"T did not stabilize within {max_doublings} domain doublings",
         last_values=(prev, cur),
     )
+
+
+# ---------------------------------------------------------------------------
+# zero-mode trial functional by adaptive quadrature
+# ---------------------------------------------------------------------------
+
+def evaluate_GB_quad(nu: float, B: float, trial: TrialState, *,
+                     epsrel: float = 1e-10) -> TrialEvaluation:
+    """G_B = (1/nu) ∫ w_ell |f'|^2 - nu ∫ a_ell |f|^2 by adaptive ``quad``,
+    the integrands evaluated one point at a time, split at the profile's
+    breakpoints."""
+    if not (0.0 < nu < 1.0):
+        raise ValueError(f"nu must lie in (0, 1), got {nu}")
+    if B <= 0.0:
+        raise ValueError(f"B must be positive, got {B}")
+    ell = trial.ell
+    profile = trial.profile
+    rootB = math.sqrt(B)
+
+    def kin_integrand(z):
+        zz = np.array([z])
+        w = w_scaled_vec(ell, rootB * zz) / rootB
+        return float((w * profile.derivative(zz) ** 2)[0])
+
+    def pot_integrand(z):
+        zz = np.array([z])
+        a = rootB * pot.a_scaled_vec(ell, rootB * zz)
+        return float((a * profile.value(zz) ** 2)[0])
+
+    R = profile.support_radius()
+    pts = sorted({p for p in profile.breakpoints() if -R < p < R})
+    opts = dict(epsabs=1e-300, epsrel=epsrel, limit=300, points=pts or None)
+    kin, _ = quad(kin_integrand, -R, R, **opts)
+    pot_int, _ = quad(pot_integrand, -R, R, **opts)
+    g = kin / nu - nu * pot_int
+    j = g + 2.0 * profile.norm_sq()
+    return TrialEvaluation(G_B=g, J_at_minus1=j, certified=j <= 0.0)

@@ -10,6 +10,7 @@ from scipy.sparse.linalg import eigsh
 from scipy.special import erfcx
 
 from landaucrit import groundstate, sturm_liouville
+from landaucrit.errors import AccuracyError
 from landaucrit.groundstate import FixedPointResult, ground_state_lambda, ground_state_per_ell
 from landaucrit.potentials import PotentialSpec, a_ell_grid
 
@@ -180,6 +181,17 @@ class TestGroundState:
         res = ground_state_lambda(PotentialSpec(0.5, 1.0), L=60.0, n=4801)
         assert not res.degenerate
         assert res.lam > -1.0 + 1e-3
+
+    def test_wrong_level_fails_the_residual_check(self, monkeypatch):
+        # a level off by 1e-3 on every grid extrapolates and domain-doubles
+        # like a true one; only |Phi| at the fine level exposes it
+        class ShiftedGrid(groundstate._Grid):
+            def level(self):
+                return super().level() + 1e-3
+
+        monkeypatch.setattr(groundstate, "_Grid", ShiftedGrid)
+        with pytest.raises(AccuracyError):
+            ground_state_lambda(PotentialSpec(0.5, 1.0), L=60.0, n=4801)
 
     def test_eigensolve_count(self, monkeypatch):
         calls = record_eigensolves(monkeypatch)

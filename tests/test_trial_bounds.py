@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from landaucrit import trial_bounds
 from landaucrit.critical_field import hhh_bounds
+from landaucrit.errors import AccuracyError
 from landaucrit.trial_bounds import (
     GaussianProfile,
     HermiteBasisProfile,
@@ -20,6 +22,8 @@ from landaucrit.trial_bounds import (
     w_scaled_vec,
 )
 
+from _reference import evaluate_GB_quad
+
 # Frozen 25-digit quadrature references for the kinetic weight
 W_SCALED_REF = {
     (1, 0.0): 1.8799712059732503,
@@ -30,6 +34,23 @@ W_SCALED_REF = {
 
 def gaussian_closed_form(nu, B):
     return (2.0 * math.pi) ** -1.5 * math.sqrt(B) * (8.0 * math.pi / (3.0 * nu) - 4.0 * math.pi * nu)
+
+
+def oracle_cases():
+    """(nu, B, trial) on Hermite trials for ell 0..3, plateau shapes across
+    the certificate's search box, the rescaled Gaussian and a spline."""
+    rng = np.random.default_rng(100)
+    zs = np.linspace(-3.0, 5.0, 40)
+    return (
+        [(nu, 1.0, TrialState(ell, HermiteBasisProfile(rng.standard_normal(8), scale=2.0)))
+         for ell in range(4) for nu in (0.2, 0.6)]
+        + [(0.85, 1.0, TrialState(0, PlateauProfile(10.0**lx, ratio * 10.0**lx)))
+           for lx in (-0.5, 3.0, 6.5) for ratio in (0.1, 24.0)]
+        + [(0.7, B, TrialState(0, RescaledProfile(GaussianProfile(1.0), B)))
+           for B in (0.01, 1.0, 100.0)]
+        + [(0.5, 1.0, TrialState(ell, TabulatedProfile(zs, np.cos(zs) ** 2 * np.exp(-zs**2 / 4.0))))
+           for ell in (0, 2)]
+    )
 
 
 class TestWeights:
@@ -136,6 +157,34 @@ class TestEvaluateGB:
         assert np.all(slopes < 0.0)
         assert abs(slopes[-1] - slopes[-2]) < abs(slopes[1] - slopes[0])
 
+    @pytest.mark.parametrize("nu,B,trial", oracle_cases())
+    def test_matches_quad_oracle(self, nu, B, trial):
+        want = evaluate_GB_quad(nu, B, trial, epsrel=1e-12).G_B
+        assert evaluate_GB(nu, B, trial).G_B == pytest.approx(want, rel=1e-10)
+
+    def test_one_array_call_per_rule_and_no_quad(self, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("evaluate_GB called quad")
+
+        calls = []
+        real = trial_bounds.a_scaled_vec
+
+        def counting(ell, zeta):
+            calls.append(ell)
+            return real(ell, zeta)
+
+        monkeypatch.setattr(trial_bounds, "quad", no_quad)
+        monkeypatch.setattr(trial_bounds, "a_scaled_vec", counting)
+        trial = TrialState(2, HermiteBasisProfile(np.array([1.0, 0.4, -0.2, 0.3])))
+        evaluate_GB(0.5, 1.0, trial)
+        assert 0 < len(calls) <= 2
+
+    def test_panel_doubling_is_the_stopping_criterion(self):
+        trial = TrialState(1, HermiteBasisProfile(np.array([0.8, -0.5, 0.3])))
+        evaluate_GB(0.5, 1.0, trial, epsrel=1e-12)
+        with pytest.raises(AccuracyError):
+            evaluate_GB(0.5, 1.0, trial, epsrel=1e-20)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             evaluate_GB(1.5, 1.0, TrialState(0, GaussianProfile()))
@@ -180,6 +229,9 @@ class TestSqrt5Inequality:
         for nu in (0.3, 0.7):
             worst = check_sqrt5_inequality(nu, samples=40, seed=7)
             assert worst >= -nu * math.sqrt(5.0) - 1e-8
+
+    def test_default_sample_count_respects_bound(self):
+        assert check_sqrt5_inequality(0.5) >= -0.5 * math.sqrt(5.0) - 1e-8
 
     def test_small_coupling_blows_up_like_inverse_nu(self):
         f = HermiteBasisProfile(np.array([1.0, 0.2, -0.4]))
