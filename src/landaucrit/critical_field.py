@@ -38,7 +38,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import sturm_liouville
-from .errors import BracketError, TruncationError
+from .errors import BracketError
 from .potentials import a0_scaled, log_mu_of_y, mu_bound_constant
 from .units import DEFAULT_CONSTANTS, PhysicalConstants, log10_tesla_of_log_B
 
@@ -165,30 +165,20 @@ def m_delta(delta: float, *, B: float = 1.0, h: float = 0.025) -> float:
     L = DIRECT_PAD e^(pi/2delta)/sqrt(B) takes about
     2 (pi/(2 delta) + log(2 DIRECT_PAD))/h rows (729 at delta = 0.3, 2 823 at
     0.05).  The pencil of :func:`_mapped_level` is bisected to relative
-    accuracy (|m| ~ 3e-13 at delta = 0.05) and Richardson-extrapolated over
-    n -> 2n + 1 (odd n keeps the kink of a_0 at z = 0 on a node); the domain
-    is doubled in z, about 2 log(2)/h rows more each time, until m moves by
-    at most DIRECT_DOMAIN_TOL relative, and TruncationError is raised after
-    MAX_DIRECT_DOUBLINGS doublings.
+    accuracy (|m| ~ 3e-13 at delta = 0.05).  The mapped-grid driver
+    (sturm_liouville) Richardson-extrapolates it over n -> 2n + 1 (odd n
+    keeps the kink of a_0 at z = 0 on a node) and doubles the domain in z
+    until m moves by at most DIRECT_DOMAIN_TOL relative; TruncationError is
+    raised after MAX_DIRECT_DOUBLINGS doublings.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     rootB = math.sqrt(B)
-    T = math.asinh(DIRECT_PAD * math.exp(math.pi / (2.0 * delta)))
-    prev = m = math.nan
-    for _ in range(MAX_DIRECT_DOUBLINGS + 1):
-        n = sturm_liouville.odd_points(T, h)
-        prev = m
-        m, _ = sturm_liouville.richardson_step(_mapped_level(delta, rootB, T, n),
-                                               _mapped_level(delta, rootB, T, 2 * n + 1))
-        if abs(m - prev) <= DIRECT_DOMAIN_TOL * abs(m):
-            return m
-        T = math.asinh(2.0 * math.sinh(T))
-    raise TruncationError(
-        f"m(delta = {delta}) did not stabilize within {MAX_DIRECT_DOUBLINGS} domain "
-        f"doublings (last relative shift {abs(m - prev) / abs(m):.3e})",
-        last_values=(prev, m),
-    )
+    m, _ = sturm_liouville._mapped_richardson(
+        lambda T, n: _mapped_level(delta, rootB, T, n),
+        math.asinh(DIRECT_PAD * math.exp(math.pi / (2.0 * delta))), h,
+        lambda prev, m: abs(m - prev) <= DIRECT_DOMAIN_TOL * abs(m), MAX_DIRECT_DOUBLINGS)
+    return m
 
 
 def critical_field_direct(delta: float) -> CriticalFieldResult:

@@ -9,18 +9,22 @@ continuum edge and the solve reports the degenerate value -1.
 
 The root is an eigenvalue in the gap of the first-order system
 -(1 + nu a) g + f' = lambda g, (1 - nu a) f - g' = lambda f (Dolbeault,
-Esteban and Sere).  With g at the n + 1 cell midpoints and f at the n nodes
-it is the symmetric tridiagonal matrix H of size 2n + 1 whose diagonal is
--(1 + nu a) at the midpoints and 1 - nu a at the nodes, every off-diagonal
-entry 1/h up to a sign that a diagonal similarity removes.  Eliminating g
-gives back the three-point matrix A(lambda) of T.  For lambda >= -1 the g
-block -(1 + lambda + nu a) is negative definite, so by Haynsworth's inertia
-additivity of the Schur complement H has n + 1 + #{eig A(lambda) < lambda}
-eigenvalues below lambda: a grid's root of Phi is eigenvalue number n + 1
-(0-based) of H, one bisection solve with no iteration in lambda.
+Esteban and Sere), discretized on the grid of critical_field.m_delta:
+uniform in t with step h, sqrt(B) z = sinh(t), z' = cosh(t)/sqrt(B), g at
+the n + 1 cell midpoints and f at the n nodes.  The pencil (H, diag(z'))
+scaled by diag(z')^-1/2 is the symmetric tridiagonal matrix of size 2n + 1
+with diagonal -(1 + nu a) at the midpoints and 1 - nu a at the nodes and
+off-diagonal 1/(h sqrt(z'_mid z'_node)), up to signs a diagonal similarity
+removes.  Eliminating g gives the three-point pencil of T(lambda).  While
+the g block -(1 + lambda + nu a) is negative definite, Haynsworth's inertia
+additivity puts n + 1 + #{eigenvalues of T(lambda) below lambda} eigenvalues
+of H below lambda: a grid's root of Phi is eigenvalue n + 1 (0-based), one
+bisection with no iteration in lambda, and it lies below -1 exactly when
+Phi(-1) < 0.  At lambda = -1 the Schur complement is the direct route's
+pencil plus its weight, so T(-1) = 1 + sqrt(B) m(nu) grid by grid.
 
-Grid control is Richardson extrapolation in n at fixed h-ratio plus domain
-doubling in L.
+The mapped-grid driver of sturm_liouville does the Richardson extrapolation
+over n -> 2n + 1 and the domain doubling in z.
 """
 
 from __future__ import annotations
@@ -32,43 +36,38 @@ from typing import Sequence
 import numpy as np
 
 from . import sturm_liouville
-from .errors import AccuracyError, TruncationError
+from .errors import AccuracyError
 from .potentials import PotentialSpec, a_ell_grid
 
 __all__ = ["FixedPointResult", "ground_state_lambda", "ground_state_per_ell"]
 
-# Domain rule L = max(C_FIELD/sqrt(B), C_COULOMB/nu, C_TAIL/(1 - lambda_est)),
-# then doubled until the root is stable.
+# First domain |z| <= max(C_FIELD/sqrt(B), C_COULOMB/nu, 10), then doubled
+# until the level is stable.
 C_FIELD = 20.0
 C_COULOMB = 30.0
-C_TAIL = 10.0
 
-#: grid spacing h = H_SCALE / sqrt(max(1, B)); resolves the field-scale well.
-H_SCALE = 0.05
-
-#: soft cap on interior points for automatically chosen grids; odd, like
-#: every grid here.
-N_SOFT = 1_500_001
-
-# Stopping rules of ground_state_lambda: Phi(-1) <= DEGENERACY_TOL is the
-# degenerate level lambda = -1; the domain grows until the extrapolated level
-# moves by less than DOMAIN_TOL, at most MAX_DOUBLINGS times before
-# TruncationError.  RESIDUAL_TOL bounds the |Phi| that a level bisected to
-# BISECTION_TOL leaves on its grid; a larger one raises AccuracyError.
-RESIDUAL_TOL = 1e-10
-DEGENERACY_TOL = 1e-9
+# Stopping rules of ground_state_lambda: the domain grows until the
+# extrapolated level moves by less than DOMAIN_TOL, at most MAX_DOUBLINGS
+# times before TruncationError.  Both eigen-solves bisect to relative
+# accuracy (LEVEL_TOL), so the |Phi| a fine-grid level leaves is the float
+# floor eps max|diag| of the T-pencil (<= 0.21 of it measured for nu in
+# [0.05, 0.9], B in [1e-3, 1e8]); above RESIDUAL_FLOOR times that floor the
+# call raises AccuracyError.
 DOMAIN_TOL = 1e-7
 MAX_DOUBLINGS = 6
+LEVEL_TOL = 1e-300
+RESIDUAL_FLOOR = 4.0
 
 
 @dataclass(frozen=True)
 class FixedPointResult:
     """Converged lowest level lambda_1(nu, B) with solve diagnostics.
 
-    ``iterations`` counts the eigen-solves of the call.  ``residual`` is
-    |Phi| = |T(lambda) - lambda| on the fine grid (L, n) at that grid's own
-    level; for a degenerate result it is max(Phi(-1), 0) on the grid (L, n)
-    that decided it.
+    ``iterations`` counts the eigen-solves of the call.  The last domain is
+    |z| <= L = sinh(T)/sqrt(B), and n is the point count of its fine t-grid.
+    ``residual`` is |Phi| = |T(lambda) - lambda| on that grid at the grid's
+    own level, checked against RESIDUAL_FLOOR times its float floor; a
+    degenerate result has no root to check and reports 0.
     """
 
     lam: float
@@ -87,113 +86,82 @@ def _default_domain(spec: PotentialSpec) -> float:
     return max(C_FIELD / math.sqrt(spec.B), C_COULOMB / spec.nu, 10.0)
 
 
-def _default_spacing(spec: PotentialSpec) -> float:
-    return H_SCALE / math.sqrt(max(1.0, spec.B))
-
-
-def _clip_to_budget(L: float, h: float) -> tuple[float, int]:
-    n = sturm_liouville.odd_points(L, h)
-    if n >= N_SOFT:
-        n = N_SOFT
-        L = 0.5 * h * (n + 1)
-    return L, n
-
-
 class _Grid:
-    """Potential samples on one (L, n) grid, shared by T and the level."""
+    """Potential samples on n interior nodes of t in [-T, T], sqrt(B) z = sinh(t),
+    shared by the level and Phi."""
 
-    def __init__(self, spec: PotentialSpec, L: float, n: int):
+    def __init__(self, spec: PotentialSpec, T: float, n: int):
         self.spec = spec
         self.n = n
-        self.h, nodes, mids = sturm_liouville.grid_nodes(L, n)
-        self.a_mids = a_ell_grid(spec, mids)
-        self.q_nodes = 1.0 - spec.nu * a_ell_grid(spec, nodes)
+        self.h, nodes, mids = sturm_liouville.grid_nodes(T, n)
+        rootB = math.sqrt(spec.B)
+        self.dz_mids = np.cosh(mids) / rootB
+        self.dz_nodes = np.cosh(nodes) / rootB
+        self.a_mids = a_ell_grid(spec, np.sinh(mids) / rootB)
+        self.q_nodes = 1.0 - spec.nu * a_ell_grid(spec, np.sinh(nodes) / rootB)
 
-    def T(self, lam: float) -> float:
-        """T(lambda), the lowest eigenvalue of A(lambda) = -(p f')' + q f."""
-        p_mid = 1.0 / (1.0 + lam + self.spec.nu * self.a_mids)
-        return sturm_liouville.lowest_of_tridiagonal(
-            *sturm_liouville.tridiagonal(p_mid, self.q_nodes, self.h))
+    def phi(self, lam: float) -> tuple[float, float]:
+        """(Phi(lambda) = T(lambda) - lambda, the float floor eps max|diag| of
+        T); T(lambda) is the lowest eigenvalue of the pencil
+        -(p/z' f_t)_t + q z' f = T z' f, p = 1/(1 + lambda + nu a)."""
+        p_mid = 1.0 / (self.dz_mids * (1.0 + lam + self.spec.nu * self.a_mids))
+        diag, offdiag = sturm_liouville.scaled_pencil(
+            p_mid, self.q_nodes * self.dz_nodes, self.dz_nodes ** -0.5, self.h)
+        T = sturm_liouville.lowest_of_tridiagonal(diag, offdiag, tol=LEVEL_TOL)
+        return T - lam, float(np.finfo(float).eps * np.max(np.abs(diag)))
 
     def level(self) -> float:
-        """Root of Phi on this grid if Phi(-1) > 0: eigenvalue n + 1 of the
-        staggered H, g at the midpoints interleaved with f at the nodes."""
+        """Eigenvalue n + 1 of the scaled staggered H, g at the midpoints
+        interleaved with f at the nodes: the root of Phi on this grid, and
+        below -1 iff Phi(-1) < 0."""
         diag = np.empty(2 * self.n + 1)
         diag[0::2] = -(1.0 + self.spec.nu * self.a_mids)
         diag[1::2] = self.q_nodes
+        dz = np.empty(2 * self.n + 1)
+        dz[0::2] = self.dz_mids
+        dz[1::2] = self.dz_nodes
         return sturm_liouville.lowest_of_tridiagonal(
-            diag, np.full(2 * self.n, 1.0 / self.h), index=self.n + 1)
+            diag, 1.0 / (self.h * np.sqrt(dz[:-1] * dz[1:])), index=self.n + 1,
+            tol=LEVEL_TOL)
 
 
-def ground_state_lambda(spec: PotentialSpec, *, L: float | None = None,
-                        n: int | None = None) -> FixedPointResult:
+def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointResult:
     """Ground state lambda_1(nu, B) of the lowest-Landau effective theory.
 
-    On each domain one value solve decides degeneracy: T(-1) + 1 <=
-    DEGENERACY_TOL on the n-point grid returns the degenerate lambda = -1.
-    Otherwise the level is eigenvalue n + 1 of the staggered Dirac matrix H
-    (module docstring) on n and 2n + 1 points, Richardson-extrapolated over
-    the two, and the domain is doubled until the level moves by less than
-    DOMAIN_TOL.  A fine level <= -1 (degenerate on the fine grid only)
-    doubles the domain at fixed h and keeps the previous domain's root, so
-    that a Richardson root at -1 is never taken as stable.  One value solve
-    of T at the returned fine level gives ``residual``, which checks the
-    eigenvalue index: above RESIDUAL_TOL it raises AccuracyError.
+    The level is eigenvalue n + 1 of the staggered Dirac matrix (module
+    docstring) on the sinh-mapped t-grid of step h and on its 2n + 1-point
+    refinement, Richardson-extrapolated over the two; the first domain is
+    |z| <= max(C_FIELD/sqrt(B), C_COULOMB/nu, 10), and it is doubled in z
+    until the level moves by less than DOMAIN_TOL.  The result is degenerate,
+    lam = -1, as soon as the extrapolated level is <= -1: a wider domain only
+    lowers it.  Otherwise one value solve of T at the fine grid's own level
+    gives ``residual``, which checks the eigenvalue index: above
+    RESIDUAL_FLOOR times the grid's float floor it raises AccuracyError.
     """
-    h = _default_spacing(spec)
-    if L is not None and n is not None:
-        cur_L, cur_n = float(L), int(n)
-    else:
-        cur_L, cur_n = _clip_to_budget(L if L is not None else _default_domain(spec), h)
+    rootB = math.sqrt(spec.B)
+    solves, fine = 0, None
 
-    prev_root = root = None
-    solves = 0
-    for _ in range(MAX_DOUBLINGS + 1):
-        coarse = _Grid(spec, cur_L, cur_n)
-        phi_minus_one = coarse.T(-1.0) + 1.0
-        solves += 1
-        if phi_minus_one <= DEGENERACY_TOL:
-            # deeper in the degenerate regime for larger L (T(-1) only
-            # decreases with the domain), so -1 is final.
-            return FixedPointResult(
-                lam=-1.0, iterations=solves, residual=max(phi_minus_one, 0.0),
-                degenerate=True, L=cur_L, n=cur_n,
-            )
-        # n -> 2n+1 halves h exactly, keeping the refinement in one h^2 family
-        fine = _Grid(spec, cur_L, 2 * cur_n + 1)
-        level_n, level_fine = coarse.level(), fine.level()
-        solves += 2
-        if level_fine <= -1.0:
-            # n -> 2n+1 with L doubled keeps h fixed and z = 0 on a node
-            cur_L, cur_n = 2.0 * cur_L, 2 * cur_n + 1
-            continue
+    def level(T: float, n: int) -> float:
+        nonlocal solves, fine
+        grid = _Grid(spec, T, n)
+        solves, fine = solves + 1, (grid, grid.level())
+        return fine[1]
 
-        root, _ = sturm_liouville.richardson_step(level_n, level_fine)
-        tail_L = C_TAIL / max(1.0 - root, 1e-3)
-        need_wider = tail_L > cur_L
-        if prev_root is not None and abs(root - prev_root) < DOMAIN_TOL and not need_wider:
-            residual = abs(fine.T(level_fine) - level_fine)
-            if residual > RESIDUAL_TOL:
-                raise AccuracyError(
-                    f"fine-grid level {level_fine!r} leaves |Phi| = {residual:.3e} "
-                    f"> RESIDUAL_TOL = {RESIDUAL_TOL:g}")
-            return FixedPointResult(
-                lam=float(np.clip(root, -1.0, 1.0)), iterations=solves + 1,
-                residual=residual, degenerate=False, L=cur_L, n=fine.n,
-            )
-        prev_root = root
-        cur_L = max(2.0 * cur_L, min(tail_L, 8.0 * cur_L))
-        cur_n = sturm_liouville.odd_points(cur_L, coarse.h)
-        if cur_n > sturm_liouville.MAX_GRID_POINTS:
-            raise TruncationError(
-                f"ground-state domain grew past the grid cap (n={cur_n})",
-                last_values=(prev_root, root),
-            )
-
-    raise TruncationError(
-        f"ground-state root did not stabilize within {MAX_DOUBLINGS} domain doublings",
-        last_values=(prev_root, root),
-    )
+    lam, T = sturm_liouville._mapped_richardson(
+        level, math.asinh(rootB * _default_domain(spec)), h,
+        lambda prev, lam: lam <= -1.0 or abs(lam - prev) < DOMAIN_TOL, MAX_DOUBLINGS)
+    grid, level_fine = fine
+    L = math.sinh(T) / rootB
+    if lam <= -1.0:
+        return FixedPointResult(lam=-1.0, iterations=solves, residual=0.0,
+                                degenerate=True, L=L, n=grid.n)
+    phi, floor = grid.phi(level_fine)
+    if abs(phi) > RESIDUAL_FLOOR * floor:
+        raise AccuracyError(
+            f"fine-grid level {level_fine!r} leaves |Phi| = {abs(phi):.3e} "
+            f"> RESIDUAL_FLOOR eps max|diag| = {RESIDUAL_FLOOR * floor:.3e}")
+    return FixedPointResult(lam=min(lam, 1.0), iterations=solves + 1, residual=abs(phi),
+                            degenerate=False, L=L, n=grid.n)
 
 
 def ground_state_per_ell(spec: PotentialSpec,

@@ -7,7 +7,10 @@ extracted by Sturm-sequence bisection (LAPACK dstebz through
 badly scaled coefficient ranges cannot degrade small eigenvalues; a tiny
 ``tol`` bisects to relative accuracy instead).  A weight, -(p f')' + q f =
 lambda w f, makes the pencil (A, diag(w)); :func:`scaled_pencil` returns the
-symmetric tridiagonal matrix with the same eigenvalues.
+symmetric tridiagonal matrix with the same eigenvalues.  The problems posed
+on the sinh-mapped grid sqrt(B) z = sinh(t) (critical_field.m_delta and
+groundstate.ground_state_lambda) share one grid driver,
+:func:`_mapped_richardson`.
 """
 
 from __future__ import annotations
@@ -95,6 +98,32 @@ def grid_nodes(L: float, n: int) -> tuple[float, np.ndarray, np.ndarray]:
 def richardson_step(coarse: float, fine: float) -> tuple[float, float]:
     """(extrapolated value, error estimate) from values on h and h/2 (h^2 error)."""
     return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
+
+
+def _mapped_richardson(level: Callable[[float, int], float], T: float, h: float,
+                       stop: Callable[[float, float], bool],
+                       max_doublings: int) -> tuple[float, float]:
+    """(value, T) of a problem on the sinh-mapped grid sqrt(B) z = sinh(t).
+
+    ``level(T, n)``, the problem's value on n interior nodes of t in [-T, T],
+    is called on n = odd_points(T, h), then on 2n + 1 (odd n keeps z = 0 on a
+    node), and the two are Richardson-extrapolated.  The domain is doubled in
+    z, T -> asinh(2 sinh T), until ``stop(previous value, value)`` holds (the
+    previous value is nan on the first domain); TruncationError after
+    ``max_doublings`` doublings.
+    """
+    prev = value = math.nan
+    for _ in range(max_doublings + 1):
+        n = odd_points(T, h)
+        prev, value = value, richardson_step(level(T, n), level(T, 2 * n + 1))[0]
+        if stop(prev, value):
+            return value, T
+        T = math.asinh(2.0 * math.sinh(T))
+    raise TruncationError(
+        f"mapped-grid value did not stabilize within {max_doublings} domain doublings "
+        f"(last shift {abs(value - prev):.3e})",
+        last_values=(prev, value),
+    )
 
 
 def build_tridiagonal(problem: SturmLiouvilleProblem, L: float | None = None,

@@ -10,12 +10,16 @@ Each takes a different route from the library's one evaluation path:
   rely on the sqrt(B) scaling identity that ``scaling_check`` tests.
 - ``y_of_z`` integrates a_0 by ``quad``, the forward direction of the map
   whose inverse the library tabulates as a Chebyshev fit of brentq roots.
+- ``far_tail`` gives y(z) and log mu at z = e^(log z) in 40-digit mpmath:
+  quadrature of a_0 from erfc up to z = 1e4 and its 1/z series integrated
+  in closed form beyond, where the library inverts a fixed point in log z.
 - ``sturm_count`` is a pure-Python LDL^T sign count, independent of LAPACK
   bisection; ``convergence_study`` reports raw eigenvalues on n, 2n, 4n, ...
   points so that the h^2 order of the scheme can be observed.
-- ``T_of_lambda`` is T(lambda) at a fixed lambda on the grids of
-  ``groundstate._Grid``, Richardson-extrapolated and domain-doubled, where
-  ``ground_state_lambda`` takes its level from the staggered Dirac matrix.
+- ``T_of_lambda`` is T(lambda) at a fixed lambda on uniform z-grids
+  (``UniformGrid``), Richardson-extrapolated and domain-doubled, where
+  ``ground_state_lambda`` takes its level from the staggered Dirac matrix on
+  the sinh-mapped t-grid.
 - ``evaluate_GB_quad`` sums the zero-mode trial functional by adaptive
   ``quad`` of point-wise integrands, where ``trial_bounds.evaluate_GB`` uses
   fixed Gauss-Legendre panels and one array evaluation per rule.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -140,6 +145,50 @@ def y_of_z(z: float) -> VariableMap:
     )
 
 
+#: where far_tail switches from quadrature of a_0 to its asymptotic series;
+#: the first term left out, 105/z^9, is below 1e-34 there
+_MP_SERIES_START = 10**4
+
+
+def _mp_a0(t):
+    """a_0(t; 1) = sqrt(pi/2) exp(t^2/2) erfc(t/sqrt 2) in mpmath, with the
+    working precision raised by 2 log10 t: exp(t^2/2) loses that many digits
+    to the rounding of its argument."""
+    import mpmath
+
+    with mpmath.workdps(mpmath.mp.dps + 2 * int(mpmath.log10(max(t, 1))) + 2):
+        return mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(t * t / 2) * mpmath.erfc(t / mpmath.sqrt(2))
+
+
+@lru_cache(maxsize=1)
+def _mp_y_head():
+    import mpmath
+
+    with mpmath.workdps(40):
+        return mpmath.quad(_mp_a0, [0, 1, 4, 10, 30, 100, 1000, _MP_SERIES_START])
+
+
+def far_tail(log_z: float) -> tuple[float, float]:
+    """(y(z), log mu = -log a_0(z; 1)) at z = e^log_z >= 1e4, in 40 digits.
+
+    Beyond 1e4, a_0 = 1/z - 1/z^3 + 3/z^5 - 15/z^7 and its exact integral
+    log z + 1/(2 z^2) - 3/(4 z^4) + 15/(6 z^6) carry y from the quadrature
+    of :func:`_mp_a0`, so no erfc is evaluated at |z| of e^398."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        z, start = mpmath.exp(log_z), mpmath.mpf(_MP_SERIES_START)
+        if z < start:
+            raise ValueError(f"far_tail needs z >= {_MP_SERIES_START}, got e^{log_z}")
+
+        def antiderivative(t):
+            return mpmath.log(t) + 1 / (2 * t**2) - mpmath.mpf(3) / (4 * t**4) + mpmath.mpf(15) / (6 * t**6)
+
+        y = _mp_y_head() + antiderivative(z) - antiderivative(start)
+        a0 = 1 / z - 1 / z**3 + 3 / z**5 - 15 / z**7
+        return float(y), float(-mpmath.log(a0))
+
+
 # ---------------------------------------------------------------------------
 # tridiagonal eigenvalues: Sturm count and observed order
 # ---------------------------------------------------------------------------
@@ -191,29 +240,53 @@ def sturm_count(diag: np.ndarray, offdiag: np.ndarray, x: float) -> int:
 # T(lambda) of the ground-state fixed point
 # ---------------------------------------------------------------------------
 
+class UniformGrid:
+    """Potential samples on n interior nodes of z in [-L, L], uniform."""
+
+    def __init__(self, spec: PotentialSpec, L: float, n: int):
+        self.spec = spec
+        self.h, nodes, mids = sturm_liouville.grid_nodes(L, n)
+        self.a_mids = pot.a_ell_grid(spec, mids)
+        self.q_nodes = 1.0 - spec.nu * pot.a_ell_grid(spec, nodes)
+
+    def T(self, lam: float) -> float:
+        """T(lambda), the lowest eigenvalue of A(lambda) = -(p f')' + q f."""
+        p_mid = 1.0 / (1.0 + lam + self.spec.nu * self.a_mids)
+        return sturm_liouville.lowest_of_tridiagonal(
+            *sturm_liouville.tridiagonal(p_mid, self.q_nodes, self.h))
+
+
+def uniform_grid(spec: PotentialSpec, L: float | None = None) -> tuple[float, int]:
+    """(L, n) of the uniform grid on [-L, L], by default the ground state's
+    first domain, at spacing 0.05/sqrt(max(1, B)): the rule the library used
+    before the sinh map, without its point cap, so meant for B up to ~1e2."""
+    L = groundstate._default_domain(spec) if L is None else L
+    return L, sturm_liouville.odd_points(L, 0.05 / math.sqrt(max(1.0, spec.B)))
+
+
 def T_of_lambda(spec: PotentialSpec, lam: float, *, L: float | None = None,
                 n: int | None = None, richardson: bool = True,
                 stabilize_domain: bool = True) -> float:
     """Lowest eigenvalue T(lambda) of the linearized operator on
-    ``groundstate._Grid``: Richardson over n -> 2n + 1, then the domain
-    doubled at fixed h until T moves by less than 1e-9.
+    ``UniformGrid`` (by default ``uniform_grid(spec)``): Richardson over
+    n -> 2n + 1, then the domain doubled at fixed h until T moves by less
+    than 1e-9.
 
     At lambda = -1 the kinetic denominator reduces to nu a_ell, which is
     positive on any truncated domain, so the solve needs no regularization.
     """
     if not math.isfinite(lam) or lam < -1.0:
         raise ValueError(f"lambda must be finite and >= -1, got {lam}")
-    if L is None or n is None:
-        L0 = groundstate._default_domain(spec) if L is None else L
-        L0, n0 = groundstate._clip_to_budget(L0, groundstate._default_spacing(spec))
-        L = L0 if L is None else L
-        n = n0 if n is None else n
+    if n is None:
+        L, n = uniform_grid(spec, L)
+    elif L is None:
+        L = groundstate._default_domain(spec)
 
     def on_grid(L, n):
-        value = groundstate._Grid(spec, L, n).T(lam)
+        value = UniformGrid(spec, L, n).T(lam)
         if not richardson:
             return value
-        return sturm_liouville.richardson_step(value, groundstate._Grid(spec, L, 2 * n + 1).T(lam))[0]
+        return sturm_liouville.richardson_step(value, UniformGrid(spec, L, 2 * n + 1).T(lam))[0]
 
     prev = on_grid(L, n)
     if not stabilize_domain:

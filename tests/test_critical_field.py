@@ -10,12 +10,12 @@ from scipy.sparse.linalg import eigsh
 from scipy.special import erfcx
 
 from landaucrit import critical_field as cf
-from landaucrit import groundstate, sturm_liouville
+from landaucrit import sturm_liouville
 from landaucrit.errors import TruncationError
 from landaucrit.potentials import PotentialSpec
 from landaucrit.sturm_liouville import EigenResult
 
-from _reference import T_of_lambda
+from _reference import T_of_lambda, uniform_grid
 
 NU_BAR_REF = 0.056080339709502179  # 30-digit bisection on 2(nu+sqrt(nu)) = 2-sqrt(2)
 
@@ -111,8 +111,7 @@ class TestMDelta:
         T is taken on the h/2 grid of its default domain: on its default grid
         it is about 1.7e-9 sqrt(B) off, the grid error of m there."""
         spec = PotentialSpec(0.5, B)
-        L, n = groundstate._clip_to_budget(groundstate._default_domain(spec),
-                                           groundstate._default_spacing(spec))
+        L, n = uniform_grid(spec)
         got = T_of_lambda(spec, -1.0, L=L, n=2 * n + 1)
         assert abs(got - (1.0 + math.sqrt(B) * m_05)) <= 1e-9
 

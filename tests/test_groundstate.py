@@ -10,6 +10,7 @@ from scipy.sparse.linalg import eigsh
 from scipy.special import erfcx
 
 from landaucrit import groundstate, sturm_liouville
+from landaucrit.critical_field import critical_field_direct
 from landaucrit.errors import AccuracyError
 from landaucrit.groundstate import FixedPointResult, ground_state_lambda, ground_state_per_ell
 from landaucrit.potentials import PotentialSpec, a_ell_grid
@@ -130,57 +131,62 @@ class TestGroundState:
         assert res.grid == (res.L, res.n)
 
     def test_grid_robustness(self):
-        # doubling n and L moves lambda by < 1e-6
+        # halving the t-step moves lambda by < 1e-6
         spec = PotentialSpec(0.5, 1.0)
-        a = ground_state_lambda(spec, L=60.0, n=4801).lam
-        b = ground_state_lambda(spec, L=120.0, n=9603).lam
+        a = ground_state_lambda(spec).lam
+        b = ground_state_lambda(spec, h=0.0125).lam
         assert abs(a - b) < 1e-6
 
-    def test_bracket_retry_keeps_spacing_and_odd_n(self, monkeypatch):
-        # a fine level <= -1 where the coarse grid is not degenerate doubles
-        # the domain at fixed h
+    def test_domain_doubling_keeps_spacing_and_odd_n(self, monkeypatch):
+        # every domain solves on n = odd_points(T, h) and 2n + 1 points; the
+        # next doubles z, T -> asinh(2 sinh T), at the same step h
         grids = []
 
         class RecordingGrid(groundstate._Grid):
-            def __init__(self, spec, L, n):
-                grids.append((L, n))
-                self.order = len(grids)
-                super().__init__(spec, L, n)
-
-            def level(self):
-                return -1.0 if self.order == 2 else super().level()
+            def __init__(self, spec, T, n):
+                grids.append((T, n))
+                super().__init__(spec, T, n)
 
         monkeypatch.setattr(groundstate, "_Grid", RecordingGrid)
-        ground_state_lambda(PotentialSpec(0.5, 1.0), L=60.0, n=4801)
-        assert grids[1] == (60.0, 9603)
-        assert all(n % 2 == 1 for _, n in grids)
-        (L0, n0), (L1, n1) = grids[0], grids[2]
-        assert L1 == 2.0 * L0
-        assert 2.0 * L1 / (n1 + 1) == 2.0 * L0 / (n0 + 1)
+        res = ground_state_lambda(PotentialSpec(0.5, 1.0), h=0.05)
+        assert len(grids) >= 4 and len(grids) == res.iterations - 1
+        coarse, fine = grids[0::2], grids[1::2]
+        for (T, n), (T_fine, n_fine) in zip(coarse, fine):
+            assert n == sturm_liouville.odd_points(T, 0.05) and n % 2 == 1
+            assert (T_fine, n_fine) == (T, 2 * n + 1)
+        for (T0, _), (T1, _) in zip(coarse, coarse[1:]):
+            assert T1 == pytest.approx(math.asinh(2.0 * math.sinh(T0)), rel=1e-15)
+        assert res.grid == pytest.approx((math.sinh(fine[-1][0]), fine[-1][1]), rel=1e-15)
 
-    def test_fine_level_at_minus_one_is_not_a_stable_root(self, monkeypatch):
-        # levels just above -1 on the first domain, then -1 on both grids of
-        # the second: their Richardson roots differ by 3e-8 < DOMAIN_TOL, so
-        # only the fine-level <= -1 branch keeps the second domain from
-        # returning lam = -1 as a non-degenerate level
-        forced = {1: -0.9999999, 2: -0.99999995, 3: -1.0, 4: -1.0}
+    @pytest.mark.parametrize("forced,degenerate", [
+        ((-1.0001, -0.99999), False),  # coarse level below -1, Richardson above
+        ((-0.9999, -0.99998), True),   # both levels above -1, Richardson below
+    ], ids=["coarse_below", "richardson_below"])
+    def test_degeneracy_is_decided_by_the_extrapolated_level(self, monkeypatch,
+                                                            forced, degenerate):
+        # forced levels on the first domain's two grids; later grids are real
         grids = []
 
         class RecordingGrid(groundstate._Grid):
-            def __init__(self, spec, L, n):
-                grids.append((L, n))
+            def __init__(self, spec, T, n):
+                grids.append((T, n))
                 self.order = len(grids)
-                super().__init__(spec, L, n)
+                super().__init__(spec, T, n)
 
             def level(self):
-                if self.order in forced:
-                    return forced[self.order]
+                if self.order <= 2:
+                    return forced[self.order - 1]
                 return super().level()
 
         monkeypatch.setattr(groundstate, "_Grid", RecordingGrid)
-        res = ground_state_lambda(PotentialSpec(0.5, 1.0), L=60.0, n=4801)
-        assert not res.degenerate
-        assert res.lam > -1.0 + 1e-3
+        res = ground_state_lambda(PotentialSpec(0.5, 1.0))
+        assert res.degenerate == degenerate
+        if degenerate:
+            assert res.lam == -1.0 and res.iterations == len(grids) == 2
+        else:
+            # one domain more than the unforced call, within DOMAIN_TOL of it
+            assert res.lam == pytest.approx(ground_state_lambda(PotentialSpec(0.5, 1.0)).lam,
+                                            abs=groundstate.DOMAIN_TOL)
 
     def test_wrong_level_fails_the_residual_check(self, monkeypatch):
         # a level off by 1e-3 on every grid extrapolates and domain-doubles
@@ -191,28 +197,32 @@ class TestGroundState:
 
         monkeypatch.setattr(groundstate, "_Grid", ShiftedGrid)
         with pytest.raises(AccuracyError):
-            ground_state_lambda(PotentialSpec(0.5, 1.0), L=60.0, n=4801)
+            ground_state_lambda(PotentialSpec(0.5, 1.0))
 
     def test_eigensolve_count(self, monkeypatch):
         calls = record_eigensolves(monkeypatch)
         res = ground_state_lambda(PotentialSpec(0.3, 2.0))
         assert 0 < len(calls) == res.iterations <= 8
 
-    def test_degenerate_call_is_one_value_solve(self, monkeypatch):
+    def test_degenerate_call_is_one_domain(self, monkeypatch):
+        # the extrapolated level of the first domain is <= -1: two level
+        # solves and no T solve
         calls = record_eigensolves(monkeypatch)
         res = ground_state_lambda(PotentialSpec(0.85, 1e4))
         assert res.degenerate
-        assert calls == [True]
-        assert res.iterations == 1
+        assert calls == [True, True]
+        assert res.iterations == 2
 
     @pytest.mark.parametrize("nu,B,ell", [(0.3, 2.0, 0), (0.3, 2.0, 2), (0.65, 50.0, 0)])
     def test_level_matches_brentq_on_same_grid(self, nu, B, ell):
         # the root of Phi is eigenvalue n + 1 of the staggered Dirac matrix
-        grid = groundstate._Grid(PotentialSpec(nu, B, ell), 60.0, 4801)
+        T = math.asinh(math.sqrt(B) * 60.0)
+        grid = groundstate._Grid(PotentialSpec(nu, B, ell), T, sturm_liouville.odd_points(T, 0.025))
         level = grid.level()
-        want = brentq(lambda lam: grid.T(lam) - lam, -1.0, 1.0, xtol=1e-13, rtol=8.9e-16)
+        want = brentq(lambda lam: grid.phi(lam)[0], -1.0, 1.0, xtol=1e-13, rtol=8.9e-16)
         assert abs(level - want) <= 1e-10
-        assert abs(grid.T(level) - level) <= groundstate.RESIDUAL_TOL
+        phi, floor = grid.phi(level)
+        assert abs(phi) <= groundstate.RESIDUAL_FLOOR * floor
 
     def test_deep_supercritical_is_degenerate(self):
         res = ground_state_lambda(PotentialSpec(0.5, 1e6))
@@ -254,3 +264,46 @@ class TestResultInvariants:
         assert isinstance(res, FixedPointResult)
         with pytest.raises(AttributeError):
             res.lam = 0.0
+
+
+class TestThreshold:
+    """lambda_1 reaches -1 at the critical field B_L of the direct route."""
+
+    @pytest.mark.parametrize("nu", [0.3, 0.65])
+    def test_level_crosses_minus_one_at_the_critical_field(self, nu):
+        B_L = math.exp(critical_field_direct(nu).log_BL)
+        below = [ground_state_lambda(PotentialSpec(nu, r * B_L))
+                 for r in (0.99, 0.999, 0.9995, 0.9999, 1.0 - 1e-6, 1.0 - 1e-8)]
+        assert not any(res.degenerate for res in below)
+        lams = [res.lam for res in below]
+        assert all(b < a for a, b in zip(lams, lams[1:]))
+        assert abs(ground_state_lambda(PotentialSpec(nu, B_L)).lam + 1.0) <= 1e-7
+        for r in (1.0 + 1e-8, 1.0001):
+            res = ground_state_lambda(PotentialSpec(nu, r * B_L))
+            assert res.degenerate and res.lam == -1.0
+
+
+class TestLargeField:
+    @pytest.mark.parametrize("B", [1e3, 1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("nu", [0.1, 0.2, 0.3])
+    def test_no_accuracy_or_truncation_error(self, nu, B):
+        res = ground_state_lambda(PotentialSpec(nu, B))
+        assert -1.0 <= res.lam < 1.0
+        assert res.degenerate == (res.lam == -1.0)
+
+    def test_half_step_agrees(self):
+        spec = PotentialSpec(0.2, 1e4)
+        a = ground_state_lambda(spec).lam
+        b = ground_state_lambda(spec, h=0.0125).lam
+        assert abs(a - b) <= 1e-8
+
+    def test_wrong_level_fails_the_residual_check_at_large_field(self, monkeypatch):
+        # the float floor grows with B, to eps max|diag| = 2.6e-7 here, still
+        # far below a 1e-3 shift
+        class ShiftedGrid(groundstate._Grid):
+            def level(self):
+                return super().level() + 1e-3
+
+        monkeypatch.setattr(groundstate, "_Grid", ShiftedGrid)
+        with pytest.raises(AccuracyError):
+            ground_state_lambda(PotentialSpec(0.1, 1e8))

@@ -8,7 +8,8 @@ import pytest
 from landaucrit import potentials as pot
 from landaucrit.potentials import PotentialSpec, a_ell_grid, mu_bound_constant, z_of_y
 
-from _reference import a_ell, a_ell_direct, a_scaled_quadrature, scaling_check, y_of_z
+from _reference import (a_ell, a_ell_direct, a_scaled_quadrature, far_tail, scaling_check,
+                        y_of_z)
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 
@@ -179,6 +180,15 @@ class TestVariableMap:
         m400 = z_of_y(400.0)
         assert math.isfinite(m400.log_abs_z) and math.isfinite(m400.log_mu)
         assert abs(m400.log_mu - 400.0) < 2.0
+
+    @pytest.mark.parametrize("log_z", [10.0, 40.0, 100.0, 185.0, 398.0])
+    def test_far_tail_against_mpmath(self, log_z):
+        pytest.importorskip("mpmath")
+        y, log_mu = far_tail(log_z)
+        assert abs(float(pot.log_mu_of_y(np.array([y]))[0]) - log_mu) <= 1e-12
+        m = z_of_y(y)
+        assert abs(m.log_abs_z - log_z) <= 1e-12
+        assert abs(m.log_mu - log_mu) <= 1e-12
 
     def test_log_mu_consistent_across_branches(self):
         y0 = pot._y_at_switch()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline, PPoly
 
 from landaucrit import trial_bounds
 from landaucrit.critical_field import hhh_bounds
@@ -109,6 +110,20 @@ class TestProfiles:
         assert float(p.value(np.array([0.0]))[0]) == pytest.approx(1.0, abs=1e-12)
         assert p.value(np.array([5.0]))[0] == 0.0
         assert p.norm_sq() == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-6)
+
+    @pytest.mark.parametrize("knots,T", [(500, 8.0), (501, 12.0)])
+    def test_tabulated_norm_is_the_exact_panel_sum(self, knots, T):
+        # sinh-spaced knots, like a mapped-grid eigenvector; the reference
+        # integrates the squared spline's piecewise sextic in closed form
+        t = np.linspace(-T, T, knots)
+        z, values = np.sinh(t), np.exp(-np.sqrt(np.abs(np.sinh(t))))
+        c = CubicSpline(z, values, bc_type="natural").c
+        squared = np.zeros((7, c.shape[1]))
+        for i in range(4):
+            for j in range(4):
+                squared[i + j] += c[i] * c[j]
+        want = PPoly(squared, z).integrate(z[0], z[-1])
+        assert TabulatedProfile(z, values).norm_sq() == pytest.approx(want, rel=1e-13)
 
     def test_rescaled_profile_preserves_norm(self):
         base = PlateauProfile(2.0, 1.0)
