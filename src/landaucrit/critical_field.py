@@ -21,7 +21,10 @@ level of -d^2/dy^2 + kappa mu.  So -kappa is the lowest eigenvalue of the
 pencil (A, M), A = -d^2/dy^2 - delta^2, M = diag(mu): higher modes need
 wider wells and have smaller kappa.  Scaled to the symmetric tridiagonal
 S A S, S = diag(mu^-1/2), it has the inertia of A - sigma M (Sylvester), so
-one bisection per grid gives kappa with no root loop.  log mu is sampled
+one bisection per grid gives kappa with no root loop.  Both routes' pencils
+bisect only inside a window of e^(+-WINDOW_HALF_WIDTH) around the small-delta
+asymptote kappa ~ e^(-pi/2delta), certified to hold the lowest eigenvalue
+(sturm_liouville), not across the whole Gershgorin interval.  log mu is sampled
 once on a grid pair (n and 2n + 1 points on [-Y, Y], Y = pi/(2 delta) + 30)
 and log kappa Richardson-extrapolated over it; in logs this reaches
 delta = 0.01 (kappa ~ e^-157).  Analytic two-sided estimates for E_1
@@ -66,7 +69,7 @@ DELTA_MIN = 0.01
 DELTA_MAX_SCHRODINGER = 0.7
 
 #: smallest coupling for the direct route.  The rows grow like 1/delta: at
-#: 0.05 a call makes 8 eigen-solves of at most 5 979 rows in about 50 ms (one
+#: 0.05 a call makes 8 eigen-solves of at most 5 979 rows in about 20 ms (one
 #: thread).  The float floor of m relative to |m| ~ e^(-pi/2delta) grows
 #: faster: ~5e-10 at 0.05, and at 0.03 it exceeds DIRECT_DOMAIN_TOL, so the
 #: domain test cannot be met there (TruncationError)
@@ -84,9 +87,17 @@ MAX_DIRECT_DOUBLINGS = 4
 #: beyond this act as infinite for eigenvalues <= O(1)
 WALL_CAP = 1.0e4
 
-#: the pencil's bisection tolerance: tiny, so that bisection runs to
-#: relative accuracy (sigma_1 ~ -e^-157 at delta = 0.01)
+#: the pencils' bisection tolerance: tiny, so that bisection runs to
+#: relative accuracy (sigma_1 ~ -e^-157 at delta = 0.01); inside the window
+#: of WINDOW_HALF_WIDTH that takes ~53 bisection steps, not the ~290 from the
+#: Gershgorin interval
 PENCIL_TOL = 1e-300
+
+#: half-width, in log kappa, of the bisection window around -pi/(2 delta);
+#: measured log kappa + pi/(2 delta) lies in [-0.52, 0.37] on the Schrodinger
+#: pencil (delta in [0.01, 0.7], h in [0.01, 0.5]) and in [-0.51, 0.77] on
+#: the direct one (delta in [0.05, 0.99])
+WINDOW_HALF_WIDTH = 1.0
 
 #: float floor of the pencil in E_1, in eps / h^2; the error against 40-digit
 #: Sturm bisection measured <= 0.73 (delta in [0.01, 0.7], h = 0.02 and 0.01)
@@ -134,6 +145,14 @@ def nu_bar() -> float:
     return ((math.sqrt(5.0 - 2.0 * math.sqrt(2.0)) - 1.0) / 2.0) ** 2
 
 
+def _window(delta: float, scale: float = 1.0) -> tuple[float, float]:
+    """Bisection window (lo, hi) for the lowest pencil eigenvalue -scale kappa,
+    log kappa within WINDOW_HALF_WIDTH of its asymptote -pi/(2 delta)."""
+    log_kappa = -math.pi / (2.0 * delta)
+    return (-scale * math.exp(log_kappa + WINDOW_HALF_WIDTH),
+            -scale * math.exp(log_kappa - WINDOW_HALF_WIDTH))
+
+
 # ---------------------------------------------------------------------------
 # direct z-space route
 # ---------------------------------------------------------------------------
@@ -142,14 +161,15 @@ def _mapped_level(delta: float, rootB: float, T: float, n: int) -> float:
     """Lowest eigenvalue of the direct problem on n interior nodes of t in [-T, T],
     sqrt(B) z = sinh(t): the pencil -(P f_t)_t + Q f = m W f with
     P = 1/(delta a_0 cosh t) at the midpoints, Q = -delta a_0 cosh t and
-    W = cosh(t)/sqrt(B) at the nodes, a_0 = a_0(sinh t; 1)."""
+    W = cosh(t)/sqrt(B) at the nodes, a_0 = a_0(sinh t; 1); bisected inside
+    the window of m = -sqrt(B) kappa / delta."""
     step, nodes, mids = sturm_liouville.grid_nodes(T, n)
     p_mid = 1.0 / (delta * a0_scaled(np.sinh(mids)) * np.cosh(mids))
     jacobian = np.cosh(nodes)
     q_node = -delta * a0_scaled(np.sinh(nodes)) * jacobian
     return sturm_liouville.lowest_of_tridiagonal(
         *sturm_liouville.scaled_pencil(p_mid, q_node, np.sqrt(rootB / jacobian), step),
-        tol=PENCIL_TOL)
+        tol=PENCIL_TOL, window=_window(delta, rootB / delta))
 
 
 def m_delta(delta: float, *, B: float = 1.0, h: float = 0.025) -> float:
@@ -293,15 +313,18 @@ def _pencil_log_kappa(delta: float, step: float, log_mu: np.ndarray,
     """(log kappa = log(-sigma_1), slope dE_1/dlog kappa, float floor of log kappa)
     on one grid; the slope kappa / sum(g^2 / mu) comes from the unit eigenvector
     g of S A S unless it is given, and the floor is PENCIL_FLOOR eps / step^2
-    over it."""
+    over it.  sigma_1 is bisected inside the window of -kappa."""
     s = np.exp(-0.5 * log_mu)
     diag, offdiag = sturm_liouville.scaled_pencil(np.ones(s.size + 1),
                                                   np.full(s.size, -delta * delta), s, step)
+    window = _window(delta)
     if slope is None:
-        sigma, g = sturm_liouville.lowest_pair_of_tridiagonal(diag, offdiag, tol=PENCIL_TOL)
+        sigma, g = sturm_liouville.lowest_pair_of_tridiagonal(diag, offdiag, tol=PENCIL_TOL,
+                                                              window=window)
         slope = -sigma / float(np.sum((g * s) ** 2))
     else:
-        sigma = sturm_liouville.lowest_of_tridiagonal(diag, offdiag, tol=PENCIL_TOL)
+        sigma = sturm_liouville.lowest_of_tridiagonal(diag, offdiag, tol=PENCIL_TOL,
+                                                      window=window)
     return math.log(-sigma), slope, PENCIL_FLOOR * np.finfo(float).eps / (step**2 * slope)
 
 

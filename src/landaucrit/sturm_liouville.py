@@ -5,7 +5,15 @@ the interior nodes give a symmetric tridiagonal matrix whose eigenvalues are
 extracted by Sturm-sequence bisection (LAPACK dstebz through
 ``scipy.linalg.eigh_tridiagonal``, with an explicit absolute tolerance so
 badly scaled coefficient ranges cannot degrade small eigenvalues; a tiny
-``tol`` bisects to relative accuracy instead).  A weight, -(p f')' + q f =
+``tol`` bisects to relative accuracy instead).  Bisection from the Gershgorin
+interval takes about log2(width / |lambda|) steps before the relative ones,
+~290 for lambda ~ e^-157; a caller that knows where the lowest eigenvalue
+lies passes a ``window=(lo, hi)`` to the kernels.  The window is used only
+once an LDL^T factorisation of the matrix shifted by ``lo`` (LAPACK dpttrf,
+the pivot recurrence of the Sturm count) certifies that no eigenvalue lies
+at or below ``lo`` (Sylvester); bisection then runs inside (lo, hi] alone.
+A failed certificate or an empty window falls back to the index selection,
+so the kernels always return the lowest eigenvalue.  A weight, -(p f')' + q f =
 lambda w f, makes the pencil (A, diag(w)); :func:`scaled_pencil` returns the
 symmetric tridiagonal matrix with the same eigenvalues.  The problems posed
 on the sinh-mapped grid sqrt(B) z = sinh(t) (critical_field.m_delta and
@@ -21,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf
 
 from .errors import CoefficientError, TruncationError
 
@@ -161,22 +170,47 @@ def scaled_pencil(p_mid: np.ndarray, q_node: np.ndarray, scale: np.ndarray,
     return diag * scale * scale, offdiag * scale[:-1] * scale[1:]
 
 
+def _lowest(diag: np.ndarray, offdiag: np.ndarray, tol: float, eigvals_only: bool,
+            window: tuple[float, float] | None, index: int = 0):
+    """``eigh_tridiagonal`` output with eigenvalue ``index`` first: for index 0,
+    bisected inside ``window`` when dpttrf certifies nothing at or below its
+    ``lo`` and the window holds an eigenvalue, else selected by index."""
+    if window is not None:
+        lo, hi = window
+        if dpttrf(diag - lo, offdiag)[2] == 0:
+            found = eigh_tridiagonal(diag, offdiag, eigvals_only=eigvals_only, select="v",
+                                     select_range=(lo, hi), tol=tol)
+            if (found if eigvals_only else found[0]).size:
+                return found
+    return eigh_tridiagonal(diag, offdiag, eigvals_only=eigvals_only, select="i",
+                            select_range=(index, index), tol=tol)
+
+
 def lowest_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, *,
-                          tol: float = BISECTION_TOL, index: int = 0) -> float:
+                          tol: float = BISECTION_TOL, index: int = 0,
+                          window: tuple[float, float] | None = None) -> float:
     """Eigenvalue number ``index`` (0-based, ascending; the lowest by default)
     of the symmetric tridiagonal matrix (diag, offdiag), bisected to
-    max(``tol``, relative accuracy)."""
-    w = eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
-                         select_range=(index, index), tol=tol)
-    return float(w[0])
+    max(``tol``, relative accuracy).
+
+    ``window=(lo, hi)``, for the lowest eigenvalue only, bisects inside
+    (lo, hi] once dpttrf certifies that nothing lies at or below ``lo``; if
+    that fails or the window is empty the index selection runs instead.  The
+    value may then differ from the index selection's in the last bit or two,
+    since the bisection starts from another interval."""
+    if window is not None and index != 0:
+        raise ValueError("a window selects the lowest eigenvalue only (index 0)")
+    return float(_lowest(diag, offdiag, tol, True, window, index)[0])
 
 
 def lowest_pair_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, *,
-                               tol: float = BISECTION_TOL) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue, the same one :func:`lowest_of_tridiagonal` returns,
-    and its unit eigenvector, which costs an inverse-iteration solve more."""
-    w, v = eigh_tridiagonal(diag, offdiag, eigvals_only=False, select="i",
-                            select_range=(0, 0), tol=tol)
+                               tol: float = BISECTION_TOL,
+                               window: tuple[float, float] | None = None
+                               ) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue, the same one :func:`lowest_of_tridiagonal` returns
+    with the same ``window``, and its unit eigenvector, which costs an
+    inverse-iteration solve more."""
+    w, v = _lowest(diag, offdiag, tol, False, window)
     return float(w[0]), v[:, 0]
 
 

@@ -10,6 +10,8 @@ Each takes a different route from the library's one evaluation path:
   rely on the sqrt(B) scaling identity that ``scaling_check`` tests.
 - ``y_of_z`` integrates a_0 by ``quad``, the forward direction of the map
   whose inverse the library tabulates as a Chebyshev fit of brentq roots.
+- ``mp_a0`` is a_0(t; 1) from mpmath's exp and erfc with the working
+  precision raised to cover exp(t^2/2); the library calls scipy's erfcx.
 - ``far_tail`` gives y(z) and log mu at z = e^(log z) in 40-digit mpmath:
   quadrature of a_0 from erfc up to z = 1e4 and its 1/z series integrated
   in closed form beyond, where the library inverts a fixed point in log z.
@@ -150,7 +152,7 @@ def y_of_z(z: float) -> VariableMap:
 _MP_SERIES_START = 10**4
 
 
-def _mp_a0(t):
+def mp_a0(t):
     """a_0(t; 1) = sqrt(pi/2) exp(t^2/2) erfc(t/sqrt 2) in mpmath, with the
     working precision raised by 2 log10 t: exp(t^2/2) loses that many digits
     to the rounding of its argument."""
@@ -165,7 +167,7 @@ def _mp_y_head():
     import mpmath
 
     with mpmath.workdps(40):
-        return mpmath.quad(_mp_a0, [0, 1, 4, 10, 30, 100, 1000, _MP_SERIES_START])
+        return mpmath.quad(mp_a0, [0, 1, 4, 10, 30, 100, 1000, _MP_SERIES_START])
 
 
 def far_tail(log_z: float) -> tuple[float, float]:
@@ -173,7 +175,7 @@ def far_tail(log_z: float) -> tuple[float, float]:
 
     Beyond 1e4, a_0 = 1/z - 1/z^3 + 3/z^5 - 15/z^7 and its exact integral
     log z + 1/(2 z^2) - 3/(4 z^4) + 15/(6 z^6) carry y from the quadrature
-    of :func:`_mp_a0`, so no erfc is evaluated at |z| of e^398."""
+    of :func:`mp_a0`, so no erfc is evaluated at |z| of e^398."""
     import mpmath
 
     with mpmath.workdps(40):

@@ -353,3 +353,46 @@ class TestGapConstants:
     def test_gap_function_values(self):
         assert cf.d_of_delta(0.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert abs(cf.d_of_delta(1.0 - math.sqrt(2.0) / 2.0)) < 1e-14
+
+
+def record_selects(monkeypatch):
+    """``select`` of every eigen-solve made through sturm_liouville from now on."""
+    selects = []
+    real = sturm_liouville.eigh_tridiagonal
+
+    def recording(*args, **kwargs):
+        selects.append(kwargs["select"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", recording)
+    return selects
+
+
+class TestBisectionWindow:
+    """Both relative-accuracy pencils bisect inside e^(+-WINDOW_HALF_WIDTH)
+    around kappa ~ e^(-pi/2delta); a miss would fall back to select="i"."""
+
+    @pytest.mark.parametrize("h", [0.02, 0.1, 0.5])
+    @pytest.mark.parametrize("delta", [0.01, 0.0355, 0.0545, 0.1, 0.2, 0.33, 0.5, 0.7])
+    def test_window_holds_on_the_schrodinger_range(self, monkeypatch, delta, h):
+        selects = record_selects(monkeypatch)
+        res = cf.critical_field_schrodinger(delta, h=h)
+        assert selects == ["v", "v"]
+        assert abs(res.log_kappa + math.pi / (2.0 * delta)) < cf.WINDOW_HALF_WIDTH
+
+    @pytest.mark.parametrize("delta", [0.05, 0.3, 0.7, 0.9, 0.99])
+    def test_window_holds_on_the_direct_range(self, monkeypatch, delta):
+        selects = record_selects(monkeypatch)
+        res = cf.m_delta(delta)
+        assert selects and set(selects) == {"v"}
+        assert abs(math.log(-delta * res) + math.pi / (2.0 * delta)) < cf.WINDOW_HALF_WIDTH
+
+    @pytest.mark.parametrize("route, delta", [(cf.critical_field_schrodinger, 0.0355),
+                                              (cf.critical_field_schrodinger, 0.33),
+                                              (cf.critical_field_direct, 0.3)])
+    def test_window_leaves_log_BL_unmoved(self, monkeypatch, route, delta):
+        # the windowed bisection ends within a few ulp of sigma_1 from the index
+        # selection, which log B_L ~ -2 log|sigma_1| cannot resolve
+        windowed = route(delta).log_BL
+        monkeypatch.setattr(cf, "_window", lambda *args: None)
+        assert abs(windowed - route(delta).log_BL) <= 4.0 * np.spacing(windowed)

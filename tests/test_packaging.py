@@ -55,3 +55,12 @@ def test_benchmark_wrap_points_exist(monkeypatch):
     layers = importlib.import_module("layers")
     for module, attr, *_ in layers.WRAP_POINTS:
         assert hasattr(module, attr), f"{module.__name__}.{attr}"
+
+
+def test_one_tridiagonal_kernel():
+    """Only sturm_liouville names LAPACK's tridiagonal eigen-solver and the
+    factorisation behind its window guard; everything else calls its kernels."""
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        text = path.read_text()
+        for name in ("eigh_tridiagonal", "dpttrf"):
+            assert name not in text or path.name == "sturm_liouville.py", f"{path.name}: {name}"

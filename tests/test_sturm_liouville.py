@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from landaucrit import critical_field, sturm_liouville
 from landaucrit.errors import CoefficientError, TruncationError
 from landaucrit.sturm_liouville import (
     SturmLiouvilleProblem,
@@ -12,6 +13,7 @@ from landaucrit.sturm_liouville import (
     lowest_eigenvalue,
     lowest_of_tridiagonal,
     lowest_pair_of_tridiagonal,
+    scaled_pencil,
 )
 
 from _reference import ConvergenceStudy, convergence_study, sturm_count
@@ -192,3 +194,85 @@ class TestEigenpair:
             want = 4.0 * math.sin((index + 1) * math.pi / (2.0 * (n + 1))) ** 2
             assert lowest_of_tridiagonal(diag, offdiag, index=index) == pytest.approx(
                 want, abs=1e-11)
+
+
+def tiny_matrix():
+    """c tridiag(-1, 2, -1), c = 1e-40, n = 301: lowest eigenvalue ~1.08e-44,
+    the next one about four times larger."""
+    c, n = 1e-40, 301
+    return np.full(n, 2.0 * c), np.full(n - 1, -c)
+
+
+def pencil_matrix():
+    """Coarse Schrodinger pencil S A S at delta = 0.01, h = 0.1 (3 741 rows,
+    sigma_1 ~ -e^-157)."""
+    delta = 0.01
+    step, log_mu = critical_field._log_mu_grids(math.pi / (2.0 * delta) + 30.0, 0.1)[0]
+    s = np.exp(-0.5 * log_mu)
+    return scaled_pencil(np.ones(s.size + 1), np.full(s.size, -delta * delta), s, step)
+
+
+def record_selects(monkeypatch):
+    """``select`` of every eigen-solve made through sturm_liouville from now on."""
+    selects = []
+    real = sturm_liouville.eigh_tridiagonal
+
+    def recording(*args, **kwargs):
+        selects.append(kwargs["select"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", recording)
+    return selects
+
+
+class TestWindow:
+    """window=(lo, hi): bisection inside (lo, hi] once dpttrf certifies that
+    nothing lies at or below lo, the index selection otherwise."""
+
+    @pytest.mark.parametrize("matrix", [tiny_matrix, pencil_matrix])
+    def test_window_holding_the_lowest_matches_index_selection(self, monkeypatch, matrix):
+        # both bisections stop on an interval narrower than 2 eps |lambda|
+        # (< 4 ulp) that holds the eigenvalue, but start from different
+        # intervals, so the midpoints may differ in the last bits (<= 2 ulp seen)
+        diag, offdiag = matrix()
+        value, vector = lowest_pair_of_tridiagonal(diag, offdiag, tol=1e-300)
+        window = (4.0 * value, 0.25 * value) if value < 0.0 else (0.25 * value, 4.0 * value)
+        selects = record_selects(monkeypatch)
+        got = lowest_of_tridiagonal(diag, offdiag, tol=1e-300, window=window)
+        got_pair, got_vector = lowest_pair_of_tridiagonal(diag, offdiag, tol=1e-300,
+                                                          window=window)
+        assert selects == ["v", "v"]
+        assert got_pair == got
+        assert abs(got - value) <= 4.0 * abs(np.spacing(value))
+        assert np.linalg.norm(got_vector - vector) <= 1e-11
+
+    @pytest.mark.parametrize("matrix", [tiny_matrix, pencil_matrix])
+    @pytest.mark.parametrize("miss, selected", [
+        # certified (nothing at or below lo) but empty: bisection, then the index
+        ("empty", ["v", "i"]),
+        # lo above sigma_1, so dpttrf fails and the index selection runs alone;
+        # the window holds sigma_2 and would otherwise return it
+        ("lo above sigma_1", ["i"]),
+    ])
+    def test_missed_window_falls_back_to_index_selection(self, monkeypatch, matrix, miss,
+                                                         selected):
+        diag, offdiag = matrix()
+        value, vector = lowest_pair_of_tridiagonal(diag, offdiag, tol=1e-300)
+        second = lowest_of_tridiagonal(diag, offdiag, tol=1e-300, index=1)
+        if miss == "empty":
+            window = (value - 2.0 * abs(value), value - abs(value))
+        else:
+            window = (value + 0.5 * (second - value), second + abs(second))
+            assert window[0] < second <= window[1]
+        selects = record_selects(monkeypatch)
+        got = lowest_of_tridiagonal(diag, offdiag, tol=1e-300, window=window)
+        got_pair, got_vector = lowest_pair_of_tridiagonal(diag, offdiag, tol=1e-300,
+                                                          window=window)
+        assert selects == selected * 2
+        assert got == got_pair == value
+        assert np.array_equal(got_vector, vector)
+
+    def test_window_selects_the_lowest_only(self):
+        diag, offdiag = tiny_matrix()
+        with pytest.raises(ValueError):
+            lowest_of_tridiagonal(diag, offdiag, index=1, window=(0.0, 1.0))
