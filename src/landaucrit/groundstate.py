@@ -24,7 +24,20 @@ Phi(-1) < 0.  At lambda = -1 the Schur complement is the direct route's
 pencil plus its weight, so T(-1) = 1 + sqrt(B) m(nu) grid by grid.
 
 The mapped-grid driver of sturm_liouville does the Richardson extrapolation
-over n -> 2n + 1 and the domain doubling in z.
+over n -> 2n + 1 and the domain doubling in z.  Only the first grid of a
+call bisects its level from the Gershgorin interval.  Every later one (the
+fine grid after the coarse one, the next domain's coarse grid after the
+last fine one) bisects inside (lo, hi] = c -+ LEVEL_WINDOW around the last
+level c, if lo > -1: by the inertia count above, a successful LDL^T
+factorisation of the T-pencil at lambda = lo, shifted by lo, certifies that
+exactly n + 1 eigenvalues of H lie at or below lo (the gap min-max of
+Dolbeault, Esteban and Sere used as a Sylvester certificate), so the level
+is the smallest eigenvalue in the window.  The residual solve of T at the
+fine level bisects inside the same width around it.  A failed certificate
+or an empty window falls back to the index selection.  The potential is
+sampled once per domain: the fine grid's 2n + 1 nodes are the coarse
+grid's nodes and midpoints, bit for bit, so one pass over the fine grid's
+nodes and midpoints serves both grids.
 """
 
 from __future__ import annotations
@@ -58,13 +71,23 @@ MAX_DOUBLINGS = 6
 LEVEL_TOL = 1e-300
 RESIDUAL_FLOOR = 4.0
 
+# Half-width of the bisection window of every level solve after the first,
+# around the last level of the call, and of the residual solve's window
+# around the fine level.  The largest shift measured between a level and
+# its centre is 6.5e-5 (nu in [0.05, 0.9], B in [1e-3, 1e8], ell 0-3), from
+# a coarse level to its fine one and from a fine level to the next domain's
+# coarse one, whose step is twice as large.
+LEVEL_WINDOW = 1e-3
+
 
 @dataclass(frozen=True)
 class FixedPointResult:
     """Converged lowest level lambda_1(nu, B) with solve diagnostics.
 
-    ``iterations`` counts the eigen-solves of the call.  The last domain is
-    |z| <= L = sinh(T)/sqrt(B), and n is the point count of its fine t-grid.
+    ``iterations`` counts the eigen-solves of the call; a window that held no
+    eigenvalue counts twice, for its bisection and the index selection.  The
+    last domain is |z| <= L = sinh(T)/sqrt(B), and n is the point count of
+    its fine t-grid.
     ``residual`` is |Phi| = |T(lambda) - lambda| on that grid at the grid's
     own level, checked against RESIDUAL_FLOOR times its float floor; a
     degenerate result has no root to check and reports 0.
@@ -86,43 +109,80 @@ def _default_domain(spec: PotentialSpec) -> float:
     return max(C_FIELD / math.sqrt(spec.B), C_COULOMB / spec.nu, 10.0)
 
 
+def _samples(spec: PotentialSpec, T: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(z', a_ell) at the n + 1 cell midpoints of t in [-T, T] interleaved
+    with the n interior nodes, a midpoint first, sqrt(B) z = sinh(t).  The
+    samples of n points are those of 2n + 1 at the odd positions, bit for bit:
+    the finer grid's nodes are the coarser one's nodes and midpoints."""
+    _, nodes, mids = sturm_liouville.grid_nodes(T, n)
+    t = np.empty(2 * n + 1)
+    t[0::2] = mids
+    t[1::2] = nodes
+    rootB = math.sqrt(spec.B)
+    return np.cosh(t) / rootB, a_ell_grid(spec, np.sinh(t) / rootB)
+
+
 class _Grid:
     """Potential samples on n interior nodes of t in [-T, T], sqrt(B) z = sinh(t),
-    shared by the level and Phi."""
+    shared by the level and Phi.
 
-    def __init__(self, spec: PotentialSpec, T: float, n: int):
+    ``samples`` are this grid's :func:`_samples`, taken from its refinement's
+    when given.  ``centre``, a level close to this grid's (the last one
+    computed), centres the bisection window of :meth:`level`.  ``missed`` is
+    1 when the certified window of the grid's last solve held no eigenvalue,
+    so that the index selection ran after the bisection, and 0 otherwise."""
+
+    def __init__(self, spec: PotentialSpec, T: float, n: int, *,
+                 samples: tuple[np.ndarray, np.ndarray] | None = None,
+                 centre: float | None = None):
         self.spec = spec
         self.n = n
-        self.h, nodes, mids = sturm_liouville.grid_nodes(T, n)
-        rootB = math.sqrt(spec.B)
-        self.dz_mids = np.cosh(mids) / rootB
-        self.dz_nodes = np.cosh(nodes) / rootB
-        self.a_mids = a_ell_grid(spec, np.sinh(mids) / rootB)
-        self.q_nodes = 1.0 - spec.nu * a_ell_grid(spec, np.sinh(nodes) / rootB)
+        self.h = 2.0 * T / (n + 1)
+        self.dz, a = _samples(spec, T, n) if samples is None else samples
+        self.a_mids = a[0::2]
+        self.q_nodes = 1.0 - spec.nu * a[1::2]
+        self.centre = centre
+        self.missed = 0
 
-    def phi(self, lam: float) -> tuple[float, float]:
+    def _eigenvalue(self, diag: np.ndarray, offdiag: np.ndarray, **kwargs) -> float:
+        value, solves = sturm_liouville._counted_eigenvalue(diag, offdiag, tol=LEVEL_TOL,
+                                                            **kwargs)
+        self.missed = solves - 1
+        return value
+
+    def _pencil(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """The T-pencil -(p/z' f_t)_t + q z' f = T z' f, p = 1/(1 + lambda + nu a),
+        as its scaled symmetric tridiagonal matrix."""
+        dz_nodes = self.dz[1::2]
+        p_mid = 1.0 / (self.dz[0::2] * (1.0 + lam + self.spec.nu * self.a_mids))
+        return sturm_liouville.scaled_pencil(p_mid, self.q_nodes * dz_nodes,
+                                             dz_nodes ** -0.5, self.h)
+
+    def phi(self, lam: float, *,
+            window: tuple[float, float] | None = None) -> tuple[float, float]:
         """(Phi(lambda) = T(lambda) - lambda, the float floor eps max|diag| of
-        T); T(lambda) is the lowest eigenvalue of the pencil
-        -(p/z' f_t)_t + q z' f = T z' f, p = 1/(1 + lambda + nu a)."""
-        p_mid = 1.0 / (self.dz_mids * (1.0 + lam + self.spec.nu * self.a_mids))
-        diag, offdiag = sturm_liouville.scaled_pencil(
-            p_mid, self.q_nodes * self.dz_nodes, self.dz_nodes ** -0.5, self.h)
-        T = sturm_liouville.lowest_of_tridiagonal(diag, offdiag, tol=LEVEL_TOL)
+        T); T(lambda) is the lowest eigenvalue of :meth:`_pencil`, bisected
+        inside ``window`` once certified."""
+        diag, offdiag = self._pencil(lam)
+        T = self._eigenvalue(diag, offdiag, window=window)
         return T - lam, float(np.finfo(float).eps * np.max(np.abs(diag)))
 
     def level(self) -> float:
         """Eigenvalue n + 1 of the scaled staggered H, g at the midpoints
         interleaved with f at the nodes: the root of Phi on this grid, and
-        below -1 iff Phi(-1) < 0."""
+        below -1 iff Phi(-1) < 0.  With a centre c and lo = c - LEVEL_WINDOW
+        > -1 it is bisected inside (lo, c + LEVEL_WINDOW], guarded by the
+        T-pencil at lo: H - lo I has the negative definite g block
+        -(1 + lo + nu a), whose Schur complement is that pencil shifted by lo."""
         diag = np.empty(2 * self.n + 1)
         diag[0::2] = -(1.0 + self.spec.nu * self.a_mids)
         diag[1::2] = self.q_nodes
-        dz = np.empty(2 * self.n + 1)
-        dz[0::2] = self.dz_mids
-        dz[1::2] = self.dz_nodes
-        return sturm_liouville.lowest_of_tridiagonal(
-            diag, 1.0 / (self.h * np.sqrt(dz[:-1] * dz[1:])), index=self.n + 1,
-            tol=LEVEL_TOL)
+        offdiag = 1.0 / (self.h * np.sqrt(self.dz[:-1] * self.dz[1:]))
+        window = guard = None
+        if self.centre is not None and self.centre - LEVEL_WINDOW > -1.0:
+            window = (self.centre - LEVEL_WINDOW, self.centre + LEVEL_WINDOW)
+            guard = self._pencil(window[0])
+        return self._eigenvalue(diag, offdiag, index=self.n + 1, window=window, guard=guard)
 
 
 def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointResult:
@@ -132,19 +192,27 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
     docstring) on the sinh-mapped t-grid of step h and on its 2n + 1-point
     refinement, Richardson-extrapolated over the two; the first domain is
     |z| <= max(C_FIELD/sqrt(B), C_COULOMB/nu, 10), and it is doubled in z
-    until the level moves by less than DOMAIN_TOL.  The result is degenerate,
+    until the level moves by less than DOMAIN_TOL.  Every level after the
+    first is bisected inside a certified window of LEVEL_WINDOW around the
+    last one (module docstring).  The result is degenerate,
     lam = -1, as soon as the extrapolated level is <= -1: a wider domain only
     lowers it.  Otherwise one value solve of T at the fine grid's own level
     gives ``residual``, which checks the eigenvalue index: above
     RESIDUAL_FLOOR times the grid's float floor it raises AccuracyError.
     """
     rootB = math.sqrt(spec.B)
-    solves, fine = 0, None
+    solves, fine = 0, None  # fine: (grid, level) of the last grid solved
+    refinement = {}  # (T, 2n + 1) -> samples, taken for the coarse grid of (T, n)
 
     def level(T: float, n: int) -> float:
         nonlocal solves, fine
-        grid = _Grid(spec, T, n)
-        solves, fine = solves + 1, (grid, grid.level())
+        samples = refinement.pop((T, n), None)
+        if samples is None:
+            refinement[T, 2 * n + 1] = refined = _samples(spec, T, 2 * n + 1)
+            samples = tuple(s[1::2] for s in refined)
+        grid = _Grid(spec, T, n, samples=samples, centre=None if fine is None else fine[1])
+        fine = (grid, grid.level())
+        solves += 1 + grid.missed
         return fine[1]
 
     lam, T = sturm_liouville._mapped_richardson(
@@ -155,13 +223,14 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
     if lam <= -1.0:
         return FixedPointResult(lam=-1.0, iterations=solves, residual=0.0,
                                 degenerate=True, L=L, n=grid.n)
-    phi, floor = grid.phi(level_fine)
+    phi, floor = grid.phi(level_fine, window=(level_fine - LEVEL_WINDOW,
+                                              level_fine + LEVEL_WINDOW))
     if abs(phi) > RESIDUAL_FLOOR * floor:
         raise AccuracyError(
             f"fine-grid level {level_fine!r} leaves |Phi| = {abs(phi):.3e} "
             f"> RESIDUAL_FLOOR eps max|diag| = {RESIDUAL_FLOOR * floor:.3e}")
-    return FixedPointResult(lam=min(lam, 1.0), iterations=solves + 1, residual=abs(phi),
-                            degenerate=False, L=L, n=grid.n)
+    return FixedPointResult(lam=min(lam, 1.0), iterations=solves + 1 + grid.missed,
+                            residual=abs(phi), degenerate=False, L=L, n=grid.n)
 
 
 def ground_state_per_ell(spec: PotentialSpec,

@@ -12,8 +12,13 @@ lies passes a ``window=(lo, hi)`` to the kernels.  The window is used only
 once an LDL^T factorisation of the matrix shifted by ``lo`` (LAPACK dpttrf,
 the pivot recurrence of the Sturm count) certifies that no eigenvalue lies
 at or below ``lo`` (Sylvester); bisection then runs inside (lo, hi] alone.
-A failed certificate or an empty window falls back to the index selection,
-so the kernels always return the lowest eigenvalue.  A weight, -(p f')' + q f =
+An eigenvalue above the lowest, number k, may be windowed too when the
+caller passes a guard: a tridiagonal G whose factorisation G - lo I
+certifies that exactly k eigenvalues lie at or below ``lo``, such as the
+Schur complement of a block known to hold k negative eigenvalues
+(Haynsworth inertia additivity); groundstate's level is one.  A failed
+certificate or an empty window falls back to the index selection, so the
+kernels always return eigenvalue k.  A weight, -(p f')' + q f =
 lambda w f, makes the pencil (A, diag(w)); :func:`scaled_pencil` returns the
 symmetric tridiagonal matrix with the same eigenvalues.  The problems posed
 on the sinh-mapped grid sqrt(B) z = sinh(t) (critical_field.m_delta and
@@ -171,36 +176,61 @@ def scaled_pencil(p_mid: np.ndarray, q_node: np.ndarray, scale: np.ndarray,
 
 
 def _lowest(diag: np.ndarray, offdiag: np.ndarray, tol: float, eigvals_only: bool,
-            window: tuple[float, float] | None, index: int = 0):
-    """``eigh_tridiagonal`` output with eigenvalue ``index`` first: for index 0,
-    bisected inside ``window`` when dpttrf certifies nothing at or below its
-    ``lo`` and the window holds an eigenvalue, else selected by index."""
+            window: tuple[float, float] | None, index: int = 0,
+            guard: tuple[np.ndarray, np.ndarray] | None = None):
+    """(``eigh_tridiagonal`` output with eigenvalue ``index`` first, the number
+    of eigen-solves made): bisected inside ``window`` when dpttrf of the
+    guard shifted by its ``lo`` certifies that exactly ``index`` eigenvalues
+    lie at or below ``lo`` and the window holds an eigenvalue, else selected
+    by index.  The guard of index 0 is the matrix itself; any other index
+    needs one."""
+    missed = 0
     if window is not None:
+        if guard is None and index != 0:
+            raise ValueError("a window above the lowest eigenvalue needs a guard")
         lo, hi = window
-        if dpttrf(diag - lo, offdiag)[2] == 0:
+        guard_diag, guard_offdiag = (diag, offdiag) if guard is None else guard
+        if dpttrf(guard_diag - lo, guard_offdiag)[2] == 0:
             found = eigh_tridiagonal(diag, offdiag, eigvals_only=eigvals_only, select="v",
                                      select_range=(lo, hi), tol=tol)
             if (found if eigvals_only else found[0]).size:
-                return found
+                return found, 1
+            missed = 1
     return eigh_tridiagonal(diag, offdiag, eigvals_only=eigvals_only, select="i",
-                            select_range=(index, index), tol=tol)
+                            select_range=(index, index), tol=tol), 1 + missed
+
+
+def _counted_eigenvalue(diag: np.ndarray, offdiag: np.ndarray, *,
+                        tol: float = BISECTION_TOL, index: int = 0,
+                        window: tuple[float, float] | None = None,
+                        guard: tuple[np.ndarray, np.ndarray] | None = None
+                        ) -> tuple[float, int]:
+    """(the value :func:`lowest_of_tridiagonal` returns, the eigen-solves it
+    took): 2 when a certified window held no eigenvalue, else 1."""
+    found, solves = _lowest(diag, offdiag, tol, True, window, index, guard)
+    return float(found[0]), solves
 
 
 def lowest_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, *,
                           tol: float = BISECTION_TOL, index: int = 0,
-                          window: tuple[float, float] | None = None) -> float:
+                          window: tuple[float, float] | None = None,
+                          guard: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """Eigenvalue number ``index`` (0-based, ascending; the lowest by default)
     of the symmetric tridiagonal matrix (diag, offdiag), bisected to
     max(``tol``, relative accuracy).
 
-    ``window=(lo, hi)``, for the lowest eigenvalue only, bisects inside
-    (lo, hi] once dpttrf certifies that nothing lies at or below ``lo``; if
-    that fails or the window is empty the index selection runs instead.  The
-    value may then differ from the index selection's in the last bit or two,
-    since the bisection starts from another interval."""
-    if window is not None and index != 0:
-        raise ValueError("a window selects the lowest eigenvalue only (index 0)")
-    return float(_lowest(diag, offdiag, tol, True, window, index)[0])
+    ``window=(lo, hi)`` bisects inside (lo, hi] once dpttrf certifies that
+    exactly ``index`` eigenvalues lie at or below ``lo``; if that fails or the
+    window is empty the index selection runs instead.  For the lowest
+    eigenvalue the certificate factors the matrix shifted by ``lo``.  Any
+    other index needs a ``guard=(G_diag, G_offdiag)``, a tridiagonal matrix
+    for which a successful factorisation of G - lo I certifies the count
+    (a Schur complement, by Haynsworth inertia additivity); without one a
+    window raises ValueError.  The value may then differ from the index
+    selection's in the last bit or two, since the bisection starts from
+    another interval."""
+    return _counted_eigenvalue(diag, offdiag, tol=tol, index=index, window=window,
+                               guard=guard)[0]
 
 
 def lowest_pair_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, *,
@@ -210,7 +240,7 @@ def lowest_pair_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, *,
     """Lowest eigenvalue, the same one :func:`lowest_of_tridiagonal` returns
     with the same ``window``, and its unit eigenvector, which costs an
     inverse-iteration solve more."""
-    w, v = _lowest(diag, offdiag, tol, False, window)
+    (w, v), _ = _lowest(diag, offdiag, tol, False, window)
     return float(w[0]), v[:, 0]
 
 

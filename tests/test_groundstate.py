@@ -68,6 +68,19 @@ def record_eigensolves(monkeypatch):
     return calls
 
 
+def record_selects(monkeypatch):
+    """``select`` of every eigen-solve made through sturm_liouville from now on."""
+    selects = []
+    real = sturm_liouville.eigh_tridiagonal
+
+    def recording(*args, **kwargs):
+        selects.append(kwargs["select"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", recording)
+    return selects
+
+
 def oracle_lambda(nu, B, L=60.0, ell=0):
     """Fixed-point root on two fine grids, Richardson-extrapolated."""
     roots = []
@@ -143,9 +156,9 @@ class TestGroundState:
         grids = []
 
         class RecordingGrid(groundstate._Grid):
-            def __init__(self, spec, T, n):
+            def __init__(self, spec, T, n, **kwargs):
                 grids.append((T, n))
-                super().__init__(spec, T, n)
+                super().__init__(spec, T, n, **kwargs)
 
         monkeypatch.setattr(groundstate, "_Grid", RecordingGrid)
         res = ground_state_lambda(PotentialSpec(0.5, 1.0), h=0.05)
@@ -168,10 +181,10 @@ class TestGroundState:
         grids = []
 
         class RecordingGrid(groundstate._Grid):
-            def __init__(self, spec, T, n):
+            def __init__(self, spec, T, n, **kwargs):
                 grids.append((T, n))
                 self.order = len(grids)
-                super().__init__(spec, T, n)
+                super().__init__(spec, T, n, **kwargs)
 
             def level(self):
                 if self.order <= 2:
@@ -203,6 +216,51 @@ class TestGroundState:
         calls = record_eigensolves(monkeypatch)
         res = ground_state_lambda(PotentialSpec(0.3, 2.0))
         assert 0 < len(calls) == res.iterations <= 8
+
+    @pytest.mark.parametrize("nu,B,ell", [(0.2, 0.4, 1), (0.3, 2.0, 0), (0.65, 50.0, 3),
+                                          (0.1, 1e8, 0), (0.05, 1e-3, 0), (0.6, 1e-3, 3)])
+    def test_every_solve_after_the_first_is_windowed(self, monkeypatch, nu, B, ell):
+        # the first coarse level is selected by index; the fine levels, the
+        # next domain's coarse level and the residual solve bisect inside
+        # certified windows around the last level, with no miss
+        selects = record_selects(monkeypatch)
+        res = ground_state_lambda(PotentialSpec(nu, B, ell))
+        assert selects == ["i"] + ["v"] * (res.iterations - 1)
+
+    def test_iterations_count_a_missed_window(self, monkeypatch):
+        # a window far narrower than the coarse-to-fine shift misses; a
+        # certified but empty one costs a second eigen-solve, the index
+        # selection, and iterations counts it
+        spec = PotentialSpec(0.3, 2.0)
+        want = ground_state_lambda(spec).lam
+        monkeypatch.setattr(groundstate, "LEVEL_WINDOW", 1e-13)
+        selects = record_selects(monkeypatch)
+        res = ground_state_lambda(spec)
+        assert res.iterations == len(selects)
+        assert "vi" in "".join(selects)
+        assert res.lam == pytest.approx(want, rel=1e-15)
+
+    def test_nothing_outlives_a_call(self, monkeypatch):
+        # the same call twice does the same work: one potential pass of
+        # 4n + 3 points per domain, shared by its two grids, and the same
+        # eigen-solves
+        calls = record_eigensolves(monkeypatch)
+        points = []
+        real = groundstate.a_ell_grid
+
+        def recording(spec, z):
+            points.append(np.size(z))
+            return real(spec, z)
+
+        monkeypatch.setattr(groundstate, "a_ell_grid", recording)
+        spec = PotentialSpec(0.3, 2.0)
+        first = ground_state_lambda(spec)
+        work = (len(calls), list(points))
+        calls.clear()
+        points.clear()
+        assert ground_state_lambda(spec) == first
+        assert (len(calls), points) == work
+        assert 2 * len(points) == first.iterations - 1 and points[-1] == 2 * first.n + 1
 
     def test_degenerate_call_is_one_domain(self, monkeypatch):
         # the extrapolated level of the first domain is <= -1: two level

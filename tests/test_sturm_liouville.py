@@ -276,3 +276,55 @@ class TestWindow:
         diag, offdiag = tiny_matrix()
         with pytest.raises(ValueError):
             lowest_of_tridiagonal(diag, offdiag, index=1, window=(0.0, 1.0))
+
+
+def dirac_matrix(n=200, h=0.05):
+    """Free staggered Dirac matrix of size 2n + 1: -1 at the n + 1 even rows,
+    +1 at the n odd ones, coupling 1/h.  It has n + 1 eigenvalues at or below
+    -1, and eigenvalue n + 1 (0-based), the lowest above the gap, is
+    sqrt(1 + (2/h)^2 sin^2(pi/(2(n + 1))))."""
+    diag = np.empty(2 * n + 1)
+    diag[0::2], diag[1::2] = -1.0, 1.0
+    level = math.sqrt(1.0 + (2.0 / h * math.sin(math.pi / (2.0 * (n + 1)))) ** 2)
+    return diag, np.full(2 * n, 1.0 / h), level
+
+
+def dirac_guard(lo, n=200, h=0.05):
+    """G with G - lo I the Schur complement of the -(1 + lo) block of
+    dirac_matrix - lo I: for lo > -1 a factorisation of G - lo I certifies
+    that exactly n + 1 eigenvalues lie at or below lo (Haynsworth)."""
+    c = 1.0 / (h * h * (1.0 + lo))
+    return np.full(n, 1.0 + 2.0 * c), np.full(n - 1, c)
+
+
+class TestGuardedWindow:
+    """window=(lo, hi) with index > 0: bisection inside (lo, hi] once the
+    guard certifies the count at lo, the index selection otherwise."""
+
+    @pytest.mark.parametrize("half_width", [0.5, 1e-3, 1e-9])
+    def test_guarded_window_matches_index_selection(self, monkeypatch, half_width):
+        diag, offdiag, level = dirac_matrix()
+        value = lowest_of_tridiagonal(diag, offdiag, tol=1e-300, index=201)
+        assert value == pytest.approx(level, rel=1e-15)
+        lo = level - half_width
+        selects = record_selects(monkeypatch)
+        got = lowest_of_tridiagonal(diag, offdiag, tol=1e-300, index=201,
+                                    window=(lo, level + half_width), guard=dirac_guard(lo))
+        assert selects == ["v"]
+        assert abs(got - value) <= 2.0 * np.spacing(value)
+
+    @pytest.mark.parametrize("window, selected", [
+        # lo above the level: the guard's factorisation fails, index selection alone
+        ((1.1, 2.0), ["i"]),
+        # certified but empty: bisection, then the index selection
+        ((0.5, 1.0), ["v", "i"]),
+    ], ids=["guard_fails", "empty"])
+    def test_missed_guarded_window_falls_back_to_index_selection(self, monkeypatch, window,
+                                                                 selected):
+        diag, offdiag, _ = dirac_matrix()
+        value = lowest_of_tridiagonal(diag, offdiag, tol=1e-300, index=201)
+        selects = record_selects(monkeypatch)
+        got, solves = sturm_liouville._counted_eigenvalue(
+            diag, offdiag, tol=1e-300, index=201, window=window, guard=dirac_guard(window[0]))
+        assert selects == selected and solves == len(selected)
+        assert got == value
