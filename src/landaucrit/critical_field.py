@@ -25,17 +25,17 @@ one bisection per grid gives kappa with no root loop.  Both routes' pencils
 bisect only inside a window of e^(+-WINDOW_HALF_WIDTH) around the small-delta
 asymptote kappa ~ e^(-pi/2delta), certified to hold the lowest eigenvalue
 (sturm_liouville), not across the whole Gershgorin interval.  log mu is sampled
-once on a grid pair (n and 2n + 1 points on [-Y, Y], Y = pi/(2 delta) + 30)
-and log kappa Richardson-extrapolated over it; in logs this reaches
-delta = 0.01 (kappa ~ e^-157).  Analytic two-sided estimates for E_1
-(step-potential lower side, cosine-trial upper side) come with every solve.
+once per call, on the finer grid of a pair (n and 2n + 1 points on [-Y, Y],
+Y = pi/(2 delta) + 30), and log kappa Richardson-extrapolated over the pair;
+in logs this reaches delta = 0.01 (kappa ~ e^-157).  Analytic two-sided
+estimates for E_1 (step-potential lower side, cosine-trial upper side) come
+with every solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -157,18 +157,25 @@ def _window(delta: float, scale: float = 1.0) -> tuple[float, float]:
 # direct z-space route
 # ---------------------------------------------------------------------------
 
-def _mapped_level(delta: float, rootB: float, T: float, n: int) -> float:
+def _mapped_samples(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cosh t, a_0(sinh t; 1)) at the points t."""
+    return np.cosh(t), a0_scaled(np.sinh(t))
+
+
+def _mapped_level(delta: float, rootB: float, T: float, n: int,
+                  samples: tuple[np.ndarray, np.ndarray]) -> float:
     """Lowest eigenvalue of the direct problem on n interior nodes of t in [-T, T],
     sqrt(B) z = sinh(t): the pencil -(P f_t)_t + Q f = m W f with
     P = 1/(delta a_0 cosh t) at the midpoints, Q = -delta a_0 cosh t and
     W = cosh(t)/sqrt(B) at the nodes, a_0 = a_0(sinh t; 1); bisected inside
-    the window of m = -sqrt(B) kappa / delta."""
-    step, nodes, mids = sturm_liouville.grid_nodes(T, n)
-    p_mid = 1.0 / (delta * a0_scaled(np.sinh(mids)) * np.cosh(mids))
-    jacobian = np.cosh(nodes)
-    q_node = -delta * a0_scaled(np.sinh(nodes)) * jacobian
+    the window of m = -sqrt(B) kappa / delta.  ``samples`` are
+    :func:`_mapped_samples` at the nodes of grid_nodes(T, 2n + 1)."""
+    jacobian, a0 = samples
+    step = 2.0 * T / (n + 1)
+    p_mid = 1.0 / (delta * a0[0::2] * jacobian[0::2])
+    q_node = -delta * a0[1::2] * jacobian[1::2]
     return sturm_liouville.lowest_of_tridiagonal(
-        *sturm_liouville.scaled_pencil(p_mid, q_node, np.sqrt(rootB / jacobian), step),
+        *sturm_liouville.scaled_pencil(p_mid, q_node, np.sqrt(rootB / jacobian[1::2]), step),
         tol=PENCIL_TOL, window=_window(delta, rootB / delta))
 
 
@@ -195,7 +202,7 @@ def m_delta(delta: float, *, B: float = 1.0, h: float = 0.025) -> float:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     rootB = math.sqrt(B)
     m, _ = sturm_liouville._mapped_richardson(
-        lambda T, n: _mapped_level(delta, rootB, T, n),
+        _mapped_samples, lambda T, n, samples: _mapped_level(delta, rootB, T, n, samples),
         math.asinh(DIRECT_PAD * math.exp(math.pi / (2.0 * delta))), h,
         lambda prev, m: abs(m - prev) <= DIRECT_DOMAIN_TOL * abs(m), MAX_DIRECT_DOUBLINGS)
     return m
@@ -227,18 +234,13 @@ def critical_field_direct(delta: float) -> CriticalFieldResult:
 # Schrodinger-form route
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
 def _log_mu_grids(Y: float, h: float) -> tuple[tuple[float, np.ndarray], ...]:
-    """(step, log mu at the nodes) on the n- and (2n + 1)-point grids of [-Y, Y];
-    sampled once per (Y, h) and shared, hence read-only."""
-    n = sturm_liouville.odd_points(Y, h)
-    grids = []
-    for m in (n, 2 * n + 1):
-        step, nodes, _ = sturm_liouville.grid_nodes(Y, m)
-        log_mu = log_mu_of_y(nodes)
-        log_mu.setflags(write=False)
-        grids.append((step, log_mu))
-    return tuple(grids)
+    """(step, log mu at the nodes) on the n- and (2n + 1)-point grids of [-Y, Y],
+    from one pass over the finer grid: its odd nodes are the coarser grid's,
+    at twice its step (exact)."""
+    step, nodes, _ = sturm_liouville.grid_nodes(Y, 2 * sturm_liouville.odd_points(Y, h) + 1)
+    log_mu = log_mu_of_y(nodes)
+    return (2.0 * step, log_mu[1::2]), (step, log_mu)
 
 
 def E1_of_kappa(log_kappa: float, *, Y: float | None = None,
@@ -250,7 +252,7 @@ def E1_of_kappa(log_kappa: float, *, Y: float | None = None,
     and capped at WALL_CAP where the exponential wall has long since become
     impenetrable for levels of O(1).  Y (default |log kappa| + 30, past the
     turning point) is fixed, not doubled; the value is Richardson-extrapolated
-    over the grid pair of spacing h and h/2, whose log mu samples are cached.
+    over the grid pair of spacing h and h/2, sampled in one log mu pass.
     Value only: the oracle for delta^2 = E_1(kappa), which the pencil of
     :func:`critical_field_schrodinger` solves without calling it.
     """

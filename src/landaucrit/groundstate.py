@@ -24,7 +24,8 @@ Phi(-1) < 0.  At lambda = -1 the Schur complement is the direct route's
 pencil plus its weight, so T(-1) = 1 + sqrt(B) m(nu) grid by grid.
 
 The mapped-grid driver of sturm_liouville does the Richardson extrapolation
-over n -> 2n + 1 and the domain doubling in z.  Only the first grid of a
+over n -> 2n + 1 and the domain doubling in z, and samples the potential
+once per domain for both grids of the pair.  Only the first grid of a
 call bisects its level from the Gershgorin interval.  Every later one (the
 fine grid after the coarse one, the next domain's coarse grid after the
 last fine one) bisects inside (lo, hi] = c -+ LEVEL_WINDOW around the last
@@ -34,10 +35,7 @@ exactly n + 1 eigenvalues of H lie at or below lo (the gap min-max of
 Dolbeault, Esteban and Sere used as a Sylvester certificate), so the level
 is the smallest eigenvalue in the window.  The residual solve of T at the
 fine level bisects inside the same width around it.  A failed certificate
-or an empty window falls back to the index selection.  The potential is
-sampled once per domain: the fine grid's 2n + 1 nodes are the coarse
-grid's nodes and midpoints, bit for bit, so one pass over the fine grid's
-nodes and midpoints serves both grids.
+or an empty window falls back to the index selection.
 """
 
 from __future__ import annotations
@@ -109,15 +107,8 @@ def _default_domain(spec: PotentialSpec) -> float:
     return max(C_FIELD / math.sqrt(spec.B), C_COULOMB / spec.nu, 10.0)
 
 
-def _samples(spec: PotentialSpec, T: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(z', a_ell) at the n + 1 cell midpoints of t in [-T, T] interleaved
-    with the n interior nodes, a midpoint first, sqrt(B) z = sinh(t).  The
-    samples of n points are those of 2n + 1 at the odd positions, bit for bit:
-    the finer grid's nodes are the coarser one's nodes and midpoints."""
-    _, nodes, mids = sturm_liouville.grid_nodes(T, n)
-    t = np.empty(2 * n + 1)
-    t[0::2] = mids
-    t[1::2] = nodes
+def _samples(spec: PotentialSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z', a_ell) at the points t, sqrt(B) z = sinh(t)."""
     rootB = math.sqrt(spec.B)
     return np.cosh(t) / rootB, a_ell_grid(spec, np.sinh(t) / rootB)
 
@@ -126,11 +117,12 @@ class _Grid:
     """Potential samples on n interior nodes of t in [-T, T], sqrt(B) z = sinh(t),
     shared by the level and Phi.
 
-    ``samples`` are this grid's :func:`_samples`, taken from its refinement's
-    when given.  ``centre``, a level close to this grid's (the last one
-    computed), centres the bisection window of :meth:`level`.  ``missed`` is
-    1 when the certified window of the grid's last solve held no eigenvalue,
-    so that the index selection ran after the bisection, and 0 otherwise."""
+    ``samples`` are :func:`_samples` at the nodes of grid_nodes(T, 2n + 1),
+    taken here when not given.  ``centre``, a level close to this grid's (the
+    last one computed), centres the bisection window of :meth:`level`.
+    ``missed`` is 1 when the certified window of the grid's last solve held no
+    eigenvalue, so that the index selection ran after the bisection, and 0
+    otherwise."""
 
     def __init__(self, spec: PotentialSpec, T: float, n: int, *,
                  samples: tuple[np.ndarray, np.ndarray] | None = None,
@@ -138,7 +130,8 @@ class _Grid:
         self.spec = spec
         self.n = n
         self.h = 2.0 * T / (n + 1)
-        self.dz, a = _samples(spec, T, n) if samples is None else samples
+        self.dz, a = (_samples(spec, sturm_liouville.grid_nodes(T, 2 * n + 1)[1])
+                      if samples is None else samples)
         self.a_mids = a[0::2]
         self.q_nodes = 1.0 - spec.nu * a[1::2]
         self.centre = centre
@@ -202,21 +195,16 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
     """
     rootB = math.sqrt(spec.B)
     solves, fine = 0, None  # fine: (grid, level) of the last grid solved
-    refinement = {}  # (T, 2n + 1) -> samples, taken for the coarse grid of (T, n)
 
-    def level(T: float, n: int) -> float:
+    def level(T: float, n: int, samples: tuple[np.ndarray, np.ndarray]) -> float:
         nonlocal solves, fine
-        samples = refinement.pop((T, n), None)
-        if samples is None:
-            refinement[T, 2 * n + 1] = refined = _samples(spec, T, 2 * n + 1)
-            samples = tuple(s[1::2] for s in refined)
         grid = _Grid(spec, T, n, samples=samples, centre=None if fine is None else fine[1])
         fine = (grid, grid.level())
         solves += 1 + grid.missed
         return fine[1]
 
     lam, T = sturm_liouville._mapped_richardson(
-        level, math.asinh(rootB * _default_domain(spec)), h,
+        lambda t: _samples(spec, t), level, math.asinh(rootB * _default_domain(spec)), h,
         lambda prev, lam: lam <= -1.0 or abs(lam - prev) < DOMAIN_TOL, MAX_DOUBLINGS)
     grid, level_fine = fine
     L = math.sinh(T) / rootB

@@ -23,7 +23,11 @@ lambda w f, makes the pencil (A, diag(w)); :func:`scaled_pencil` returns the
 symmetric tridiagonal matrix with the same eigenvalues.  The problems posed
 on the sinh-mapped grid sqrt(B) z = sinh(t) (critical_field.m_delta and
 groundstate.ground_state_lambda) share one grid driver,
-:func:`_mapped_richardson`.
+:func:`_mapped_richardson`, which samples their coefficients once per
+domain: the Richardson pair's fine grid of 2n + 1 nodes has the coarse
+grid's nodes and midpoints as its nodes, bit for bit (the halved step is
+exact), so one pass over the fine grid's nodes and midpoints serves both
+grids, the coarse one reading its odd samples.
 """
 
 from __future__ import annotations
@@ -114,22 +118,27 @@ def richardson_step(coarse: float, fine: float) -> tuple[float, float]:
     return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
 
 
-def _mapped_richardson(level: Callable[[float, int], float], T: float, h: float,
-                       stop: Callable[[float, float], bool],
+def _mapped_richardson(sample: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+                       level: Callable[[float, int, tuple[np.ndarray, ...]], float],
+                       T: float, h: float, stop: Callable[[float, float], bool],
                        max_doublings: int) -> tuple[float, float]:
     """(value, T) of a problem on the sinh-mapped grid sqrt(B) z = sinh(t).
 
-    ``level(T, n)``, the problem's value on n interior nodes of t in [-T, T],
-    is called on n = odd_points(T, h), then on 2n + 1 (odd n keeps z = 0 on a
-    node), and the two are Richardson-extrapolated.  The domain is doubled in
-    z, T -> asinh(2 sinh T), until ``stop(previous value, value)`` holds (the
-    previous value is nan on the first domain); TruncationError after
-    ``max_doublings`` doublings.
+    ``level(T, n, samples)``, the problem's value on n interior nodes of t in
+    [-T, T], is called on n = odd_points(T, h), then on 2n + 1 (odd n keeps
+    z = 0 on a node), and the two are Richardson-extrapolated.  ``samples``
+    are ``sample(t)`` at the nodes of grid_nodes(T, 2n + 1), the grid's
+    midpoints and nodes interleaved: one call per domain, on the fine grid.
+    The domain is doubled in z, T -> asinh(2 sinh T), until ``stop(previous
+    value, value)`` holds (the previous value is nan on the first domain);
+    TruncationError after ``max_doublings`` doublings.
     """
     prev = value = math.nan
     for _ in range(max_doublings + 1):
         n = odd_points(T, h)
-        prev, value = value, richardson_step(level(T, n), level(T, 2 * n + 1))[0]
+        samples = sample(grid_nodes(T, 4 * n + 3)[1])
+        prev, value = value, richardson_step(level(T, n, tuple(s[1::2] for s in samples)),
+                                             level(T, 2 * n + 1, samples))[0]
         if stop(prev, value):
             return value, T
         T = math.asinh(2.0 * math.sinh(T))

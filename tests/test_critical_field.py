@@ -123,6 +123,33 @@ class TestMDelta:
         assert 0 < len(rows) <= 10
         assert max(rows) <= 10_000
 
+    def test_one_potential_pass_per_domain(self, monkeypatch):
+        # a_0 is sampled once per domain, on the 4n + 3 nodes and midpoints
+        # of the fine grid, shared by the pair; the same call twice does the
+        # same work
+        points, grids = [], []
+        real_a0, real_level = cf.a0_scaled, cf._mapped_level
+
+        def recording_a0(zeta):
+            points.append(np.size(zeta))
+            return real_a0(zeta)
+
+        def recording_level(delta, rootB, T, n, *samples):
+            grids.append(n)
+            return real_level(delta, rootB, T, n, *samples)
+
+        monkeypatch.setattr(cf, "a0_scaled", recording_a0)
+        monkeypatch.setattr(cf, "_mapped_level", recording_level)
+        first = cf.m_delta(0.3)
+        work = (list(points), list(grids))
+        coarse = grids[0::2]
+        assert len(grids) >= 4 and len(points) == len(coarse)
+        assert points == [4 * n + 3 for n in coarse]
+        points.clear()
+        grids.clear()
+        assert cf.m_delta(0.3) == first
+        assert (points, grids) == work
+
     def test_doubling_budget_exhausted_raises(self, monkeypatch):
         monkeypatch.setattr(cf, "MAX_DIRECT_DOUBLINGS", 0)
         with pytest.raises(TruncationError):
@@ -277,10 +304,13 @@ class TestSchrodingerSolve:
             return real(y)
 
         monkeypatch.setattr(cf, "log_mu_of_y", counting)
-        cf._log_mu_grids.cache_clear()
-        cf.critical_field_schrodinger(0.5)
-        # one sampling per grid of the pair, one for the analytic bracket
-        assert 0 < len(calls) <= 3
+        first = cf.critical_field_schrodinger(0.5)
+        # one sampling for the grid pair, one for the analytic bracket
+        assert len(calls) == 2
+        # nothing is kept between calls: an identical call samples again
+        calls.clear()
+        assert cf.critical_field_schrodinger(0.5) == first
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("delta", [0.1, 0.5])
     def test_grid_convergence(self, delta):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from landaucrit import critical_field, groundstate
+from landaucrit import critical_field, groundstate, sturm_liouville
 from landaucrit.potentials import PotentialSpec
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -50,7 +50,9 @@ def test_T_at_minus_one_is_one_plus_sqrt_B_m(nu, log10_B):
     # the same for every B; both sides agree to the float floor of T
     B, T, n = 10.0**log10_B, 6.0, 479
     phi, floor = groundstate._Grid(PotentialSpec(nu, B), T, n).phi(-1.0)
-    one_plus_m = 1.0 + critical_field._mapped_level(nu, math.sqrt(B), T, n)
+    samples = critical_field._mapped_samples(sturm_liouville.grid_nodes(T, 2 * n + 1)[1])
+    one_plus_m = 1.0 + critical_field._mapped_level(nu, math.sqrt(B), T, n, samples)
     assert abs((phi - 1.0) - one_plus_m) <= 4.0 * floor
-    assert abs(one_plus_m - (1.0 + math.sqrt(B) * critical_field._mapped_level(nu, 1.0, T, n))
+    assert abs(one_plus_m - (1.0 + math.sqrt(B)
+                             * critical_field._mapped_level(nu, 1.0, T, n, samples))
                ) <= 4.0 * floor
