@@ -200,6 +200,8 @@ def m_delta(delta: float, *, B: float = 1.0, h: float = 0.025) -> float:
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not (B > 0.0 and math.isfinite(B)):
+        raise ValueError(f"B must be positive and finite, got {B}")
     rootB = math.sqrt(B)
     m, _ = sturm_liouville._mapped_richardson(
         _mapped_samples, lambda T, n, samples: _mapped_level(delta, rootB, T, n, samples),

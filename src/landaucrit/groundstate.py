@@ -224,4 +224,4 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
 def ground_state_per_ell(spec: PotentialSpec,
                          ells: Sequence[int] = (0, 1, 2)) -> list[FixedPointResult]:
     """Ground state per Landau index at fixed (nu, B); ell = 0 is the minimum."""
-    return [ground_state_lambda(replace(spec, ell=int(ell))) for ell in ells]
+    return [ground_state_lambda(replace(spec, ell=ell)) for ell in ells]

@@ -15,7 +15,10 @@ Gaussian-moment asymptotic series in 1/zeta^2.
 The change of variables y(z) = ∫_0^z a_0(t;1) dt and the weight
 mu(y) = 1/a_0(z(y);1) turn the critical-field condition into a Schrodinger
 eigenvalue problem; both are supported far into the tail (|y| of several
-hundred) by carrying log z instead of z.
+hundred) by carrying log z instead of z.  Up to SWITCH_RADIUS, y(z) is the
+``chebint`` of a Chebyshev interpolant of a_0, and z(y)/y is interpolated through
+vectorised Newton roots of it (the derivative a_0 is exact); beyond, y(z) is
+log z + gamma plus the integrated 1/z^2 series of a_0, inverted in log z.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev
-from scipy.integrate import quad
-from scipy.optimize import brentq
+from numpy.polynomial import chebyshev, polynomial
 from scipy.special import erfcx, roots_legendre
+
+from .errors import AccuracyError
 
 __all__ = [
     "PotentialSpec",
@@ -47,8 +50,6 @@ SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 # Switch radius in the scaled variable zeta = sqrt(B) z.  Beyond it the
 # asymptotic series (12 terms) is accurate to ~1e-15.
 SWITCH_RADIUS = 30.0
-
-_QUAD_OPTS = dict(epsabs=1e-300, epsrel=1e-13, limit=400)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ _GL_X, _GL_W = roots_legendre(32)
 
 
 def _a_scaled_grid_gl(ell: int, zetas: np.ndarray) -> np.ndarray:
-    """Vectorized a_ell(zeta;1) via the substitution u = t^2 - zeta^2 shifted.
+    """Vectorized a_ell(zeta;1), ell >= 1, via the substitution u = t^2 - zeta^2 shifted.
 
     With t = zeta + v the integrand becomes c_ell [v(2 zeta + v)]^ell
     e^(-v(2 zeta + v)/2), analytic in v >= 0, so composite Gauss-Legendre
@@ -140,12 +141,9 @@ def _a_scaled_grid_gl(ell: int, zetas: np.ndarray) -> np.ndarray:
         half = 0.5 * (hi - lo)
         v = mid[:, None] + half[:, None] * _GL_X[None, :]
         u = v * (2.0 * zetas[:, None] + v)
-        if ell == 0:
-            vals = np.exp(log_norm - 0.5 * u)
-        else:
-            with np.errstate(divide="ignore"):
-                log_u = np.where(u > 0.0, np.log(np.where(u > 0.0, u, 1.0)), -np.inf)
-            vals = np.exp(log_norm + ell * log_u - 0.5 * u)
+        with np.errstate(divide="ignore"):
+            log_u = np.where(u > 0.0, np.log(np.where(u > 0.0, u, 1.0)), -np.inf)
+        vals = np.exp(log_norm + ell * log_u - 0.5 * u)
         out += (vals @ _GL_W) * half
     return out
 
@@ -197,23 +195,58 @@ def a_ell_grid(spec: PotentialSpec, z: np.ndarray) -> np.ndarray:
 # change of variables y(z), inverse z(y), weight mu(y)
 # ---------------------------------------------------------------------------
 
-def _a0_scalar(t: float) -> float:
-    return SQRT_PI_OVER_2 * erfcx(abs(t) / math.sqrt(2.0))
+#: Chebyshev degree of y(z) and z(y)/y on [0, Z0]: higher degrees only add rounding
+#: (log mu against quad on 3 100 points: 2.2e-14 off at 56, 1.8e-13 at 160)
+_MAP_DEGREE = 56
 
 
 @lru_cache(maxsize=1)
+def _inverse_cheb():
+    """(y(Z0), Chebyshev coefficients of z(y)/y on [0, y(Z0)]), built once per process.
+
+    y(z) is the ``chebint`` of the interpolant of a0_scaled.  At the Chebyshev
+    points y_k, z starts from linear interpolation and takes four Newton steps
+    z -= (y(z) - y_k)/a_0(z) (residuals 1e-5, 5e-11, then rounding); a residual
+    above 8 eps y(Z0) raises AccuracyError.
+    """
+    y_coeffs = chebyshev.chebint(
+        chebyshev.chebinterpolate(lambda x: a0_scaled(0.5 * SWITCH_RADIUS * (1.0 + x)), _MAP_DEGREE),
+        lbnd=-1.0, scl=0.5 * SWITCH_RADIUS)
+
+    def y_of(z):
+        return chebyshev.chebval(2.0 * z / SWITCH_RADIUS - 1.0, y_coeffs)
+
+    y0 = float(y_of(SWITCH_RADIUS))
+
+    def z_at(x):
+        nodes_z = 0.5 * SWITCH_RADIUS * (1.0 + x)
+        nodes_y = 0.5 * y0 * (1.0 + x)
+        z = np.interp(nodes_y, y_of(nodes_z), nodes_z)
+        for _ in range(4):
+            z = z - (y_of(z) - nodes_y) / a0_scaled(z)
+        residual = float(np.max(np.abs(y_of(z) - nodes_y)))
+        if residual > 8.0 * np.finfo(float).eps * y0:
+            raise AccuracyError(f"Newton inversion of y(z) left a residual of {residual:.3e}")
+        return z / nodes_y
+
+    return y0, chebyshev.chebinterpolate(z_at, _MAP_DEGREE)
+
+
 def _y_at_switch() -> float:
     """y(Z0) = ∫_0^Z0 a_0(t;1) dt."""
-    val, _ = quad(_a0_scalar, 0.0, SWITCH_RADIUS, **_QUAD_OPTS)
-    return val
+    return _inverse_cheb()[0]
+
+
+#: c_k = (-1)^k (2k-1)!!, k = 0..8: z a_0(z;1) = sum_k c_k z^(-2k) for z >= Z0,
+#: where the first term left out, 17!!/z^18, is below 1e-19
+_A0_TAIL = np.array([(-1) ** k * math.prod(range(1, 2 * k, 2)) for k in range(9)], dtype=float)
+#: its termwise integral: D(z) = sum_(k>=1) c_k z^(-2k)/(-2k)
+_Y_TAIL = np.concatenate(([0.0], _A0_TAIL[1:] / (-2.0 * np.arange(1, 9))))
 
 
 def _tail_correction(z2inv):
-    """D with y(z) = log z + gamma + D for z >= Z0, in z2inv = 1/z^2; D = O(1/z^2).
-
-    Horner form; accepts floats and arrays.
-    """
-    return z2inv * (0.5 + z2inv * (-0.75 + z2inv * (15.0 / 6.0 + z2inv * (-105.0 / 8.0))))
+    """D with y(z) = log z + gamma + D for z >= Z0, in z2inv = 1/z^2 (floats or arrays)."""
+    return polynomial.polyval(z2inv, _Y_TAIL)
 
 
 @lru_cache(maxsize=1)
@@ -223,65 +256,47 @@ def _log_offset() -> float:
     return _y_at_switch() - math.log(z0) - _tail_correction(1.0 / (z0 * z0))
 
 
-def _log_z_far(y: np.ndarray) -> np.ndarray:
-    """log z(y) for y beyond y(Z0): fixed point of log z = y - gamma - D(z)."""
-    target = y - _log_offset()
-    log_z = target.copy()
-    for _ in range(3):
-        log_z = target - _tail_correction(np.exp(-2.0 * np.minimum(log_z, 350.0)))
+def _log_z_far(target: np.ndarray) -> np.ndarray:
+    """log z with log z = target - D(z), where target = y - gamma, y > y(Z0).
+
+    The fixed-point map contracts by |dD/dlog z| <= 1/Z0^2 ~ 1.1e-3 and the
+    start misses by D(Z0) ~ 5.6e-4, so five steps leave an error below 1e-18.
+    """
+    log_z = target
+    for _ in range(5):
+        log_z = target - _tail_correction(np.exp(-2.0 * log_z))
     return log_z
 
 
-@lru_cache(maxsize=1)
-def _inverse_cheb():
-    """Chebyshev interpolant of z(y) on [0, y(Z0)], built once per process."""
-    y0 = _y_at_switch()
-    k = np.arange(161)
-    nodes_y = 0.5 * y0 * (1.0 - np.cos(np.pi * k / 160))
-    nodes_z = np.empty_like(nodes_y)
-    for i, yv in enumerate(nodes_y):
-        if yv <= 0.0:
-            nodes_z[i] = 0.0
-            continue
-        f = lambda zz: quad(_a0_scalar, 0.0, zz, **_QUAD_OPTS)[0] - yv
-        nodes_z[i] = brentq(f, 0.0, SWITCH_RADIUS * (1.0 + 1e-12), xtol=1e-15, rtol=8.9e-16)
-    coeffs = chebyshev.chebfit(2.0 * nodes_y / y0 - 1.0, nodes_z, 160)
-    return y0, coeffs
-
-
-def _z_of_y_core(y: float) -> tuple[float, float]:
-    """(z, log z) for y >= 0; z may overflow to inf while log z stays finite."""
+def _map(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log z, log mu) on an array of y >= 0: log of y times the Chebyshev
+    interpolant of z(y)/y up to y(Z0) (so z(0) = 0 exactly), the fixed point
+    in log z beyond it; both stay finite where z and mu overflow."""
     y0, coeffs = _inverse_cheb()
-    if y <= y0:
-        z = float(chebyshev.chebval(2.0 * y / y0 - 1.0, coeffs))
-        z = max(z, 0.0)
-        return z, (math.log(z) if z > 0.0 else -math.inf)
-    log_z = float(_log_z_far(np.array([y]))[0])
-    try:
-        z = math.exp(log_z)
-    except OverflowError:
-        z = math.inf
-    return z, log_z
+    near = y <= y0
+    # beyond log z = 20, D(z) and log(z a_0) are below 5e-18, under the
+    # rounding of log z, so there log mu = log z = y - gamma
+    log_z = np.subtract(y, _log_offset(), out=np.empty_like(y))
+    log_mu = log_z.copy()
+    z = y[near] * chebyshev.chebval(2.0 * y[near] / y0 - 1.0, coeffs)
+    with np.errstate(divide="ignore"):
+        log_z[near] = np.log(z)
+    log_mu[near] = -np.log(a0_scaled(z))
+    tail = ~near & (log_z < 20.0)
+    log_z[tail] = _log_z_far(log_z[tail])
+    log_mu[tail] = log_z[tail] - np.log(polynomial.polyval(np.exp(-2.0 * log_z[tail]), _A0_TAIL))
+    return log_z, log_mu
 
 
 def z_of_y(y: float) -> VariableMap:
     """Inverse map z(y); exact odd symmetry, log-space beyond the switch."""
     if not math.isfinite(y):
         raise ValueError(f"y must be finite, got {y}")
-    ay = abs(y)
-    z, log_z = _z_of_y_core(ay)
-    log_mu = float(log_mu_of_y(np.array([ay]))[0])
-    try:
-        mu = math.exp(log_mu)
-    except OverflowError:
-        mu = math.inf
-    return VariableMap(
-        z=math.copysign(z, y) if y != 0.0 else 0.0,
-        y=y,
-        mu_at_y=mu,
-        log_abs_z=log_z,
-        log_mu=log_mu,
-    )
+    log_z, log_mu = (float(v[0]) for v in _map(np.array([abs(y)])))
+    with np.errstate(over="ignore"):
+        z, mu = (float(v) for v in np.exp([log_z, log_mu]))
+    return VariableMap(z=math.copysign(z, y) if y != 0.0 else 0.0, y=y, mu_at_y=mu,
+                       log_abs_z=log_z, log_mu=log_mu)
 
 
 def log_mu_of_y(y) -> np.ndarray:
@@ -290,19 +305,7 @@ def log_mu_of_y(y) -> np.ndarray:
     Carried fully in logarithms so that potentials exp(log kappa + log mu)
     can be assembled without overflow for |y| of a few hundred.
     """
-    y = np.abs(np.asarray(y, dtype=float))
-    y0, coeffs = _inverse_cheb()
-    out = np.empty_like(y)
-    near = y <= y0
-    if np.any(near):
-        z = chebyshev.chebval(2.0 * y[near] / y0 - 1.0, coeffs)
-        out[near] = -np.log(a0_scaled(z))
-    if np.any(~near):
-        log_z = _log_z_far(y[~near])
-        z2inv = np.exp(-2.0 * np.minimum(log_z, 350.0))
-        series = 1.0 + z2inv * (-1.0 + z2inv * (3.0 + z2inv * (-15.0 + z2inv * 105.0)))
-        out[~near] = log_z - np.log(series)
-    return out
+    return _map(np.abs(np.asarray(y, dtype=float)))[1]
 
 
 def mu_bound_constant() -> float:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 # quad is called nowhere here; the benchmark's trace (perfbench/layers.py)
@@ -32,6 +31,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 from scipy.special import roots_legendre
 
+from . import potentials
 from .errors import AccuracyError
 from .potentials import a0_scaled, a_scaled_vec
 
@@ -268,33 +268,19 @@ class UpperBoundCertificate:
     params: dict
 
 
-# --- kinetic weight w_ell(zeta; 1) = ∫ (u^ell/ell!) e^{-u} sqrt(2u + zeta^2) du
-
-_GLX64, _GLW64 = roots_legendre(64)
-
-
-@lru_cache(maxsize=16)
-def _w_panels(ell: int):
-    t_max = math.sqrt(2.0 * ell + 1.0) + 14.0
-    edges = np.array([0.0, 0.7, 2.5, t_max])
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + half[:, None] * _GLX64[None, :]).ravel()
-    log_norm = -ell * math.log(2.0) - math.lgamma(ell + 1)
-    with np.errstate(divide="ignore"):
-        log_t = np.where(t > 0.0, np.log(np.where(t > 0.0, t, 1.0)), -np.inf)
-    base = np.exp(log_norm + (2 * ell + 1) * log_t - 0.5 * t * t)
-    weights = (half[:, None] * _GLW64[None, :]).ravel()
-    return t, base * weights
-
+# --- kinetic weight w_ell(zeta; 1) = ∫ rho_ell(t) sqrt(t^2 + zeta^2) dt, where
+# rho_ell(t) = t^(2ell+1) e^(-t^2/2)/(2^ell ell!) is the density that gives
+# a_ell(zeta; 1) = ∫ rho_ell(t)/sqrt(t^2 + zeta^2) dt.  Since
+# t^2 rho_ell = 2(ell+1) rho_(ell+1), writing sqrt(t^2 + zeta^2) as
+# (t^2 + zeta^2)/sqrt(t^2 + zeta^2) gives w_ell = zeta^2 a_ell + 2(ell+1) a_(ell+1).
 
 def w_scaled_vec(ell: int, zeta) -> np.ndarray:
     """Transverse average of r over the ell-th zero-mode density, at B = 1."""
     zeta = np.abs(np.asarray(zeta, dtype=float))
     if ell == 0:
         return zeta + a0_scaled(zeta)
-    t, w = _w_panels(ell)
-    return np.sqrt(t[None, :] ** 2 + zeta[..., None] ** 2) @ w
+    return (zeta * zeta * potentials.a_scaled_vec(ell, zeta)
+            + 2.0 * (ell + 1) * potentials.a_scaled_vec(ell + 1, zeta))
 
 
 # --- composite Gauss-Legendre panels in z for the reduced integrals
@@ -335,8 +321,8 @@ def evaluate_GB(nu: float, B: float, trial: TrialState, *,
     """
     if not (0.0 < nu < 1.0):
         raise ValueError(f"nu must lie in (0, 1), got {nu}")
-    if B <= 0.0:
-        raise ValueError(f"B must be positive, got {B}")
+    if not (B > 0.0 and math.isfinite(B)):
+        raise ValueError(f"B must be positive and finite, got {B}")
     ell = trial.ell
     profile = trial.profile
     rootB = math.sqrt(B)

@@ -8,10 +8,16 @@ Each takes a different route from the library's one evaluation path:
   uses erfcx for ell = 0 and a Chebyshev fit of Gauss-Legendre panels.
 - ``a_ell_direct`` integrates in the unscaled variable s, so it does not
   rely on the sqrt(B) scaling identity that ``scaling_check`` tests.
+- ``w_ell`` evaluates the kinetic weight w_ell(zeta; 1) by adaptive ``quad``
+  of its defining integral; the library takes it from a_ell and a_(ell+1)
+  through an exact identity.
 - ``y_of_z`` integrates a_0 by ``quad``, the forward direction of the map
-  whose inverse the library tabulates as a Chebyshev fit of brentq roots.
+  whose inverse the library interpolates through Newton roots of the
+  integrated Chebyshev interpolant of a_0.
 - ``mp_a0`` is a_0(t; 1) from mpmath's exp and erfc with the working
   precision raised to cover exp(t^2/2); the library calls scipy's erfcx.
+- ``mp_y_of_z`` gives y(z) and log mu at z <= 1e4 in 30-digit mpmath, by
+  quadrature of :func:`mp_a0`.
 - ``far_tail`` gives y(z) and log mu at z = e^(log z) in 40-digit mpmath:
   quadrature of a_0 from erfc up to z = 1e4 and its 1/z series integrated
   in closed form beyond, where the library inverts a fixed point in log z.
@@ -23,8 +29,9 @@ Each takes a different route from the library's one evaluation path:
   ``ground_state_lambda`` takes its level from the staggered Dirac matrix on
   the sinh-mapped t-grid.
 - ``evaluate_GB_quad`` sums the zero-mode trial functional by adaptive
-  ``quad`` of point-wise integrands, where ``trial_bounds.evaluate_GB`` uses
-  fixed Gauss-Legendre panels and one array evaluation per rule.
+  ``quad`` of point-wise integrands, with the kinetic weight from ``w_ell``,
+  where ``trial_bounds.evaluate_GB`` uses fixed Gauss-Legendre panels and one
+  array evaluation per rule.
 """
 
 from __future__ import annotations
@@ -35,15 +42,18 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import erfcx
 
 from landaucrit import groundstate, sturm_liouville
 from landaucrit import potentials as pot
 from landaucrit.errors import TruncationError
 from landaucrit.potentials import PotentialSpec, VariableMap
 from landaucrit.sturm_liouville import EigenResult, SturmLiouvilleProblem
-from landaucrit.trial_bounds import TrialEvaluation, TrialState, w_scaled_vec
+from landaucrit.trial_bounds import TrialEvaluation, TrialState
 
 _QUAD_OPTS = dict(epsabs=1e-300, epsrel=1e-13, limit=400)
+
+SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -59,21 +69,33 @@ class PotentialEvaluation:
     regime: str  # "quadrature" or "asymptotic"
 
 
-def a_scaled_quadrature(ell: int, zeta: float) -> float:
-    """Adaptive quadrature of the defining integral in the scaled variable."""
+def _zero_mode_quadrature(ell: int, zeta: float, kernel) -> float:
+    """∫ t^(2ell+1) e^(-t^2/2) kernel(t, zeta) dt / (2^ell ell!) by adaptive quadrature."""
     zeta = abs(zeta)
     log_norm = -ell * math.log(2.0) - math.lgamma(ell + 1)
 
     def integrand(t):
         if t == 0.0:
             return 0.0
-        return math.exp(log_norm + (2 * ell + 1) * math.log(t) - 0.5 * t * t) / math.hypot(t, zeta)
+        return math.exp(log_norm + (2 * ell + 1) * math.log(t) - 0.5 * t * t) * kernel(t, zeta)
 
     t_peak = math.sqrt(2 * ell + 1)
     t_max = t_peak + 40.0
     pts = sorted({p for p in (zeta, t_peak) if 0.0 < p < t_max})
     value, _ = quad(integrand, 0.0, t_max, points=pts or None, **_QUAD_OPTS)
     return value
+
+
+def a_scaled_quadrature(ell: int, zeta: float) -> float:
+    """Adaptive quadrature of the defining integral in the scaled variable."""
+    return _zero_mode_quadrature(ell, zeta, lambda t, zeta: 1.0 / math.hypot(t, zeta))
+
+
+def w_ell(ell: int, zeta: float) -> float:
+    """w_ell(zeta; 1), the zero-mode average of r, by adaptive quadrature of
+    its defining integral: the kernel of a_ell with sqrt(t^2 + zeta^2) in
+    place of its inverse."""
+    return _zero_mode_quadrature(ell, zeta, math.hypot)
 
 
 def _a_scaled(ell: int, zeta: float) -> tuple[float, str]:
@@ -127,16 +149,20 @@ def scaling_check(B: float, z: float) -> float:
     return abs(direct - scaled) / direct
 
 
+def _a0_scalar(t: float) -> float:
+    return SQRT_PI_OVER_2 * erfcx(abs(t) / math.sqrt(2.0))
+
+
 def y_of_z(z: float) -> VariableMap:
     """Forward map y(z) = ∫_0^z a_0(t;1) dt with the weight mu at that point."""
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
     az = abs(z)
     if az <= pot.SWITCH_RADIUS:
-        y, _ = quad(pot._a0_scalar, 0.0, az, **_QUAD_OPTS)
+        y, _ = quad(_a0_scalar, 0.0, az, **_QUAD_OPTS)
     else:
         y = pot._log_offset() + math.log(az) + pot._tail_correction(1.0 / (az * az))
-    a_val = pot._a0_scalar(az)
+    a_val = _a0_scalar(az)
     y = math.copysign(y, z) if z != 0.0 else 0.0
     return VariableMap(
         z=z,
@@ -160,6 +186,17 @@ def mp_a0(t):
 
     with mpmath.workdps(mpmath.mp.dps + 2 * int(mpmath.log10(max(t, 1))) + 2):
         return mpmath.sqrt(mpmath.pi / 2) * mpmath.exp(t * t / 2) * mpmath.erfc(t / mpmath.sqrt(2))
+
+
+def mp_y_of_z(z: float) -> tuple[float, float]:
+    """(y(z), log mu = -log a_0(z; 1)) at 0 < z <= 1e4, by 30-digit quadrature
+    of :func:`mp_a0` split at 1, 4, 10, 30, 100 and 1000."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        z = mpmath.mpf(z)
+        y = mpmath.quad(mp_a0, [0] + [p for p in (1, 4, 10, 30, 100, 1000) if p < z] + [z])
+        return float(y), float(-mpmath.log(mp_a0(z)))
 
 
 @lru_cache(maxsize=1)
@@ -319,8 +356,8 @@ def T_of_lambda(spec: PotentialSpec, lam: float, *, L: float | None = None,
 def evaluate_GB_quad(nu: float, B: float, trial: TrialState, *,
                      epsrel: float = 1e-10) -> TrialEvaluation:
     """G_B = (1/nu) ∫ w_ell |f'|^2 - nu ∫ a_ell |f|^2 by adaptive ``quad``,
-    the integrands evaluated one point at a time, split at the profile's
-    breakpoints."""
+    the integrands evaluated one point at a time (w_ell by :func:`w_ell`),
+    split at the profile's breakpoints."""
     if not (0.0 < nu < 1.0):
         raise ValueError(f"nu must lie in (0, 1), got {nu}")
     if B <= 0.0:
@@ -331,8 +368,7 @@ def evaluate_GB_quad(nu: float, B: float, trial: TrialState, *,
 
     def kin_integrand(z):
         zz = np.array([z])
-        w = w_scaled_vec(ell, rootB * zz) / rootB
-        return float((w * profile.derivative(zz) ** 2)[0])
+        return w_ell(ell, rootB * z) / rootB * float(profile.derivative(zz)[0]) ** 2
 
     def pot_integrand(z):
         zz = np.array([z])

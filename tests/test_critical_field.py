@@ -159,6 +159,11 @@ class TestMDelta:
         with pytest.raises(ValueError):
             cf.m_delta(1.5)
 
+    @pytest.mark.parametrize("B", [0.0, -1.0, math.nan, math.inf])
+    def test_field_must_be_positive_and_finite(self, B):
+        with pytest.raises(ValueError, match="B must be positive and finite"):
+            cf.m_delta(0.3, B=B)
+
 
 class TestCrossMethod:
     @pytest.mark.parametrize("delta", [0.05, 0.1, 0.15, 0.3, 0.5, 0.7])

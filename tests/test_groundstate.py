@@ -315,6 +315,11 @@ class TestPerEll:
         for r in results:
             assert r.lam > 0.9
 
+    def test_fractional_ell_is_rejected(self):
+        # the index reaches PotentialSpec unchanged, not truncated to 1
+        with pytest.raises(ValueError, match="ell must be a nonnegative integer"):
+            ground_state_per_ell(PotentialSpec(0.5, 1.0), ells=(0, 1.5))
+
 
 class TestResultInvariants:
     def test_result_is_frozen_dataclass(self):

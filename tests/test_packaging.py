@@ -64,3 +64,11 @@ def test_one_tridiagonal_kernel():
         text = path.read_text()
         for name in ("eigh_tridiagonal", "dpttrf"):
             assert name not in text or path.name == "sturm_liouville.py", f"{path.name}: {name}"
+
+
+def test_potentials_needs_no_quadrature_or_root_finder():
+    """The y(z) map is built from the Chebyshev interpolant of a_0 and Newton
+    steps; adaptive quadrature and bracketing roots belong to the oracles."""
+    text = (ROOT / "src" / "landaucrit" / "potentials.py").read_text()
+    for name in ("scipy.integrate", "scipy.optimize"):
+        assert name not in text, name

@@ -11,7 +11,7 @@ from landaucrit import potentials as pot
 from landaucrit.potentials import PotentialSpec, a_ell_grid, mu_bound_constant, z_of_y
 
 from _reference import (a_ell, a_ell_direct, a_scaled_quadrature, far_tail, mp_a0,
-                        scaling_check, y_of_z)
+                        mp_y_of_z, scaling_check, y_of_z)
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 
@@ -212,6 +212,16 @@ class TestVariableMap:
         m = z_of_y(y)
         assert abs(m.log_abs_z - log_z) <= 1e-12
         assert abs(m.log_mu - log_mu) <= 1e-12
+
+    @pytest.mark.parametrize("z", [30.001, 30.5, 32.0, 40.0, 100.0, 1e3, 9999.0])
+    def test_log_mu_past_switch_against_mpmath(self, z):
+        """Just past y(Z0) the fixed point in log z contracts only by ~1/Z0^2
+        per step and the tail series in 1/z^2 converges slowest: log mu there
+        against a 30-digit quadrature of a_0."""
+        pytest.importorskip("mpmath")
+        y, log_mu = mp_y_of_z(z)
+        assert y > pot._y_at_switch()
+        assert abs(float(pot.log_mu_of_y(np.array([y]))[0]) - log_mu) <= 1e-14
 
     def test_log_mu_consistent_across_branches(self):
         y0 = pot._y_at_switch()

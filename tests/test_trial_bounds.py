@@ -23,7 +23,7 @@ from landaucrit.trial_bounds import (
     w_scaled_vec,
 )
 
-from _reference import evaluate_GB_quad
+from _reference import evaluate_GB_quad, w_ell
 
 # Frozen 25-digit quadrature references for the kinetic weight
 W_SCALED_REF = {
@@ -65,6 +65,15 @@ class TestWeights:
         ell, zeta = key
         got = float(w_scaled_vec(ell, np.array([zeta]))[0])
         assert got == pytest.approx(W_SCALED_REF[key], rel=1e-12)
+
+    @pytest.mark.parametrize("ell", range(5))
+    def test_matches_quad_oracle(self, ell):
+        # both sides of the switch radius, where a_ell changes from the
+        # Chebyshev fit to the asymptotic series
+        zetas = np.array([0.0, 1e-3, 0.7, 2.5, 9.0, 29.0, 30.0, 31.0, 80.0, 1e3, 1e4])
+        got = w_scaled_vec(ell, zetas)
+        want = np.array([w_ell(ell, zeta) for zeta in zetas])
+        assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 class TestProfiles:
@@ -207,6 +216,11 @@ class TestEvaluateGB:
             evaluate_GB(0.5, -1.0, TrialState(0, GaussianProfile()))
         with pytest.raises(ValueError):
             TrialState(-1, GaussianProfile())
+
+    @pytest.mark.parametrize("B", [math.nan, math.inf])
+    def test_field_must_be_finite(self, B):
+        with pytest.raises(ValueError, match="B must be positive and finite"):
+            evaluate_GB(0.5, B, TrialState(0, GaussianProfile()))
 
 
 class TestCertificates:
