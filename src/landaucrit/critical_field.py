@@ -9,11 +9,12 @@ B = 1, which scales as m(delta, B) = sqrt(B) m(delta, 1).  The level reaches
     sqrt(B_L) = 2 / |m(delta)| = 2 delta / kappa(delta),
     kappa(delta) = -delta m(delta).
 
-Route one ("direct_scaling") computes m(delta) in the longitudinal
-coordinate z on the map z = sinh(t): a grid uniform in t is fine near z = 0
-and uniform in log z far out, so the eigenfunction width ~ e^(pi/2delta)
-costs about pi/(delta h) rows, not e^(pi/2delta)/h.  The weight cosh t
-makes the problem a symmetric-definite pencil, bisected to relative
+Route one ("direct_scaling") takes m(delta) from groundstate's threshold
+pencil, the ground level's T(-1) - 1 at nu = delta, on its grid in the
+longitudinal coordinate z mapped by sqrt(B) z = sinh(t): a grid uniform in t
+is fine near z = 0 and uniform in log z far out, so the eigenfunction width
+~ e^(pi/2delta) costs about pi/(delta h) rows, not e^(pi/2delta)/h.  The
+weight cosh(t)/sqrt(B) gives a symmetric-definite pencil, bisected to relative
 accuracy down to DELTA_MIN_DIRECT = 0.05.  Route two ("schrodinger_form") takes
 y with dy = a_0 dz and mu = 1/a_0, where the same problem reads
 -g'' - delta^2 g = -kappa mu g, i.e. delta^2 = E_1(kappa) for the ground
@@ -40,9 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from . import sturm_liouville
+from . import groundstate, sturm_liouville
 from .errors import BracketError
-from .potentials import a0_scaled, log_mu_of_y, mu_bound_constant
+# a0_scaled is called nowhere here; the benchmark's trace (perfbench/layers.py)
+# still wraps critical_field.a0_scaled
+from .potentials import PotentialSpec, a0_scaled, log_mu_of_y, mu_bound_constant  # noqa: F401
 from .units import DEFAULT_CONSTANTS, PhysicalConstants, log10_tesla_of_log_B
 
 __all__ = [
@@ -86,12 +89,6 @@ MAX_DIRECT_DOUBLINGS = 4
 #: exponential-wall cap for -g'' + kappa mu(y) g in E1_of_kappa; heights
 #: beyond this act as infinite for eigenvalues <= O(1)
 WALL_CAP = 1.0e4
-
-#: the pencils' bisection tolerance: tiny, so that bisection runs to
-#: relative accuracy (sigma_1 ~ -e^-157 at delta = 0.01); inside the window
-#: of WINDOW_HALF_WIDTH that takes ~53 bisection steps, not the ~290 from the
-#: Gershgorin interval
-PENCIL_TOL = 1e-300
 
 #: half-width, in log kappa, of the bisection window around -pi/(2 delta);
 #: measured log kappa + pi/(2 delta) lies in [-0.52, 0.37] on the Schrodinger
@@ -157,28 +154,6 @@ def _window(delta: float, scale: float = 1.0) -> tuple[float, float]:
 # direct z-space route
 # ---------------------------------------------------------------------------
 
-def _mapped_samples(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cosh t, a_0(sinh t; 1)) at the points t."""
-    return np.cosh(t), a0_scaled(np.sinh(t))
-
-
-def _mapped_level(delta: float, rootB: float, T: float, n: int,
-                  samples: tuple[np.ndarray, np.ndarray]) -> float:
-    """Lowest eigenvalue of the direct problem on n interior nodes of t in [-T, T],
-    sqrt(B) z = sinh(t): the pencil -(P f_t)_t + Q f = m W f with
-    P = 1/(delta a_0 cosh t) at the midpoints, Q = -delta a_0 cosh t and
-    W = cosh(t)/sqrt(B) at the nodes, a_0 = a_0(sinh t; 1); bisected inside
-    the window of m = -sqrt(B) kappa / delta.  ``samples`` are
-    :func:`_mapped_samples` at the nodes of grid_nodes(T, 2n + 1)."""
-    jacobian, a0 = samples
-    step = 2.0 * T / (n + 1)
-    p_mid = 1.0 / (delta * a0[0::2] * jacobian[0::2])
-    q_node = -delta * a0[1::2] * jacobian[1::2]
-    return sturm_liouville.lowest_of_tridiagonal(
-        *sturm_liouville.scaled_pencil(p_mid, q_node, np.sqrt(rootB / jacobian[1::2]), step),
-        tol=PENCIL_TOL, window=_window(delta, rootB / delta))
-
-
 def m_delta(delta: float, *, B: float = 1.0, h: float = 0.025) -> float:
     """m(delta, B) < 0, the lowest eigenvalue of -(f'/(delta a_0))' - delta a_0 f.
 
@@ -191,20 +166,19 @@ def m_delta(delta: float, *, B: float = 1.0, h: float = 0.025) -> float:
     near z = 0 and the step in log z is h far out, so [-L, L] with
     L = DIRECT_PAD e^(pi/2delta)/sqrt(B) takes about
     2 (pi/(2 delta) + log(2 DIRECT_PAD))/h rows (729 at delta = 0.3, 2 823 at
-    0.05).  The pencil of :func:`_mapped_level` is bisected to relative
-    accuracy (|m| ~ 3e-13 at delta = 0.05).  The mapped-grid driver
-    (sturm_liouville) Richardson-extrapolates it over n -> 2n + 1 (odd n
-    keeps the kink of a_0 at z = 0 on a node) and doubles the domain in z
-    until m moves by at most DIRECT_DOMAIN_TOL relative; TruncationError is
-    raised after MAX_DIRECT_DOUBLINGS doublings.
+    0.05).  The pencil is the ground level's T(-1) - 1 at nu = delta
+    (groundstate._Grid.threshold), bisected to relative accuracy (|m| ~ 3e-13
+    at delta = 0.05) inside the window of m = -sqrt(B) kappa / delta.  The
+    mapped-grid driver (sturm_liouville) Richardson-extrapolates it over
+    n -> 2n + 1 (odd n keeps the kink of a_0 at z = 0 on a node) and doubles
+    the domain in z until m moves by at most DIRECT_DOMAIN_TOL relative;
+    TruncationError is raised after MAX_DIRECT_DOUBLINGS doublings.
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not (B > 0.0 and math.isfinite(B)):
-        raise ValueError(f"B must be positive and finite, got {B}")
-    rootB = math.sqrt(B)
+    spec = PotentialSpec(delta, B)
+    window = _window(delta, math.sqrt(B) / delta)
     m, _ = sturm_liouville._mapped_richardson(
-        _mapped_samples, lambda T, n, samples: _mapped_level(delta, rootB, T, n, samples),
+        lambda t: groundstate._samples(spec, t),
+        lambda T, n, samples: groundstate._Grid(spec, T, n, samples=samples).threshold(window),
         math.asinh(DIRECT_PAD * math.exp(math.pi / (2.0 * delta))), h,
         lambda prev, m: abs(m - prev) <= DIRECT_DOMAIN_TOL * abs(m), MAX_DIRECT_DOUBLINGS)
     return m
@@ -323,12 +297,12 @@ def _pencil_log_kappa(delta: float, step: float, log_mu: np.ndarray,
                                                   np.full(s.size, -delta * delta), s, step)
     window = _window(delta)
     if slope is None:
-        sigma, g = sturm_liouville.lowest_pair_of_tridiagonal(diag, offdiag, tol=PENCIL_TOL,
-                                                              window=window)
+        sigma, g = sturm_liouville.lowest_pair_of_tridiagonal(
+            diag, offdiag, tol=sturm_liouville.RELATIVE_TOL, window=window)
         slope = -sigma / float(np.sum((g * s) ** 2))
     else:
-        sigma = sturm_liouville.lowest_of_tridiagonal(diag, offdiag, tol=PENCIL_TOL,
-                                                      window=window)
+        sigma = sturm_liouville.lowest_of_tridiagonal(
+            diag, offdiag, tol=sturm_liouville.RELATIVE_TOL, window=window)
     return math.log(-sigma), slope, PENCIL_FLOOR * np.finfo(float).eps / (step**2 * slope)
 
 

@@ -9,7 +9,7 @@ continuum edge and the solve reports the degenerate value -1.
 
 The root is an eigenvalue in the gap of the first-order system
 -(1 + nu a) g + f' = lambda g, (1 - nu a) f - g' = lambda f (Dolbeault,
-Esteban and Sere), discretized on the grid of critical_field.m_delta:
+Esteban and Sere), discretized on the grid critical_field.m_delta shares:
 uniform in t with step h, sqrt(B) z = sinh(t), z' = cosh(t)/sqrt(B), g at
 the n + 1 cell midpoints and f at the n nodes.  The pencil (H, diag(z'))
 scaled by diag(z')^-1/2 is the symmetric tridiagonal matrix of size 2n + 1
@@ -20,8 +20,10 @@ the g block -(1 + lambda + nu a) is negative definite, Haynsworth's inertia
 additivity puts n + 1 + #{eigenvalues of T(lambda) below lambda} eigenvalues
 of H below lambda: a grid's root of Phi is eigenvalue n + 1 (0-based), one
 bisection with no iteration in lambda, and it lies below -1 exactly when
-Phi(-1) < 0.  At lambda = -1 the Schur complement is the direct route's
-pencil plus its weight, so T(-1) = 1 + sqrt(B) m(nu) grid by grid.
+Phi(-1) < 0.  At lambda = -1 the T-pencil less the identity is the direct
+route's problem -(f'/(nu a))' - nu a f = m f, and critical_field.m_delta
+solves it on this grid (:meth:`_Grid.threshold`), so T(-1) = 1 + sqrt(B) m(nu)
+holds grid by grid by construction.
 
 The mapped-grid driver of sturm_liouville does the Richardson extrapolation
 over n -> 2n + 1 and the domain doubling in z, and samples the potential
@@ -60,13 +62,12 @@ C_COULOMB = 30.0
 # Stopping rules of ground_state_lambda: the domain grows until the
 # extrapolated level moves by less than DOMAIN_TOL, at most MAX_DOUBLINGS
 # times before TruncationError.  Both eigen-solves bisect to relative
-# accuracy (LEVEL_TOL), so the |Phi| a fine-grid level leaves is the float
-# floor eps max|diag| of the T-pencil (<= 0.21 of it measured for nu in
-# [0.05, 0.9], B in [1e-3, 1e8]); above RESIDUAL_FLOOR times that floor the
-# call raises AccuracyError.
+# accuracy (sturm_liouville.RELATIVE_TOL), so the |Phi| a fine-grid level
+# leaves is the float floor eps max|diag| of the T-pencil (<= 0.21 of it
+# measured for nu in [0.05, 0.9], B in [1e-3, 1e8]); above RESIDUAL_FLOOR
+# times that floor the call raises AccuracyError.
 DOMAIN_TOL = 1e-7
 MAX_DOUBLINGS = 6
-LEVEL_TOL = 1e-300
 RESIDUAL_FLOOR = 4.0
 
 # Half-width of the bisection window of every level solve after the first,
@@ -115,7 +116,7 @@ def _samples(spec: PotentialSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 class _Grid:
     """Potential samples on n interior nodes of t in [-T, T], sqrt(B) z = sinh(t),
-    shared by the level and Phi.
+    shared by the level, Phi and the threshold.
 
     ``samples`` are :func:`_samples` at the nodes of grid_nodes(T, 2n + 1),
     taken here when not given.  ``centre``, a level close to this grid's (the
@@ -127,36 +128,43 @@ class _Grid:
     def __init__(self, spec: PotentialSpec, T: float, n: int, *,
                  samples: tuple[np.ndarray, np.ndarray] | None = None,
                  centre: float | None = None):
-        self.spec = spec
         self.n = n
         self.h = 2.0 * T / (n + 1)
         self.dz, a = (_samples(spec, sturm_liouville.grid_nodes(T, 2 * n + 1)[1])
                       if samples is None else samples)
-        self.a_mids = a[0::2]
-        self.q_nodes = 1.0 - spec.nu * a[1::2]
+        self.nu_a = spec.nu * a
         self.centre = centre
         self.missed = 0
 
     def _eigenvalue(self, diag: np.ndarray, offdiag: np.ndarray, **kwargs) -> float:
-        value, solves = sturm_liouville._counted_eigenvalue(diag, offdiag, tol=LEVEL_TOL,
-                                                            **kwargs)
+        value, solves = sturm_liouville._counted_eigenvalue(
+            diag, offdiag, tol=sturm_liouville.RELATIVE_TOL, **kwargs)
         self.missed = solves - 1
         return value
 
     def _pencil(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """The T-pencil -(p/z' f_t)_t + q z' f = T z' f, p = 1/(1 + lambda + nu a),
-        as its scaled symmetric tridiagonal matrix."""
+        """The pencil of T(lambda) - 1, -(p/z' f_t)_t - nu a z' f = (T - 1) z' f
+        with p = 1/(1 + lambda + nu a), as its scaled symmetric tridiagonal
+        matrix.  The identity is left out so that T(-1) - 1 = sqrt(B) m keeps
+        its relative accuracy (|m| ~ 3e-13 at nu = 0.05)."""
         dz_nodes = self.dz[1::2]
-        p_mid = 1.0 / (self.dz[0::2] * (1.0 + lam + self.spec.nu * self.a_mids))
-        return sturm_liouville.scaled_pencil(p_mid, self.q_nodes * dz_nodes,
+        p_mid = 1.0 / (self.dz[0::2] * (1.0 + lam + self.nu_a[0::2]))
+        return sturm_liouville.scaled_pencil(p_mid, -self.nu_a[1::2] * dz_nodes,
                                              dz_nodes ** -0.5, self.h)
+
+    def threshold(self, window: tuple[float, float]) -> float:
+        """T(-1) - 1 on this grid, the lowest eigenvalue of the direct route's
+        pencil -(f'/(nu a))' - nu a f = m f, which is m(nu, B) = sqrt(B) m(nu);
+        bisected inside ``window`` once certified."""
+        return self._eigenvalue(*self._pencil(-1.0), window=window)
 
     def phi(self, lam: float, *,
             window: tuple[float, float] | None = None) -> tuple[float, float]:
         """(Phi(lambda) = T(lambda) - lambda, the float floor eps max|diag| of
-        T); T(lambda) is the lowest eigenvalue of :meth:`_pencil`, bisected
-        inside ``window`` once certified."""
+        T); T(lambda) is the lowest eigenvalue of :meth:`_pencil` plus the
+        identity, bisected inside ``window`` once certified."""
         diag, offdiag = self._pencil(lam)
+        diag += 1.0
         T = self._eigenvalue(diag, offdiag, window=window)
         return T - lam, float(np.finfo(float).eps * np.max(np.abs(diag)))
 
@@ -168,13 +176,14 @@ class _Grid:
         T-pencil at lo: H - lo I has the negative definite g block
         -(1 + lo + nu a), whose Schur complement is that pencil shifted by lo."""
         diag = np.empty(2 * self.n + 1)
-        diag[0::2] = -(1.0 + self.spec.nu * self.a_mids)
-        diag[1::2] = self.q_nodes
+        diag[0::2] = -(1.0 + self.nu_a[0::2])
+        diag[1::2] = 1.0 - self.nu_a[1::2]
         offdiag = 1.0 / (self.h * np.sqrt(self.dz[:-1] * self.dz[1:]))
         window = guard = None
         if self.centre is not None and self.centre - LEVEL_WINDOW > -1.0:
             window = (self.centre - LEVEL_WINDOW, self.centre + LEVEL_WINDOW)
-            guard = self._pencil(window[0])
+            guard_diag, guard_offdiag = self._pencil(window[0])
+            guard = (guard_diag + 1.0, guard_offdiag)
         return self._eigenvalue(diag, offdiag, index=self.n + 1, window=window, guard=guard)
 
 

@@ -60,6 +60,11 @@ __all__ = [
 #: O(1) eigenvalues fully under stiff tails, ~12 levels short of relative accuracy.
 BISECTION_TOL = 1e-12
 
+#: a ``tol`` so small that bisection runs to relative accuracy, as the sinh-mapped
+#: and log-kappa pencils need (|m| ~ 3e-13 at delta = 0.05, sigma_1 ~ -e^-157 at
+#: delta = 0.01); inside a certified window that takes ~53 bisection steps
+RELATIVE_TOL = 1e-300
+
 #: Hard cap on interior grid points during domain doubling.
 MAX_GRID_POINTS = 16_000_000
 
@@ -100,6 +105,8 @@ class EigenResult:
 def odd_points(L: float, h: float) -> int:
     """Odd interior point count n >= 17 for spacing ~h on [-L, L]; odd n keeps
     a kink of the coefficients at 0 on a node under every refinement n -> 2n+1."""
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"h must be positive and finite, got {h}")
     n = int(round(2.0 * L / h)) - 1
     n += 1 - n % 2
     return max(n, 17)

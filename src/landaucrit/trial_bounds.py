@@ -50,7 +50,8 @@ __all__ = [
     "check_sqrt5_inequality",
 ]
 
-#: coordinate sweeps (half-width, then ramp ratio) of the plateau minimization
+#: coordinate sweeps (half-width, then ramp ratio) of the plateau search; the
+#: search stops here, before it converges (certify_critical_upper_bound)
 PLATEAU_SWEEPS = 3
 
 # smoothstep ramp s(t) = 1 - (10 t^3 - 15 t^4 + 6 t^5): C^2, s(0)=1, s(1)=0
@@ -214,8 +215,8 @@ class RescaledProfile:
     """f_B(z) = B^(1/4) f(sqrt(B) z): norm-preserving longitudinal rescaling."""
 
     def __init__(self, base, B: float):
-        if B <= 0.0:
-            raise ValueError(f"B must be positive, got {B}")
+        if not (B > 0.0 and math.isfinite(B)):
+            raise ValueError(f"B must be positive and finite, got {B}")
         self.base = base
         self.B = B
         self._rootB = math.sqrt(B)
@@ -356,15 +357,18 @@ def _g1(nu: float, ell: int, profile) -> float:
 def certify_critical_upper_bound(nu: float, family: str = "gaussian") -> UpperBoundCertificate:
     """Certified upper bound for the critical field from one trial family.
 
-    Minimizes the scale-reduced functional over the family's shape
-    parameters (golden-section per coordinate); a negative minimum m* turns
-    into log B_cert = 2 log(2/|m*|).  A nonnegative minimum reports "no
-    certificate" rather than an error.
+    Searches the family's shape parameters for a low value m* of the
+    scale-reduced functional; a negative m* turns into
+    log B_cert = 2 log(2/|m*|), a valid bound for any profile, minimal or
+    not.  A nonnegative m* reports "no certificate" rather than an error.
 
     The Gaussian family is a single canonical shape (its width is the
     rescaling direction, already consumed by the field scan), so its
     certificate reproduces the closed form 18 pi nu^2/(3 nu^2 - 2)^2
-    whenever nu^2 > 2/3.
+    whenever nu^2 > 2/3.  The plateau family's m* is the best of
+    PLATEAU_SWEEPS coordinate sweeps (bounded golden-section search in the
+    half-width, then the ramp ratio), not the family's minimum: at nu = 0.85
+    it is -0.144 after 3 sweeps and still falling after 10 (-0.184).
     """
     if not (0.0 < nu < 1.0):
         raise ValueError(f"nu must lie in (0, 1), got {nu}")

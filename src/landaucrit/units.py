@@ -60,8 +60,8 @@ def Z_of_nu(nu: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> floa
 
 def tesla_of_B(B: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Dimensionless field to Tesla."""
-    if B <= 0.0:
-        raise ValueError(f"B must be positive, got {B}")
+    if not (B > 0.0 and math.isfinite(B)):
+        raise ValueError(f"B must be positive and finite, got {B}")
     return B * constants.B_unit_tesla
 
 

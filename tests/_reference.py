@@ -11,9 +11,10 @@ Each takes a different route from the library's one evaluation path:
 - ``w_ell`` evaluates the kinetic weight w_ell(zeta; 1) by adaptive ``quad``
   of its defining integral; the library takes it from a_ell and a_(ell+1)
   through an exact identity.
-- ``y_of_z`` integrates a_0 by ``quad``, the forward direction of the map
-  whose inverse the library interpolates through Newton roots of the
-  integrated Chebyshev interpolant of a_0.
+- ``y_of_z`` integrates a_0 by ``quad`` (in log t past |t| = 30), the
+  forward direction of the map whose inverse the library interpolates
+  through Newton roots of the integrated Chebyshev interpolant of a_0 and,
+  far out, inverts through log z + gamma plus the integrated 1/z^2 series.
 - ``mp_a0`` is a_0(t; 1) from mpmath's exp and erfc with the working
   precision raised to cover exp(t^2/2); the library calls scipy's erfcx.
 - ``mp_y_of_z`` gives y(z) and log mu at z <= 1e4 in 30-digit mpmath, by
@@ -158,10 +159,12 @@ def y_of_z(z: float) -> VariableMap:
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
     az = abs(z)
-    if az <= pot.SWITCH_RADIUS:
-        y, _ = quad(_a0_scalar, 0.0, az, **_QUAD_OPTS)
-    else:
-        y = pot._log_offset() + math.log(az) + pot._tail_correction(1.0 / (az * az))
+    y, _ = quad(_a0_scalar, 0.0, min(az, pot.SWITCH_RADIUS), **_QUAD_OPTS)
+    if az > pot.SWITCH_RADIUS:
+        # in u = log t, where t a_0(t) -> 1 is smooth, so quad needs few panels
+        tail, _ = quad(lambda u: math.exp(u) * _a0_scalar(math.exp(u)),
+                       math.log(pot.SWITCH_RADIUS), math.log(az), **_QUAD_OPTS)
+        y += tail
     a_val = _a0_scalar(az)
     y = math.copysign(y, z) if z != 0.0 else 0.0
     return VariableMap(

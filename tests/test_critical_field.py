@@ -10,7 +10,7 @@ from scipy.sparse.linalg import eigsh
 from scipy.special import erfcx
 
 from landaucrit import critical_field as cf
-from landaucrit import sturm_liouville
+from landaucrit import groundstate, sturm_liouville
 from landaucrit.errors import TruncationError
 from landaucrit.potentials import PotentialSpec
 from landaucrit.sturm_liouville import EigenResult
@@ -124,22 +124,22 @@ class TestMDelta:
         assert max(rows) <= 10_000
 
     def test_one_potential_pass_per_domain(self, monkeypatch):
-        # a_0 is sampled once per domain, on the 4n + 3 nodes and midpoints
-        # of the fine grid, shared by the pair; the same call twice does the
-        # same work
+        # the potential is sampled once per domain, on the 4n + 3 nodes and
+        # midpoints of the fine grid, shared by the pair; the same call twice
+        # does the same work
         points, grids = [], []
-        real_a0, real_level = cf.a0_scaled, cf._mapped_level
+        real_samples, real_threshold = groundstate._samples, groundstate._Grid.threshold
 
-        def recording_a0(zeta):
-            points.append(np.size(zeta))
-            return real_a0(zeta)
+        def recording_samples(spec, t):
+            points.append(np.size(t))
+            return real_samples(spec, t)
 
-        def recording_level(delta, rootB, T, n, *samples):
-            grids.append(n)
-            return real_level(delta, rootB, T, n, *samples)
+        def recording_threshold(grid, window):
+            grids.append(grid.n)
+            return real_threshold(grid, window)
 
-        monkeypatch.setattr(cf, "a0_scaled", recording_a0)
-        monkeypatch.setattr(cf, "_mapped_level", recording_level)
+        monkeypatch.setattr(groundstate, "_samples", recording_samples)
+        monkeypatch.setattr(groundstate._Grid, "threshold", recording_threshold)
         first = cf.m_delta(0.3)
         work = (list(points), list(grids))
         coarse = grids[0::2]

@@ -2,6 +2,8 @@
 pair: on n -> 2n + 1 the coarse grid's samples, read at the odd positions
 of the fine grid's pass, equal a pass of their own bit for bit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,12 +40,13 @@ def test_ground_level_grid(nu, log10_B, ell, T, n):
 @SETTINGS
 @hypothesis.given(delta=st.floats(0.05, 0.95), log10_B=st.floats(-2.0, 4.0), **T_AND_N)
 def test_direct_route_grid(delta, log10_B, T, n):
-    rootB = 10.0 ** (0.5 * log10_B)
-    fine = critical_field._mapped_samples(grid_nodes(T, 4 * n + 3)[1])
-    own = critical_field._mapped_samples(grid_nodes(T, 2 * n + 1)[1])
+    spec = PotentialSpec(delta, 10.0**log10_B)
+    window = critical_field._window(delta, math.sqrt(spec.B) / delta)
+    fine = groundstate._samples(spec, grid_nodes(T, 4 * n + 3)[1])
+    own = groundstate._samples(spec, grid_nodes(T, 2 * n + 1)[1])
     assert all(np.array_equal(a, b) for a, b in zip(sliced(fine), own))
-    assert (critical_field._mapped_level(delta, rootB, T, n, sliced(fine))
-            == critical_field._mapped_level(delta, rootB, T, n, own))
+    assert (groundstate._Grid(spec, T, n, samples=sliced(fine)).threshold(window)
+            == groundstate._Grid(spec, T, n).threshold(window))
 
 
 @SETTINGS

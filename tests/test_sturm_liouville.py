@@ -7,6 +7,8 @@ import pytest
 
 from landaucrit import critical_field, sturm_liouville
 from landaucrit.errors import CoefficientError, TruncationError
+from landaucrit.groundstate import ground_state_lambda
+from landaucrit.potentials import PotentialSpec
 from landaucrit.sturm_liouville import (
     SturmLiouvilleProblem,
     build_tridiagonal,
@@ -20,6 +22,18 @@ from _reference import ConvergenceStudy, convergence_study, sturm_count
 
 ONES = lambda z: np.ones_like(z)
 ZEROS = lambda z: np.zeros_like(z)
+
+BAD_STEPS = [0.0, -0.02, math.nan, math.inf]
+
+#: every public function that takes a grid step h, called with that step
+ENTRY_POINTS_WITH_STEP = {
+    "critical_field_schrodinger": lambda h: critical_field.critical_field_schrodinger(0.3, h=h),
+    "sandwich": lambda h: critical_field.sandwich(0.04, h=h),
+    "m_delta": lambda h: critical_field.m_delta(0.3, h=h),
+    "ground_state_lambda": lambda h: ground_state_lambda(PotentialSpec(0.5, 10.0), h=h),
+    "E1_of_kappa": lambda h: critical_field.E1_of_kappa(-5.0, h=h),
+    "odd_points": lambda h: sturm_liouville.odd_points(10.0, h),
+}
 
 
 def bisect_root(f, lo, hi, iters=200):
@@ -144,6 +158,14 @@ class TestErrors:
             SturmLiouvilleProblem(p=ONES, q=ZEROS, L=-1.0, n=100)
         with pytest.raises(ValueError):
             SturmLiouvilleProblem(p=ONES, q=ZEROS, L=1.0, n=8)
+
+    @pytest.mark.parametrize("h", BAD_STEPS)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS_WITH_STEP))
+    def test_step_must_be_positive_and_finite(self, entry, h):
+        # a negative step used to be clamped to the 17-point grid and return
+        # a wrong value quietly; inf and h < 0 ran every domain doubling
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            ENTRY_POINTS_WITH_STEP[entry](h)
 
 
 class TestResultInvariants:

@@ -141,6 +141,11 @@ class TestProfiles:
                    points=[-2.0 / 3.0, 2.0 / 3.0])[0]
         assert num == pytest.approx(base.norm_sq(), rel=1e-10)
 
+    @pytest.mark.parametrize("B", [0.0, -1.0, math.nan, math.inf])
+    def test_rescaled_profile_field_must_be_positive_and_finite(self, B):
+        with pytest.raises(ValueError, match="B must be positive and finite"):
+            RescaledProfile(GaussianProfile(), B)
+
 
 class TestEvaluateGB:
     @pytest.mark.parametrize("nu,B", [(0.85, 10.0), (0.9, 100.0), (0.95, 3.0)])

@@ -40,9 +40,9 @@ def test_log10_tesla_matches_tesla(B):
     assert tesla_of_B(B) == B * DEFAULT_CONSTANTS.B_unit_tesla
 
 
-@pytest.mark.parametrize("B", [0.0, -1.0])
+@pytest.mark.parametrize("B", [0.0, -1.0, math.nan, math.inf])
 def test_tesla_of_B_rejects_non_positive_fields(B):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="B must be positive and finite"):
         tesla_of_B(B)
 
 
