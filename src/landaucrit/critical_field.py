@@ -242,8 +242,8 @@ def E1_of_kappa(log_kappa: float, *, Y: float | None = None,
     levels = []
     for step, log_mu in _log_mu_grids(Y, h):
         q = np.exp(np.minimum(log_kappa + log_mu, log_cap))
-        levels.append(sturm_liouville.lowest_of_tridiagonal(
-            *sturm_liouville.tridiagonal(np.ones(q.size + 1), q, step)))
+        levels.append(sturm_liouville.eigenvalue(
+            *sturm_liouville.tridiagonal(np.ones(q.size + 1), q, step))[0])
     value, error = sturm_liouville.richardson_step(*levels)
     return sturm_liouville.EigenResult(value=value, L=Y, n=q.size, extrapolated=True,
                                        error_estimate=error)
@@ -296,13 +296,10 @@ def _pencil_log_kappa(delta: float, step: float, log_mu: np.ndarray,
     diag, offdiag = sturm_liouville.scaled_pencil(np.ones(s.size + 1),
                                                   np.full(s.size, -delta * delta), s, step)
     window = _window(delta)
+    sigma, g, _ = sturm_liouville.eigenvalue(diag, offdiag, window=window,
+                                             vector=slope is None)
     if slope is None:
-        sigma, g = sturm_liouville.lowest_pair_of_tridiagonal(
-            diag, offdiag, tol=sturm_liouville.RELATIVE_TOL, window=window)
         slope = -sigma / float(np.sum((g * s) ** 2))
-    else:
-        sigma = sturm_liouville.lowest_of_tridiagonal(
-            diag, offdiag, tol=sturm_liouville.RELATIVE_TOL, window=window)
     return math.log(-sigma), slope, PENCIL_FLOOR * np.finfo(float).eps / (step**2 * slope)
 
 

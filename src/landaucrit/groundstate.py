@@ -61,8 +61,8 @@ C_COULOMB = 30.0
 
 # Stopping rules of ground_state_lambda: the domain grows until the
 # extrapolated level moves by less than DOMAIN_TOL, at most MAX_DOUBLINGS
-# times before TruncationError.  Both eigen-solves bisect to relative
-# accuracy (sturm_liouville.RELATIVE_TOL), so the |Phi| a fine-grid level
+# times before TruncationError.  Every eigen-solve bisects to relative
+# accuracy (sturm_liouville.eigenvalue), so the |Phi| a fine-grid level
 # leaves is the float floor eps max|diag| of the T-pencil (<= 0.21 of it
 # measured for nu in [0.05, 0.9], B in [1e-3, 1e8]); above RESIDUAL_FLOOR
 # times that floor the call raises AccuracyError.
@@ -121,9 +121,9 @@ class _Grid:
     ``samples`` are :func:`_samples` at the nodes of grid_nodes(T, 2n + 1),
     taken here when not given.  ``centre``, a level close to this grid's (the
     last one computed), centres the bisection window of :meth:`level`.
-    ``missed`` is 1 when the certified window of the grid's last solve held no
-    eigenvalue, so that the index selection ran after the bisection, and 0
-    otherwise."""
+    ``solves``, the eigen-solves of the grid's last solve, is 2 when its
+    certified window held no eigenvalue, so that the index selection ran
+    after the bisection, and 1 otherwise."""
 
     def __init__(self, spec: PotentialSpec, T: float, n: int, *,
                  samples: tuple[np.ndarray, np.ndarray] | None = None,
@@ -134,13 +134,7 @@ class _Grid:
                       if samples is None else samples)
         self.nu_a = spec.nu * a
         self.centre = centre
-        self.missed = 0
-
-    def _eigenvalue(self, diag: np.ndarray, offdiag: np.ndarray, **kwargs) -> float:
-        value, solves = sturm_liouville._counted_eigenvalue(
-            diag, offdiag, tol=sturm_liouville.RELATIVE_TOL, **kwargs)
-        self.missed = solves - 1
-        return value
+        self.solves = 1
 
     def _pencil(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """The pencil of T(lambda) - 1, -(p/z' f_t)_t - nu a z' f = (T - 1) z' f
@@ -156,7 +150,8 @@ class _Grid:
         """T(-1) - 1 on this grid, the lowest eigenvalue of the direct route's
         pencil -(f'/(nu a))' - nu a f = m f, which is m(nu, B) = sqrt(B) m(nu);
         bisected inside ``window`` once certified."""
-        return self._eigenvalue(*self._pencil(-1.0), window=window)
+        m, _, self.solves = sturm_liouville.eigenvalue(*self._pencil(-1.0), window=window)
+        return m
 
     def phi(self, lam: float, *,
             window: tuple[float, float] | None = None) -> tuple[float, float]:
@@ -165,7 +160,7 @@ class _Grid:
         identity, bisected inside ``window`` once certified."""
         diag, offdiag = self._pencil(lam)
         diag += 1.0
-        T = self._eigenvalue(diag, offdiag, window=window)
+        T, _, self.solves = sturm_liouville.eigenvalue(diag, offdiag, window=window)
         return T - lam, float(np.finfo(float).eps * np.max(np.abs(diag)))
 
     def level(self) -> float:
@@ -184,7 +179,9 @@ class _Grid:
             window = (self.centre - LEVEL_WINDOW, self.centre + LEVEL_WINDOW)
             guard_diag, guard_offdiag = self._pencil(window[0])
             guard = (guard_diag + 1.0, guard_offdiag)
-        return self._eigenvalue(diag, offdiag, index=self.n + 1, window=window, guard=guard)
+        level, _, self.solves = sturm_liouville.eigenvalue(
+            diag, offdiag, index=self.n + 1, window=window, guard=guard)
+        return level
 
 
 def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointResult:
@@ -209,7 +206,7 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
         nonlocal solves, fine
         grid = _Grid(spec, T, n, samples=samples, centre=None if fine is None else fine[1])
         fine = (grid, grid.level())
-        solves += 1 + grid.missed
+        solves += grid.solves
         return fine[1]
 
     lam, T = sturm_liouville._mapped_richardson(
@@ -226,7 +223,7 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
         raise AccuracyError(
             f"fine-grid level {level_fine!r} leaves |Phi| = {abs(phi):.3e} "
             f"> RESIDUAL_FLOOR eps max|diag| = {RESIDUAL_FLOOR * floor:.3e}")
-    return FixedPointResult(lam=min(lam, 1.0), iterations=solves + 1 + grid.missed,
+    return FixedPointResult(lam=min(lam, 1.0), iterations=solves + grid.solves,
                             residual=abs(phi), degenerate=False, L=L, n=grid.n)
 
 

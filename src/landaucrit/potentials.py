@@ -65,7 +65,7 @@ class PotentialSpec:
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if not (self.B > 0.0 and math.isfinite(self.B)):
             raise ValueError(f"B must be positive and finite, got {self.B}")
-        if self.ell < 0 or self.ell != int(self.ell):
+        if not (self.ell >= 0 and self.ell % 1 == 0):
             raise ValueError(f"ell must be a nonnegative integer, got {self.ell}")
 
 

@@ -1,26 +1,27 @@
 """Lowest Dirichlet eigenvalue of -(p f')' + q f on a symmetric interval.
 
 Second-order central differences with p sampled at cell midpoints and q at
-the interior nodes give a symmetric tridiagonal matrix whose eigenvalues are
-extracted by Sturm-sequence bisection (LAPACK dstebz through
-``scipy.linalg.eigh_tridiagonal``, with an explicit absolute tolerance so
-badly scaled coefficient ranges cannot degrade small eigenvalues; a tiny
-``tol`` bisects to relative accuracy instead).  Bisection from the Gershgorin
-interval takes about log2(width / |lambda|) steps before the relative ones,
-~290 for lambda ~ e^-157; a caller that knows where the lowest eigenvalue
-lies passes a ``window=(lo, hi)`` to the kernels.  The window is used only
-once an LDL^T factorisation of the matrix shifted by ``lo`` (LAPACK dpttrf,
-the pivot recurrence of the Sturm count) certifies that no eigenvalue lies
-at or below ``lo`` (Sylvester); bisection then runs inside (lo, hi] alone.
-An eigenvalue above the lowest, number k, may be windowed too when the
-caller passes a guard: a tridiagonal G whose factorisation G - lo I
-certifies that exactly k eigenvalues lie at or below ``lo``, such as the
-Schur complement of a block known to hold k negative eigenvalues
-(Haynsworth inertia additivity); groundstate's level is one.  A failed
-certificate or an empty window falls back to the index selection, so the
-kernels always return eigenvalue k.  A weight, -(p f')' + q f =
-lambda w f, makes the pencil (A, diag(w)); :func:`scaled_pencil` returns the
-symmetric tridiagonal matrix with the same eigenvalues.  The problems posed
+the interior nodes give a symmetric tridiagonal matrix.  Every eigenvalue the
+package needs is one eigenvalue of such a matrix, and one kernel,
+:func:`eigenvalue`, finds it by Sturm-sequence bisection (LAPACK dstebz
+through ``scipy.linalg.eigh_tridiagonal``) under a single accuracy policy:
+bisection runs to relative accuracy (``RELATIVE_TOL``), so badly scaled
+coefficient ranges cannot degrade small eigenvalues.  Bisection from the
+Gershgorin interval takes about log2(width / |lambda|) steps before the
+relative ones, ~290 for lambda ~ e^-157; a caller that knows where the
+eigenvalue lies passes a ``window=(lo, hi)``.  The window is used only once
+an LDL^T factorisation of the matrix shifted by ``lo`` (LAPACK dpttrf, the
+pivot recurrence of the Sturm count) certifies that no eigenvalue lies at or
+below ``lo`` (Sylvester); bisection then runs inside (lo, hi] alone.  An
+eigenvalue above the lowest, number k, may be windowed too when the caller
+passes a guard: a tridiagonal G whose factorisation G - lo I certifies that
+exactly k eigenvalues lie at or below ``lo``, such as the Schur complement
+of a block known to hold k negative eigenvalues (Haynsworth inertia
+additivity); groundstate's level is one.  A failed certificate or an empty
+window falls back to the index selection, so the kernel always returns
+eigenvalue k.  A weight, -(p f')' + q f = lambda w f, makes the pencil
+(A, diag(w)); :func:`scaled_pencil` returns the symmetric tridiagonal matrix
+with the same eigenvalues.  The problems posed
 on the sinh-mapped grid sqrt(B) z = sinh(t) (critical_field.m_delta and
 groundstate.ground_state_lambda) share one grid driver,
 :func:`_mapped_richardson`, which samples their coefficients once per
@@ -52,17 +53,13 @@ __all__ = [
     "build_tridiagonal",
     "tridiagonal",
     "scaled_pencil",
-    "lowest_of_tridiagonal",
-    "lowest_pair_of_tridiagonal",
+    "eigenvalue",
 ]
 
-#: LAPACK bisection absolute tolerance, the kernels' default ``tol``; resolves
-#: O(1) eigenvalues fully under stiff tails, ~12 levels short of relative accuracy.
-BISECTION_TOL = 1e-12
-
-#: a ``tol`` so small that bisection runs to relative accuracy, as the sinh-mapped
-#: and log-kappa pencils need (|m| ~ 3e-13 at delta = 0.05, sigma_1 ~ -e^-157 at
-#: delta = 0.01); inside a certified window that takes ~53 bisection steps
+#: LAPACK bisection absolute tolerance of every eigen-solve, so small that
+#: bisection runs to relative accuracy, as the sinh-mapped and log-kappa pencils
+#: need (|m| ~ 3e-13 at delta = 0.05, sigma_1 ~ -e^-157 at delta = 0.01);
+#: inside a certified window that takes ~53 bisection steps
 RELATIVE_TOL = 1e-300
 
 #: Hard cap on interior grid points during domain doubling.
@@ -191,84 +188,52 @@ def scaled_pencil(p_mid: np.ndarray, q_node: np.ndarray, scale: np.ndarray,
     return diag * scale * scale, offdiag * scale[:-1] * scale[1:]
 
 
-def _lowest(diag: np.ndarray, offdiag: np.ndarray, tol: float, eigvals_only: bool,
-            window: tuple[float, float] | None, index: int = 0,
-            guard: tuple[np.ndarray, np.ndarray] | None = None):
-    """(``eigh_tridiagonal`` output with eigenvalue ``index`` first, the number
-    of eigen-solves made): bisected inside ``window`` when dpttrf of the
-    guard shifted by its ``lo`` certifies that exactly ``index`` eigenvalues
-    lie at or below ``lo`` and the window holds an eigenvalue, else selected
-    by index.  The guard of index 0 is the matrix itself; any other index
-    needs one."""
-    missed = 0
+def eigenvalue(diag: np.ndarray, offdiag: np.ndarray, *, index: int = 0,
+               window: tuple[float, float] | None = None,
+               guard: tuple[np.ndarray, np.ndarray] | None = None,
+               vector: bool = False) -> tuple[float, np.ndarray | None, int]:
+    """(eigenvalue number ``index`` (0-based, ascending; the lowest by
+    default) of the symmetric tridiagonal matrix (diag, offdiag), its unit
+    eigenvector if ``vector`` else None, the eigen-solves made), bisected to
+    relative accuracy.
+
+    ``window=(lo, hi)`` bisects inside (lo, hi] once dpttrf certifies that
+    exactly ``index`` eigenvalues lie at or below ``lo``; if that fails, or
+    the window is empty, the index selection runs instead, and an empty
+    certified window counts two solves.  For the lowest eigenvalue the
+    certificate factors the matrix shifted by ``lo``.  Any other index needs
+    a ``guard=(G_diag, G_offdiag)``, a tridiagonal matrix for which a
+    successful factorisation of G - lo I certifies the count (a Schur
+    complement, by Haynsworth inertia additivity); without one a window
+    raises ValueError.  A windowed value may differ from the index
+    selection's in the last bit or two, since the bisection starts from
+    another interval.  The eigenvector costs an inverse-iteration solve more.
+    """
+    selections = [("i", (index, index))]
     if window is not None:
         if guard is None and index != 0:
             raise ValueError("a window above the lowest eigenvalue needs a guard")
-        lo, hi = window
         guard_diag, guard_offdiag = (diag, offdiag) if guard is None else guard
-        if dpttrf(guard_diag - lo, guard_offdiag)[2] == 0:
-            found = eigh_tridiagonal(diag, offdiag, eigvals_only=eigvals_only, select="v",
-                                     select_range=(lo, hi), tol=tol)
-            if (found if eigvals_only else found[0]).size:
-                return found, 1
-            missed = 1
-    return eigh_tridiagonal(diag, offdiag, eigvals_only=eigvals_only, select="i",
-                            select_range=(index, index), tol=tol), 1 + missed
-
-
-def _counted_eigenvalue(diag: np.ndarray, offdiag: np.ndarray, *,
-                        tol: float = BISECTION_TOL, index: int = 0,
-                        window: tuple[float, float] | None = None,
-                        guard: tuple[np.ndarray, np.ndarray] | None = None
-                        ) -> tuple[float, int]:
-    """(the value :func:`lowest_of_tridiagonal` returns, the eigen-solves it
-    took): 2 when a certified window held no eigenvalue, else 1."""
-    found, solves = _lowest(diag, offdiag, tol, True, window, index, guard)
-    return float(found[0]), solves
-
-
-def lowest_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, *,
-                          tol: float = BISECTION_TOL, index: int = 0,
-                          window: tuple[float, float] | None = None,
-                          guard: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """Eigenvalue number ``index`` (0-based, ascending; the lowest by default)
-    of the symmetric tridiagonal matrix (diag, offdiag), bisected to
-    max(``tol``, relative accuracy).
-
-    ``window=(lo, hi)`` bisects inside (lo, hi] once dpttrf certifies that
-    exactly ``index`` eigenvalues lie at or below ``lo``; if that fails or the
-    window is empty the index selection runs instead.  For the lowest
-    eigenvalue the certificate factors the matrix shifted by ``lo``.  Any
-    other index needs a ``guard=(G_diag, G_offdiag)``, a tridiagonal matrix
-    for which a successful factorisation of G - lo I certifies the count
-    (a Schur complement, by Haynsworth inertia additivity); without one a
-    window raises ValueError.  The value may then differ from the index
-    selection's in the last bit or two, since the bisection starts from
-    another interval."""
-    return _counted_eigenvalue(diag, offdiag, tol=tol, index=index, window=window,
-                               guard=guard)[0]
-
-
-def lowest_pair_of_tridiagonal(diag: np.ndarray, offdiag: np.ndarray, *,
-                               tol: float = BISECTION_TOL,
-                               window: tuple[float, float] | None = None
-                               ) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue, the same one :func:`lowest_of_tridiagonal` returns
-    with the same ``window``, and its unit eigenvector, which costs an
-    inverse-iteration solve more."""
-    (w, v), _ = _lowest(diag, offdiag, tol, False, window)
-    return float(w[0]), v[:, 0]
+        if dpttrf(guard_diag - window[0], guard_offdiag)[2] == 0:
+            selections.insert(0, ("v", window))
+    for solves, (select, select_range) in enumerate(selections, 1):
+        found = eigh_tridiagonal(diag, offdiag, eigvals_only=not vector, select=select,
+                                 select_range=select_range, tol=RELATIVE_TOL)
+        values, vectors = found if vector else (found, None)
+        if values.size:
+            break
+    return float(values[0]), None if vectors is None else vectors[:, 0], solves
 
 
 def _solve_grid(problem: SturmLiouvilleProblem, L: float, n: int, richardson: bool) -> EigenResult:
-    e_n = lowest_of_tridiagonal(*build_tridiagonal(problem, L, n)[:2])
+    e_n = eigenvalue(*build_tridiagonal(problem, L, n)[:2])[0]
     if not richardson:
         return EigenResult(value=e_n, L=L, n=n, extrapolated=False, error_estimate=0.0)
     # n -> 2n+1 halves h exactly and keeps every coarse node on the fine grid,
     # so both solves share one h^2 error family and extrapolation is clean
     # even for coefficients with a kink at a node (e.g. |z|-like potentials).
     n_fine = 2 * n + 1
-    e_fine = lowest_of_tridiagonal(*build_tridiagonal(problem, L, n_fine)[:2])
+    e_fine = eigenvalue(*build_tridiagonal(problem, L, n_fine)[:2])[0]
     value, error = richardson_step(e_n, e_fine)
     return EigenResult(value=value, L=L, n=n_fine, extrapolated=True, error_estimate=error)
 

@@ -29,11 +29,10 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
-from scipy.special import roots_legendre
 
 from . import potentials
 from .errors import AccuracyError
-from .potentials import a0_scaled, a_scaled_vec
+from .potentials import PotentialSpec, a0_scaled, a_scaled_vec
 
 __all__ = [
     "GaussianProfile",
@@ -58,12 +57,17 @@ PLATEAU_SWEEPS = 3
 _RAMP_SQ_INTEGRAL = 181.0 / 462.0     # ∫_0^1 s(t)^2 dt
 
 
+def _check_positive_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 class GaussianProfile:
     """f(z) = (2 pi w^2)^(-1/4) exp(-z^2/(4 w^2)), unit L2 norm."""
 
     def __init__(self, width: float = 1.0):
-        if width <= 0.0:
-            raise ValueError(f"width must be positive, got {width}")
+        _check_positive_finite(width=width)
         self.width = width
         self._amp = (2.0 * math.pi * width * width) ** -0.25
 
@@ -89,8 +93,7 @@ class PlateauProfile:
     """f = 1 on [-d, d], quintic smoothstep to 0 across [d, d + ramp]."""
 
     def __init__(self, half_width: float, ramp: float):
-        if half_width <= 0.0 or ramp <= 0.0:
-            raise ValueError("half_width and ramp must be positive")
+        _check_positive_finite(half_width=half_width, ramp=ramp)
         self.half_width = half_width
         self.ramp = ramp
 
@@ -166,8 +169,9 @@ class HermiteBasisProfile:
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs.ndim != 1 or len(self.coeffs) == 0:
             raise ValueError("coeffs must be a nonempty 1-d array")
-        if scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError(f"coeffs must be finite, got {self.coeffs}")
+        _check_positive_finite(scale=scale)
         self.scale = scale
 
     def _psi_table(self, x: np.ndarray, kmax: int) -> np.ndarray:
@@ -215,8 +219,7 @@ class RescaledProfile:
     """f_B(z) = B^(1/4) f(sqrt(B) z): norm-preserving longitudinal rescaling."""
 
     def __init__(self, base, B: float):
-        if not (B > 0.0 and math.isfinite(B)):
-            raise ValueError(f"B must be positive and finite, got {B}")
+        _check_positive_finite(B=B)
         self.base = base
         self.B = B
         self._rootB = math.sqrt(B)
@@ -245,7 +248,7 @@ class TrialState:
     profile: object
 
     def __post_init__(self):
-        if self.ell < 0 or self.ell != int(self.ell):
+        if not (self.ell >= 0 and self.ell % 1 == 0):
             raise ValueError(f"ell must be a nonnegative integer, got {self.ell}")
 
     @property
@@ -262,6 +265,14 @@ class TrialEvaluation:
 
 @dataclass(frozen=True)
 class UpperBoundCertificate:
+    """m* of a trial family and, if m* < 0, the bound log B_cert it certifies.
+
+    "Certified" means up to the panel rule's checked quadrature gap: every G
+    behind m* passed :func:`evaluate_GB`'s panel-doubling check at its
+    default ``epsrel``, and that gap estimates the quadrature error, it
+    does not bound it.
+    """
+
     family: str
     certified: bool
     m_star: float
@@ -286,15 +297,13 @@ def w_scaled_vec(ell: int, zeta) -> np.ndarray:
 
 # --- composite Gauss-Legendre panels in z for the reduced integrals
 
-_GLX32, _GLW32 = roots_legendre(32)
-
-
 def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 32-point rule on every panel between edges."""
+    """Nodes and weights of potentials' 32-point Gauss-Legendre rule on every
+    panel between edges."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    return ((mid[:, None] + half[:, None] * _GLX32[None, :]).ravel(),
-            (half[:, None] * _GLW32[None, :]).ravel())
+    return ((mid[:, None] + half[:, None] * potentials._GL_X[None, :]).ravel(),
+            (half[:, None] * potentials._GL_W[None, :]).ravel())
 
 
 def _panel_edges(profile, rootB: float) -> np.ndarray:
@@ -318,12 +327,11 @@ def evaluate_GB(nu: float, B: float, trial: TrialState, *,
     one array evaluation of the weights and the profile per rule.  The
     rule is applied again with every panel split in two, and that value is
     returned.  ``epsrel`` is the stopping criterion: if the two values of G
-    differ by more than epsrel (kin/nu + nu pot), AccuracyError is raised.
+    differ by more than epsrel (kin/nu + nu pot), AccuracyError is raised;
+    it must be positive and finite.
     """
-    if not (0.0 < nu < 1.0):
-        raise ValueError(f"nu must lie in (0, 1), got {nu}")
-    if not (B > 0.0 and math.isfinite(B)):
-        raise ValueError(f"B must be positive and finite, got {B}")
+    PotentialSpec(nu, B, trial.ell)  # ValueError for nu, B or ell out of range
+    _check_positive_finite(epsrel=epsrel)
     ell = trial.ell
     profile = trial.profile
     rootB = math.sqrt(B)
@@ -361,6 +369,9 @@ def certify_critical_upper_bound(nu: float, family: str = "gaussian") -> UpperBo
     scale-reduced functional; a negative m* turns into
     log B_cert = 2 log(2/|m*|), a valid bound for any profile, minimal or
     not.  A nonnegative m* reports "no certificate" rather than an error.
+    "Certified" holds up to the panel rule's checked quadrature gap: m*
+    comes from :func:`evaluate_GB`, whose panel doubling moved G by at most
+    ``epsrel`` (1e-10) of kin/nu + nu pot, else AccuracyError.
 
     The Gaussian family is a single canonical shape (its width is the
     rescaling direction, already consumed by the field scan), so its

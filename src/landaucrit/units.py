@@ -29,8 +29,8 @@ class PhysicalConstants:
     B_unit_tesla: float = 4.4e9
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.B_unit_tesla <= 0.0:
-            raise ValueError("constants must be positive")
+        if not all(0.0 < c < math.inf for c in (self.alpha, self.B_unit_tesla)):
+            raise ValueError(f"constants must be positive and finite, got {self}")
 
     @property
     def nonrel_B_unit_tesla(self) -> float:
@@ -43,7 +43,7 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 
 def nu_of_Z(Z: int, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Coupling nu = Z * alpha; rejects Z with nu >= 1 (no selfadjoint operator)."""
-    if Z <= 0 or Z != int(Z):
+    if not (Z > 0 and Z % 1 == 0):
         raise ValueError(f"Z must be a positive integer, got {Z}")
     nu = Z * constants.alpha
     if nu >= 1.0:

@@ -294,8 +294,8 @@ class UniformGrid:
     def T(self, lam: float) -> float:
         """T(lambda), the lowest eigenvalue of A(lambda) = -(p f')' + q f."""
         p_mid = 1.0 / (1.0 + lam + self.spec.nu * self.a_mids)
-        return sturm_liouville.lowest_of_tridiagonal(
-            *sturm_liouville.tridiagonal(p_mid, self.q_nodes, self.h))
+        return sturm_liouville.eigenvalue(
+            *sturm_liouville.tridiagonal(p_mid, self.q_nodes, self.h))[0]
 
 
 def uniform_grid(spec: PotentialSpec, L: float | None = None) -> tuple[float, int]:

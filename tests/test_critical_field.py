@@ -253,19 +253,19 @@ class TestSchrodingerSolve:
     def test_pencil_matches_brentq_on_same_grid(self, delta):
         """By Sylvester the pencil's kappa is the root of delta^2 = E_1(kappa) on
         its own grid: a brentq root of the uncapped single-grid E_1 agrees within
-        the pencil floor plus the oracle's own (its bisection tolerance, the
-        same float floor in E_1, and brentq's xtol)."""
+        the pencil floor plus the oracle's own (the same float floor in E_1 and
+        brentq's xtol)."""
         step, log_mu = pencil_grid(delta, 0.02)
         log_kappa, slope, floor = cf._pencil_log_kappa(delta, step, log_mu)
 
         def e1(lk):
             q = np.exp(lk + log_mu)
-            return sturm_liouville.lowest_of_tridiagonal(
-                *sturm_liouville.tridiagonal(np.ones(q.size + 1), q, step))
+            return sturm_liouville.eigenvalue(
+                *sturm_liouville.tridiagonal(np.ones(q.size + 1), q, step))[0]
 
         want = brentq(lambda lk: e1(lk) - delta * delta, log_kappa - 1.0, log_kappa + 1.0,
                       xtol=1e-12, rtol=8.9e-16)
-        oracle = floor + sturm_liouville.BISECTION_TOL / slope + 1e-12
+        oracle = floor + 1e-12
         assert abs(log_kappa - want) <= floor + oracle
         # the floor divides by the eigenvector's slope dE_1/dlog kappa
         d = 1e-2

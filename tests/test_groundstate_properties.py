@@ -37,7 +37,7 @@ def test_windowed_level_matches_index_selection(nu, log10_B, ell, offset, far):
     # every window below stays above -1, where the guard applies
     hypothesis.assume(want - 11.0 * W > -1.0)
     near = groundstate._Grid(spec, T, n, centre=want + offset * W)
-    assert abs(near.level() - want) <= 2.0 * abs(np.spacing(want)) and near.missed == 0
+    assert abs(near.level() - want) <= 2.0 * abs(np.spacing(want)) and near.solves == 1
     # 10 windows away the window misses: identical through the index selection
     assert groundstate._Grid(spec, T, n, centre=want + far * W).level() == want
 

@@ -60,11 +60,29 @@ def test_benchmark_wrap_points_exist(monkeypatch):
 
 def test_one_tridiagonal_kernel():
     """Only sturm_liouville names LAPACK's tridiagonal eigen-solver and the
-    factorisation behind its window guard; everything else calls its kernels."""
+    factorisation behind its window guard; everything else calls its kernel.
+    Every eigen-solve sits in sturm_liouville.eigenvalue, and only there is a
+    tolerance passed: the kernel's one accuracy policy, RELATIVE_TOL."""
+    solves, tols = [], []
     for path in sorted((ROOT / "src").rglob("*.py")):
         text = path.read_text()
         for name in ("eigh_tridiagonal", "dpttrf"):
             assert name not in text or path.name == "sturm_liouville.py", f"{path.name}: {name}"
+        tree = ast.parse(text)
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called = ast.unparse(node.func)
+            where = (path.stem, owner.get(id(node)), called)
+            if called.endswith("eigh_tridiagonal"):
+                solves.append(where)
+            tols += [(*where, ast.unparse(k.value)) for k in node.keywords if k.arg == "tol"]
+    assert solves == [("sturm_liouville", "eigenvalue", "eigh_tridiagonal")]
+    assert tols == [("sturm_liouville", "eigenvalue", "eigh_tridiagonal", "RELATIVE_TOL")]
 
 
 def test_potentials_needs_no_quadrature_or_root_finder():

@@ -121,6 +121,11 @@ class TestAEll:
         with pytest.raises(ValueError):
             a_ell(PotentialSpec(0.5, 1.0), math.inf)
 
+    @pytest.mark.parametrize("ell", [math.inf, math.nan])
+    def test_ell_must_be_a_finite_integer(self, ell):
+        with pytest.raises(ValueError, match="ell must be a nonnegative integer"):
+            PotentialSpec(0.5, 1.0, ell=ell)
+
 
 def test_a0_far_tail_against_mpmath():
     """a0_scaled at every third node or midpoint (m_delta's default h) of the

@@ -12,9 +12,8 @@ from landaucrit.potentials import PotentialSpec
 from landaucrit.sturm_liouville import (
     SturmLiouvilleProblem,
     build_tridiagonal,
+    eigenvalue,
     lowest_eigenvalue,
-    lowest_of_tridiagonal,
-    lowest_pair_of_tridiagonal,
     scaled_pencil,
 )
 
@@ -189,24 +188,22 @@ class TestEigenpair:
     def test_pair_matches_value_only_solve(self):
         problem = SturmLiouvilleProblem(p=ONES, q=lambda z: z * z, L=10.0, n=801)
         diag, offdiag, _ = build_tridiagonal(problem)
-        value, v = lowest_pair_of_tridiagonal(diag, offdiag)
-        assert value == lowest_of_tridiagonal(diag, offdiag)
+        value, v, _ = eigenvalue(diag, offdiag, vector=True)
+        assert value == eigenvalue(diag, offdiag)[0]
         assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
         residual = diag * v - value * v
         residual[:-1] += offdiag * v[1:]
         residual[1:] += offdiag * v[:-1]
         assert np.max(np.abs(residual)) < 1e-8
 
-    def test_tiny_tol_resolves_a_tiny_eigenvalue(self):
+    def test_resolves_a_tiny_eigenvalue(self):
         # c tridiag(-1, 2, -1) has lowest eigenvalue 4 c sin^2(pi / (2 (n + 1)))
         c, n = 1e-40, 301
         diag, offdiag = np.full(n, 2.0 * c), np.full(n - 1, -c)
         want = 4.0 * c * math.sin(math.pi / (2.0 * (n + 1))) ** 2
-        value = lowest_of_tridiagonal(diag, offdiag, tol=1e-300)
+        value = eigenvalue(diag, offdiag)[0]
         assert value == pytest.approx(want, rel=1e-12)
-        assert lowest_pair_of_tridiagonal(diag, offdiag, tol=1e-300)[0] == value
-        # the default absolute tolerance cannot see an eigenvalue of 1e-44
-        assert abs(lowest_of_tridiagonal(diag, offdiag) - want) > 1e3 * want
+        assert eigenvalue(diag, offdiag, vector=True)[0] == value
 
     def test_index_selects_that_eigenvalue(self):
         # tridiag(-1, 2, -1) has eigenvalues 4 sin^2(k pi / (2 (n + 1))), k = 1..n
@@ -214,7 +211,7 @@ class TestEigenpair:
         diag, offdiag = np.full(n, 2.0), np.full(n - 1, -1.0)
         for index in (0, 20, 40):
             want = 4.0 * math.sin((index + 1) * math.pi / (2.0 * (n + 1))) ** 2
-            assert lowest_of_tridiagonal(diag, offdiag, index=index) == pytest.approx(
+            assert eigenvalue(diag, offdiag, index=index)[0] == pytest.approx(
                 want, abs=1e-11)
 
 
@@ -257,12 +254,11 @@ class TestWindow:
         # (< 4 ulp) that holds the eigenvalue, but start from different
         # intervals, so the midpoints may differ in the last bits (<= 2 ulp seen)
         diag, offdiag = matrix()
-        value, vector = lowest_pair_of_tridiagonal(diag, offdiag, tol=1e-300)
+        value, vector, _ = eigenvalue(diag, offdiag, vector=True)
         window = (4.0 * value, 0.25 * value) if value < 0.0 else (0.25 * value, 4.0 * value)
         selects = record_selects(monkeypatch)
-        got = lowest_of_tridiagonal(diag, offdiag, tol=1e-300, window=window)
-        got_pair, got_vector = lowest_pair_of_tridiagonal(diag, offdiag, tol=1e-300,
-                                                          window=window)
+        got = eigenvalue(diag, offdiag, window=window)[0]
+        got_pair, got_vector, _ = eigenvalue(diag, offdiag, window=window, vector=True)
         assert selects == ["v", "v"]
         assert got_pair == got
         assert abs(got - value) <= 4.0 * abs(np.spacing(value))
@@ -279,17 +275,16 @@ class TestWindow:
     def test_missed_window_falls_back_to_index_selection(self, monkeypatch, matrix, miss,
                                                          selected):
         diag, offdiag = matrix()
-        value, vector = lowest_pair_of_tridiagonal(diag, offdiag, tol=1e-300)
-        second = lowest_of_tridiagonal(diag, offdiag, tol=1e-300, index=1)
+        value, vector, _ = eigenvalue(diag, offdiag, vector=True)
+        second = eigenvalue(diag, offdiag, index=1)[0]
         if miss == "empty":
             window = (value - 2.0 * abs(value), value - abs(value))
         else:
             window = (value + 0.5 * (second - value), second + abs(second))
             assert window[0] < second <= window[1]
         selects = record_selects(monkeypatch)
-        got = lowest_of_tridiagonal(diag, offdiag, tol=1e-300, window=window)
-        got_pair, got_vector = lowest_pair_of_tridiagonal(diag, offdiag, tol=1e-300,
-                                                          window=window)
+        got = eigenvalue(diag, offdiag, window=window)[0]
+        got_pair, got_vector, _ = eigenvalue(diag, offdiag, window=window, vector=True)
         assert selects == selected * 2
         assert got == got_pair == value
         assert np.array_equal(got_vector, vector)
@@ -297,7 +292,7 @@ class TestWindow:
     def test_window_selects_the_lowest_only(self):
         diag, offdiag = tiny_matrix()
         with pytest.raises(ValueError):
-            lowest_of_tridiagonal(diag, offdiag, index=1, window=(0.0, 1.0))
+            eigenvalue(diag, offdiag, index=1, window=(0.0, 1.0))
 
 
 def dirac_matrix(n=200, h=0.05):
@@ -326,12 +321,12 @@ class TestGuardedWindow:
     @pytest.mark.parametrize("half_width", [0.5, 1e-3, 1e-9])
     def test_guarded_window_matches_index_selection(self, monkeypatch, half_width):
         diag, offdiag, level = dirac_matrix()
-        value = lowest_of_tridiagonal(diag, offdiag, tol=1e-300, index=201)
+        value = eigenvalue(diag, offdiag, index=201)[0]
         assert value == pytest.approx(level, rel=1e-15)
         lo = level - half_width
         selects = record_selects(monkeypatch)
-        got = lowest_of_tridiagonal(diag, offdiag, tol=1e-300, index=201,
-                                    window=(lo, level + half_width), guard=dirac_guard(lo))
+        got = eigenvalue(diag, offdiag, index=201, window=(lo, level + half_width),
+                         guard=dirac_guard(lo))[0]
         assert selects == ["v"]
         assert abs(got - value) <= 2.0 * np.spacing(value)
 
@@ -344,9 +339,9 @@ class TestGuardedWindow:
     def test_missed_guarded_window_falls_back_to_index_selection(self, monkeypatch, window,
                                                                  selected):
         diag, offdiag, _ = dirac_matrix()
-        value = lowest_of_tridiagonal(diag, offdiag, tol=1e-300, index=201)
+        value = eigenvalue(diag, offdiag, index=201)[0]
         selects = record_selects(monkeypatch)
-        got, solves = sturm_liouville._counted_eigenvalue(
-            diag, offdiag, tol=1e-300, index=201, window=window, guard=dirac_guard(window[0]))
+        got, _, solves = eigenvalue(diag, offdiag, index=201, window=window,
+                                    guard=dirac_guard(window[0]))
         assert selects == selected and solves == len(selected)
         assert got == value

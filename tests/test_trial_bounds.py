@@ -146,6 +146,22 @@ class TestProfiles:
         with pytest.raises(ValueError, match="B must be positive and finite"):
             RescaledProfile(GaussianProfile(), B)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name, make", [
+        ("width", lambda x: GaussianProfile(x)),
+        ("half_width", lambda x: PlateauProfile(x, 1.0)),
+        ("ramp", lambda x: PlateauProfile(1.0, x)),
+        ("scale", lambda x: HermiteBasisProfile([1.0, 0.5], scale=x)),
+    ])
+    def test_shape_must_be_positive_and_finite(self, name, make, bad):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            make(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_hermite_coefficients_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="coeffs must be finite"):
+            HermiteBasisProfile([1.0, bad, 0.3])
+
 
 class TestEvaluateGB:
     @pytest.mark.parametrize("nu,B", [(0.85, 10.0), (0.9, 100.0), (0.95, 3.0)])
@@ -226,6 +242,17 @@ class TestEvaluateGB:
     def test_field_must_be_finite(self, B):
         with pytest.raises(ValueError, match="B must be positive and finite"):
             evaluate_GB(0.5, B, TrialState(0, GaussianProfile()))
+
+    @pytest.mark.parametrize("epsrel", [0.0, -1.0, math.nan, math.inf])
+    def test_epsrel_must_be_positive_and_finite(self, epsrel):
+        # nan would switch the panel-doubling check off, -1 fail it always
+        with pytest.raises(ValueError, match="epsrel must be positive and finite"):
+            evaluate_GB(0.5, 1.0, TrialState(0, GaussianProfile()), epsrel=epsrel)
+
+    @pytest.mark.parametrize("ell", [math.inf, math.nan])
+    def test_trial_ell_must_be_a_finite_integer(self, ell):
+        with pytest.raises(ValueError, match="ell must be a nonnegative integer"):
+            TrialState(ell, GaussianProfile())
 
 
 class TestCertificates:

@@ -16,7 +16,7 @@ def test_nu_of_Z_admits_Z_below_one_over_alpha():
         nu_of_Z(138)
 
 
-@pytest.mark.parametrize("Z", [0, -1, 2.5])
+@pytest.mark.parametrize("Z", [0, -1, 2.5, math.inf, math.nan])
 def test_nu_of_Z_rejects_non_positive_or_fractional_Z(Z):
     with pytest.raises(ValueError, match="positive integer"):
         nu_of_Z(Z)
@@ -54,8 +54,9 @@ def test_constants_override_and_nonrelativistic_unit():
     assert DEFAULT_CONSTANTS.nonrel_B_unit_tesla == pytest.approx(2.343e5, rel=1e-3)
 
 
-@pytest.mark.parametrize("kwargs", [dict(alpha=0.0), dict(alpha=-1e-2),
-                                    dict(B_unit_tesla=0.0), dict(B_unit_tesla=-4.4e9)])
+@pytest.mark.parametrize("kwargs", [dict(alpha=0.0), dict(alpha=-1e-2), dict(alpha=math.nan),
+                                    dict(B_unit_tesla=0.0), dict(B_unit_tesla=-4.4e9),
+                                    dict(B_unit_tesla=math.inf)])
 def test_constants_must_be_positive(kwargs):
     with pytest.raises(ValueError, match="positive"):
         PhysicalConstants(**kwargs)
