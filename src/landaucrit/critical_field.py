@@ -213,7 +213,7 @@ def critical_field_direct(delta: float) -> CriticalFieldResult:
 def _log_mu_grids(Y: float, h: float) -> tuple[tuple[float, np.ndarray], ...]:
     """(step, log mu at the nodes) on the n- and (2n + 1)-point grids of [-Y, Y],
     from one pass over the finer grid: its odd nodes are the coarser grid's,
-    at twice its step (exact)."""
+    at twice its step (exact).  The grid pair of :func:`critical_field_schrodinger`."""
     step, nodes, _ = sturm_liouville.grid_nodes(Y, 2 * sturm_liouville.odd_points(Y, h) + 1)
     log_mu = log_mu_of_y(nodes)
     return (2.0 * step, log_mu[1::2]), (step, log_mu)
@@ -227,10 +227,11 @@ def E1_of_kappa(log_kappa: float, *, Y: float | None = None,
     kappa ~ e^-157 regimes never underflow (kappa = 0 is log kappa = -inf),
     and capped at WALL_CAP where the exponential wall has long since become
     impenetrable for levels of O(1).  Y (default |log kappa| + 30, past the
-    turning point) is fixed, not doubled; the value is Richardson-extrapolated
-    over the grid pair of spacing h and h/2, sampled in one log mu pass.
-    Value only: the oracle for delta^2 = E_1(kappa), which the pencil of
-    :func:`critical_field_schrodinger` solves without calling it.
+    turning point) is fixed, not doubled.  The solve is the uniform-grid
+    oracle :func:`sturm_liouville.lowest_eigenvalue`, Richardson-extrapolated
+    over the grid pair of spacing h and h/2.  Value only: the oracle for
+    delta^2 = E_1(kappa), which the pencil of :func:`critical_field_schrodinger`
+    solves without calling it.
     """
     if Y is None:
         if not math.isfinite(log_kappa):
@@ -239,14 +240,9 @@ def E1_of_kappa(log_kappa: float, *, Y: float | None = None,
     if not (Y > 0.0 and math.isfinite(Y)):
         raise ValueError(f"Y must be positive and finite, got {Y}")
     log_cap = math.log(WALL_CAP)
-    levels = []
-    for step, log_mu in _log_mu_grids(Y, h):
-        q = np.exp(np.minimum(log_kappa + log_mu, log_cap))
-        levels.append(sturm_liouville.eigenvalue(
-            *sturm_liouville.tridiagonal(np.ones(q.size + 1), q, step))[0])
-    value, error = sturm_liouville.richardson_step(*levels)
-    return sturm_liouville.EigenResult(value=value, L=Y, n=q.size, extrapolated=True,
-                                       error_estimate=error)
+    return sturm_liouville.lowest_eigenvalue(sturm_liouville.SturmLiouvilleProblem(
+        np.ones_like, lambda y: np.exp(np.minimum(log_kappa + log_mu_of_y(y), log_cap)),
+        Y, sturm_liouville.odd_points(Y, h)), stabilize_domain=False)
 
 
 def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:

@@ -10,7 +10,8 @@ everything is computed in the scaled variable zeta = sqrt(B) z.  For ell = 0
 the closed form sqrt(pi/2) erfcx(|zeta|/sqrt(2)) holds everywhere; for
 ell >= 1, |zeta| <= SWITCH_RADIUS uses a degree-80 Chebyshev fit of composite
 Gauss-Legendre panels of the defining integral, and larger |zeta| the
-Gaussian-moment asymptotic series in 1/zeta^2.
+Gaussian-moment asymptotic series in 1/zeta^2.  The module owns the package's
+one panel rule (:func:`_panel_nodes`) and its one 1/zeta^2 series (:func:`_series`).
 
 The change of variables y(z) = ∫_0^z a_0(t;1) dt and the weight
 mu(y) = 1/a_0(z(y);1) turn the critical-field condition into a Schrodinger
@@ -52,6 +53,13 @@ SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 SWITCH_RADIUS = 30.0
 
 
+def _check_ell(ell) -> int:
+    """ell as an int; ValueError unless it is a nonnegative integer."""
+    if not (ell >= 0 and ell % 1 == 0):
+        raise ValueError(f"ell must be a nonnegative integer, got {ell}")
+    return int(ell)
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Coupling nu = Z*alpha, dimensionless field B, Landau index ell."""
@@ -65,8 +73,7 @@ class PotentialSpec:
             raise ValueError(f"nu must lie in (0, 1), got {self.nu}")
         if not (self.B > 0.0 and math.isfinite(self.B)):
             raise ValueError(f"B must be positive and finite, got {self.B}")
-        if not (self.ell >= 0 and self.ell % 1 == 0):
-            raise ValueError(f"ell must be a nonnegative integer, got {self.ell}")
+        _check_ell(self.ell)
 
 
 @dataclass(frozen=True)
@@ -98,27 +105,38 @@ def a0_scaled(zeta):
     return SQRT_PI_OVER_2 * erfcx(np.abs(zeta) / np.sqrt(2.0))
 
 
-def _a_scaled_asymptotic(ell: int, zeta):
-    """Large-|zeta| series (1/|zeta|) sum_k (-1)^k g_k |zeta|^(-2k), k <= 12.
+@lru_cache(maxsize=16)
+def _series(ell: int) -> np.ndarray:
+    """(-1)^k g_k, k <= 12, of a_ell(zeta; 1) = (1/|zeta|) sum_k (-1)^k g_k |zeta|^(-2k).
 
-    g_k = C(2k,k) 2^(-k) (ell+k)!/ell! comes from expanding 1/sqrt(t^2+zeta^2)
-    and integrating Gaussian moments termwise.  The series is asymptotic, but
-    beyond the switch radius its terms still decrease at k = 12, where they
-    are far below double precision.  Accepts floats and arrays.
+    g_k = C(2k,k) 2^(-k) (ell+k)!/ell! (exactly (2k-1)!! for ell = 0) comes
+    from expanding 1/sqrt(t^2+zeta^2) and integrating Gaussian moments
+    termwise.  The series is asymptotic, but beyond the switch radius its
+    terms still decrease at k = 12, where they are far below double
+    precision.  Read-only, since the cache shares it.
     """
-    z2inv = 1.0 / (zeta * zeta)
-    total = power = 1.0
-    g, sign = 1.0, 1.0
-    for k in range(1, 13):
-        g *= (2 * k - 1) / k * (ell + k)
-        sign = -sign
-        power = power * z2inv
-        total = total + sign * g * power
-    return total / abs(zeta)
+    coeffs = np.array([(-1) ** k * math.comb(2 * k, k) * math.perm(ell + k, k) / 2**k
+                       for k in range(13)])
+    coeffs.setflags(write=False)
+    return coeffs
 
 
-# Fixed Gauss-Legendre panels for the vectorized grid evaluator (ell >= 1).
+def _a_scaled_asymptotic(ell: int, zeta):
+    """a_ell(zeta; 1) from the 1/zeta^2 series of :func:`_series`; floats and arrays."""
+    return polynomial.polyval(1.0 / (zeta * zeta), _series(ell)) / abs(zeta)
+
+
+# The package's one panel rule: 32-point Gauss-Legendre on [-1, 1].
 _GL_X, _GL_W = roots_legendre(32)
+
+
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-point Gauss-Legendre rule on every panel
+    between edges."""
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return ((mid[:, None] + half[:, None] * _GL_X[None, :]).ravel(),
+            (half[:, None] * _GL_W[None, :]).ravel())
 
 
 def _a_scaled_grid_gl(ell: int, zetas: np.ndarray) -> np.ndarray:
@@ -126,26 +144,21 @@ def _a_scaled_grid_gl(ell: int, zetas: np.ndarray) -> np.ndarray:
 
     With t = zeta + v the integrand becomes c_ell [v(2 zeta + v)]^ell
     e^(-v(2 zeta + v)/2), analytic in v >= 0, so composite Gauss-Legendre
-    panels converge superalgebraically for every zeta >= 0.
+    panels converge superalgebraically for every zeta >= 0.  The rule on 24
+    graded panels of [0, 1], scaled to [0, v_max], is summed panel by panel;
+    its nodes are interior, so u > 0 at each.
     """
     zetas = np.abs(np.asarray(zetas, dtype=float))
     log_norm = -ell * math.log(2.0) - math.lgamma(ell + 1)
     cutoff = 40.0 + 14.0 * ell
     v_max = -zetas + np.sqrt(zetas * zetas + 2.0 * cutoff)
-    edges = np.linspace(0.0, 1.0, 25) ** 1.5
+    nodes, weights = _panel_nodes(np.linspace(0.0, 1.0, 25) ** 1.5)
     out = np.zeros_like(zetas)
-    for lo_f, hi_f in zip(edges[:-1], edges[1:]):
-        lo = lo_f * v_max
-        hi = hi_f * v_max
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        v = mid[:, None] + half[:, None] * _GL_X[None, :]
+    for x, w in zip(nodes.reshape(-1, _GL_X.size), weights.reshape(-1, _GL_X.size)):
+        v = v_max[:, None] * x
         u = v * (2.0 * zetas[:, None] + v)
-        with np.errstate(divide="ignore"):
-            log_u = np.where(u > 0.0, np.log(np.where(u > 0.0, u, 1.0)), -np.inf)
-        vals = np.exp(log_norm + ell * log_u - 0.5 * u)
-        out += (vals @ _GL_W) * half
-    return out
+        out += np.exp(log_norm + ell * np.log(u) - 0.5 * u) @ w
+    return out * v_max
 
 
 #: degree of the Chebyshev fit of a_ell(zeta; 1) on [0, SWITCH_RADIUS]: at 80
@@ -166,7 +179,8 @@ def _scaled_cheb_coeffs(ell: int) -> np.ndarray:
 def a_scaled_vec(ell: int, zeta) -> np.ndarray:
     """Vectorized a_ell(zeta; 1): erfcx closed form for ell = 0, cached
     Chebyshev interpolant inside the switch radius plus the asymptotic series
-    outside for ell >= 1."""
+    outside for ell >= 1.  ValueError unless ell is a nonnegative integer."""
+    ell = _check_ell(ell)
     zeta = np.abs(np.asarray(zeta, dtype=float))
     if ell == 0:
         return a0_scaled(zeta)
@@ -237,9 +251,9 @@ def _y_at_switch() -> float:
     return _inverse_cheb()[0]
 
 
-#: c_k = (-1)^k (2k-1)!!, k = 0..8: z a_0(z;1) = sum_k c_k z^(-2k) for z >= Z0,
-#: where the first term left out, 17!!/z^18, is below 1e-19
-_A0_TAIL = np.array([(-1) ** k * math.prod(range(1, 2 * k, 2)) for k in range(9)], dtype=float)
+#: c_k = (-1)^k (2k-1)!!, k = 0..8, the ell = 0 series: z a_0(z;1) = sum_k c_k z^(-2k)
+#: for z >= Z0, where the first term left out, 17!!/z^18, is below 1e-19
+_A0_TAIL = _series(0)[:9]
 #: its termwise integral: D(z) = sum_(k>=1) c_k z^(-2k)/(-2k)
 _Y_TAIL = np.concatenate(([0.0], _A0_TAIL[1:] / (-2.0 * np.arange(1, 9))))
 

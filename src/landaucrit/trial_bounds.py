@@ -27,7 +27,6 @@ import numpy as np
 # quad is called nowhere here; the benchmark's trace (perfbench/layers.py)
 # still wraps trial_bounds.quad
 from scipy.integrate import quad  # noqa: F401
-from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from . import potentials
@@ -129,6 +128,8 @@ class TabulatedProfile:
         values = np.asarray(values, dtype=float)
         if z.ndim != 1 or z.shape != values.shape or len(z) < 4:
             raise ValueError("need matching 1-d arrays with at least 4 samples")
+        # imported here, so that importing the package does not load scipy.interpolate
+        from scipy.interpolate import CubicSpline
         self._lo, self._hi = float(z[0]), float(z[-1])
         self._spline = CubicSpline(z, values, bc_type="natural")
         self._dspline = self._spline.derivative()
@@ -146,7 +147,7 @@ class TabulatedProfile:
     def norm_sq(self) -> float:
         # the square of a cubic is a sextic: the 32-point rule on every knot
         # panel sums it exactly
-        z, wt = _panel_nodes(self._spline.x)
+        z, wt = potentials._panel_nodes(self._spline.x)
         return float(wt @ self._spline(z) ** 2)
 
     def support_radius(self) -> float:
@@ -191,18 +192,13 @@ class HermiteBasisProfile:
 
     def derivative(self, z):
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        x = z / self.scale
-        kmax = len(self.coeffs)
-        psi = self._psi_table(x, kmax)
-        out = np.zeros_like(x)
-        for k, c in enumerate(self.coeffs):
-            if c == 0.0:
-                continue
-            dpsi = -math.sqrt((k + 1) / 2.0) * psi[k + 1]
-            if k >= 1:
-                dpsi = dpsi + math.sqrt(k / 2.0) * psi[k - 1]
-            out += c * dpsi
-        return out / self.scale**1.5
+        c = self.coeffs
+        # psi_k' = sqrt(k/2) psi_(k-1) - sqrt((k+1)/2) psi_(k+1), gathered by index
+        ladder = np.sqrt(np.arange(1, len(c) + 1) / 2.0)
+        d = np.zeros(len(c) + 1)
+        d[:-2] = ladder[:-1] * c[1:]
+        d[1:] -= ladder * c
+        return d @ self._psi_table(z / self.scale, len(c)) / self.scale**1.5
 
     def norm_sq(self) -> float:
         return float(self.coeffs @ self.coeffs)
@@ -248,12 +244,7 @@ class TrialState:
     profile: object
 
     def __post_init__(self):
-        if not (self.ell >= 0 and self.ell % 1 == 0):
-            raise ValueError(f"ell must be a nonnegative integer, got {self.ell}")
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.profile.norm_sq())
+        potentials._check_ell(self.ell)
 
 
 @dataclass(frozen=True)
@@ -295,16 +286,7 @@ def w_scaled_vec(ell: int, zeta) -> np.ndarray:
             + 2.0 * (ell + 1) * potentials.a_scaled_vec(ell + 1, zeta))
 
 
-# --- composite Gauss-Legendre panels in z for the reduced integrals
-
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of potentials' 32-point Gauss-Legendre rule on every
-    panel between edges."""
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return ((mid[:, None] + half[:, None] * potentials._GL_X[None, :]).ravel(),
-            (half[:, None] * potentials._GL_W[None, :]).ravel())
-
+# --- composite Gauss-Legendre panels (potentials' rule) in z for the reduced integrals
 
 def _panel_edges(profile, rootB: float) -> np.ndarray:
     """±R, 0, the profile's breakpoints and the dyadic edges ±2^k/(4 sqrt(B))
@@ -337,7 +319,7 @@ def evaluate_GB(nu: float, B: float, trial: TrialState, *,
     rootB = math.sqrt(B)
 
     def integrals(edges):
-        z, wt = _panel_nodes(edges)
+        z, wt = potentials._panel_nodes(edges)
         kin = wt @ (w_scaled_vec(ell, rootB * z) / rootB * profile.derivative(z) ** 2)
         pot = wt @ (rootB * a_scaled_vec(ell, rootB * z) * profile.value(z) ** 2)
         return float(kin), float(pot)
@@ -362,6 +344,14 @@ def _g1(nu: float, ell: int, profile) -> float:
     return ev.G_B / profile.norm_sq()
 
 
+def _line_search(f, bounds: tuple[float, float]) -> float:
+    """Bounded golden-section argmin of f; AccuracyError unless it converged."""
+    res = minimize_scalar(f, bounds=bounds, method="bounded", options={"xatol": 1e-6})
+    if not res.success:
+        raise AccuracyError(f"plateau line search did not converge: {res.message}")
+    return float(res.x)
+
+
 def certify_critical_upper_bound(nu: float, family: str = "gaussian") -> UpperBoundCertificate:
     """Certified upper bound for the critical field from one trial family.
 
@@ -379,7 +369,8 @@ def certify_critical_upper_bound(nu: float, family: str = "gaussian") -> UpperBo
     whenever nu^2 > 2/3.  The plateau family's m* is the best of
     PLATEAU_SWEEPS coordinate sweeps (bounded golden-section search in the
     half-width, then the ramp ratio), not the family's minimum: at nu = 0.85
-    it is -0.144 after 3 sweeps and still falling after 10 (-0.184).
+    it is -0.144 after 3 sweeps and still falling after 10 (-0.184).  A line
+    search that stops before it converges raises AccuracyError.
     """
     if not (0.0 < nu < 1.0):
         raise ValueError(f"nu must lie in (0, 1), got {nu}")
@@ -391,18 +382,10 @@ def certify_critical_upper_bound(nu: float, family: str = "gaussian") -> UpperBo
         x = math.log10(50.0)
         rho = 1.0
         for _ in range(PLATEAU_SWEEPS):
-            res = minimize_scalar(
-                lambda lx: _g1(nu, 0, PlateauProfile(10.0**lx, rho * 10.0**lx)),
-                bounds=(-0.5, 6.5), method="bounded",
-                options={"xatol": 1e-6},
-            )
-            x = float(res.x)
-            res = minimize_scalar(
-                lambda r: _g1(nu, 0, PlateauProfile(10.0**x, r * 10.0**x)),
-                bounds=(0.1, 24.0), method="bounded",
-                options={"xatol": 1e-6},
-            )
-            rho = float(res.x)
+            x = _line_search(lambda lx: _g1(nu, 0, PlateauProfile(10.0**lx, rho * 10.0**lx)),
+                             (-0.5, 6.5))
+            rho = _line_search(lambda r: _g1(nu, 0, PlateauProfile(10.0**x, r * 10.0**x)),
+                               (0.1, 24.0))
         m_star = _g1(nu, 0, PlateauProfile(10.0**x, rho * 10.0**x))
         params = {"half_width": 10.0**x, "ramp": rho * 10.0**x}
     else:

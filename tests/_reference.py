@@ -26,9 +26,9 @@ Each takes a different route from the library's one evaluation path:
   bisection; ``convergence_study`` reports raw eigenvalues on n, 2n, 4n, ...
   points so that the h^2 order of the scheme can be observed.
 - ``T_of_lambda`` is T(lambda) at a fixed lambda on uniform z-grids
-  (``UniformGrid``), Richardson-extrapolated and domain-doubled, where
-  ``ground_state_lambda`` takes its level from the staggered Dirac matrix on
-  the sinh-mapped t-grid.
+  (``sturm_liouville.lowest_eigenvalue``), Richardson-extrapolated and
+  domain-doubled, where ``ground_state_lambda`` takes its level from the
+  staggered Dirac matrix on the sinh-mapped t-grid.
 - ``evaluate_GB_quad`` sums the zero-mode trial functional by adaptive
   ``quad`` of point-wise integrands, with the kinetic weight from ``w_ell``,
   where ``trial_bounds.evaluate_GB`` uses fixed Gauss-Legendre panels and one
@@ -47,7 +47,6 @@ from scipy.special import erfcx
 
 from landaucrit import groundstate, sturm_liouville
 from landaucrit import potentials as pot
-from landaucrit.errors import TruncationError
 from landaucrit.potentials import PotentialSpec, VariableMap
 from landaucrit.sturm_liouville import EigenResult, SturmLiouvilleProblem
 from landaucrit.trial_bounds import TrialEvaluation, TrialState
@@ -282,22 +281,6 @@ def sturm_count(diag: np.ndarray, offdiag: np.ndarray, x: float) -> int:
 # T(lambda) of the ground-state fixed point
 # ---------------------------------------------------------------------------
 
-class UniformGrid:
-    """Potential samples on n interior nodes of z in [-L, L], uniform."""
-
-    def __init__(self, spec: PotentialSpec, L: float, n: int):
-        self.spec = spec
-        self.h, nodes, mids = sturm_liouville.grid_nodes(L, n)
-        self.a_mids = pot.a_ell_grid(spec, mids)
-        self.q_nodes = 1.0 - spec.nu * pot.a_ell_grid(spec, nodes)
-
-    def T(self, lam: float) -> float:
-        """T(lambda), the lowest eigenvalue of A(lambda) = -(p f')' + q f."""
-        p_mid = 1.0 / (1.0 + lam + self.spec.nu * self.a_mids)
-        return sturm_liouville.eigenvalue(
-            *sturm_liouville.tridiagonal(p_mid, self.q_nodes, self.h))[0]
-
-
 def uniform_grid(spec: PotentialSpec, L: float | None = None) -> tuple[float, int]:
     """(L, n) of the uniform grid on [-L, L], by default the ground state's
     first domain, at spacing 0.05/sqrt(max(1, B)): the rule the library used
@@ -309,10 +292,11 @@ def uniform_grid(spec: PotentialSpec, L: float | None = None) -> tuple[float, in
 def T_of_lambda(spec: PotentialSpec, lam: float, *, L: float | None = None,
                 n: int | None = None, richardson: bool = True,
                 stabilize_domain: bool = True) -> float:
-    """Lowest eigenvalue T(lambda) of the linearized operator on
-    ``UniformGrid`` (by default ``uniform_grid(spec)``): Richardson over
-    n -> 2n + 1, then the domain doubled at fixed h until T moves by less
-    than 1e-9.
+    """Lowest eigenvalue T(lambda) of the linearized operator
+    -(p f')' + q f, p = 1/(1 + lambda + nu a_ell), q = 1 - nu a_ell, on the
+    uniform grid (by default ``uniform_grid(spec)``) of
+    ``sturm_liouville.lowest_eigenvalue``: Richardson over n -> 2n + 1, then
+    the domain doubled at fixed h until T moves by less than 1e-9.
 
     At lambda = -1 the kinetic denominator reduces to nu a_ell, which is
     positive on any truncated domain, so the solve needs no regularization.
@@ -323,33 +307,11 @@ def T_of_lambda(spec: PotentialSpec, lam: float, *, L: float | None = None,
         L, n = uniform_grid(spec, L)
     elif L is None:
         L = groundstate._default_domain(spec)
-
-    def on_grid(L, n):
-        value = UniformGrid(spec, L, n).T(lam)
-        if not richardson:
-            return value
-        return sturm_liouville.richardson_step(value, UniformGrid(spec, L, 2 * n + 1).T(lam))[0]
-
-    prev = on_grid(L, n)
-    if not stabilize_domain:
-        return prev
-    max_doublings = 8
-    for _ in range(max_doublings):
-        # doubling both L and the cell count (n -> 2n+1) keeps h fixed
-        L, n = 2.0 * L, 2 * n + 1
-        if n > sturm_liouville.MAX_GRID_POINTS:
-            raise TruncationError(
-                f"domain doubling exceeded the grid cap at n={n} before stabilizing",
-                last_values=(prev, math.nan),
-            )
-        cur = on_grid(L, n)
-        if abs(cur - prev) < 1e-9:
-            return cur
-        prev = cur
-    raise TruncationError(
-        f"T did not stabilize within {max_doublings} domain doublings",
-        last_values=(prev, cur),
-    )
+    problem = SturmLiouvilleProblem(
+        lambda z: 1.0 / (1.0 + lam + spec.nu * pot.a_ell_grid(spec, z)),
+        lambda z: 1.0 - spec.nu * pot.a_ell_grid(spec, z), L, n)
+    return sturm_liouville.lowest_eigenvalue(problem, richardson=richardson,
+                                             stabilize_domain=stabilize_domain).value
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,6 +86,27 @@ def test_one_tridiagonal_kernel():
             tols += [(*where, ast.unparse(k.value)) for k in node.keywords if k.arg == "tol"]
     assert solves == [("sturm_liouville", "eigenvalue", "eigh_tridiagonal")]
     assert tols == [("sturm_liouville", "eigenvalue", "eigh_tridiagonal", "RELATIVE_TOL")]
+
+
+def test_one_panel_rule():
+    """potentials owns the package's one Gauss-Legendre panel rule: no other
+    module names roots_legendre or reads its nodes and weights."""
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        text = path.read_text()
+        for name in ("roots_legendre", "_GL_X", "_GL_W"):
+            assert name not in text or path.name == "potentials.py", f"{path.name}: {name}"
+
+
+def test_import_does_not_load_scipy_interpolate():
+    """CubicSpline is imported where a TabulatedProfile is built, so the
+    package import leaves scipy.interpolate unloaded."""
+    import landaucrit
+
+    env = dict(os.environ, PYTHONPATH=str(Path(landaucrit.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, landaucrit; print('scipy.interpolate' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 def test_potentials_needs_no_quadrature_or_root_finder():

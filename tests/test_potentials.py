@@ -9,6 +9,7 @@ from landaucrit import critical_field as cf
 from landaucrit import sturm_liouville
 from landaucrit import potentials as pot
 from landaucrit.potentials import PotentialSpec, a_ell_grid, mu_bound_constant, z_of_y
+from landaucrit.trial_bounds import w_scaled_vec
 
 from _reference import (a_ell, a_ell_direct, a_scaled_quadrature, far_tail, mp_a0,
                         mp_y_of_z, scaling_check, y_of_z)
@@ -125,6 +126,13 @@ class TestAEll:
     def test_ell_must_be_a_finite_integer(self, ell):
         with pytest.raises(ValueError, match="ell must be a nonnegative integer"):
             PotentialSpec(0.5, 1.0, ell=ell)
+
+    @pytest.mark.parametrize("ell", [-1, 1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("func", [pot.a_scaled_vec, w_scaled_vec])
+    def test_vector_evaluators_check_ell(self, func, ell):
+        # unchecked, 1.5 gives numbers, nan and inf give nan, -1 a bare math domain error
+        with pytest.raises(ValueError, match="ell must be a nonnegative integer"):
+            func(ell, np.array([0.5, 40.0]))
 
 
 def test_a0_far_tail_against_mpmath():

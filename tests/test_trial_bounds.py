@@ -284,6 +284,18 @@ class TestCertificates:
         with pytest.raises(ValueError):
             certify_critical_upper_bound(0.5, "lorentzian")
 
+    def test_plateau_line_search_must_converge(self, monkeypatch):
+        # stopped after two iterations, an unchecked search "certifies" m* = -0.0079
+        # (log B_cert = 11.07) at nu = 0.9, where the converged one finds -0.1747 (4.88)
+        search = trial_bounds.minimize_scalar
+
+        def capped(*args, options, **kwargs):
+            return search(*args, options={**options, "maxiter": 2}, **kwargs)
+
+        monkeypatch.setattr(trial_bounds, "minimize_scalar", capped)
+        with pytest.raises(AccuracyError, match="did not converge"):
+            certify_critical_upper_bound(0.9, "plateau")
+
 
 class TestSqrt5Inequality:
     def test_random_trials_respect_bound(self):
