@@ -22,15 +22,31 @@ level of -d^2/dy^2 + kappa mu.  So -kappa is the lowest eigenvalue of the
 pencil (A, M), A = -d^2/dy^2 - delta^2, M = diag(mu): higher modes need
 wider wells and have smaller kappa.  Scaled to the symmetric tridiagonal
 S A S, S = diag(mu^-1/2), it has the inertia of A - sigma M (Sylvester), so
-one bisection per grid gives kappa with no root loop.  Both routes' pencils
-bisect only inside a window of e^(+-WINDOW_HALF_WIDTH) around the small-delta
-asymptote kappa ~ e^(-pi/2delta), certified to hold the lowest eigenvalue
-(sturm_liouville), not across the whole Gershgorin interval.  log mu is sampled
+one bisection per grid gives kappa with no root loop.  log mu is sampled
 once per call, on the finer grid of a pair (n and 2n + 1 points on [-Y, Y],
 Y = pi/(2 delta) + 30), and log kappa Richardson-extrapolated over the pair;
-in logs this reaches delta = 0.01 (kappa ~ e^-157).  Analytic two-sided
-estimates for E_1 (step-potential lower side, cosine-trial upper side) come
-with every solve.
+in logs this reaches delta = 0.01 (kappa ~ e^-157).  The step follows the
+rule h(delta) = min(0.2, max(0.02, 0.01/delta)), which balances the pencil's
+float floor (~eps/h^2 over dE_1/dlog kappa ~ 4 delta^3/pi) against its
+Richardson remainder (~h^4).  Between delta = 0.05 and 0.5 a coarse grid
+then has about (pi + 60 delta)/0.01 rows: the width pi/delta of the
+eigenfunction always costs about 314, and only the padding of Y grows.  At
+delta = 0.01 the float floor of log B_L is 2e-7, where the fixed step 0.02 of
+earlier versions gave 2e-5.  Analytic two-sided estimates for
+E_1 (step-potential lower side, cosine-trial upper side) come with every
+solve.
+
+The small-delta closed form (:func:`critical_field_asymptotic`),
+
+    log B_L = pi/delta + log(4 delta^2) - (gamma_E + ln 2)
+              - (2/delta) arg Gamma(1 + 2i delta) + O(kappa),
+
+is exact to double precision below delta ~ 0.07 and checks both routes
+there.  Both routes' pencils bisect only inside a window around its
+log kappa, of half-width WINDOW_GRID step^2 + 2 kappa + WINDOW_FLOOR,
+certified to hold the lowest eigenvalue (sturm_liouville), not across the
+whole Gershgorin interval: about 45 bisection steps per solve instead of 53
+with the window e^(+-1) around -pi/(2 delta) of earlier versions.
 """
 
 from __future__ import annotations
@@ -40,12 +56,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import loggamma
 
 from . import groundstate, sturm_liouville
 from .errors import BracketError
 # a0_scaled is called nowhere here; the benchmark's trace (perfbench/layers.py)
 # still wraps critical_field.a0_scaled
-from .potentials import PotentialSpec, a0_scaled, log_mu_of_y, mu_bound_constant  # noqa: F401
+from .potentials import (LOG_OFFSET, PotentialSpec, a0_scaled,  # noqa: F401
+                         log_mu_of_y, mu_bound_constant)
 from .units import DEFAULT_CONSTANTS, PhysicalConstants, log10_tesla_of_log_B
 
 __all__ = [
@@ -90,15 +108,32 @@ MAX_DIRECT_DOUBLINGS = 4
 #: beyond this act as infinite for eigenvalues <= O(1)
 WALL_CAP = 1.0e4
 
-#: half-width, in log kappa, of the bisection window around -pi/(2 delta);
-#: measured log kappa + pi/(2 delta) lies in [-0.52, 0.37] on the Schrodinger
-#: pencil (delta in [0.01, 0.7], h in [0.01, 0.5]) and in [-0.51, 0.77] on
-#: the direct one (delta in [0.05, 0.99])
-WINDOW_HALF_WIDTH = 1.0
+#: the bisection window of both pencils is centred on the closed-form log kappa
+#: of :func:`critical_field_asymptotic`, with the half-width
+#: WINDOW_GRID step^2 + 2 kappa + WINDOW_FLOOR: a grid's log kappa lies above
+#: the continuum's by 0.0145-0.045 step^2 on the Schrodinger pencil (delta in
+#: [0.01, 0.7]) and 0.10-0.14 step^2 on the direct one (delta in [0.05, 0.99]),
+#: and the continuum's above the closed form by at most 0.6 kappa
+WINDOW_GRID = 0.15
+WINDOW_FLOOR = 1e-3
 
 #: float floor of the pencil in E_1, in eps / h^2; the error against 40-digit
 #: Sturm bisection measured <= 0.73 (delta in [0.01, 0.7], h = 0.02 and 0.01)
 PENCIL_FLOOR = 4.0
+
+#: step rule of the Schrodinger pencil, h(delta) = min(STEP_MAX, max(STEP_MIN,
+#: STEP_SCALE / delta)).  The float floor of log B_L falls like
+#: PENCIL_FLOOR eps / (h^2 slope), slope = dE_1/dlog kappa ~ 4 delta^3/pi, and
+#: the Richardson remainder grows like h^4: about 1.1e-3 h^4 at delta = 0.7 and
+#: 1.2e-4 h^4 at 0.31, and about 1.3e-5 h^4 at every delta below 0.15.  Above 0.15
+#: the two balance at h ~ 0.0106 delta^-0.92 ~ STEP_SCALE / delta, which holds
+#: the rows per pencil near (pi + 60 delta) / STEP_SCALE.  STEP_MIN, reached at
+#: delta = 0.5, is the fixed step of earlier versions.  STEP_MAX, reached below
+#: delta = 0.05, is where at DELTA_MIN the remainder meets the float error
+#: actually measured (about 0.2 of the floor); it holds the remainder to 2.1e-8
+STEP_SCALE = 0.01
+STEP_MIN = 0.02
+STEP_MAX = 0.2
 
 
 @dataclass(frozen=True)
@@ -142,12 +177,26 @@ def nu_bar() -> float:
     return ((math.sqrt(5.0 - 2.0 * math.sqrt(2.0)) - 1.0) / 2.0) ** 2
 
 
-def _window(delta: float, scale: float = 1.0) -> tuple[float, float]:
-    """Bisection window (lo, hi) for the lowest pencil eigenvalue -scale kappa,
-    log kappa within WINDOW_HALF_WIDTH of its asymptote -pi/(2 delta)."""
-    log_kappa = -math.pi / (2.0 * delta)
-    return (-scale * math.exp(log_kappa + WINDOW_HALF_WIDTH),
-            -scale * math.exp(log_kappa - WINDOW_HALF_WIDTH))
+def _log_kappa_asymptotic(delta: float) -> float:
+    """log kappa = g - pi/(2 delta) + arg Gamma(1 + 2i delta)/delta, exact up
+    to O(kappa); g = LOG_OFFSET (see :func:`critical_field_asymptotic`)."""
+    return LOG_OFFSET + (float(loggamma(1.0 + 2.0j * delta).imag) - 0.5 * math.pi) / delta
+
+
+def _window(delta: float, scale: float = 1.0, step: float = 0.0) -> tuple[float, float]:
+    """Bisection window (lo, hi) for the lowest pencil eigenvalue -scale kappa
+    on a grid of the given step (0: the continuum): log kappa within
+    WINDOW_GRID step^2 + 2 kappa + WINDOW_FLOOR of its closed form."""
+    log_kappa = _log_kappa_asymptotic(delta)
+    half_width = WINDOW_GRID * step * step + 2.0 * math.exp(log_kappa) + WINDOW_FLOOR
+    return (-scale * math.exp(log_kappa + half_width),
+            -scale * math.exp(log_kappa - half_width))
+
+
+def _step(delta: float) -> float:
+    """Default step of :func:`critical_field_schrodinger`,
+    min(STEP_MAX, max(STEP_MIN, STEP_SCALE / delta))."""
+    return min(STEP_MAX, max(STEP_MIN, STEP_SCALE / delta))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +224,7 @@ def m_delta(delta: float, *, B: float = 1.0, h: float = 0.025) -> float:
     TruncationError is raised after MAX_DIRECT_DOUBLINGS doublings.
     """
     spec = PotentialSpec(delta, B)
-    window = _window(delta, math.sqrt(B) / delta)
+    window = _window(delta, math.sqrt(B) / delta, h)
     m, _ = sturm_liouville._mapped_richardson(
         lambda t: groundstate._samples(spec, t),
         lambda T, n, samples: groundstate._Grid(spec, T, n, samples=samples).threshold(window),
@@ -287,33 +336,44 @@ def _pencil_log_kappa(delta: float, step: float, log_mu: np.ndarray,
     """(log kappa = log(-sigma_1), slope dE_1/dlog kappa, float floor of log kappa)
     on one grid; the slope kappa / sum(g^2 / mu) comes from the unit eigenvector
     g of S A S unless it is given, and the floor is PENCIL_FLOOR eps / step^2
-    over it.  sigma_1 is bisected inside the window of -kappa."""
+    over it.  sigma_1 is bisected inside the window of -kappa for this step."""
     s = np.exp(-0.5 * log_mu)
     diag, offdiag = sturm_liouville.scaled_pencil(np.ones(s.size + 1),
                                                   np.full(s.size, -delta * delta), s, step)
-    window = _window(delta)
-    sigma, g, _ = sturm_liouville.eigenvalue(diag, offdiag, window=window,
+    sigma, g, _ = sturm_liouville.eigenvalue(diag, offdiag, window=_window(delta, 1.0, step),
                                              vector=slope is None)
     if slope is None:
         slope = -sigma / float(np.sum((g * s) ** 2))
     return math.log(-sigma), slope, PENCIL_FLOOR * np.finfo(float).eps / (step**2 * slope)
 
 
-def critical_field_schrodinger(delta: float, *, h: float = 0.02) -> CriticalFieldResult:
+def critical_field_schrodinger(delta: float, *, h: float | None = None) -> CriticalFieldResult:
     """log B_L from the lowest eigenvalue -kappa of the pencil; in logs throughout.
 
     One eigenpair solve on step h and one value solve on h/2, on [-Y, Y] with
     Y = pi/(2 delta) + 30 > pi/(2 delta), so that A has a negative eigenvalue
-    and sigma_1 < 0; log kappa is Richardson-extrapolated over the pair.
-    ``log_BL_error`` is the float floor, not the discretization error: the
-    per-grid floors (coarse slope) combined as (4 fine + coarse) / 3 and
-    doubled for log B_L, about 2e-5 at delta = 0.01 and < 1e-9 at >= 0.3.
+    and sigma_1 < 0; log kappa is Richardson-extrapolated over the pair.  The
+    default h is the step rule min(0.2, max(0.02, 0.01/delta)) (STEP_MAX,
+    STEP_MIN, STEP_SCALE), which balances the float floor against the
+    Richardson remainder.  Between delta = 0.05 and 0.5 it keeps the coarse
+    grid near (pi + 60 delta)/0.01 rows; at delta = 0.01 it has 1 871, where
+    the fixed h = 0.02 took 18 707.
+    Against the closed form of :func:`critical_field_asymptotic`, exact there,
+    the default is within 2.9e-8 on 61 points of [0.01, 0.07], and within
+    8.2e-9 of h = 0.01 on 32 points of [0.08, 0.7].
+
+    ``log_BL_error`` is the float floor only, not the discretization error:
+    the per-grid floors (coarse slope) combined as (4 fine + coarse) / 3 and
+    doubled for log B_L, about 2e-7 at delta = 0.01 (2e-5 at h = 0.02) and
+    < 1e-9 at >= 0.3.  Near delta = 0.05 the Richardson remainder of the
+    coarse default step exceeds it: 1.6e-9 reported against 2.1e-8 measured.
     """
     if not (DELTA_MIN <= delta <= DELTA_MAX_SCHRODINGER):
         raise ValueError(
             f"schrodinger method supports {DELTA_MIN} <= delta <= "
             f"{DELTA_MAX_SCHRODINGER}, got {delta}"
         )
+    h = _step(delta) if h is None else h
     (h0, log_mu0), (h1, log_mu1) = _log_mu_grids(math.pi / (2.0 * delta) + 30.0, h)
     coarse, slope, floor_coarse = _pencil_log_kappa(delta, h0, log_mu0)
     fine, _, floor_fine = _pencil_log_kappa(delta, h1, log_mu1, slope)
@@ -328,12 +388,25 @@ def critical_field_schrodinger(delta: float, *, h: float = 0.02) -> CriticalFiel
 
 
 def critical_field_asymptotic(delta: float) -> CriticalFieldResult:
-    """Leading small-delta form log B_L = log(4 delta^2) + pi/delta."""
+    """Small-delta closed form, exact up to O(kappa):
+
+        log B_L = pi/delta + log(4 delta^2) - (gamma_E + ln 2)
+                  - (2/delta) arg Gamma(1 + 2i delta) + R,   R = O(kappa).
+
+    Beyond the core mu(y) = e^(|y| - g) (1 + O(e^(-2|y|))), g = LOG_OFFSET.
+    For that pure well the even solution of -u'' + kappa mu u = delta^2 u is
+    K_(2i delta)(2 sqrt(kappa) e^((|y| - g)/2)), and the small-argument form
+    of K_(i nu) (DLMF 10.45) turns u'(0) = 0 into
+    delta (log kappa - g) - arg Gamma(1 + 2i delta) = -pi/2 (arg Gamma from
+    ``scipy.special.loggamma``, DLMF 5.4); the core shifts this by O(kappa).
+    Measured, R/kappa lies in [-1.1, -0.04] for delta in [0.1, 0.95]; at
+    delta <= 0.07 (kappa < 1.1e-10) the form is more accurate than either route.
+    """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    log_kappa = -math.pi / (2.0 * delta)
+    log_kappa = _log_kappa_asymptotic(delta)
     return CriticalFieldResult(
-        delta=delta, log_BL=math.log(4.0 * delta * delta) + math.pi / delta,
+        delta=delta, log_BL=2.0 * (math.log(2.0 * delta) - log_kappa),
         method="asymptotic", m_delta=-math.exp(log_kappa) / delta,
         log_kappa=log_kappa, e1_bracket=None,
     )
@@ -359,9 +432,14 @@ def hhh_bounds(nu: float) -> tuple[float, float | None]:
     return lower, upper
 
 
-def sandwich(nu: float, *, h: float = 0.02,
+def sandwich(nu: float, *, h: float | None = None,
              constants: PhysicalConstants = DEFAULT_CONSTANTS) -> SandwichBracket:
-    """B_L(nu + nu^1.5) <= B(nu) <= B_L(nu - nu^1.5), valid for nu < nu_bar."""
+    """B_L(nu + nu^1.5) <= B(nu) <= B_L(nu - nu^1.5), valid for nu < nu_bar.
+
+    Both sides are :func:`critical_field_schrodinger` at step h, by default
+    each at its own step rule: 0.14 to 0.2 for nu < nu_bar, so that the two
+    pencil pairs of sandwich(0.045) have 4 152 rows, against 39 930 at 0.02.
+    """
     nb = nu_bar()
     if not (0.0 < nu < nb):
         raise ValueError(f"sandwich is valid only for 0 < nu < nu_bar ~ {nb:.4f}, got {nu}")

@@ -19,7 +19,8 @@ eigenvalue problem; both are supported far into the tail (|y| of several
 hundred) by carrying log z instead of z.  Up to SWITCH_RADIUS, y(z) is the
 ``chebint`` of a Chebyshev interpolant of a_0, and z(y)/y is interpolated through
 vectorised Newton roots of it (the derivative a_0 is exact); beyond, y(z) is
-log z + gamma plus the integrated 1/z^2 series of a_0, inverted in log z.
+log z + gamma plus the integrated 1/z^2 series of a_0, inverted in log z, with
+the exact constant gamma = LOG_OFFSET = (gamma_E + ln 2)/2.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "PotentialSpec",
     "VariableMap",
     "SWITCH_RADIUS",
+    "LOG_OFFSET",
     "a_ell_grid",
     "a_scaled_vec",
     "a0_scaled",
@@ -263,11 +265,10 @@ def _tail_correction(z2inv):
     return polynomial.polyval(z2inv, _Y_TAIL)
 
 
-@lru_cache(maxsize=1)
-def _log_offset() -> float:
-    """gamma = lim_(z->inf) [y(z) - log z], via the tail series at the switch."""
-    z0 = SWITCH_RADIUS
-    return _y_at_switch() - math.log(z0) - _tail_correction(1.0 / (z0 * z0))
+#: gamma = lim_(z->inf) [y(z) - log z] = (gamma_E + ln 2)/2 exactly: y(z) is
+#: ∫_0^inf s e^(-s^2/2) asinh(z/s) ds = log 2z - E[log s] + o(1), with s
+#: Rayleigh-distributed, E[log s] = (ln 2 - gamma_E)/2
+LOG_OFFSET = (np.euler_gamma + math.log(2.0)) / 2.0
 
 
 def _log_z_far(target: np.ndarray) -> np.ndarray:
@@ -290,7 +291,7 @@ def _map(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     near = y <= y0
     # beyond log z = 20, D(z) and log(z a_0) are below 5e-18, under the
     # rounding of log z, so there log mu = log z = y - gamma
-    log_z = np.subtract(y, _log_offset(), out=np.empty_like(y))
+    log_z = np.subtract(y, LOG_OFFSET, out=np.empty_like(y))
     log_mu = log_z.copy()
     z = y[near] * chebyshev.chebval(2.0 * y[near] / y0 - 1.0, coeffs)
     with np.errstate(divide="ignore"):

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
-from scipy.special import erfcx
+from scipy.special import erfcx, loggamma
 
 from landaucrit import critical_field as cf
 from landaucrit import groundstate, sturm_liouville
@@ -327,15 +327,72 @@ class TestSchrodingerSolve:
 class TestAsymptotic:
     def test_schrodinger_approaches_asymptotic_form(self, schrodinger_01):
         asym = cf.critical_field_asymptotic(0.1)
-        # leading form only: agreement at the 10% level in log B_L
+        # the loose check, which the leading form log(4 delta^2) + pi/delta
+        # (off by 3 gamma_E - ln 2 = 1.04) also passed: see the O(kappa) test
         assert asym.log_BL == pytest.approx(schrodinger_01.log_BL, rel=0.12)
         assert asym.method == "asymptotic"
         assert asym.log_BL_error is None
+
+    @pytest.mark.parametrize("delta", [0.1, 0.15, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95])
+    def test_closed_form_within_order_kappa(self, delta):
+        """|log B_L - closed form| <= 1.5 kappa: the remainder is O(kappa), with
+        R/kappa measured in [-1.10, -0.04]; the direct route above 0.7."""
+        route = cf.critical_field_schrodinger if delta <= 0.7 else cf.critical_field_direct
+        numeric = route(delta)
+        asym = cf.critical_field_asymptotic(delta)
+        assert abs(numeric.log_BL - asym.log_BL) <= 1.5 * math.exp(asym.log_kappa)
+
+    def test_closed_form_as_written(self):
+        asym = cf.critical_field_asymptotic(0.05)
+        assert asym.log_BL == pytest.approx(
+            math.pi / 0.05 + math.log(4.0 * 0.05**2) - (np.euler_gamma + math.log(2.0))
+            - (2.0 / 0.05) * float(loggamma(1.0 + 0.1j).imag), abs=1e-13)
+        assert asym.m_delta == pytest.approx(-math.exp(asym.log_kappa) / 0.05, rel=1e-15)
+        assert 2.0 * (math.log(2.0) - math.log(-asym.m_delta)) == pytest.approx(
+            asym.log_BL, abs=1e-13)
 
     @pytest.mark.parametrize("delta", [cf.DELTA_MIN, 0.05])
     def test_scaled_log_kappa_near_limit(self, delta):
         res = cf.critical_field_schrodinger(delta)
         assert 0.8 <= (-2.0 * delta / math.pi) * res.log_kappa <= 1.2
+
+
+class TestStepRule:
+    """The default step h(delta) of the Schrodinger pencil, checked against the
+    closed form where it is exact (kappa < 1.1e-10) and against h = 0.01 above."""
+
+    @pytest.mark.parametrize("delta", [0.01, 0.02, 0.03, 0.05, 0.07])
+    def test_default_step_matches_closed_form(self, delta):
+        res = cf.critical_field_schrodinger(delta)
+        assert abs(res.log_BL - cf.critical_field_asymptotic(delta).log_BL) <= 5e-8
+
+    def test_closed_form_rejects_the_fixed_step(self):
+        # the check has teeth: at the old fixed step 0.02 the float floor fails it
+        res = cf.critical_field_schrodinger(0.01, h=0.02)
+        assert abs(res.log_BL - cf.critical_field_asymptotic(0.01).log_BL) > 5e-8
+
+    @pytest.mark.parametrize("delta", [0.1, 0.15, 0.2, 0.31, 0.5, 0.7])
+    def test_default_step_matches_a_fine_grid(self, delta):
+        fine = cf.critical_field_schrodinger(delta, h=0.01).log_BL
+        assert abs(cf.critical_field_schrodinger(delta).log_BL - fine) <= 2e-8
+
+    def test_step_rule_stays_within_its_clamps(self):
+        deltas = np.linspace(cf.DELTA_MIN, cf.DELTA_MAX_SCHRODINGER, 401)
+        steps = np.array([cf._step(d) for d in deltas])
+        assert np.all(steps >= 0.02) and np.all(steps <= cf.STEP_MAX)
+        assert np.all(np.diff(steps) <= 0.0)
+        assert cf._step(0.7) == 0.02 and cf._step(0.01) == cf.STEP_MAX
+
+    def test_explicit_step_overrides_the_rule(self, monkeypatch):
+        seen = []
+        real = cf._log_mu_grids
+        monkeypatch.setattr(cf, "_log_mu_grids", lambda Y, h: seen.append(h) or real(Y, h))
+        cf.critical_field_schrodinger(0.3, h=0.05)
+        cf.critical_field_schrodinger(0.3)
+        cf.sandwich(0.045)
+        cf.sandwich(0.045, h=0.03)
+        d_minus, d_plus = 0.045 - 0.045**1.5, 0.045 + 0.045**1.5
+        assert seen == [0.05, cf._step(0.3), cf._step(d_plus), cf._step(d_minus), 0.03, 0.03]
 
 
 class TestHhhBounds:
@@ -403,24 +460,39 @@ def record_selects(monkeypatch):
     return selects
 
 
-class TestBisectionWindow:
-    """Both relative-accuracy pencils bisect inside e^(+-WINDOW_HALF_WIDTH)
-    around kappa ~ e^(-pi/2delta); a miss would fall back to select="i"."""
+def window_half_width(delta, step):
+    lo, hi = cf._window(delta, 1.0, step)
+    return 0.5 * math.log(lo / hi)
 
-    @pytest.mark.parametrize("h", [0.02, 0.1, 0.5])
+
+class TestBisectionWindow:
+    """Both relative-accuracy pencils bisect inside a window around the
+    closed-form log kappa; a miss would fall back to select="i"."""
+
+    @pytest.mark.parametrize("h", [None, 0.02, 0.1, 0.5])
     @pytest.mark.parametrize("delta", [0.01, 0.0355, 0.0545, 0.1, 0.2, 0.33, 0.5, 0.7])
     def test_window_holds_on_the_schrodinger_range(self, monkeypatch, delta, h):
         selects = record_selects(monkeypatch)
         res = cf.critical_field_schrodinger(delta, h=h)
         assert selects == ["v", "v"]
-        assert abs(res.log_kappa + math.pi / (2.0 * delta)) < cf.WINDOW_HALF_WIDTH
+        closed = cf.critical_field_asymptotic(delta).log_kappa
+        assert abs(res.log_kappa - closed) < window_half_width(delta, h or cf._step(delta))
 
     @pytest.mark.parametrize("delta", [0.05, 0.3, 0.7, 0.9, 0.99])
     def test_window_holds_on_the_direct_range(self, monkeypatch, delta):
         selects = record_selects(monkeypatch)
         res = cf.m_delta(delta)
         assert selects and set(selects) == {"v"}
-        assert abs(math.log(-delta * res) + math.pi / (2.0 * delta)) < cf.WINDOW_HALF_WIDTH
+        closed = cf.critical_field_asymptotic(delta).log_kappa
+        assert abs(math.log(-delta * res) - closed) < window_half_width(delta, 0.025)
+
+    def test_window_is_centred_on_the_closed_form(self):
+        lo, hi = cf._window(0.2, 3.0, 0.1)
+        assert math.log(lo * hi / 9.0) == pytest.approx(
+            2.0 * cf.critical_field_asymptotic(0.2).log_kappa, abs=1e-12)
+        kappa = math.exp(cf.critical_field_asymptotic(0.2).log_kappa)
+        assert window_half_width(0.2, 0.1) == pytest.approx(
+            cf.WINDOW_GRID * 0.01 + 2.0 * kappa + cf.WINDOW_FLOOR, rel=1e-9)
 
     @pytest.mark.parametrize("route, delta", [(cf.critical_field_schrodinger, 0.0355),
                                               (cf.critical_field_schrodinger, 0.33),
