@@ -42,11 +42,12 @@ The small-delta closed form (:func:`critical_field_asymptotic`),
               - (2/delta) arg Gamma(1 + 2i delta) + O(kappa),
 
 is exact to double precision below delta ~ 0.07 and checks both routes
-there.  Both routes' pencils bisect only inside a window around its
-log kappa, of half-width WINDOW_GRID step^2 + 2 kappa + WINDOW_FLOOR,
-certified to hold the lowest eigenvalue (sturm_liouville), not across the
-whole Gershgorin interval: about 45 bisection steps per solve instead of 53
-with the window e^(+-1) around -pi/(2 delta) of earlier versions.
+there.  Both routes' pencils bisect only inside a window on its
+log kappa, from WINDOW_FLOOR below to WINDOW_GRID step^2 + 0.6 kappa +
+WINDOW_FLOOR above, certified to hold the lowest eigenvalue
+(sturm_liouville), not across the whole Gershgorin interval: 43-49
+bisection steps per solve instead of 53 with the window e^(+-1) around
+-pi/(2 delta) of earlier versions.
 """
 
 from __future__ import annotations
@@ -108,12 +109,12 @@ MAX_DIRECT_DOUBLINGS = 4
 #: beyond this act as infinite for eigenvalues <= O(1)
 WALL_CAP = 1.0e4
 
-#: the bisection window of both pencils is centred on the closed-form log kappa
-#: of :func:`critical_field_asymptotic`, with the half-width
-#: WINDOW_GRID step^2 + 2 kappa + WINDOW_FLOOR: a grid's log kappa lies above
-#: the continuum's by 0.0145-0.045 step^2 on the Schrodinger pencil (delta in
-#: [0.01, 0.7]) and 0.10-0.14 step^2 on the direct one (delta in [0.05, 0.99]),
-#: and the continuum's above the closed form by at most 0.6 kappa
+#: the bisection window of both pencils runs in log kappa from WINDOW_FLOOR
+#: below the closed form of :func:`critical_field_asymptotic` to
+#: WINDOW_GRID step^2 + 0.6 kappa + WINDOW_FLOOR above it: a grid's log kappa
+#: lies above the continuum's by 0.0145-0.045 step^2 on the Schrodinger pencil
+#: (delta in [0.01, 0.7]) and 0.10-0.14 step^2 on the direct one (delta in
+#: [0.05, 0.99]), and the continuum's 0 to 0.6 kappa above the closed form
 WINDOW_GRID = 0.15
 WINDOW_FLOOR = 1e-3
 
@@ -185,12 +186,13 @@ def _log_kappa_asymptotic(delta: float) -> float:
 
 def _window(delta: float, scale: float = 1.0, step: float = 0.0) -> tuple[float, float]:
     """Bisection window (lo, hi) for the lowest pencil eigenvalue -scale kappa
-    on a grid of the given step (0: the continuum): log kappa within
-    WINDOW_GRID step^2 + 2 kappa + WINDOW_FLOOR of its closed form."""
+    on a grid of the given step (0: the continuum): log kappa from WINDOW_FLOOR
+    below its closed form to WINDOW_GRID step^2 + 0.6 kappa + WINDOW_FLOOR
+    above it."""
     log_kappa = _log_kappa_asymptotic(delta)
-    half_width = WINDOW_GRID * step * step + 2.0 * math.exp(log_kappa) + WINDOW_FLOOR
-    return (-scale * math.exp(log_kappa + half_width),
-            -scale * math.exp(log_kappa - half_width))
+    above = WINDOW_GRID * step * step + 0.6 * math.exp(log_kappa) + WINDOW_FLOOR
+    return (-scale * math.exp(log_kappa + above),
+            -scale * math.exp(log_kappa - WINDOW_FLOOR))
 
 
 def _step(delta: float) -> float:

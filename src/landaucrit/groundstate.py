@@ -25,6 +25,32 @@ route's problem -(f'/(nu a))' - nu a f = m f, and critical_field.m_delta
 solves it on this grid (:meth:`_Grid.threshold`), so T(-1) = 1 + sqrt(B) m(nu)
 holds grid by grid by construction.
 
+The truncation to |z| <= L = sinh(T)/sqrt(B) is bounded grid by grid by
+Dirichlet-Neumann bracketing (Reed and Simon IV, XIII.15).  Continue a grid
+past +-T with the same map and step to a longer one, and take lo with the g
+block negative definite on it, 1 + lo + nu a > 0.  The longer grid's T-form
+is the Neumann form inside (the T-pencil with p_mid[0] = p_mid[-1] = 0,
+f' = 0 at the ends: the Schur complement of H without its two end g rows),
+plus the form outside, at least 1 - nu a(L) times the norm as a_ell falls
+with |z|, plus the two cut links, which are nonnegative.  So its T is at
+least min(T_N, 1 - nu a(L)), and at most T, whose trial functions vanish
+outside.  If lo < 1 - nu a(L) and T_N(lo) - lo is positive definite (an
+LDL^T factorisation: by Haynsworth the Neumann level lies above lo), its
+Phi is positive up to lo, and its level lies in (lo, level].
+:meth:`_Grid.domain_width` certifies (lo, hi] = level -+ DOMAIN_TOL/4 this
+way, the top by a T(hi) - hi that is not positive definite, so that the
+bracket does not rest on the bisection, with 1 - nu a at the grid's end
+samples, just inside |z| = L, and the level in place of lo.  For lo > -1 it
+holds on the whole line.  A level just below -1, which a coarse grid can
+have under an extrapolated level above -1 near the critical field, is
+bracketed on every longer grid up to |z| = L* with 1 + lo + nu a(L*) = 0;
+past L* the level meets the lower continuum.  With both grids of a pair
+certified the extrapolated level lies within (4 w_fine + w_coarse)/3 =
+5 DOMAIN_TOL/6 of the extrapolation of the longer grids' levels.  Over nu
+0.05-0.9, B 1e-3-1e8 and ell 0, 1, 3 every grid of the first domain
+certifies, with its level at least 4.1e-4 below 1 - nu a at its ends and
+its Neumann level less than 1e-13 below it.
+
 The mapped-grid driver of sturm_liouville does the Richardson extrapolation
 over n -> 2n + 1 and the domain doubling in z, and samples the potential
 once per domain for both grids of the pair.  Only the first grid of a
@@ -43,25 +69,28 @@ or an empty window falls back to the index selection.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import sturm_liouville
-from .errors import AccuracyError
+from .errors import AccuracyError, TruncationError
 from .potentials import PotentialSpec, a_ell_grid
 
 __all__ = ["FixedPointResult", "ground_state_lambda", "ground_state_per_ell"]
 
-# First domain |z| <= max(C_FIELD/sqrt(B), C_COULOMB/nu, 10), then doubled
-# until the level is stable.
+# First domain |z| <= max(C_FIELD/sqrt(B), C_COULOMB/nu, 10), doubled only
+# while its Dirichlet-Neumann bracket does not certify.
 C_FIELD = 20.0
 C_COULOMB = 30.0
 
 # Stopping rules of ground_state_lambda: the domain grows until the
-# extrapolated level moves by less than DOMAIN_TOL, at most MAX_DOUBLINGS
-# times before TruncationError.  Every eigen-solve bisects to relative
+# certified bound (4 w_fine + w_coarse)/3 on the extrapolated level's domain
+# error, each grid's bracket width w being DOMAIN_TOL/2, is at most
+# DOMAIN_TOL, at most MAX_DOUBLINGS times before TruncationError (module
+# docstring).  Every eigen-solve bisects to relative
 # accuracy (sturm_liouville.eigenvalue), so the |Phi| a fine-grid level
 # leaves is the float floor eps max|diag| of the T-pencil (<= 0.21 of it
 # measured for nu in [0.05, 0.9], B in [1e-3, 1e8]); above RESIDUAL_FLOOR
@@ -84,12 +113,14 @@ class FixedPointResult:
     """Converged lowest level lambda_1(nu, B) with solve diagnostics.
 
     ``iterations`` counts the eigen-solves of the call; a window that held no
-    eigenvalue counts twice, for its bisection and the index selection.  The
-    last domain is |z| <= L = sinh(T)/sqrt(B), and n is the point count of
-    its fine t-grid.
+    eigenvalue counts twice, for its bisection and the index selection.
+    |z| <= L = sinh(T)/sqrt(B) is the certified domain (the last one of the
+    call), and n is the point count of its fine t-grid.
     ``residual`` is |Phi| = |T(lambda) - lambda| on that grid at the grid's
-    own level, checked against RESIDUAL_FLOOR times its float floor; a
-    degenerate result has no root to check and reports 0.
+    own level, checked against RESIDUAL_FLOOR times its float floor;
+    ``domain_error`` is the certified bound (4 w_fine + w_coarse)/3 on the
+    truncation error of ``lam``, <= DOMAIN_TOL.  A degenerate result has no
+    root to check or bracket and reports 0 for both.
     """
 
     lam: float
@@ -98,6 +129,7 @@ class FixedPointResult:
     degenerate: bool
     L: float
     n: int
+    domain_error: float
 
     @property
     def grid(self) -> tuple[float, int]:
@@ -136,13 +168,17 @@ class _Grid:
         self.centre = centre
         self.solves = 1
 
-    def _pencil(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    def _pencil(self, lam: float, *, neumann: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """The pencil of T(lambda) - 1, -(p/z' f_t)_t - nu a z' f = (T - 1) z' f
         with p = 1/(1 + lambda + nu a), as its scaled symmetric tridiagonal
         matrix.  The identity is left out so that T(-1) - 1 = sqrt(B) m keeps
-        its relative accuracy (|m| ~ 3e-13 at nu = 0.05)."""
+        its relative accuracy (|m| ~ 3e-13 at nu = 0.05).  ``neumann`` drops
+        the two end links, p_mid[0] = p_mid[-1] = 0: f' = 0 at the ends, the
+        Schur complement of the Dirac matrix without its two end g rows."""
         dz_nodes = self.dz[1::2]
         p_mid = 1.0 / (self.dz[0::2] * (1.0 + lam + self.nu_a[0::2]))
+        if neumann:
+            p_mid[[0, -1]] = 0.0
         return sturm_liouville.scaled_pencil(p_mid, -self.nu_a[1::2] * dz_nodes,
                                              dz_nodes ** -0.5, self.h)
 
@@ -170,18 +206,43 @@ class _Grid:
         > -1 it is bisected inside (lo, c + LEVEL_WINDOW], guarded by the
         T-pencil at lo: H - lo I has the negative definite g block
         -(1 + lo + nu a), whose Schur complement is that pencil shifted by lo."""
-        diag = np.empty(2 * self.n + 1)
-        diag[0::2] = -(1.0 + self.nu_a[0::2])
-        diag[1::2] = 1.0 - self.nu_a[1::2]
-        offdiag = 1.0 / (self.h * np.sqrt(self.dz[:-1] * self.dz[1:]))
         window = guard = None
         if self.centre is not None and self.centre - LEVEL_WINDOW > -1.0:
             window = (self.centre - LEVEL_WINDOW, self.centre + LEVEL_WINDOW)
             guard_diag, guard_offdiag = self._pencil(window[0])
             guard = (guard_diag + 1.0, guard_offdiag)
         level, _, self.solves = sturm_liouville.eigenvalue(
-            diag, offdiag, index=self.n + 1, window=window, guard=guard)
+            *self.dirac(), index=self.n + 1, window=window, guard=guard)
         return level
+
+    def dirac(self) -> tuple[np.ndarray, np.ndarray]:
+        """(diagonal, offdiagonal) of the scaled staggered Dirac matrix H of
+        size 2n + 1, g at the midpoints interleaved with f at the nodes."""
+        diag = np.empty(2 * self.n + 1)
+        diag[0::2] = -(1.0 + self.nu_a[0::2])
+        diag[1::2] = 1.0 - self.nu_a[1::2]
+        return diag, 1.0 / (self.h * np.sqrt(self.dz[:-1] * self.dz[1:]))
+
+    def domain_width(self, level: float) -> float:
+        """Width DOMAIN_TOL/2 of the certified bracket (lo, hi] = level -+
+        DOMAIN_TOL/4 of this grid's level on every longer grid that continues
+        it (module docstring), or inf if it does not certify: the g block
+        must stay negative definite at lo, the level must lie below 1 - nu a
+        at the end samples, T_N(lo) - lo must be positive definite and
+        T(hi) - hi must not."""
+        lo, hi = level - 0.25 * DOMAIN_TOL, level + 0.25 * DOMAIN_TOL
+        ends = self.nu_a[[0, -1]]
+        if (lo <= -1.0 - ends.min() or level >= 1.0 - ends.max()
+                or not self._above(lo, neumann=True) or self._above(hi)):
+            return math.inf
+        return hi - lo
+
+    def _above(self, lam: float, *, neumann: bool = False) -> bool:
+        """Whether T(lam) - lam is positive definite, i.e. (Haynsworth, with
+        the g block negative definite at lam) the level of H, or of H without
+        its two end g rows if ``neumann``, lies above lam."""
+        diag, offdiag = self._pencil(lam, neumann=neumann)
+        return sturm_liouville.positive_definite(diag + (1.0 - lam), offdiag)
 
 
 def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointResult:
@@ -190,41 +251,66 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
     The level is eigenvalue n + 1 of the staggered Dirac matrix (module
     docstring) on the sinh-mapped t-grid of step h and on its 2n + 1-point
     refinement, Richardson-extrapolated over the two; the first domain is
-    |z| <= max(C_FIELD/sqrt(B), C_COULOMB/nu, 10), and it is doubled in z
-    until the level moves by less than DOMAIN_TOL.  Every level after the
-    first is bisected inside a certified window of LEVEL_WINDOW around the
-    last one (module docstring).  The result is degenerate,
-    lam = -1, as soon as the extrapolated level is <= -1: a wider domain only
-    lowers it.  Otherwise one value solve of T at the fine grid's own level
-    gives ``residual``, which checks the eigenvalue index: above
-    RESIDUAL_FLOOR times the grid's float floor it raises AccuracyError.
+    |z| <= max(C_FIELD/sqrt(B), C_COULOMB/nu, 10).  Each grid certifies a
+    Dirichlet-Neumann bracket of its level of width w = DOMAIN_TOL/2 (module
+    docstring), and the call stops on the first domain whose pair bounds the
+    extrapolated level's domain error by (4 w_fine + w_coarse)/3 <= DOMAIN_TOL;
+    a domain that does not certify is doubled in z, at most MAX_DOUBLINGS
+    times before TruncationError.  Every level after the first is bisected
+    inside a certified window of LEVEL_WINDOW around the last one.  The
+    result is degenerate, lam = -1, as soon as the extrapolated level is
+    <= -1: a wider domain only lowers it.  Otherwise one value solve of T at
+    the fine grid's own level gives ``residual``, which checks the eigenvalue
+    index: above RESIDUAL_FLOOR times the grid's float floor it raises
+    AccuracyError, also in place of the TruncationError of a call whose
+    domains never certified.
     """
     rootB = math.sqrt(spec.B)
-    solves, fine = 0, None  # fine: (grid, level) of the last grid solved
+    solves, pair, bound = 0, deque(maxlen=2), 0.0  # pair: (grid, level) of the last two grids
 
     def level(T: float, n: int, samples: tuple[np.ndarray, np.ndarray]) -> float:
-        nonlocal solves, fine
-        grid = _Grid(spec, T, n, samples=samples, centre=None if fine is None else fine[1])
-        fine = (grid, grid.level())
+        nonlocal solves
+        grid = _Grid(spec, T, n, samples=samples, centre=pair[-1][1] if pair else None)
+        pair.append((grid, grid.level()))
         solves += grid.solves
-        return fine[1]
+        return pair[-1][1]
 
-    lam, T = sturm_liouville._mapped_richardson(
-        lambda t: _samples(spec, t), level, math.asinh(rootB * _default_domain(spec)), h,
-        lambda prev, lam: lam <= -1.0 or abs(lam - prev) < DOMAIN_TOL, MAX_DOUBLINGS)
-    grid, level_fine = fine
+    def certified(prev: float, lam: float) -> bool:
+        nonlocal bound
+        if lam <= -1.0:
+            return True
+        (coarse, level_coarse), (fine, level_fine) = pair
+        bound = (4.0 * fine.domain_width(level_fine) + coarse.domain_width(level_coarse)) / 3.0
+        return bound <= DOMAIN_TOL
+
+    try:
+        lam, T = sturm_liouville._mapped_richardson(
+            lambda t: _samples(spec, t), level, math.asinh(rootB * _default_domain(spec)), h,
+            certified, MAX_DOUBLINGS)
+    except TruncationError:
+        _residual(*pair[-1])  # a wrong level certifies no domain
+        raise
+    grid = pair[-1][0]
     L = math.sinh(T) / rootB
     if lam <= -1.0:
-        return FixedPointResult(lam=-1.0, iterations=solves, residual=0.0,
-                                degenerate=True, L=L, n=grid.n)
-    phi, floor = grid.phi(level_fine, window=(level_fine - LEVEL_WINDOW,
-                                              level_fine + LEVEL_WINDOW))
+        return FixedPointResult(lam=-1.0, iterations=solves, residual=0.0, degenerate=True,
+                                L=L, n=grid.n, domain_error=0.0)
+    residual = _residual(*pair[-1])
+    return FixedPointResult(lam=min(lam, 1.0), iterations=solves + grid.solves,
+                            residual=residual, degenerate=False, L=L, n=grid.n,
+                            domain_error=bound)
+
+
+def _residual(grid: _Grid, level: float) -> float:
+    """|Phi| on ``grid`` at its own level, from one T solve bisected inside
+    LEVEL_WINDOW around it; AccuracyError above RESIDUAL_FLOOR times the float
+    floor."""
+    phi, floor = grid.phi(level, window=(level - LEVEL_WINDOW, level + LEVEL_WINDOW))
     if abs(phi) > RESIDUAL_FLOOR * floor:
         raise AccuracyError(
-            f"fine-grid level {level_fine!r} leaves |Phi| = {abs(phi):.3e} "
+            f"fine-grid level {level!r} leaves |Phi| = {abs(phi):.3e} "
             f"> RESIDUAL_FLOOR eps max|diag| = {RESIDUAL_FLOOR * floor:.3e}")
-    return FixedPointResult(lam=min(lam, 1.0), iterations=solves + grid.solves,
-                            residual=abs(phi), degenerate=False, L=L, n=grid.n)
+    return abs(phi)
 
 
 def ground_state_per_ell(spec: PotentialSpec,

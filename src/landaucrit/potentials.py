@@ -248,11 +248,6 @@ def _inverse_cheb():
     return y0, chebyshev.chebinterpolate(z_at, _MAP_DEGREE)
 
 
-def _y_at_switch() -> float:
-    """y(Z0) = ∫_0^Z0 a_0(t;1) dt."""
-    return _inverse_cheb()[0]
-
-
 #: c_k = (-1)^k (2k-1)!!, k = 0..8, the ell = 0 series: z a_0(z;1) = sum_k c_k z^(-2k)
 #: for z >= Z0, where the first term left out, 17!!/z^18, is below 1e-19
 _A0_TAIL = _series(0)[:9]

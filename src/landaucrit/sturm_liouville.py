@@ -53,6 +53,7 @@ __all__ = [
     "build_tridiagonal",
     "tridiagonal",
     "scaled_pencil",
+    "positive_definite",
     "eigenvalue",
 ]
 
@@ -147,7 +148,7 @@ def _mapped_richardson(sample: Callable[[np.ndarray], tuple[np.ndarray, ...]],
             return value, T
         T = math.asinh(2.0 * math.sinh(T))
     raise TruncationError(
-        f"mapped-grid value did not stabilize within {max_doublings} domain doublings "
+        f"mapped-grid value did not meet its stop test within {max_doublings} domain doublings "
         f"(last shift {abs(value - prev):.3e})",
         last_values=(prev, value),
     )
@@ -188,6 +189,12 @@ def scaled_pencil(p_mid: np.ndarray, q_node: np.ndarray, scale: np.ndarray,
     return diag * scale * scale, offdiag * scale[:-1] * scale[1:]
 
 
+def positive_definite(diag: np.ndarray, offdiag: np.ndarray) -> bool:
+    """Whether the LDL^T factorisation of the symmetric tridiagonal matrix
+    (diag, offdiag) succeeds, i.e. (Sylvester) no eigenvalue lies at or below 0."""
+    return dpttrf(diag, offdiag)[2] == 0
+
+
 def eigenvalue(diag: np.ndarray, offdiag: np.ndarray, *, index: int = 0,
                window: tuple[float, float] | None = None,
                guard: tuple[np.ndarray, np.ndarray] | None = None,
@@ -214,7 +221,7 @@ def eigenvalue(diag: np.ndarray, offdiag: np.ndarray, *, index: int = 0,
         if guard is None and index != 0:
             raise ValueError("a window above the lowest eigenvalue needs a guard")
         guard_diag, guard_offdiag = (diag, offdiag) if guard is None else guard
-        if dpttrf(guard_diag - window[0], guard_offdiag)[2] == 0:
+        if positive_definite(guard_diag - window[0], guard_offdiag):
             selections.insert(0, ("v", window))
     for solves, (select, select_range) in enumerate(selections, 1):
         found = eigh_tridiagonal(diag, offdiag, eigvals_only=not vector, select=select,

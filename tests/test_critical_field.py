@@ -460,9 +460,10 @@ def record_selects(monkeypatch):
     return selects
 
 
-def window_half_width(delta, step):
+def window_log_kappa(delta, step):
+    """(lower, upper) log kappa edges of the window of the lowest eigenvalue -kappa."""
     lo, hi = cf._window(delta, 1.0, step)
-    return 0.5 * math.log(lo / hi)
+    return math.log(-hi), math.log(-lo)
 
 
 class TestBisectionWindow:
@@ -475,24 +476,36 @@ class TestBisectionWindow:
         selects = record_selects(monkeypatch)
         res = cf.critical_field_schrodinger(delta, h=h)
         assert selects == ["v", "v"]
-        closed = cf.critical_field_asymptotic(delta).log_kappa
-        assert abs(res.log_kappa - closed) < window_half_width(delta, h or cf._step(delta))
+        lower, upper = window_log_kappa(delta, h or cf._step(delta))
+        assert lower < res.log_kappa < upper
 
     @pytest.mark.parametrize("delta", [0.05, 0.3, 0.7, 0.9, 0.99])
     def test_window_holds_on_the_direct_range(self, monkeypatch, delta):
         selects = record_selects(monkeypatch)
         res = cf.m_delta(delta)
         assert selects and set(selects) == {"v"}
-        closed = cf.critical_field_asymptotic(delta).log_kappa
-        assert abs(math.log(-delta * res) - closed) < window_half_width(delta, 0.025)
+        lower, upper = window_log_kappa(delta, 0.025)
+        assert lower < math.log(-delta * res) < upper
 
-    def test_window_is_centred_on_the_closed_form(self):
+    def test_window_edges_follow_the_closed_form(self):
+        # the continuum log kappa lies 0 to 0.6 kappa above the closed form and
+        # a grid's above the continuum's, so the window reaches WINDOW_FLOOR
+        # below the closed form and the grid and continuum offsets above it
         lo, hi = cf._window(0.2, 3.0, 0.1)
-        assert math.log(lo * hi / 9.0) == pytest.approx(
-            2.0 * cf.critical_field_asymptotic(0.2).log_kappa, abs=1e-12)
-        kappa = math.exp(cf.critical_field_asymptotic(0.2).log_kappa)
-        assert window_half_width(0.2, 0.1) == pytest.approx(
-            cf.WINDOW_GRID * 0.01 + 2.0 * kappa + cf.WINDOW_FLOOR, rel=1e-9)
+        closed = cf.critical_field_asymptotic(0.2).log_kappa
+        assert math.log(-hi / 3.0) == pytest.approx(closed - cf.WINDOW_FLOOR, abs=1e-12)
+        assert math.log(-lo / 3.0) == pytest.approx(
+            closed + cf.WINDOW_GRID * 0.01 + 0.6 * math.exp(closed) + cf.WINDOW_FLOOR, abs=1e-12)
+
+    def test_no_windowed_solve_falls_back(self, monkeypatch):
+        # every grid's lowest eigenvalue lies inside its one-sided window, on
+        # the direct route's whole range and on the Schrodinger pencil's
+        selects = record_selects(monkeypatch)
+        for delta in np.linspace(0.05, 0.95, 37):
+            cf.m_delta(float(delta))
+        for delta in np.linspace(0.01, 0.7, 24):
+            cf.critical_field_schrodinger(float(delta))
+        assert selects and set(selects) == {"v"}
 
     @pytest.mark.parametrize("route, delta", [(cf.critical_field_schrodinger, 0.0355),
                                               (cf.critical_field_schrodinger, 0.33),

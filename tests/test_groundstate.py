@@ -1,6 +1,8 @@
 """Tests for the nonlinear fixed point defining the lowest level."""
 
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +163,9 @@ class TestGroundState:
                 super().__init__(spec, T, n, **kwargs)
 
         monkeypatch.setattr(groundstate, "_Grid", RecordingGrid)
+        # a first domain of |z| <= 10, too short for the bracket to certify
+        monkeypatch.setattr(groundstate, "C_FIELD", 1.0)
+        monkeypatch.setattr(groundstate, "C_COULOMB", 1.0)
         res = ground_state_lambda(PotentialSpec(0.5, 1.0), h=0.05)
         assert len(grids) >= 4 and len(grids) == res.iterations - 1
         coarse, fine = grids[0::2], grids[1::2]
@@ -293,6 +298,116 @@ class TestGroundState:
             assert res.lam == -1.0
         else:
             assert res.residual <= 1e-10
+
+
+def first_grid(spec, L=None, h=0.025):
+    """The coarse grid of the first domain (or of |z| <= L) and its level."""
+    T = math.asinh(math.sqrt(spec.B) * (groundstate._default_domain(spec) if L is None else L))
+    grid = groundstate._Grid(spec, T, sturm_liouville.odd_points(T, h))
+    return grid, grid.level()
+
+
+def neumann_level(grid):
+    """Eigenvalue n - 1 of the Dirac matrix without its two end g rows."""
+    diag, offdiag = grid.dirac()
+    return sturm_liouville.eigenvalue(diag[1:-1], offdiag[1:-1], index=grid.n - 1)[0]
+
+
+class TestDomainBracket:
+    """The level of a longer grid lies between the Neumann and the Dirichlet
+    level of the truncated one, and each grid certifies that bracket."""
+
+    @pytest.mark.parametrize("ell", [0, 3])
+    @pytest.mark.parametrize("B", [1e-3, 1.0, 1e3, 1e8])
+    @pytest.mark.parametrize("nu", [0.05, 0.3, 0.65, 0.9])
+    def test_neumann_below_dirichlet(self, nu, B, ell):
+        grid, level = first_grid(PotentialSpec(nu, B, ell))
+        if level <= -1.0:
+            return  # degenerate: no level to bracket
+        width = grid.domain_width(level)
+        assert width == pytest.approx(0.5 * groundstate.DOMAIN_TOL, rel=1e-7)
+        # both levels are bisected to a few ulp, and on the first domain the
+        # Neumann level lies less than 1e-13 below the Dirichlet one
+        assert level - 0.5 * width < neumann_level(grid) <= level + 4.0 * np.spacing(abs(level))
+
+    @pytest.mark.parametrize("L", [4.0, 8.0])
+    def test_longer_grid_lies_between_neumann_and_dirichlet(self, L):
+        # the same nodes continued k steps past each end: on a short domain
+        # the bracket is wide (2.4e-2 at L = 4), and the longer grid's level
+        # falls inside it, far from both ends
+        spec = PotentialSpec(0.5, 1.0)
+        grid, level = first_grid(spec, L)
+        T = math.asinh(L)
+        k = grid.n // 2
+        longer = groundstate._Grid(spec, T + k * grid.h, grid.n + 2 * k)
+        assert longer.h == pytest.approx(grid.h, rel=1e-14)
+        inside = longer.level()
+        assert neumann_level(grid) < inside < level
+        assert grid.domain_width(level) == math.inf  # far wider than DOMAIN_TOL
+
+    def test_refined_domain_lies_in_the_reported_bracket(self, monkeypatch):
+        # one domain doubling and half the step move lam by less than the
+        # certified domain error (the step alone moves it by ~1e-10)
+        spec = PotentialSpec(0.3, 2.0)
+        res = ground_state_lambda(spec)
+        assert 0.0 < res.domain_error <= groundstate.DOMAIN_TOL
+        monkeypatch.setattr(groundstate, "C_FIELD", 2.0 * groundstate.C_FIELD)
+        monkeypatch.setattr(groundstate, "C_COULOMB", 2.0 * groundstate.C_COULOMB)
+        refined = ground_state_lambda(spec, h=0.0125)
+        assert refined.L == pytest.approx(2.0 * res.L, rel=1e-12)
+        assert abs(refined.lam - res.lam) <= res.domain_error
+
+    def test_outside_condition_failure_doubles_the_domain(self, monkeypatch):
+        # 1 - nu a = 0 at the first domain's end samples, below the level
+        # 0.71: the bracket is not certified there, though both its
+        # factorisations pass, and the call doubles the domain
+        points = []
+        real = groundstate.a_ell_grid
+
+        def deep_ends(spec, z):
+            a = real(spec, z)
+            if not points:
+                a[[0, -1]] = 1.0 / spec.nu
+            points.append(np.size(z))
+            return a
+
+        spec = PotentialSpec(0.5, 1.0)
+        want = ground_state_lambda(spec)
+        monkeypatch.setattr(groundstate, "a_ell_grid", deep_ends)
+        res = ground_state_lambda(spec)
+        assert len(points) == 2
+        assert res.L == pytest.approx(2.0 * want.L, rel=1e-12)
+        assert res.lam == pytest.approx(want.lam, abs=groundstate.DOMAIN_TOL)
+
+    def test_degenerate_result_reports_no_domain_error(self):
+        assert ground_state_lambda(PotentialSpec(0.85, 1e4)).domain_error == 0.0
+
+    def test_zspace_lattice_certifies_on_the_first_domain(self, monkeypatch):
+        # every non-degenerate call of the benchmark's zspace_scan lattice:
+        # coarse and fine level, the residual solve, one potential pass
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        calls = record_eigensolves(monkeypatch)
+        passes = []
+        real = groundstate.a_ell_grid
+
+        def recording(spec, z):
+            passes.append(np.size(z))
+            return real(spec, z)
+
+        monkeypatch.setattr(groundstate, "a_ell_grid", recording)
+        checked = 0
+        for entry, args in workloads.lattice("zspace_scan"):
+            if entry != "ground_state_lambda":
+                continue
+            calls.clear()
+            passes.clear()
+            res = ground_state_lambda(PotentialSpec(*args))
+            if not res.degenerate:
+                assert (len(calls), res.iterations, len(passes)) == (3, 3, 1), args
+                assert res.domain_error <= groundstate.DOMAIN_TOL
+                checked += 1
+        assert checked == 11
 
 
 class TestPerEll:

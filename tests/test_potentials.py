@@ -233,18 +233,18 @@ class TestVariableMap:
         against a 30-digit quadrature of a_0."""
         pytest.importorskip("mpmath")
         y, log_mu = mp_y_of_z(z)
-        assert y > pot._y_at_switch()
+        assert y > pot._inverse_cheb()[0]
         assert abs(float(pot.log_mu_of_y(np.array([y]))[0]) - log_mu) <= 1e-14
 
     def test_exact_offset_joins_the_chebyshev_branch(self):
         """y(Z0) from the chebint of a_0, minus log Z0 and the tail series at
         Z0, is the exact gamma = (gamma_E + ln 2)/2 to rounding."""
         z0 = pot.SWITCH_RADIUS
-        offset = pot._y_at_switch() - math.log(z0) - pot._tail_correction(1.0 / (z0 * z0))
+        offset = pot._inverse_cheb()[0] - math.log(z0) - pot._tail_correction(1.0 / (z0 * z0))
         assert abs(offset - pot.LOG_OFFSET) <= 4.0 * np.spacing(pot.LOG_OFFSET)
 
     def test_log_mu_consistent_across_branches(self):
-        y0 = pot._y_at_switch()
+        y0 = pot._inverse_cheb()[0]
         below = float(pot.log_mu_of_y(np.array([y0 * (1 - 1e-12)]))[0])
         above = float(pot.log_mu_of_y(np.array([y0 * (1 + 1e-12)]))[0])
         assert abs(below - above) < 1e-9
