@@ -281,20 +281,23 @@ def _log_z_far(target: np.ndarray) -> np.ndarray:
 def _map(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log z, log mu) on an array of y >= 0: log of y times the Chebyshev
     interpolant of z(y)/y up to y(Z0) (so z(0) = 0 exactly), the fixed point
-    in log z beyond it; both stay finite where z and mu overflow."""
+    in log z beyond it; both stay finite where z and mu overflow.  A branch
+    with no points is skipped, so a one-point call runs only its own."""
     y0, coeffs = _inverse_cheb()
     near = y <= y0
     # beyond log z = 20, D(z) and log(z a_0) are below 5e-18, under the
     # rounding of log z, so there log mu = log z = y - gamma
     log_z = np.subtract(y, LOG_OFFSET, out=np.empty_like(y))
     log_mu = log_z.copy()
-    z = y[near] * chebyshev.chebval(2.0 * y[near] / y0 - 1.0, coeffs)
-    with np.errstate(divide="ignore"):
-        log_z[near] = np.log(z)
-    log_mu[near] = -np.log(a0_scaled(z))
+    if near.any():
+        z = y[near] * chebyshev.chebval(2.0 * y[near] / y0 - 1.0, coeffs)
+        with np.errstate(divide="ignore"):
+            log_z[near] = np.log(z)
+        log_mu[near] = -np.log(a0_scaled(z))
     tail = ~near & (log_z < 20.0)
-    log_z[tail] = _log_z_far(log_z[tail])
-    log_mu[tail] = log_z[tail] - np.log(polynomial.polyval(np.exp(-2.0 * log_z[tail]), _A0_TAIL))
+    if tail.any():
+        log_z[tail] = _log_z_far(log_z[tail])
+        log_mu[tail] = log_z[tail] - np.log(polynomial.polyval(np.exp(-2.0 * log_z[tail]), _A0_TAIL))
     return log_z, log_mu
 
 

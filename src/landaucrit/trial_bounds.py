@@ -31,7 +31,7 @@ from scipy.optimize import minimize_scalar
 
 from . import potentials
 from .errors import AccuracyError
-from .potentials import PotentialSpec, a0_scaled, a_scaled_vec
+from .potentials import PotentialSpec, a_scaled_vec
 
 __all__ = [
     "GaussianProfile",
@@ -275,15 +275,21 @@ class UpperBoundCertificate:
 # rho_ell(t) = t^(2ell+1) e^(-t^2/2)/(2^ell ell!) is the density that gives
 # a_ell(zeta; 1) = ∫ rho_ell(t)/sqrt(t^2 + zeta^2) dt.  Since
 # t^2 rho_ell = 2(ell+1) rho_(ell+1), writing sqrt(t^2 + zeta^2) as
-# (t^2 + zeta^2)/sqrt(t^2 + zeta^2) gives w_ell = zeta^2 a_ell + 2(ell+1) a_(ell+1).
+# (t^2 + zeta^2)/sqrt(t^2 + zeta^2) gives w_ell = zeta^2 a_ell + 2(ell+1) a_(ell+1);
+# for ell = 0 that is |zeta| + a_0.  _weights holds the identity and reuses a_ell.
+
+def _weights(ell: int, zeta) -> tuple[np.ndarray, np.ndarray]:
+    """(a_ell, w_ell) at B = 1 on an array of zeta, from one a_ell evaluation."""
+    zeta = np.abs(np.asarray(zeta, dtype=float))
+    a = a_scaled_vec(ell, zeta)
+    if ell == 0:
+        return a, zeta + a
+    return a, zeta * zeta * a + 2.0 * (ell + 1) * a_scaled_vec(ell + 1, zeta)
+
 
 def w_scaled_vec(ell: int, zeta) -> np.ndarray:
     """Transverse average of r over the ell-th zero-mode density, at B = 1."""
-    zeta = np.abs(np.asarray(zeta, dtype=float))
-    if ell == 0:
-        return zeta + a0_scaled(zeta)
-    return (zeta * zeta * potentials.a_scaled_vec(ell, zeta)
-            + 2.0 * (ell + 1) * potentials.a_scaled_vec(ell + 1, zeta))
+    return _weights(ell, zeta)[1]
 
 
 # --- composite Gauss-Legendre panels (potentials' rule) in z for the reduced integrals
@@ -305,29 +311,29 @@ def evaluate_GB(nu: float, B: float, trial: TrialState, *,
     The transverse plane is integrated out exactly (Gaussian-weight moments),
     leaving kin = ∫ w_ell |f'|^2 and pot = ∫ a_ell |f|^2 over z.  Both are
     summed by the 32-point Gauss-Legendre rule on fixed panels between ±R,
-    0, the profile's breakpoints and the dyadic edges ±2^k/(4 sqrt(B)), with
-    one array evaluation of the weights and the profile per rule.  The
-    rule is applied again with every panel split in two, and that value is
-    returned.  ``epsrel`` is the stopping criterion: if the two values of G
-    differ by more than epsrel (kin/nu + nu pot), AccuracyError is raised;
-    it must be positive and finite.
+    0, the profile's breakpoints and the dyadic edges ±2^k/(4 sqrt(B)), and
+    again with every panel split in two; the split rule's value is returned.
+    The weights and the profile are evaluated in one array pass on both
+    rules' nodes together.  ``epsrel`` is the stopping criterion: if the two
+    values of G differ by more than epsrel (kin/nu + nu pot), AccuracyError
+    is raised; it must be positive and finite.
     """
     PotentialSpec(nu, B, trial.ell)  # ValueError for nu, B or ell out of range
     _check_positive_finite(epsrel=epsrel)
-    ell = trial.ell
     profile = trial.profile
     rootB = math.sqrt(B)
 
-    def integrals(edges):
-        z, wt = potentials._panel_nodes(edges)
-        kin = wt @ (w_scaled_vec(ell, rootB * z) / rootB * profile.derivative(z) ** 2)
-        pot = wt @ (rootB * a_scaled_vec(ell, rootB * z) * profile.value(z) ** 2)
-        return float(kin), float(pot)
-
     edges = _panel_edges(profile, rootB)
-    kin_c, pot_c = integrals(edges)
     split = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
-    kin, pot = integrals(split)
+    z_c, wt_c = potentials._panel_nodes(edges)
+    z_f, wt_f = potentials._panel_nodes(split)
+    z = np.concatenate((z_c, z_f))
+    a, w = _weights(trial.ell, rootB * z)
+    kin_density = w / rootB * profile.derivative(z) ** 2
+    pot_density = rootB * a * profile.value(z) ** 2
+    k = z_c.size
+    kin_c, pot_c = float(wt_c @ kin_density[:k]), float(wt_c @ pot_density[:k])
+    kin, pot = float(wt_f @ kin_density[k:]), float(wt_f @ pot_density[k:])
     g = kin / nu - nu * pot
     gap = abs(g - (kin_c / nu - nu * pot_c))
     if gap > epsrel * (kin / nu + nu * pot):
@@ -405,8 +411,12 @@ def check_sqrt5_inequality(nu: float, samples: int = 200, seed: int = 0) -> floa
     Draws random Landau indices in {0..3} and random smooth profiles from an
     8-function oscillator-envelope basis with standard-normal coefficients;
     every ratio must stay above -nu sqrt(5) (tested with an 1e-8 margin).
-    Fixed seed gives bit-for-bit reproducible output.
+    Fixed seed gives bit-for-bit reproducible output.  ``samples`` may be
+    any integral number (2.0 counts as 2); anything else raises ValueError.
     """
+    if not samples % 1 == 0:  # false for nan and inf too
+        raise ValueError(f"samples must be an integer, got {samples}")
+    samples = int(samples)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)

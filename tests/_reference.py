@@ -32,7 +32,12 @@ Each takes a different route from the library's one evaluation path:
 - ``evaluate_GB_quad`` sums the zero-mode trial functional by adaptive
   ``quad`` of point-wise integrands, with the kinetic weight from ``w_ell``,
   where ``trial_bounds.evaluate_GB`` uses fixed Gauss-Legendre panels and one
-  array evaluation per rule.
+  array pass on both rules' nodes.
+- ``evaluate_GB_two_pass`` is the panel-rule evaluation as it was before it
+  became one array pass: each rule evaluates the weights and the profile
+  on its own nodes, and w_ell calls a_ell again.  The elementwise results
+  and the sums are the same, so it must agree with ``evaluate_GB`` bit for
+  bit, including when the panel-doubling check raises.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ from landaucrit import groundstate, sturm_liouville
 from landaucrit import potentials as pot
 from landaucrit.potentials import PotentialSpec, VariableMap
 from landaucrit.sturm_liouville import EigenResult, SturmLiouvilleProblem
-from landaucrit.trial_bounds import TrialEvaluation, TrialState
+from landaucrit.errors import AccuracyError
+from landaucrit.trial_bounds import TrialEvaluation, TrialState, _check_positive_finite, _panel_edges
 
 _QUAD_OPTS = dict(epsabs=1e-300, epsrel=1e-13, limit=400)
 
@@ -346,5 +352,47 @@ def evaluate_GB_quad(nu: float, B: float, trial: TrialState, *,
     kin, _ = quad(kin_integrand, -R, R, **opts)
     pot_int, _ = quad(pot_integrand, -R, R, **opts)
     g = kin / nu - nu * pot_int
+    j = g + 2.0 * profile.norm_sq()
+    return TrialEvaluation(G_B=g, J_at_minus1=j, certified=j <= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# zero-mode trial functional by the panel rule, one array evaluation per rule
+# ---------------------------------------------------------------------------
+
+def _w_scaled_two_pass(ell: int, zeta) -> np.ndarray:
+    zeta = np.abs(np.asarray(zeta, dtype=float))
+    if ell == 0:
+        return zeta + pot.a0_scaled(zeta)
+    return (zeta * zeta * pot.a_scaled_vec(ell, zeta)
+            + 2.0 * (ell + 1) * pot.a_scaled_vec(ell + 1, zeta))
+
+
+def evaluate_GB_two_pass(nu: float, B: float, trial: TrialState, *,
+                         epsrel: float = 1e-10) -> TrialEvaluation:
+    """The library's panel rule with the weights and the profile evaluated
+    once per rule, coarse then split, and w_ell apart from a_ell."""
+    PotentialSpec(nu, B, trial.ell)  # ValueError for nu, B or ell out of range
+    _check_positive_finite(epsrel=epsrel)
+    ell = trial.ell
+    profile = trial.profile
+    rootB = math.sqrt(B)
+
+    def integrals(edges):
+        z, wt = pot._panel_nodes(edges)
+        kin = wt @ (_w_scaled_two_pass(ell, rootB * z) / rootB * profile.derivative(z) ** 2)
+        pot_int = wt @ (rootB * pot.a_scaled_vec(ell, rootB * z) * profile.value(z) ** 2)
+        return float(kin), float(pot_int)
+
+    edges = _panel_edges(profile, rootB)
+    kin_c, pot_c = integrals(edges)
+    split = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:]))))
+    kin, pot_int = integrals(split)
+    g = kin / nu - nu * pot_int
+    gap = abs(g - (kin_c / nu - nu * pot_c))
+    if gap > epsrel * (kin / nu + nu * pot_int):
+        raise AccuracyError(
+            f"panel doubling moved G by {gap:.3e}, more than epsrel = {epsrel:g} "
+            f"of kin/nu + nu pot = {kin / nu + nu * pot_int:.6e}")
     j = g + 2.0 * profile.norm_sq()
     return TrialEvaluation(G_B=g, J_at_minus1=j, certified=j <= 0.0)

@@ -249,6 +249,26 @@ class TestVariableMap:
         above = float(pot.log_mu_of_y(np.array([y0 * (1 + 1e-12)]))[0])
         assert abs(below - above) < 1e-9
 
+    def test_one_point_calls_run_only_their_branch(self, monkeypatch):
+        """A call with points on one side of y(Z0) skips the other branch, and
+        each point's log mu is the one it gets inside a mixed array."""
+        y0 = pot._inverse_cheb()[0]
+        near = [0.0, 1.0, y0 * (1 - 1e-12)]
+        tail = [y0 * (1 + 1e-12), 50.0, 700.0]
+        mixed = pot.log_mu_of_y(np.array(near + tail))
+
+        def unused(*args):
+            raise AssertionError("the empty branch ran")
+
+        with monkeypatch.context() as m:
+            m.setattr(pot, "_log_z_far", unused)
+            for i, y in enumerate(near):
+                assert pot.log_mu_of_y(np.array([y]))[0] == mixed[i]
+        with monkeypatch.context() as m:
+            m.setattr(pot, "a0_scaled", unused)
+            for i, y in enumerate(tail):
+                assert pot.log_mu_of_y(np.array([y]))[0] == mixed[len(near) + i]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             y_of_z(math.inf)

@@ -23,7 +23,7 @@ from landaucrit.trial_bounds import (
     w_scaled_vec,
 )
 
-from _reference import evaluate_GB_quad, w_ell
+from _reference import evaluate_GB_quad, evaluate_GB_two_pass, w_ell
 
 # Frozen 25-digit quadrature references for the kinetic weight
 W_SCALED_REF = {
@@ -52,6 +52,16 @@ def oracle_cases():
         + [(0.5, 1.0, TrialState(ell, TabulatedProfile(zs, np.cos(zs) ** 2 * np.exp(-zs**2 / 4.0))))
            for ell in (0, 2)]
     )
+
+
+#: profiles of the bit-identity check against the two-pass evaluation
+_ZS = np.linspace(-3.0, 5.0, 40)
+ONE_PASS_BASES = {
+    "gaussian": GaussianProfile(1.3),
+    "plateau": PlateauProfile(1.5, 1.0),
+    "hermite": HermiteBasisProfile(np.array([0.8, -0.5, 0.3, 0.2])),
+    "tabulated": TabulatedProfile(_ZS, np.cos(_ZS) ** 2 * np.exp(-_ZS**2 / 4.0)),
+}
 
 
 class TestWeights:
@@ -224,6 +234,49 @@ class TestEvaluateGB:
         evaluate_GB(0.5, 1.0, trial)
         assert 0 < len(calls) <= 2
 
+    @pytest.mark.parametrize("ell", range(4))
+    def test_one_array_pass_on_both_rules(self, monkeypatch, ell):
+        calls = []
+        real = trial_bounds.a_scaled_vec
+
+        def counting(index, zeta):
+            calls.append(index)
+            return real(index, zeta)
+
+        profile = HermiteBasisProfile(np.array([1.0, 0.4, -0.2, 0.3]))
+        counts = {"value": 0, "derivative": 0}
+        for name in counts:
+            method = getattr(profile, name)
+
+            def counted(z, name=name, method=method):
+                counts[name] += 1
+                return method(z)
+
+            monkeypatch.setattr(profile, name, counted)
+        monkeypatch.setattr(trial_bounds, "a_scaled_vec", counting)
+        evaluate_GB(0.5, 1.0, TrialState(ell, profile))
+        assert calls == ([0] if ell == 0 else [ell, ell + 1])
+        assert counts == {"value": 1, "derivative": 1}
+
+    @pytest.mark.parametrize("epsrel", [1e-10, 1e-15])
+    @pytest.mark.parametrize("B", [1e-3, 1.0, 1e4])
+    @pytest.mark.parametrize("ell", range(5))
+    @pytest.mark.parametrize("rescaled", [False, True])
+    @pytest.mark.parametrize("name", sorted(ONE_PASS_BASES))
+    def test_bit_identical_to_two_passes(self, name, rescaled, ell, B, epsrel):
+        # at 1e-15 most cases raise AccuracyError, those whose two rules
+        # agree exactly pass; either way both evaluations must do the same
+        base = ONE_PASS_BASES[name]
+        trial = TrialState(ell, RescaledProfile(base, B) if rescaled else base)
+
+        def outcome(evaluate):
+            try:
+                return evaluate(0.6, B, trial, epsrel=epsrel)
+            except AccuracyError as err:
+                return str(err)
+
+        assert outcome(evaluate_GB) == outcome(evaluate_GB_two_pass)
+
     def test_panel_doubling_is_the_stopping_criterion(self):
         trial = TrialState(1, HermiteBasisProfile(np.array([0.8, -0.5, 0.3])))
         evaluate_GB(0.5, 1.0, trial, epsrel=1e-12)
@@ -322,3 +375,16 @@ class TestSqrt5Inequality:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             check_sqrt5_inequality(0.3, samples=0)
+
+    @pytest.mark.parametrize("samples", [2.5, math.nan, math.inf, -math.inf])
+    def test_samples_must_be_integral(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            check_sqrt5_inequality(0.3, samples=samples)
+
+    def test_integral_samples_below_one_are_rejected(self):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            check_sqrt5_inequality(0.3, samples=-2.0)
+
+    def test_integral_float_samples_are_counted(self):
+        assert check_sqrt5_inequality(0.3, samples=3.0, seed=5) == check_sqrt5_inequality(
+            0.3, samples=3, seed=5)
