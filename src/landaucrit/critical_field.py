@@ -56,11 +56,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import loggamma
 
 from . import groundstate, sturm_liouville
-from .errors import BracketError
+from .errors import AccuracyError, BracketError
 # a0_scaled is called nowhere here; the benchmark's trace (perfbench/layers.py)
 # still wraps critical_field.a0_scaled
 from .potentials import (LOG_OFFSET, PotentialSpec, a0_scaled,  # noqa: F401
@@ -135,6 +134,10 @@ PENCIL_FLOOR = 4.0
 STEP_SCALE = 0.01
 STEP_MIN = 0.02
 STEP_MAX = 0.2
+
+#: Newton steps allowed to the step-well root of :func:`bracket_E1`, which
+#: takes 4-5 on delta in [0.01, 0.7]; AccuracyError past them
+STEP_ROOT_MAX_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -300,37 +303,50 @@ def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:
     """Analytic two-sided estimate of E_1(kappa).
 
     Lower: ground level of the step potential that vanishes on
-    (-sigma, sigma), sigma = -log kappa, and equals kappa mu(sigma) outside;
-    it solves sqrt(E) sigma = arctan(sqrt((kappa mu(sigma) - E)/E)) and sits
-    below E_1 because the step is below kappa mu pointwise.  Upper: Rayleigh
-    quotient of the half-cosine of half-width s, pi^2/(4 s^2) + 2 kappa c
-    (e^s - 1) with mu <= c e^|y|, minimized over a grid of s (clamped to
-    s >= 1 where that closed form is valid).
+    (-sigma, sigma), sigma = -log kappa, and equals the wall kappa mu(sigma)
+    outside; it sits below E_1 because the step is below kappa mu pointwise.
+    Its condition sqrt(E) sigma = arctan(sqrt((wall - E)/E)) reads, in the
+    angle sqrt(E) = sqrt(wall) sin phi,
+
+        h(phi) = a sin phi + phi - pi/2 = 0,   a = sigma sqrt(wall) > 0,
+
+    and h is increasing and concave on [0, pi/2] with h(0) < 0 < h(pi/2), so
+    Newton's method from phi = 0 climbs to the root without overshooting
+    (4-5 steps); E = wall sin^2 phi.  Upper: Rayleigh quotient of the
+    half-cosine of half-width s, pi^2/(4 s^2) + 2 kappa c (e^s - 1) with
+    mu <= c e^|y|, minimized over a grid of s (clamped to s >= 1 where that
+    closed form is valid); kappa e^s is taken as e^(log kappa + s), so that a
+    kappa that underflows still gives a finite bound.
 
     Both sides bound the continuum E_1 of the uncapped potential, the one the
     pencil discretizes; its O(h^2) grid error is not part of the bracket.
     """
-    if not (log_kappa < 0.0):
-        raise ValueError(f"bracket requires kappa < 1, got log kappa = {log_kappa}")
+    if not (math.isfinite(log_kappa) and log_kappa < 0.0):
+        raise ValueError(f"bracket requires 0 < kappa < 1, got log kappa = {log_kappa}")
     sigma = -log_kappa
     wall = math.exp(log_kappa + float(log_mu_of_y(np.array([sigma]))[0]))
-
-    def step_root(E):
-        return math.sqrt(E) * sigma - math.atan(math.sqrt((wall - E) / E))
-
-    lower = brentq(step_root, 1e-300, wall * (1.0 - 1e-14), xtol=1e-300, rtol=8.9e-16)
+    a = sigma * math.sqrt(wall)
+    phi, tol = 0.0, 4.0 * np.finfo(float).eps
+    for _ in range(STEP_ROOT_MAX_STEPS):
+        step = -(a * math.sin(phi) + phi - 0.5 * math.pi) / (a * math.cos(phi) + 1.0)
+        phi += step
+        if step <= tol * phi:
+            break
+    else:
+        raise AccuracyError(f"step-well root did not converge in {STEP_ROOT_MAX_STEPS} "
+                            f"Newton steps at log kappa = {log_kappa}")
+    lower = wall * math.sin(phi) ** 2
 
     c = mu_bound_constant()
-    kappa = math.exp(log_kappa)
     s_lo = max(1.0, sigma - 3.0 * math.log(max(sigma, 1.001)) - 5.0)
     s_grid = np.linspace(s_lo, max(sigma + 5.0, s_lo + 1.0), 200)
     upper = float(np.min(np.pi**2 / (4.0 * s_grid**2)
-                         + 2.0 * kappa * c * (np.exp(s_grid) - 1.0)))
+                         + 2.0 * c * (np.exp(log_kappa + s_grid) - math.exp(log_kappa))))
     if not lower <= upper:
         raise BracketError(
             f"analytic E1 bracket inverted at delta={delta}: ({lower}, {upper})"
         )
-    return float(lower), upper
+    return lower, upper
 
 
 def _pencil_log_kappa(delta: float, step: float, log_mu: np.ndarray,

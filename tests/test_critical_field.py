@@ -11,7 +11,7 @@ from scipy.special import erfcx, loggamma
 
 from landaucrit import critical_field as cf
 from landaucrit import groundstate, sturm_liouville
-from landaucrit.errors import TruncationError
+from landaucrit.errors import AccuracyError, TruncationError
 from landaucrit.potentials import PotentialSpec
 from landaucrit.sturm_liouville import EigenResult
 
@@ -240,6 +240,57 @@ class TestBracket:
     def test_bracket_requires_kappa_below_one(self):
         with pytest.raises(ValueError):
             cf.bracket_E1(0.5, 0.5)
+
+
+class TestStepWellRoot:
+    """The lower side of bracket_E1: Newton steps on the angle form of the
+    step-well condition, in place of a bracketing root finder."""
+
+    def test_matches_brentq_on_each_pencil(self, monkeypatch):
+        """At each pencil's log kappa the lower side is brentq's root of the
+        step condition sqrt(E) sigma = arctan(sqrt((wall - E)/E)) to 1e-15
+        relative, in at most 8 Newton steps (one sin per step, one for E)."""
+        sines = []
+        real_sin = math.sin
+
+        def counting_sin(x):
+            sines.append(x)
+            return real_sin(x)
+
+        for delta in np.linspace(0.01, 0.7, 70):
+            log_kappa = cf.critical_field_schrodinger(float(delta)).log_kappa
+            sigma = -log_kappa
+            wall = math.exp(log_kappa + float(cf.log_mu_of_y(np.array([sigma]))[0]))
+
+            def step_root(E):
+                return math.sqrt(E) * sigma - math.atan(math.sqrt((wall - E) / E))
+
+            want = brentq(step_root, 1e-300, wall * (1.0 - 1e-14), xtol=1e-300, rtol=8.9e-16)
+            sines.clear()
+            with monkeypatch.context() as m:
+                m.setattr(math, "sin", counting_sin)
+                lo, hi = cf.bracket_E1(float(delta), log_kappa)
+            assert lo == pytest.approx(want, rel=1e-15, abs=0.0), delta
+            assert lo <= hi
+            assert len(sines) - 1 <= 8, delta
+
+    def test_non_finite_log_kappa_rejected(self):
+        for log_kappa in (-math.inf, math.nan):
+            with pytest.raises(ValueError, match="kappa"):
+                cf.bracket_E1(0.1, log_kappa)
+
+    @pytest.mark.parametrize("log_kappa", [-800.0, -1e-300])
+    def test_extreme_kappa_gives_a_bracket(self, log_kappa):
+        """kappa = e^-800 underflows, yet the upper side stays finite (it was
+        0 * inf = nan); kappa just below 1 has a root too (brentq found no
+        sign change there)."""
+        lo, hi = cf.bracket_E1(0.1, log_kappa)
+        assert 0.0 < lo <= hi < math.inf
+
+    def test_newton_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(cf, "STEP_ROOT_MAX_STEPS", 2)
+        with pytest.raises(AccuracyError, match="did not converge"):
+            cf.bracket_E1(0.1, -5.0)
 
 
 class TestSchrodingerSolve:

@@ -97,16 +97,55 @@ def test_one_panel_rule():
             assert name not in text or path.name == "potentials.py", f"{path.name}: {name}"
 
 
-def test_import_does_not_load_scipy_interpolate():
-    """CubicSpline is imported where a TabulatedProfile is built, so the
-    package import leaves scipy.interpolate unloaded."""
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on this package."""
     import landaucrit
 
     env = dict(os.environ, PYTHONPATH=str(Path(landaucrit.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, landaucrit; print('scipy.interpolate' in sys.modules)"],
-        capture_output=True, text=True, check=True, env=env, timeout=120).stdout
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env, timeout=120).stdout
+
+
+@pytest.mark.parametrize("lazy", ["scipy.interpolate", "scipy.optimize", "scipy.integrate"])
+def test_import_does_not_load_lazy_scipy_module(lazy):
+    """CubicSpline is imported where a TabulatedProfile is built, minimize_scalar
+    where the plateau search runs and quad only when trial_bounds.quad is read,
+    so the package import leaves these modules unloaded.  A fresh interpreter,
+    since the test process has loaded scipy.integrate already."""
+    out = _fresh_interpreter(f"import sys, landaucrit; print({lazy!r} in sys.modules)")
     assert out.strip() == "False"
+
+
+def test_entry_points_load_no_optimizer_or_quadrature():
+    """Every entry point but the plateau search runs without scipy.optimize and
+    scipy.integrate: bracket_E1 solves its step-well root by its own Newton steps."""
+    out = _fresh_interpreter(
+        "import sys\n"
+        "from landaucrit import critical_field as cf, groundstate, trial_bounds\n"
+        "from landaucrit.potentials import PotentialSpec\n"
+        "cf.critical_field_schrodinger(0.3)\n"
+        "cf.sandwich(0.045)\n"
+        "cf.critical_field_direct(0.3)\n"
+        "cf.critical_field_asymptotic(0.1)\n"
+        "groundstate.ground_state_lambda(PotentialSpec(0.3, 2.0, 1))\n"
+        "trial_bounds.check_sqrt5_inequality(0.5, 2, 46)\n"
+        "trial_bounds.certify_critical_upper_bound(0.9, 'gaussian')\n"
+        "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])\n")
+    assert out.strip() == "[]"
+
+
+def test_trial_bounds_quad_resolves_lazily():
+    """trial_bounds.quad exists only for the benchmark's wrap point; it is
+    scipy's quad, read on demand, and every other missing name still raises."""
+    import scipy.integrate
+
+    from landaucrit import trial_bounds
+    from landaucrit.trial_bounds import quad
+
+    assert quad is trial_bounds.quad is scipy.integrate.quad
+    assert not hasattr(trial_bounds, "no_such_name")
+    with pytest.raises(AttributeError, match="'landaucrit.trial_bounds' has no attribute 'no_such_name'"):
+        getattr(trial_bounds, "no_such_name")
 
 
 def test_potentials_needs_no_quadrature_or_root_finder():
@@ -118,8 +157,9 @@ def test_potentials_needs_no_quadrature_or_root_finder():
 
 
 #: imports kept only because the traced benchmark (perfbench/layers.py)
-#: wraps them as module attributes; drop each with its wrap point
-WRAP_POINT_IMPORTS = {("critical_field", "a0_scaled"), ("trial_bounds", "quad")}
+#: wraps them as module attributes; drop each with its wrap point.
+#: trial_bounds.quad is not listed: its module __getattr__ imports and reads it
+WRAP_POINT_IMPORTS = {("critical_field", "a0_scaled")}
 
 
 def test_every_import_is_used():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline, PPoly
 
@@ -340,12 +341,14 @@ class TestCertificates:
     def test_plateau_line_search_must_converge(self, monkeypatch):
         # stopped after two iterations, an unchecked search "certifies" m* = -0.0079
         # (log B_cert = 11.07) at nu = 0.9, where the converged one finds -0.1747 (4.88)
-        search = trial_bounds.minimize_scalar
+        # _line_search imports minimize_scalar when it is called, so it reads the
+        # attribute of scipy.optimize at call time
+        search = scipy.optimize.minimize_scalar
 
         def capped(*args, options, **kwargs):
             return search(*args, options={**options, "maxiter": 2}, **kwargs)
 
-        monkeypatch.setattr(trial_bounds, "minimize_scalar", capped)
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", capped)
         with pytest.raises(AccuracyError, match="did not converge"):
             certify_critical_upper_bound(0.9, "plateau")
 
