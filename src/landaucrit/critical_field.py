@@ -15,7 +15,11 @@ longitudinal coordinate z mapped by sqrt(B) z = sinh(t): a grid uniform in t
 is fine near z = 0 and uniform in log z far out, so the eigenfunction width
 ~ e^(pi/2delta) costs about pi/(delta h) rows, not e^(pi/2delta)/h.  The
 weight cosh(t)/sqrt(B) gives a symmetric-definite pencil, bisected to relative
-accuracy down to DELTA_MIN_DIRECT = 0.05.  Route two ("schrodinger_form") takes
+accuracy down to DELTA_MIN_DIRECT = 0.05.  Its domain, DIRECT_PAD = 96 widths,
+is cut off by the ground level's Dirichlet-Neumann certificate (Reed and
+Simon IV, XIII.15), applied to the threshold: both grids of the first domain
+certify that no longer domain moves m by more than 5/6 DIRECT_DOMAIN_TOL
+relative, so a call makes one pencil pair.  Route two ("schrodinger_form") takes
 y with dy = a_0 dz and mu = 1/a_0, where the same problem reads
 -g'' - delta^2 g = -kappa mu g, i.e. delta^2 = E_1(kappa) for the ground
 level of -d^2/dy^2 + kappa mu.  So -kappa is the lowest eigenvalue of the
@@ -53,6 +57,7 @@ bisection steps per solve instead of 53 with the window e^(+-1) around
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,19 +94,39 @@ DELTA_MIN = 0.01
 #: stay positive and well separated from 0)
 DELTA_MAX_SCHRODINGER = 0.7
 
-#: smallest coupling for the direct route.  The rows grow like 1/delta: at
-#: 0.05 a call makes 8 eigen-solves of at most 5 979 rows in about 20 ms (one
-#: thread).  The float floor of m relative to |m| ~ e^(-pi/2delta) grows
-#: faster: ~5e-10 at 0.05, and at 0.03 it exceeds DIRECT_DOMAIN_TOL, so the
-#: domain test cannot be met there (TruncationError)
+#: smallest coupling for the direct route.  The rows grow like 1/delta (at
+#: 0.05 a call makes 2 eigen-solves of at most 5 867 rows), but the float
+#: floor of m relative to |m| ~ e^(-pi/2delta) grows faster.  Against the
+#: closed form of :func:`critical_field_asymptotic`, exact to double
+#: precision below 0.07, log B_L is off by at most 1.6e-9 on [0.0525, 0.07]
+#: and 3.0e-9 at 0.05 at the default step, and by 1.5e-8 / 4.2e-8 at 0.035 /
+#: 0.03; at 0.03 it stays 1e-8 to 7e-8 off at h = 0.05, 0.025 and 0.0125, so
+#: the floor, not the step, sets it.  Below the gate the closed form is the
+#: better value
 DELTA_MIN_DIRECT = 0.05
 
-#: initial domain of the direct route, in widths e^(pi/2delta) of the eigenfunction
-DIRECT_PAD = 24.0
+#: initial domain of the direct route, in widths e^(pi/2delta) of the
+#: eigenfunction: the smallest 24 2^k whose first domain certifies (see
+#: DIRECT_DOMAIN_TOL) over [DELTA_MIN_DIRECT, 0.99].  The Dirichlet-Neumann
+#: gap of the threshold, (4 w_fine + w_coarse)/3 relative to |m| with w the
+#: gap of each grid, at 24 / 48 / 96 measures 5.8e-6 / 1.1e-8 / 2e-12 at
+#: delta = 0.05, 4.1e-6 / 6.3e-9 / 1.9e-13 at 0.15, 1.4e-6 / 1.2e-9 / 0 at
+#: 0.3 and 3.0e-9 / 0 / 0 at 0.8; a doubling in z adds only about
+#: 2 ln 2/h = 55 rows, but a second domain costs a second pencil pair
+DIRECT_PAD = 96.0
 
-#: the direct route doubles its domain until m moves by at most this much,
-#: relative, and raises TruncationError after MAX_DIRECT_DOUBLINGS doublings
-DIRECT_DOMAIN_TOL = 1e-9
+#: the direct route stops on the first domain whose two grids certify that
+#: the value of every longer grid lies in (lo, hi] = m -+ DIRECT_DOMAIN_TOL
+#: |m|/4 (groundstate._Grid.bracket_width), which bounds the domain error of
+#: the extrapolated m by (4 w_fine + w_coarse)/3 = 5/6 DIRECT_DOMAIN_TOL |m|;
+#: it doubles the domain otherwise, and raises TruncationError after
+#: MAX_DIRECT_DOUBLINGS doublings.  The certificate's factorisations and the
+#: bisection of m round differently: the inertia they give changes at points
+#: up to 4.2e-10 |m| apart (delta in [0.03, 0.3]), so the half-width |m|/4 of
+#: the bracket is 1e-9 |m|; at 2.5e-10 |m| (DIRECT_DOMAIN_TOL = 1e-9) about
+#: 1 delta in 15 on [0.05, 0.1] failed to certify, and 8 in 600 on
+#: [0.05, 0.08] ran out of doublings
+DIRECT_DOMAIN_TOL = 4e-9
 MAX_DIRECT_DOUBLINGS = 4
 
 #: exponential-wall cap for -g'' + kappa mu(y) g in E1_of_kappa; heights
@@ -134,6 +159,14 @@ PENCIL_FLOOR = 4.0
 STEP_SCALE = 0.01
 STEP_MIN = 0.02
 STEP_MAX = 0.2
+
+#: largest |log kappa| that :func:`bracket_E1` accepts.  Its upper side
+#: minimizes over 200 points of s in [sigma - 3 ln sigma - 5, sigma + 5],
+#: sigma = -log kappa, which the float spacing of sigma stops resolving near
+#: 1e15: past it e^(log kappa + s) rounds to 1 and the bracket is (2.5e-200,
+#: 1.596) at -1e100, and s^2 overflows near 1e154.  The pencils ask for about
+#: 160 at DELTA_MIN, and B_L overflows double precision near 400
+LOG_KAPPA_MAX = 1.0e6
 
 #: Newton steps allowed to the step-well root of :func:`bracket_E1`, which
 #: takes 4-5 on delta in [0.01, 0.7]; AccuracyError past them
@@ -219,22 +252,39 @@ def m_delta(delta: float, *, B: float = 1.0, h: float = 0.025) -> float:
     sqrt(B) z = sinh(t), uniform in t with step h, the spacing is h/sqrt(B)
     near z = 0 and the step in log z is h far out, so [-L, L] with
     L = DIRECT_PAD e^(pi/2delta)/sqrt(B) takes about
-    2 (pi/(2 delta) + log(2 DIRECT_PAD))/h rows (729 at delta = 0.3, 2 823 at
+    2 (pi/(2 delta) + log(2 DIRECT_PAD))/h rows (839 at delta = 0.3, 2 933 at
     0.05).  The pencil is the ground level's T(-1) - 1 at nu = delta
     (groundstate._Grid.threshold), bisected to relative accuracy (|m| ~ 3e-13
     at delta = 0.05) inside the window of m = -sqrt(B) kappa / delta.  The
     mapped-grid driver (sturm_liouville) Richardson-extrapolates it over
-    n -> 2n + 1 (odd n keeps the kink of a_0 at z = 0 on a node) and doubles
-    the domain in z until m moves by at most DIRECT_DOMAIN_TOL relative;
-    TruncationError is raised after MAX_DIRECT_DOUBLINGS doublings.
+    n -> 2n + 1 (odd n keeps the kink of a_0 at z = 0 on a node).  Each grid
+    certifies a Dirichlet-Neumann bracket m -+ DIRECT_DOMAIN_TOL |m|/4 of its
+    value on every longer grid that continues it
+    (groundstate._Grid.bracket_width: -nu a at the end samples lies below
+    the bracket, the Neumann pencil less its bottom is positive definite and
+    the Dirichlet pencil less its top is not), and the call stops on the
+    first domain where both grids certify, (4 w_fine + w_coarse)/3 <=
+    DIRECT_DOMAIN_TOL |m|.  With DIRECT_PAD that is the first domain, one
+    pencil pair, over [DELTA_MIN_DIRECT, 0.99]; otherwise the domain is
+    doubled in z, and TruncationError is raised after MAX_DIRECT_DOUBLINGS
+    doublings.
     """
     spec = PotentialSpec(delta, B)
     window = _window(delta, math.sqrt(B) / delta, h)
+    widths = deque(maxlen=2)  # certified bracket widths of the last two grids
+
+    def threshold(T: float, n: int, samples: tuple[np.ndarray, np.ndarray]) -> float:
+        grid = groundstate._Grid(spec, T, n, samples=samples)
+        m = grid.threshold(window)
+        slack = 0.25 * DIRECT_DOMAIN_TOL * abs(m)
+        widths.append(grid.bracket_width(m - slack, m + slack, threshold=True))
+        return m
+
     m, _ = sturm_liouville._mapped_richardson(
-        lambda t: groundstate._samples(spec, t),
-        lambda T, n, samples: groundstate._Grid(spec, T, n, samples=samples).threshold(window),
+        lambda t: groundstate._samples(spec, t), threshold,
         math.asinh(DIRECT_PAD * math.exp(math.pi / (2.0 * delta))), h,
-        lambda prev, m: abs(m - prev) <= DIRECT_DOMAIN_TOL * abs(m), MAX_DIRECT_DOUBLINGS)
+        lambda prev, m: (4.0 * widths[1] + widths[0]) / 3.0 <= DIRECT_DOMAIN_TOL * abs(m),
+        MAX_DIRECT_DOUBLINGS)
     return m
 
 
@@ -321,8 +371,9 @@ def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:
     Both sides bound the continuum E_1 of the uncapped potential, the one the
     pencil discretizes; its O(h^2) grid error is not part of the bracket.
     """
-    if not (math.isfinite(log_kappa) and log_kappa < 0.0):
-        raise ValueError(f"bracket requires 0 < kappa < 1, got log kappa = {log_kappa}")
+    if not -LOG_KAPPA_MAX <= log_kappa < 0.0:
+        raise ValueError(f"bracket requires -LOG_KAPPA_MAX <= log kappa < 0, "
+                         f"got log kappa = {log_kappa}")
     sigma = -log_kappa
     wall = math.exp(log_kappa + float(log_mu_of_y(np.array([sigma]))[0]))
     a = sigma * math.sqrt(wall)

@@ -38,9 +38,9 @@ outside.  If lo < 1 - nu a(L) and T_N(lo) - lo is positive definite (an
 LDL^T factorisation: by Haynsworth the Neumann level lies above lo), its
 Phi is positive up to lo, and its level lies in (lo, level].
 :meth:`_Grid.domain_width` certifies (lo, hi] = level -+ DOMAIN_TOL/4 this
-way, the top by a T(hi) - hi that is not positive definite, so that the
-bracket does not rest on the bisection, with 1 - nu a at the grid's end
-samples, just inside |z| = L, and the level in place of lo.  For lo > -1 it
+way (:meth:`_Grid.bracket_width`), the top by a T(hi) - hi that is not
+positive definite, so that the bracket does not rest on the bisection, with
+1 - nu a at the grid's end samples, just inside |z| = L.  For lo > -1 it
 holds on the whole line.  A level just below -1, which a coarse grid can
 have under an extrapolated level above -1 near the critical field, is
 bracketed on every longer grid up to |z| = L* with 1 + lo + nu a(L*) = 0;
@@ -50,6 +50,13 @@ certified the extrapolated level lies within (4 w_fine + w_coarse)/3 =
 0.05-0.9, B 1e-3-1e8 and ell 0, 1, 3 every grid of the first domain
 certifies, with its level at least 4.1e-4 below 1 - nu a at its ends and
 its Neumann level less than 1e-13 below it.
+
+The same certificate bounds the truncation of the threshold T(-1) - 1, the
+direct route's m (critical_field.m_delta), on its own pencil: its form
+outside is at least -nu a(L), the kinetic part being nonnegative, so m on a
+longer grid lies in (lo, hi] if lo < -nu a at the end samples, the Neumann
+pencil at lambda = -1 less lo is positive definite and the Dirichlet one
+less hi is not.  The g block 1 + lambda + nu a = nu a is positive there.
 
 The mapped-grid driver of sturm_liouville does the Richardson extrapolation
 over n -> 2n + 1 and the domain doubling in z, and samples the potential
@@ -225,24 +232,37 @@ class _Grid:
 
     def domain_width(self, level: float) -> float:
         """Width DOMAIN_TOL/2 of the certified bracket (lo, hi] = level -+
-        DOMAIN_TOL/4 of this grid's level on every longer grid that continues
-        it (module docstring), or inf if it does not certify: the g block
-        must stay negative definite at lo, the level must lie below 1 - nu a
-        at the end samples, T_N(lo) - lo must be positive definite and
-        T(hi) - hi must not."""
-        lo, hi = level - 0.25 * DOMAIN_TOL, level + 0.25 * DOMAIN_TOL
+        DOMAIN_TOL/4 of this grid's level (:meth:`bracket_width`), or inf."""
+        return self.bracket_width(level - 0.25 * DOMAIN_TOL, level + 0.25 * DOMAIN_TOL)
+
+    def bracket_width(self, lo: float, hi: float, *, threshold: bool = False) -> float:
+        """Width hi - lo of (lo, hi] if this grid certifies that it holds the
+        value of every longer grid that continues it (module docstring), else
+        inf.  The value is the level, tested on T(x) - x at x = lo and hi, or
+        with ``threshold`` the lowest eigenvalue of T(-1) - 1, tested on it
+        less lo and less hi.  The g block must stay negative definite at lo;
+        the form of T - 1 outside, at least -nu a at the end samples, must
+        lie above the bottom of the bracket; the Neumann pencil at the bottom
+        must be positive definite and the Dirichlet one at the top must not,
+        so that the bracket does not rest on the bisection."""
+        if threshold:
+            (lam_lo, shift_lo), (lam_hi, shift_hi) = (-1.0, lo), (-1.0, hi)
+        else:
+            (lam_lo, shift_lo), (lam_hi, shift_hi) = (lo, lo - 1.0), (hi, hi - 1.0)
         ends = self.nu_a[[0, -1]]
-        if (lo <= -1.0 - ends.min() or level >= 1.0 - ends.max()
-                or not self._above(lo, neumann=True) or self._above(hi)):
+        if (1.0 + lam_lo + ends.min() <= 0.0 or shift_lo >= -ends.max()
+                or not self._above(lam_lo, shift_lo, neumann=True)
+                or self._above(lam_hi, shift_hi)):
             return math.inf
         return hi - lo
 
-    def _above(self, lam: float, *, neumann: bool = False) -> bool:
-        """Whether T(lam) - lam is positive definite, i.e. (Haynsworth, with
-        the g block negative definite at lam) the level of H, or of H without
-        its two end g rows if ``neumann``, lies above lam."""
+    def _above(self, lam: float, shift: float, *, neumann: bool = False) -> bool:
+        """Whether T(lam) - 1 - shift is positive definite, i.e. its lowest
+        eigenvalue lies above shift; for shift = lam - 1 (Haynsworth, with the
+        g block negative definite at lam) the level of H lies above lam.
+        ``neumann`` drops the two end g rows of H."""
         diag, offdiag = self._pencil(lam, neumann=neumann)
-        return sturm_liouville.positive_definite(diag + (1.0 - lam), offdiag)
+        return sturm_liouville.positive_definite(diag - shift, offdiag)
 
 
 def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointResult:

@@ -1,6 +1,9 @@
 """Tests for the two critical-field routes, brackets, and constants."""
 
+import importlib
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,16 +120,19 @@ class TestMDelta:
 
     @pytest.mark.parametrize("delta", [0.05, 0.3])
     def test_eigensolve_count(self, monkeypatch, delta):
-        """The sinh-mapped grid needs about 2 (pi/(2 delta) + log 48)/h rows."""
+        """One pencil pair on the first domain; the sinh-mapped grid needs
+        about 2 (pi/(2 delta) + log 192)/h rows."""
         rows = count_eigensolves(monkeypatch)
         cf.critical_field_direct(delta)
-        assert 0 < len(rows) <= 10
+        assert len(rows) == 2
         assert max(rows) <= 10_000
 
     def test_one_potential_pass_per_domain(self, monkeypatch):
         # the potential is sampled once per domain, on the 4n + 3 nodes and
         # midpoints of the fine grid, shared by the pair; the same call twice
-        # does the same work
+        # does the same work.  The default domain certifies at once, so a
+        # quarter of it makes the call double (3 domains at delta = 0.3)
+        monkeypatch.setattr(cf, "DIRECT_PAD", 24.0)
         points, grids = [], []
         real_samples, real_threshold = groundstate._samples, groundstate._Grid.threshold
 
@@ -151,6 +157,8 @@ class TestMDelta:
         assert (points, grids) == work
 
     def test_doubling_budget_exhausted_raises(self, monkeypatch):
+        # a quarter of the default domain does not certify at delta = 0.5
+        monkeypatch.setattr(cf, "DIRECT_PAD", 24.0)
         monkeypatch.setattr(cf, "MAX_DIRECT_DOUBLINGS", 0)
         with pytest.raises(TruncationError):
             cf.m_delta(0.5)
@@ -163,6 +171,81 @@ class TestMDelta:
     def test_field_must_be_positive_and_finite(self, B):
         with pytest.raises(ValueError, match="B must be positive and finite"):
             cf.m_delta(0.3, B=B)
+
+
+class TestDirectCertificate:
+    """m_delta stops on the first domain whose two grids certify the
+    Dirichlet-Neumann bracket m -+ DIRECT_DOMAIN_TOL |m|/4 of the threshold."""
+
+    # near the gate the factorisations and the bisection of m disagree on the
+    # inertia by up to 4.2e-10 |m|; with a bracket half-width of 2.5e-10 |m|
+    # about 1 delta in 15 there failed to certify, and some ran out of doublings
+    @pytest.mark.parametrize("deltas", [np.linspace(0.05, 0.99, 37), np.linspace(0.05, 0.1, 101)],
+                             ids=["whole_range", "near_the_gate"])
+    def test_every_delta_certifies_on_the_first_domain(self, monkeypatch, deltas):
+        rows = count_eigensolves(monkeypatch)
+        for delta in deltas:
+            rows.clear()
+            cf.m_delta(float(delta))
+            assert len(rows) == 2, delta
+
+    @pytest.mark.parametrize("delta", [0.05, 0.3, 0.9])
+    def test_doubled_domain_lies_in_the_certified_bound(self, monkeypatch, delta):
+        # the bound (4 w_fine + w_coarse)/3 is 5/6 DIRECT_DOMAIN_TOL |m|, up
+        # to the grid error of m; the doubled domain moves m by at most
+        # 1.5e-10 relative
+        m = cf.m_delta(delta)
+        monkeypatch.setattr(cf, "DIRECT_PAD", 2.0 * cf.DIRECT_PAD)
+        assert abs(cf.m_delta(delta) - m) <= 5.0 / 6.0 * cf.DIRECT_DOMAIN_TOL * abs(m)
+
+    @pytest.mark.parametrize("delta", [0.05, 0.5])
+    def test_small_pad_doubles_to_the_default_value(self, monkeypatch, delta):
+        want = cf.m_delta(delta)
+        monkeypatch.setattr(cf, "DIRECT_PAD", 24.0)
+        rows = count_eigensolves(monkeypatch)
+        got = cf.m_delta(delta)
+        assert len(rows) > 2
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_outside_condition_failure_doubles_the_domain(self, monkeypatch):
+        # -nu a = -delta sqrt(pi/2), the deepest the potential gets, at the
+        # first domain's end samples lies below m: the bracket is not
+        # certified there, and the call doubles the domain
+        want = cf.m_delta(0.5)
+        passes = []
+        real = groundstate.a_ell_grid
+
+        def deep_ends(spec, z):
+            a = real(spec, z)
+            if not passes:
+                a[[0, -1]] = math.sqrt(0.5 * math.pi)
+            passes.append(np.size(z))
+            return a
+
+        monkeypatch.setattr(groundstate, "a_ell_grid", deep_ends)
+        rows = count_eigensolves(monkeypatch)
+        got = cf.m_delta(0.5)
+        assert (len(passes), len(rows)) == (2, 4)
+        assert got == pytest.approx(want, rel=cf.DIRECT_DOMAIN_TOL, abs=0.0)
+
+    def test_neumann_failure_doubles_the_domain(self, monkeypatch):
+        # the Neumann check of both grids of the first domain fails
+        want = cf.m_delta(0.5)
+        checks = []
+        real = groundstate._Grid._above
+
+        def above(grid, lam, shift, *, neumann=False):
+            if neumann:
+                checks.append(grid.n)
+                if len(checks) <= 2:
+                    return False
+            return real(grid, lam, shift, neumann=neumann)
+
+        monkeypatch.setattr(groundstate._Grid, "_above", above)
+        rows = count_eigensolves(monkeypatch)
+        got = cf.m_delta(0.5)
+        assert (len(checks), len(rows)) == (4, 4)
+        assert got == pytest.approx(want, rel=cf.DIRECT_DOMAIN_TOL, abs=0.0)
 
 
 class TestCrossMethod:
@@ -286,6 +369,35 @@ class TestStepWellRoot:
         sign change there)."""
         lo, hi = cf.bracket_E1(0.1, log_kappa)
         assert 0.0 < lo <= hi < math.inf
+
+    @pytest.mark.parametrize("log_kappa", [-1e100, -1e308])
+    def test_absurd_log_kappa_rejected(self, log_kappa):
+        # the s-grid of the upper side no longer resolves sigma there; at
+        # -1e308 s^2 overflowed with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="LOG_KAPPA_MAX"):
+                cf.bracket_E1(0.1, log_kappa)
+
+    def test_lattice_log_kappa_brackets(self, monkeypatch):
+        # the log kappa of every Schrodinger pencil the benchmark's lattices
+        # solve, the sandwich's two shifted couplings included, lies well
+        # inside the accepted range and brackets delta^2
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        deltas = set()
+        for workload in workloads.WORKLOADS:
+            for entry, args in workloads.lattice(workload):
+                if entry == "critical_field_schrodinger":
+                    deltas.add(args[0])
+                elif entry == "sandwich":
+                    deltas.update((args[0] - args[0] ** 1.5, args[0] + args[0] ** 1.5))
+        assert len(deltas) == 14
+        for delta in sorted(deltas):
+            res = cf.critical_field_schrodinger(delta)
+            lo, hi = res.e1_bracket
+            assert abs(res.log_kappa) < 1e-3 * cf.LOG_KAPPA_MAX
+            assert lo <= delta * delta <= hi, delta
 
     def test_newton_cap_raises(self, monkeypatch):
         monkeypatch.setattr(cf, "STEP_ROOT_MAX_STEPS", 2)

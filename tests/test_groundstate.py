@@ -11,6 +11,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 from scipy.special import erfcx
 
+from landaucrit import critical_field as cf
 from landaucrit import groundstate, sturm_liouville
 from landaucrit.critical_field import critical_field_direct
 from landaucrit.errors import AccuracyError
@@ -378,6 +379,41 @@ class TestDomainBracket:
         assert len(points) == 2
         assert res.L == pytest.approx(2.0 * want.L, rel=1e-12)
         assert res.lam == pytest.approx(want.lam, abs=groundstate.DOMAIN_TOL)
+
+    @pytest.mark.parametrize("delta", [0.05, 0.3, 0.9])
+    def test_threshold_bracket_holds_its_neumann_value(self, delta):
+        # the direct route's first coarse grid certifies m -+ DIRECT_DOMAIN_TOL
+        # |m|/4, and its Neumann threshold lies inside, less than 1e-11 |m|
+        # below m
+        spec = PotentialSpec(delta, 1.0)
+        T = math.asinh(cf.DIRECT_PAD * math.exp(math.pi / (2.0 * delta)))
+        grid = groundstate._Grid(spec, T, sturm_liouville.odd_points(T, 0.025))
+        m = grid.threshold(None)
+        slack = 0.25 * cf.DIRECT_DOMAIN_TOL * abs(m)
+        assert grid.bracket_width(m - slack, m + slack, threshold=True) == pytest.approx(
+            2.0 * slack, rel=1e-9)
+        # a bracket whose top lies below m does not rest on the bisection
+        assert grid.bracket_width(m - 2.0 * slack, m - slack, threshold=True) == math.inf
+        neumann = sturm_liouville.eigenvalue(*grid._pencil(-1.0, neumann=True))[0]
+        assert m - 1e-11 * abs(m) < neumann <= m + 4.0 * np.spacing(abs(m))
+
+    def test_longer_grid_threshold_lies_between_neumann_and_dirichlet(self):
+        # on |z| <= e^(pi/2delta) the threshold's bracket is wide (-0.114,
+        # -0.065], and the threshold of the grid continued k steps past each
+        # end falls inside it, far from both ends
+        spec = PotentialSpec(0.5, 1.0)
+        T = math.asinh(math.exp(math.pi))
+        grid = groundstate._Grid(spec, T, sturm_liouville.odd_points(T, 0.025))
+        m = grid.threshold(None)
+        k = grid.n // 2
+        longer = groundstate._Grid(spec, T + k * grid.h, grid.n + 2 * k)
+        assert longer.h == pytest.approx(grid.h, rel=1e-14)
+        neumann = sturm_liouville.eigenvalue(*grid._pencil(-1.0, neumann=True))[0]
+        assert neumann < longer.threshold(None) < m
+        lo, hi = neumann - 1e-3 * abs(m), m + 1e-3 * abs(m)
+        assert grid.bracket_width(lo, hi, threshold=True) == hi - lo
+        slack = 0.25 * cf.DIRECT_DOMAIN_TOL * abs(m)
+        assert grid.bracket_width(m - slack, m + slack, threshold=True) == math.inf
 
     def test_degenerate_result_reports_no_domain_error(self):
         assert ground_state_lambda(PotentialSpec(0.85, 1e4)).domain_error == 0.0

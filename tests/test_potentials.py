@@ -138,10 +138,10 @@ class TestAEll:
 def test_a0_far_tail_against_mpmath():
     """a0_scaled at every third node or midpoint (m_delta's default h) of the
     direct route's largest domain (delta = DELTA_MIN_DIRECT after
-    MAX_DIRECT_DOUBLINGS doublings, sinh T ~ 1.7e16), where the windowed
+    MAX_DIRECT_DOUBLINGS doublings, sinh T ~ 6.8e16), where the windowed
     m_delta pencil samples it, against
     sqrt(pi/2) erfcx(|zeta|/sqrt 2) at 50 digits.  The largest relative error
-    over all 3 046 of those points with zeta >= 0 is 8.2e-16."""
+    over all 1 052 of those points with zeta >= 0 is 6.5e-16."""
     mpmath = pytest.importorskip("mpmath")
     T = math.asinh(2.0**cf.MAX_DIRECT_DOUBLINGS * cf.DIRECT_PAD
                    * math.exp(math.pi / (2.0 * cf.DELTA_MIN_DIRECT)))
