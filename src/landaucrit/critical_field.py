@@ -280,10 +280,10 @@ def m_delta(delta: float, *, B: float = 1.0, h: float = 0.025) -> float:
         widths.append(grid.bracket_width(m - slack, m + slack, threshold=True))
         return m
 
-    m, _ = sturm_liouville._mapped_richardson(
+    m, _, _ = sturm_liouville._mapped_richardson(
         lambda t: groundstate._samples(spec, t), threshold,
         math.asinh(DIRECT_PAD * math.exp(math.pi / (2.0 * delta))), h,
-        lambda prev, m: (4.0 * widths[1] + widths[0]) / 3.0 <= DIRECT_DOMAIN_TOL * abs(m),
+        lambda m: ((4.0 * widths[1] + widths[0]) / 3.0, DIRECT_DOMAIN_TOL * abs(m)),
         MAX_DIRECT_DOUBLINGS)
     return m
 

@@ -10,8 +10,8 @@ class CoefficientError(ValueError):
 class TruncationError(RuntimeError):
     """Domain enlargement failed to stabilize the eigenvalue within the configured cap.
 
-    Carries the last two eigenvalue estimates so callers can judge how far
-    from convergence the solve stopped.
+    Carries the last eigenvalue estimates so callers can judge how far from
+    convergence the solve stopped.
     """
 
     def __init__(self, message, last_values=None):

@@ -5,7 +5,8 @@ operator -(p f')' + q f with p = 1/(1 + lambda + nu a_ell) and
 q = 1 - nu a_ell; its lowest Dirichlet eigenvalue T(lambda) is nonincreasing
 in lambda, so Phi(lambda) = T(lambda) - lambda has a unique root in (-1, 1]
 whenever Phi(-1) > 0.  If Phi(-1) <= 0 the level has reached the lower
-continuum edge and the solve reports the degenerate value -1.
+continuum edge and the solve reports the degenerate value -1 (on the grids:
+an extrapolated level at or below -1).
 
 The root is an eigenvalue in the gap of the first-order system
 -(1 + nu a) g + f' = lambda g, (1 - nu a) f - g' = lambda f (Dolbeault,
@@ -41,12 +42,17 @@ Phi is positive up to lo, and its level lies in (lo, level].
 way (:meth:`_Grid.bracket_width`), the top by a T(hi) - hi that is not
 positive definite, so that the bracket does not rest on the bisection, with
 1 - nu a at the grid's end samples, just inside |z| = L.  For lo > -1 it
-holds on the whole line.  A level just below -1, which a coarse grid can
-have under an extrapolated level above -1 near the critical field, is
-bracketed on every longer grid up to |z| = L* with 1 + lo + nu a(L*) = 0;
-past L* the level meets the lower continuum.  With both grids of a pair
-certified the extrapolated level lies within (4 w_fine + w_coarse)/3 =
-5 DOMAIN_TOL/6 of the extrapolation of the longer grids' levels.  Over nu
+holds on the whole line, and its factorisations check the level too, with
+AccuracyError: a T(hi) - hi that is positive definite puts the grid's level
+above hi, and where the Neumann side fails, a T(lo) - lo that is not puts it
+at or below lo.  Only a failing Neumann side or outside condition doubles
+the domain.  A level just below -1, which a coarse grid can have under an
+extrapolated level above -1 near the critical field, is bracketed on every
+longer grid up to |z| = L* with 1 + lo + nu a(L*) = 0; past L* the level
+meets the lower continuum, so its failing bracket doubles.  With both grids
+of a pair certified the extrapolated level lies within (4 w_fine +
+w_coarse)/3 = 5 DOMAIN_TOL/6 of the extrapolation of the longer grids'
+levels.  Over nu
 0.05-0.9, B 1e-3-1e8 and ell 0, 1, 3 every grid of the first domain
 certifies, with its level at least 4.1e-4 below 1 - nu a at its ends and
 its Neumann level less than 1e-13 below it.
@@ -68,9 +74,14 @@ level c, if lo > -1: by the inertia count above, a successful LDL^T
 factorisation of the T-pencil at lambda = lo, shifted by lo, certifies that
 exactly n + 1 eigenvalues of H lie at or below lo (the gap min-max of
 Dolbeault, Esteban and Sere used as a Sylvester certificate), so the level
-is the smallest eigenvalue in the window.  The residual solve of T at the
-fine level bisects inside the same width around it.  A failed certificate
-or an empty window falls back to the index selection.
+is the smallest eigenvalue in the window.  A failed certificate or an
+empty window falls back to the index selection.
+
+A fine grid whose coarse level c lies within LEVEL_WINDOW of -1, or below,
+has no window.  Its level f makes the call degenerate iff f <= x = (c - 3)/4,
+and where 1 + x + nu a > 0 at every midpoint, the g block of H - x is
+negative definite, so f <= x iff T(x) - x is not positive definite: one
+factorisation in place of the fine solve, which runs where f <= x is not shown.
 """
 
 from __future__ import annotations
@@ -83,7 +94,7 @@ from typing import Sequence
 import numpy as np
 
 from . import sturm_liouville
-from .errors import AccuracyError, TruncationError
+from .errors import AccuracyError
 from .potentials import PotentialSpec, a_ell_grid
 
 __all__ = ["FixedPointResult", "ground_state_lambda", "ground_state_per_ell"]
@@ -97,21 +108,16 @@ C_COULOMB = 30.0
 # certified bound (4 w_fine + w_coarse)/3 on the extrapolated level's domain
 # error, each grid's bracket width w being DOMAIN_TOL/2, is at most
 # DOMAIN_TOL, at most MAX_DOUBLINGS times before TruncationError (module
-# docstring).  Every eigen-solve bisects to relative
-# accuracy (sturm_liouville.eigenvalue), so the |Phi| a fine-grid level
-# leaves is the float floor eps max|diag| of the T-pencil (<= 0.21 of it
-# measured for nu in [0.05, 0.9], B in [1e-3, 1e8]); above RESIDUAL_FLOOR
-# times that floor the call raises AccuracyError.
+# docstring), whose brackets also check each level (AccuracyError).
 DOMAIN_TOL = 1e-7
 MAX_DOUBLINGS = 6
-RESIDUAL_FLOOR = 4.0
 
 # Half-width of the bisection window of every level solve after the first,
-# around the last level of the call, and of the residual solve's window
-# around the fine level.  The largest shift measured between a level and
-# its centre is 6.5e-5 (nu in [0.05, 0.9], B in [1e-3, 1e8], ell 0-3), from
-# a coarse level to its fine one and from a fine level to the next domain's
-# coarse one, whose step is twice as large.
+# around the last level of the call.  The largest shift measured between a
+# level and its centre is 6.5e-5 (nu in [0.05, 0.9], B in [1e-3, 1e8], ell
+# 0-3), from a coarse level to its fine one and from a fine level to the next
+# domain's coarse one, whose step is twice as large.  A window reaching -1
+# is not used; the fine grid's degeneracy is tested first (module docstring).
 LEVEL_WINDOW = 1e-3
 
 
@@ -119,20 +125,18 @@ LEVEL_WINDOW = 1e-3
 class FixedPointResult:
     """Converged lowest level lambda_1(nu, B) with solve diagnostics.
 
-    ``iterations`` counts the eigen-solves of the call; a window that held no
-    eigenvalue counts twice, for its bisection and the index selection.
-    |z| <= L = sinh(T)/sqrt(B) is the certified domain (the last one of the
-    call), and n is the point count of its fine t-grid.
-    ``residual`` is |Phi| = |T(lambda) - lambda| on that grid at the grid's
-    own level, checked against RESIDUAL_FLOOR times its float floor;
-    ``domain_error`` is the certified bound (4 w_fine + w_coarse)/3 on the
-    truncation error of ``lam``, <= DOMAIN_TOL.  A degenerate result has no
-    root to check or bracket and reports 0 for both.
+    ``iterations`` counts the eigen-solves of the call, one per level solved
+    (a degenerate call's fine level may be settled by a factorisation); a
+    window that held no eigenvalue counts twice.  |z| <= L = sinh(T)/sqrt(B)
+    is the certified domain (the last one of the call), and n is the point
+    count of its fine t-grid.  ``domain_error`` is the certified bound
+    (4 w_fine + w_coarse)/3 on the truncation error of ``lam``, <= DOMAIN_TOL,
+    from brackets that also certify each level's index; a degenerate result
+    reports 0.
     """
 
     lam: float
     iterations: int
-    residual: float
     degenerate: bool
     L: float
     n: int
@@ -155,7 +159,7 @@ def _samples(spec: PotentialSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 class _Grid:
     """Potential samples on n interior nodes of t in [-T, T], sqrt(B) z = sinh(t),
-    shared by the level, Phi and the threshold.
+    shared by the level, its brackets and the threshold.
 
     ``samples`` are :func:`_samples` at the nodes of grid_nodes(T, 2n + 1),
     taken here when not given.  ``centre``, a level close to this grid's (the
@@ -196,16 +200,6 @@ class _Grid:
         m, _, self.solves = sturm_liouville.eigenvalue(*self._pencil(-1.0), window=window)
         return m
 
-    def phi(self, lam: float, *,
-            window: tuple[float, float] | None = None) -> tuple[float, float]:
-        """(Phi(lambda) = T(lambda) - lambda, the float floor eps max|diag| of
-        T); T(lambda) is the lowest eigenvalue of :meth:`_pencil` plus the
-        identity, bisected inside ``window`` once certified."""
-        diag, offdiag = self._pencil(lam)
-        diag += 1.0
-        T, _, self.solves = sturm_liouville.eigenvalue(diag, offdiag, window=window)
-        return T - lam, float(np.finfo(float).eps * np.max(np.abs(diag)))
-
     def level(self) -> float:
         """Eigenvalue n + 1 of the scaled staggered H, g at the midpoints
         interleaved with f at the nodes: the root of Phi on this grid, and
@@ -230,9 +224,19 @@ class _Grid:
         diag[1::2] = 1.0 - self.nu_a[1::2]
         return diag, 1.0 / (self.h * np.sqrt(self.dz[:-1] * self.dz[1:]))
 
+    def degenerate(self) -> bool:
+        """Whether this fine grid's level is at most x = (c - 3)/4, c its
+        centre (the coarse level), by one factorisation where the grid has no
+        window and the g block of H - x is negative definite (module
+        docstring); False where that does not decide it."""
+        x = 0.25 * (self.centre - 3.0)
+        return (self.centre - LEVEL_WINDOW <= -1.0 and 1.0 + x + self.nu_a[[0, -1]].min() > 0.0
+                and not self._above(x, x - 1.0))
+
     def domain_width(self, level: float) -> float:
         """Width DOMAIN_TOL/2 of the certified bracket (lo, hi] = level -+
-        DOMAIN_TOL/4 of this grid's level (:meth:`bracket_width`), or inf."""
+        DOMAIN_TOL/4 of this grid's level (:meth:`bracket_width`), or inf;
+        AccuracyError where lo > -1 and the level is not this grid's."""
         return self.bracket_width(level - 0.25 * DOMAIN_TOL, level + 0.25 * DOMAIN_TOL)
 
     def bracket_width(self, lo: float, hi: float, *, threshold: bool = False) -> float:
@@ -244,15 +248,24 @@ class _Grid:
         the form of T - 1 outside, at least -nu a at the end samples, must
         lie above the bottom of the bracket; the Neumann pencil at the bottom
         must be positive definite and the Dirichlet one at the top must not,
-        so that the bracket does not rest on the bisection."""
+        so that the bracket does not rest on the bisection.  For the level
+        with lo > -1, a Dirichlet side that fails raises AccuracyError: the
+        grid's level lies above hi, or at or below lo (module docstring)."""
         if threshold:
             (lam_lo, shift_lo), (lam_hi, shift_hi) = (-1.0, lo), (-1.0, hi)
         else:
             (lam_lo, shift_lo), (lam_hi, shift_hi) = (lo, lo - 1.0), (hi, hi - 1.0)
         ends = self.nu_a[[0, -1]]
-        if (1.0 + lam_lo + ends.min() <= 0.0 or shift_lo >= -ends.max()
-                or not self._above(lam_lo, shift_lo, neumann=True)
-                or self._above(lam_hi, shift_hi)):
+        if 1.0 + lam_lo + ends.min() <= 0.0 or shift_lo >= -ends.max():
+            return math.inf
+        checked = not threshold and lo > -1.0
+        if not self._above(lam_lo, shift_lo, neumann=True):
+            if checked and not self._above(lo, shift_lo):
+                raise AccuracyError(f"the grid's level lies at or below lo = {lo!r}")
+            return math.inf
+        if self._above(lam_hi, shift_hi):
+            if checked:
+                raise AccuracyError(f"the grid's level lies above hi = {hi!r}")
             return math.inf
         return hi - lo
 
@@ -279,58 +292,40 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
     times before TruncationError.  Every level after the first is bisected
     inside a certified window of LEVEL_WINDOW around the last one.  The
     result is degenerate, lam = -1, as soon as the extrapolated level is
-    <= -1: a wider domain only lowers it.  Otherwise one value solve of T at
-    the fine grid's own level gives ``residual``, which checks the eigenvalue
-    index: above RESIDUAL_FLOOR times the grid's float floor it raises
-    AccuracyError, also in place of the TruncationError of a call whose
-    domains never certified.
+    <= -1: a wider domain only lowers it, and near -1 one factorisation may
+    decide that in place of the fine solve.  A level outside its grid's
+    bracket raises AccuracyError at once.
     """
     rootB = math.sqrt(spec.B)
-    solves, pair, bound = 0, deque(maxlen=2), 0.0  # pair: (grid, level) of the last two grids
+    solves, pair = 0, deque(maxlen=2)  # pair: (grid, level) of the last two grids
 
     def level(T: float, n: int, samples: tuple[np.ndarray, np.ndarray]) -> float:
         nonlocal solves
         grid = _Grid(spec, T, n, samples=samples, centre=pair[-1][1] if pair else None)
-        pair.append((grid, grid.level()))
-        solves += grid.solves
-        return pair[-1][1]
+        if pair and n == 2 * pair[-1][0].n + 1 and grid.degenerate():
+            value = -math.inf  # only known to lie at or below (c - 3)/4
+        else:
+            value = grid.level()
+            solves += grid.solves
+        pair.append((grid, value))
+        return value
 
-    def certified(prev: float, lam: float) -> bool:
-        nonlocal bound
+    def certified(lam: float) -> tuple[float, float]:
         if lam <= -1.0:
-            return True
+            return 0.0, DOMAIN_TOL
         (coarse, level_coarse), (fine, level_fine) = pair
-        bound = (4.0 * fine.domain_width(level_fine) + coarse.domain_width(level_coarse)) / 3.0
-        return bound <= DOMAIN_TOL
+        # the fine grid's bracket is not tried once the coarse one failed
+        width = coarse.domain_width(level_coarse)
+        if width < math.inf:
+            width = (4.0 * fine.domain_width(level_fine) + width) / 3.0
+        return width, DOMAIN_TOL
 
-    try:
-        lam, T = sturm_liouville._mapped_richardson(
-            lambda t: _samples(spec, t), level, math.asinh(rootB * _default_domain(spec)), h,
-            certified, MAX_DOUBLINGS)
-    except TruncationError:
-        _residual(*pair[-1])  # a wrong level certifies no domain
-        raise
-    grid = pair[-1][0]
-    L = math.sinh(T) / rootB
-    if lam <= -1.0:
-        return FixedPointResult(lam=-1.0, iterations=solves, residual=0.0, degenerate=True,
-                                L=L, n=grid.n, domain_error=0.0)
-    residual = _residual(*pair[-1])
-    return FixedPointResult(lam=min(lam, 1.0), iterations=solves + grid.solves,
-                            residual=residual, degenerate=False, L=L, n=grid.n,
+    lam, T, bound = sturm_liouville._mapped_richardson(
+        lambda t: _samples(spec, t), level, math.asinh(rootB * _default_domain(spec)), h,
+        certified, MAX_DOUBLINGS)
+    return FixedPointResult(lam=min(max(lam, -1.0), 1.0), iterations=solves,
+                            degenerate=lam <= -1.0, L=math.sinh(T) / rootB, n=pair[-1][0].n,
                             domain_error=bound)
-
-
-def _residual(grid: _Grid, level: float) -> float:
-    """|Phi| on ``grid`` at its own level, from one T solve bisected inside
-    LEVEL_WINDOW around it; AccuracyError above RESIDUAL_FLOOR times the float
-    floor."""
-    phi, floor = grid.phi(level, window=(level - LEVEL_WINDOW, level + LEVEL_WINDOW))
-    if abs(phi) > RESIDUAL_FLOOR * floor:
-        raise AccuracyError(
-            f"fine-grid level {level!r} leaves |Phi| = {abs(phi):.3e} "
-            f"> RESIDUAL_FLOOR eps max|diag| = {RESIDUAL_FLOOR * floor:.3e}")
-    return abs(phi)
 
 
 def ground_state_per_ell(spec: PotentialSpec,

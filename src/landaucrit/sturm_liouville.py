@@ -125,32 +125,33 @@ def richardson_step(coarse: float, fine: float) -> tuple[float, float]:
 
 def _mapped_richardson(sample: Callable[[np.ndarray], tuple[np.ndarray, ...]],
                        level: Callable[[float, int, tuple[np.ndarray, ...]], float],
-                       T: float, h: float, stop: Callable[[float, float], bool],
-                       max_doublings: int) -> tuple[float, float]:
-    """(value, T) of a problem on the sinh-mapped grid sqrt(B) z = sinh(t).
+                       T: float, h: float, stop: Callable[[float], tuple[float, float]],
+                       max_doublings: int) -> tuple[float, float, float]:
+    """(value, T, bound) of a problem on the sinh-mapped grid sqrt(B) z = sinh(t).
 
     ``level(T, n, samples)``, the problem's value on n interior nodes of t in
     [-T, T], is called on n = odd_points(T, h), then on 2n + 1 (odd n keeps
     z = 0 on a node), and the two are Richardson-extrapolated.  ``samples``
     are ``sample(t)`` at the nodes of grid_nodes(T, 2n + 1), the grid's
     midpoints and nodes interleaved: one call per domain, on the fine grid.
-    The domain is doubled in z, T -> asinh(2 sinh T), until ``stop(previous
-    value, value)`` holds (the previous value is nan on the first domain);
-    TruncationError after ``max_doublings`` doublings.
+    ``stop(value)`` gives the certified bound on the value's domain error and
+    its tolerance; the domain is doubled in z, T -> asinh(2 sinh T), until the
+    bound is within the tolerance, and TruncationError, naming the last bound,
+    follows ``max_doublings`` doublings.
     """
-    prev = value = math.nan
     for _ in range(max_doublings + 1):
         n = odd_points(T, h)
         samples = sample(grid_nodes(T, 4 * n + 3)[1])
-        prev, value = value, richardson_step(level(T, n, tuple(s[1::2] for s in samples)),
-                                             level(T, 2 * n + 1, samples))[0]
-        if stop(prev, value):
-            return value, T
+        value = richardson_step(level(T, n, tuple(s[1::2] for s in samples)),
+                                level(T, 2 * n + 1, samples))[0]
+        bound, tol = stop(value)
+        if bound <= tol:
+            return value, T, bound
         T = math.asinh(2.0 * math.sinh(T))
     raise TruncationError(
-        f"mapped-grid value did not meet its stop test within {max_doublings} domain doublings "
-        f"(last shift {abs(value - prev):.3e})",
-        last_values=(prev, value),
+        f"mapped-grid value {value!r} not certified within {max_doublings} domain doublings "
+        f"(last certified bound {bound:.3e} > {tol:.3e})",
+        last_values=(value,),
     )
 
 

@@ -29,6 +29,10 @@ Each takes a different route from the library's one evaluation path:
   (``sturm_liouville.lowest_eigenvalue``), Richardson-extrapolated and
   domain-doubled, where ``ground_state_lambda`` takes its level from the
   staggered Dirac matrix on the sinh-mapped t-grid.
+- ``phi_on`` is Phi(lambda) = T(lambda) - lambda on one of the ground level's
+  sinh-mapped grids, T by the index selection of the T-pencil, whose root
+  the grid's level must be; at the level |Phi| stays within
+  ``RESIDUAL_FLOOR`` times its float floor.
 - ``evaluate_GB_quad`` sums the zero-mode trial functional by adaptive
   ``quad`` of point-wise integrands, with the kinetic weight from ``w_ell``,
   where ``trial_bounds.evaluate_GB`` uses fixed Gauss-Legendre panels and one
@@ -318,6 +322,22 @@ def T_of_lambda(spec: PotentialSpec, lam: float, *, L: float | None = None,
         lambda z: 1.0 - spec.nu * pot.a_ell_grid(spec, z), L, n)
     return sturm_liouville.lowest_eigenvalue(problem, richardson=richardson,
                                              stabilize_domain=stabilize_domain).value
+
+
+#: every eigen-solve bisects to relative accuracy, so the |Phi| a grid's level
+#: leaves is the float floor eps max|diag| of the T-pencil (<= 0.21 of it
+#: measured for nu in [0.05, 0.9], B in [1e-3, 1e8])
+RESIDUAL_FLOOR = 4.0
+
+
+def phi_on(grid: groundstate._Grid, lam: float) -> tuple[float, float]:
+    """(Phi(lambda) = T(lambda) - lambda, the float floor eps max|diag| of
+    T) on ``grid``; T(lambda) is the lowest eigenvalue of the grid's pencil
+    of T - 1 plus the identity."""
+    diag, offdiag = grid._pencil(lam)
+    diag += 1.0
+    T = sturm_liouville.eigenvalue(diag, offdiag)[0]
+    return T - lam, float(np.finfo(float).eps * np.max(np.abs(diag)))
 
 
 # ---------------------------------------------------------------------------

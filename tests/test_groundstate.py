@@ -14,11 +14,11 @@ from scipy.special import erfcx
 from landaucrit import critical_field as cf
 from landaucrit import groundstate, sturm_liouville
 from landaucrit.critical_field import critical_field_direct
-from landaucrit.errors import AccuracyError
+from landaucrit.errors import AccuracyError, TruncationError
 from landaucrit.groundstate import FixedPointResult, ground_state_lambda, ground_state_per_ell
 from landaucrit.potentials import PotentialSpec, a_ell_grid
 
-from _reference import T_of_lambda
+from _reference import RESIDUAL_FLOOR, T_of_lambda, phi_on
 
 
 # --- independent oracle -----------------------------------------------------
@@ -122,7 +122,7 @@ class TestGroundState:
         res = ground_state_lambda(PotentialSpec(0.05, 0.5))
         assert 0.9 < res.lam < 1.0
         assert not res.degenerate
-        assert res.residual <= 1e-10
+        assert 0 < res.domain_error <= groundstate.DOMAIN_TOL
 
     @pytest.mark.parametrize("nu,B", [(0.3, 5.0), (0.5, 1.0), (0.5, 10.0)])
     def test_against_independent_oracle(self, nu, B):
@@ -168,7 +168,7 @@ class TestGroundState:
         monkeypatch.setattr(groundstate, "C_FIELD", 1.0)
         monkeypatch.setattr(groundstate, "C_COULOMB", 1.0)
         res = ground_state_lambda(PotentialSpec(0.5, 1.0), h=0.05)
-        assert len(grids) >= 4 and len(grids) == res.iterations - 1
+        assert len(grids) >= 4 and len(grids) == res.iterations
         coarse, fine = grids[0::2], grids[1::2]
         for (T, n), (T_fine, n_fine) in zip(coarse, fine):
             assert n == sturm_liouville.odd_points(T, 0.05) and n % 2 == 1
@@ -208,8 +208,8 @@ class TestGroundState:
                                             abs=groundstate.DOMAIN_TOL)
 
     def test_wrong_level_fails_the_residual_check(self, monkeypatch):
-        # a level off by 1e-3 on every grid extrapolates and domain-doubles
-        # like a true one; only |Phi| at the fine level exposes it
+        # a level off by 1e-3 on every grid extrapolates like a true one;
+        # the Dirichlet side of its bracket exposes it
         class ShiftedGrid(groundstate._Grid):
             def level(self):
                 return super().level() + 1e-3
@@ -217,6 +217,25 @@ class TestGroundState:
         monkeypatch.setattr(groundstate, "_Grid", ShiftedGrid)
         with pytest.raises(AccuracyError):
             ground_state_lambda(PotentialSpec(0.5, 1.0))
+
+    @pytest.mark.parametrize("shift", [-1e-3, 1e-3])
+    @pytest.mark.parametrize("nu,B,ell", [(0.5, 1.0, 0), (0.1, 1e8, 0), (0.3, 2.0, 3),
+                                          (0.65, 50.0, 0)])
+    def test_wrong_level_raises_on_the_first_domain(self, monkeypatch, nu, B, ell, shift):
+        # a level 1e-3 above or below the grid's own lies outside its
+        # bracket: the Dirichlet side raises on the first domain's two grids,
+        # where a failing bracket would double the domain six times
+        grids = []
+
+        class ShiftedGrid(groundstate._Grid):
+            def level(self):
+                grids.append(self.n)
+                return super().level() + shift
+
+        monkeypatch.setattr(groundstate, "_Grid", ShiftedGrid)
+        with pytest.raises(AccuracyError):
+            ground_state_lambda(PotentialSpec(nu, B, ell))
+        assert len(grids) == 2
 
     def test_eigensolve_count(self, monkeypatch):
         calls = record_eigensolves(monkeypatch)
@@ -226,9 +245,9 @@ class TestGroundState:
     @pytest.mark.parametrize("nu,B,ell", [(0.2, 0.4, 1), (0.3, 2.0, 0), (0.65, 50.0, 3),
                                           (0.1, 1e8, 0), (0.05, 1e-3, 0), (0.6, 1e-3, 3)])
     def test_every_solve_after_the_first_is_windowed(self, monkeypatch, nu, B, ell):
-        # the first coarse level is selected by index; the fine levels, the
-        # next domain's coarse level and the residual solve bisect inside
-        # certified windows around the last level, with no miss
+        # the first coarse level is selected by index; the fine levels and
+        # the next domain's coarse level bisect inside certified windows
+        # around the last level, with no miss
         selects = record_selects(monkeypatch)
         res = ground_state_lambda(PotentialSpec(nu, B, ell))
         assert selects == ["i"] + ["v"] * (res.iterations - 1)
@@ -266,16 +285,16 @@ class TestGroundState:
         points.clear()
         assert ground_state_lambda(spec) == first
         assert (len(calls), points) == work
-        assert 2 * len(points) == first.iterations - 1 and points[-1] == 2 * first.n + 1
+        assert 2 * len(points) == first.iterations and points[-1] == 2 * first.n + 1
 
     def test_degenerate_call_is_one_domain(self, monkeypatch):
-        # the extrapolated level of the first domain is <= -1: two level
-        # solves and no T solve
+        # the extrapolated level of the first domain is <= -1: the coarse
+        # level solve, and one factorisation in place of the fine one
         calls = record_eigensolves(monkeypatch)
         res = ground_state_lambda(PotentialSpec(0.85, 1e4))
         assert res.degenerate
-        assert calls == [True, True]
-        assert res.iterations == 2
+        assert calls == [True]
+        assert res.iterations == 1
 
     @pytest.mark.parametrize("nu,B,ell", [(0.3, 2.0, 0), (0.3, 2.0, 2), (0.65, 50.0, 0)])
     def test_level_matches_brentq_on_same_grid(self, nu, B, ell):
@@ -283,10 +302,10 @@ class TestGroundState:
         T = math.asinh(math.sqrt(B) * 60.0)
         grid = groundstate._Grid(PotentialSpec(nu, B, ell), T, sturm_liouville.odd_points(T, 0.025))
         level = grid.level()
-        want = brentq(lambda lam: grid.phi(lam)[0], -1.0, 1.0, xtol=1e-13, rtol=8.9e-16)
+        want = brentq(lambda lam: phi_on(grid, lam)[0], -1.0, 1.0, xtol=1e-13, rtol=8.9e-16)
         assert abs(level - want) <= 1e-10
-        phi, floor = grid.phi(level)
-        assert abs(phi) <= groundstate.RESIDUAL_FLOOR * floor
+        phi, floor = phi_on(grid, level)
+        assert abs(phi) <= RESIDUAL_FLOOR * floor
 
     def test_deep_supercritical_is_degenerate(self):
         res = ground_state_lambda(PotentialSpec(0.5, 1e6))
@@ -298,7 +317,52 @@ class TestGroundState:
         if res.degenerate:
             assert res.lam == -1.0
         else:
-            assert res.residual <= 1e-10
+            assert 0 < res.domain_error <= groundstate.DOMAIN_TOL
+
+
+def first_pair(spec, h=0.025):
+    """The coarse level of the first domain and its fine grid, centred on it."""
+    T = math.asinh(math.sqrt(spec.B) * groundstate._default_domain(spec))
+    n = sturm_liouville.odd_points(T, h)
+    coarse = groundstate._Grid(spec, T, n).level()
+    return coarse, groundstate._Grid(spec, T, 2 * n + 1, centre=coarse)
+
+
+class TestDegenerateDecision:
+    """One factorisation of the fine grid's T(x) - x, x = (c - 3)/4, decides
+    what the extrapolation of its level with the coarse level c decides."""
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    @pytest.mark.parametrize("nu", [0.3, 0.65])
+    def test_agrees_with_the_extrapolated_level_near_the_critical_field(self, nu, ell):
+        B_L = math.exp(critical_field_direct(nu).log_BL)
+        for r in (0.99, 0.999, 1.001, 1.01):
+            coarse, fine = first_pair(PotentialSpec(nu, r * B_L, ell))
+            want = sturm_liouville.richardson_step(coarse, fine.level())[0] <= -1.0
+            assert fine.degenerate() == want, r
+            # past B_L the lowest level is degenerate
+            assert want or r < 1.0 or ell > 0
+
+    @pytest.mark.parametrize("nu,B,ell", [(0.85, 1e4, 0), (0.9, 1e4, 0), (0.65, 200.0, 0),
+                                          (0.75, 100.0, 0), (0.75, 200.0, 0), (0.75, 200.0, 1),
+                                          (0.3, 1e8, 0)])
+    def test_agrees_on_degenerate_calls(self, nu, B, ell):
+        # the zspace_scan lattice's degenerate calls, and one far past B_L
+        coarse, fine = first_pair(PotentialSpec(nu, B, ell))
+        assert sturm_liouville.richardson_step(coarse, fine.level())[0] <= -1.0
+        assert fine.degenerate()
+
+    @pytest.mark.parametrize("coarse", [-1.5, -1.05])
+    def test_no_decision_where_the_g_block_is_not_negative_definite(self, coarse):
+        # a forced coarse level puts 1 + x + nu a below 0 at the ends; T(x) - x
+        # is then not positive definite although the level is 0.71, so the
+        # factorisation must not decide
+        spec = PotentialSpec(0.5, 1.0)
+        _, fine = first_pair(spec)
+        forced = groundstate._Grid(spec, math.asinh(groundstate._default_domain(spec)), fine.n,
+                                   centre=coarse)
+        assert not forced._above(0.25 * (coarse - 3.0), 0.25 * (coarse - 3.0) - 1.0)
+        assert not forced.degenerate() and forced.level() > 0.7
 
 
 def first_grid(spec, L=None, h=0.025):
@@ -415,35 +479,60 @@ class TestDomainBracket:
         slack = 0.25 * cf.DIRECT_DOMAIN_TOL * abs(m)
         assert grid.bracket_width(m - slack, m + slack, threshold=True) == math.inf
 
+    def test_truncation_error_names_the_last_certified_bound(self, monkeypatch):
+        # first domains too short to certify, and no doubling allowed: both
+        # routes report the bound their stop tests, not a shift between domains
+        monkeypatch.setattr(groundstate, "C_FIELD", 1.0)
+        monkeypatch.setattr(groundstate, "C_COULOMB", 1.0)
+        monkeypatch.setattr(groundstate, "MAX_DOUBLINGS", 0)
+        with pytest.raises(TruncationError, match=r"last certified bound inf > 1\.000e-07"):
+            ground_state_lambda(PotentialSpec(0.5, 1.0))
+        monkeypatch.setattr(cf, "DIRECT_PAD", 24.0)
+        monkeypatch.setattr(cf, "MAX_DIRECT_DOUBLINGS", 0)
+        with pytest.raises(TruncationError, match=r"last certified bound inf > \d"):
+            cf.m_delta(0.5)
+
     def test_degenerate_result_reports_no_domain_error(self):
         assert ground_state_lambda(PotentialSpec(0.85, 1e4)).domain_error == 0.0
 
     def test_zspace_lattice_certifies_on_the_first_domain(self, monkeypatch):
-        # every non-degenerate call of the benchmark's zspace_scan lattice:
-        # coarse and fine level, the residual solve, one potential pass
+        # every call of the benchmark's zspace_scan lattice: one potential
+        # pass, and the coarse and fine level, or on a degenerate call the
+        # coarse level alone; the factorisations are the fine level's window
+        # guard and two per bracket, or the one that settles degeneracy
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         workloads = importlib.import_module("workloads")
         calls = record_eigensolves(monkeypatch)
-        passes = []
-        real = groundstate.a_ell_grid
+        passes, factored = [], []
+        real, real_factor = groundstate.a_ell_grid, sturm_liouville.positive_definite
 
         def recording(spec, z):
             passes.append(np.size(z))
             return real(spec, z)
 
+        def factoring(diag, offdiag):
+            factored.append(diag.size)
+            return real_factor(diag, offdiag)
+
         monkeypatch.setattr(groundstate, "a_ell_grid", recording)
-        checked = 0
+        monkeypatch.setattr(sturm_liouville, "positive_definite", factoring)
+        checked = []
         for entry, args in workloads.lattice("zspace_scan"):
             if entry != "ground_state_lambda":
                 continue
             calls.clear()
             passes.clear()
+            factored.clear()
             res = ground_state_lambda(PotentialSpec(*args))
-            if not res.degenerate:
-                assert (len(calls), res.iterations, len(passes)) == (3, 3, 1), args
+            if res.degenerate:
+                assert (len(calls), res.iterations, len(passes)) == (1, 1, 1), args
+                assert len(factored) == 1, args
+            else:
+                assert (len(calls), res.iterations, len(passes)) == (2, 2, 1), args
+                assert len(factored) == 5, args
                 assert res.domain_error <= groundstate.DOMAIN_TOL
-                checked += 1
-        assert checked == 11
+            checked.append(res.degenerate)
+        assert (checked.count(False), checked.count(True)) == (11, 6)
 
 
 class TestPerEll:
@@ -512,8 +601,7 @@ class TestLargeField:
         assert abs(a - b) <= 1e-8
 
     def test_wrong_level_fails_the_residual_check_at_large_field(self, monkeypatch):
-        # the float floor grows with B, to eps max|diag| = 2.6e-7 here, still
-        # far below a 1e-3 shift
+        # the bracket's DOMAIN_TOL/4 is far below a 1e-3 shift at any field
         class ShiftedGrid(groundstate._Grid):
             def level(self):
                 return super().level() + 1e-3

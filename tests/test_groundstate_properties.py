@@ -11,6 +11,8 @@ from scipy.optimize import brentq
 from landaucrit import critical_field, groundstate
 from landaucrit.potentials import PotentialSpec
 
+from _reference import phi_on
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -22,8 +24,8 @@ SETTINGS = hypothesis.settings(derandomize=True, deadline=None, max_examples=30,
 def test_level_is_the_root_of_phi(nu, log10_B, ell):
     grid = groundstate._Grid(PotentialSpec(nu, 10.0**log10_B, ell), 6.0, 479)
     # Phi = T - lambda changes sign on [-1, 1]: a root, not a degenerate level
-    hypothesis.assume(grid.phi(-1.0)[0] > 0.0 > grid.phi(1.0)[0])
-    want = brentq(lambda lam: grid.phi(lam)[0], -1.0, 1.0, xtol=1e-13, rtol=8.9e-16)
+    hypothesis.assume(phi_on(grid, -1.0)[0] > 0.0 > phi_on(grid, 1.0)[0])
+    want = brentq(lambda lam: phi_on(grid, lam)[0], -1.0, 1.0, xtol=1e-13, rtol=8.9e-16)
     assert abs(grid.level() - want) <= 1e-10
 
 
@@ -49,7 +51,7 @@ def test_T_at_minus_one_is_one_plus_sqrt_B_m(nu, log10_B):
     # identity on the same t-grid, and sqrt(B) z = sinh(t) makes that grid
     # the same for every B; both sides agree to the float floor of T
     B, T, n = 10.0**log10_B, 6.0, 479
-    phi, floor = groundstate._Grid(PotentialSpec(nu, B), T, n).phi(-1.0)
+    phi, floor = phi_on(groundstate._Grid(PotentialSpec(nu, B), T, n), -1.0)
 
     def m(B):
         window = critical_field._window(nu, math.sqrt(B) / nu)
