@@ -315,10 +315,10 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
             return 0.0, DOMAIN_TOL
         (coarse, level_coarse), (fine, level_fine) = pair
         # the fine grid's bracket is not tried once the coarse one failed
-        width = coarse.domain_width(level_coarse)
-        if width < math.inf:
-            width = (4.0 * fine.domain_width(level_fine) + width) / 3.0
-        return width, DOMAIN_TOL
+        bound = coarse.domain_width(level_coarse)
+        if bound < math.inf:
+            bound = (4.0 * fine.domain_width(level_fine) + bound) / 3.0
+        return bound, DOMAIN_TOL
 
     lam, T, bound = sturm_liouville._mapped_richardson(
         lambda t: _samples(spec, t), level, math.asinh(rootB * _default_domain(spec)), h,
