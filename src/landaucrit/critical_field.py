@@ -14,7 +14,7 @@ pencil, the ground level's T(-1) - 1 at nu = delta, on its grid in the
 longitudinal coordinate z mapped by sqrt(B) z = sinh(t): a grid uniform in t
 is fine near z = 0 and uniform in log z far out, so the eigenfunction width
 ~ e^(pi/2delta) costs about pi/(delta h) rows, not e^(pi/2delta)/h.  The
-weight cosh(t)/sqrt(B) gives a symmetric-definite pencil, bisected to relative
+weight cosh(t)/sqrt(B) gives a symmetric-definite pencil, solved to relative
 accuracy down to DELTA_MIN_DIRECT = 0.05.  Its domain, DIRECT_PAD = 96 widths,
 is cut off by the ground level's Dirichlet-Neumann certificate (Reed and
 Simon IV, XIII.15), applied to the threshold: both grids of the first domain
@@ -26,7 +26,7 @@ level of -d^2/dy^2 + kappa mu.  So -kappa is the lowest eigenvalue of the
 pencil (A, M), A = -d^2/dy^2 - delta^2, M = diag(mu): higher modes need
 wider wells and have smaller kappa.  Scaled to the symmetric tridiagonal
 S A S, S = diag(mu^-1/2), it has the inertia of A - sigma M (Sylvester), so
-one bisection per grid gives kappa with no root loop.  log mu is sampled
+one eigen-solve per grid gives kappa with no root loop.  log mu is sampled
 once per call, on the finer grid of a pair (n and 2n + 1 points on [-Y, Y],
 Y = pi/(2 delta) + 30), and log kappa Richardson-extrapolated over the pair;
 in logs this reaches delta = 0.01 (kappa ~ e^-157).  The step follows the
@@ -46,12 +46,17 @@ The small-delta closed form (:func:`critical_field_asymptotic`),
               - (2/delta) arg Gamma(1 + 2i delta) + O(kappa),
 
 is exact to double precision below delta ~ 0.07 and checks both routes
-there.  Both routes' pencils bisect only inside a window on its
+there.  Both routes' pencils are solved inside a window on its
 log kappa, from WINDOW_FLOOR below to WINDOW_GRID step^2 + 0.6 kappa +
 WINDOW_FLOOR above, certified to hold the lowest eigenvalue
-(sturm_liouville), not across the whole Gershgorin interval: 43-49
-bisection steps per solve instead of 53 with the window e^(+-1) around
--pi/(2 delta) of earlier versions.
+(sturm_liouville).  The factors of the window's bottom drive inverse
+iteration, 3-11 steps of one tridiagonal solve, and two more factorisations
+certify the value to CERTIFICATE_WIDTH = 1e-9 of itself, where a windowed
+bisection took 43-49 steps.  The eigenvector comes with the value, so each
+Schrodinger grid takes the slope of its float floor from its own vector.
+Bisection remains the fallback of a value that does not certify; on the
+direct range and on the Schrodinger one at the steps default, 0.02, 0.1 and
+0.5 that happens only at delta = 0.01 with h = 0.02.
 """
 
 from __future__ import annotations
@@ -121,11 +126,16 @@ DIRECT_PAD = 96.0
 #: the extrapolated m by (4 w_fine + w_coarse)/3 = 5/6 DIRECT_DOMAIN_TOL |m|;
 #: it doubles the domain otherwise, and raises TruncationError after
 #: MAX_DIRECT_DOUBLINGS doublings.  The certificate's factorisations and the
-#: bisection of m round differently: the inertia they give changes at points
-#: up to 4.2e-10 |m| apart (delta in [0.03, 0.3]), so the half-width |m|/4 of
-#: the bracket is 1e-9 |m|; at 2.5e-10 |m| (DIRECT_DOMAIN_TOL = 1e-9) about
-#: 1 delta in 15 on [0.05, 0.1] failed to certify, and 8 in 600 on
-#: [0.05, 0.08] ran out of doublings
+#: solve of m round differently.  With m bisected, the inertia of the pencil
+#: less x changed at points up to 4.2e-10 |m| from m (delta in [0.03, 0.3]),
+#: so the half-width |m|/4 of the bracket is 1e-9 |m|; at 2.5e-10 |m|
+#: (DIRECT_DOMAIN_TOL = 1e-9) about 1 delta in 15 on [0.05, 0.1] failed to
+#: certify, and 8 in 600 on [0.05, 0.08] ran out of doublings.  With m from
+#: the kernel's certified inverse iteration, whose own factorisations put
+#: the inertia change within sturm_liouville.CERTIFICATE_WIDTH |m| = 1e-9 |m|
+#: of m, the change lies up to 2.7e-10 |m| from m, against 3.7e-10 |m| from
+#: the bisected m on the same 542 grids (271 deltas on [0.03, 0.3]): the
+#: disagreement comes from the factorisation's rounding, not the solve's
 DIRECT_DOMAIN_TOL = 4e-9
 MAX_DIRECT_DOUBLINGS = 4
 
@@ -133,7 +143,7 @@ MAX_DIRECT_DOUBLINGS = 4
 #: beyond this act as infinite for eigenvalues <= O(1)
 WALL_CAP = 1.0e4
 
-#: the bisection window of both pencils runs in log kappa from WINDOW_FLOOR
+#: the window of both pencils runs in log kappa from WINDOW_FLOOR
 #: below the closed form of :func:`critical_field_asymptotic` to
 #: WINDOW_GRID step^2 + 0.6 kappa + WINDOW_FLOOR above it: a grid's log kappa
 #: lies above the continuum's by 0.0145-0.045 step^2 on the Schrodinger pencil
@@ -221,7 +231,7 @@ def _log_kappa_asymptotic(delta: float) -> float:
 
 
 def _window(delta: float, scale: float = 1.0, step: float = 0.0) -> tuple[float, float]:
-    """Bisection window (lo, hi) for the lowest pencil eigenvalue -scale kappa
+    """Window (lo, hi) for the lowest pencil eigenvalue -scale kappa
     on a grid of the given step (0: the continuum): log kappa from WINDOW_FLOOR
     below its closed form to WINDOW_GRID step^2 + 0.6 kappa + WINDOW_FLOOR
     above it."""
@@ -254,7 +264,7 @@ def m_delta(delta: float, *, B: float = 1.0, h: float = 0.025) -> float:
     L = DIRECT_PAD e^(pi/2delta)/sqrt(B) takes about
     2 (pi/(2 delta) + log(2 DIRECT_PAD))/h rows (839 at delta = 0.3, 2 933 at
     0.05).  The pencil is the ground level's T(-1) - 1 at nu = delta
-    (groundstate._Grid.threshold), bisected to relative accuracy (|m| ~ 3e-13
+    (groundstate._Grid.threshold), solved to relative accuracy (|m| ~ 3e-13
     at delta = 0.05) inside the window of m = -sqrt(B) kappa / delta.  The
     mapped-grid driver (sturm_liouville) Richardson-extrapolates it over
     n -> 2n + 1 (odd n keeps the kink of a_0 at z = 0 on a node).  Each grid
@@ -400,26 +410,25 @@ def bracket_E1(delta: float, log_kappa: float) -> tuple[float, float]:
     return lower, upper
 
 
-def _pencil_log_kappa(delta: float, step: float, log_mu: np.ndarray,
-                      slope: float | None = None) -> tuple[float, float, float]:
+def _pencil_log_kappa(delta: float, step: float,
+                      log_mu: np.ndarray) -> tuple[float, float, float]:
     """(log kappa = log(-sigma_1), slope dE_1/dlog kappa, float floor of log kappa)
     on one grid; the slope kappa / sum(g^2 / mu) comes from the unit eigenvector
-    g of S A S unless it is given, and the floor is PENCIL_FLOOR eps / step^2
-    over it.  sigma_1 is bisected inside the window of -kappa for this step."""
+    g of S A S, and the floor is PENCIL_FLOOR eps / step^2 over it.  sigma_1
+    is solved inside the window of -kappa for this step."""
     s = np.exp(-0.5 * log_mu)
     diag, offdiag = sturm_liouville.scaled_pencil(np.ones(s.size + 1),
                                                   np.full(s.size, -delta * delta), s, step)
     sigma, g, _ = sturm_liouville.eigenvalue(diag, offdiag, window=_window(delta, 1.0, step),
-                                             vector=slope is None)
-    if slope is None:
-        slope = -sigma / float(np.sum((g * s) ** 2))
+                                             vector=True)
+    slope = -sigma / float(np.sum((g * s) ** 2))
     return math.log(-sigma), slope, PENCIL_FLOOR * np.finfo(float).eps / (step**2 * slope)
 
 
 def critical_field_schrodinger(delta: float, *, h: float | None = None) -> CriticalFieldResult:
     """log B_L from the lowest eigenvalue -kappa of the pencil; in logs throughout.
 
-    One eigenpair solve on step h and one value solve on h/2, on [-Y, Y] with
+    One eigenpair solve on step h and one on h/2, on [-Y, Y] with
     Y = pi/(2 delta) + 30 > pi/(2 delta), so that A has a negative eigenvalue
     and sigma_1 < 0; log kappa is Richardson-extrapolated over the pair.  The
     default h is the step rule min(0.2, max(0.02, 0.01/delta)) (STEP_MAX,
@@ -432,7 +441,8 @@ def critical_field_schrodinger(delta: float, *, h: float | None = None) -> Criti
     8.2e-9 of h = 0.01 on 32 points of [0.08, 0.7].
 
     ``log_BL_error`` is the float floor only, not the discretization error:
-    the per-grid floors (coarse slope) combined as (4 fine + coarse) / 3 and
+    the per-grid floors (each from its grid's slope) combined as (4 fine +
+    coarse) / 3 and
     doubled for log B_L, about 2e-7 at delta = 0.01 (2e-5 at h = 0.02) and
     < 1e-9 at >= 0.3.  Near delta = 0.05 the Richardson remainder of the
     coarse default step exceeds it: 1.6e-9 reported against 2.1e-8 measured.
@@ -444,8 +454,8 @@ def critical_field_schrodinger(delta: float, *, h: float | None = None) -> Criti
         )
     h = _step(delta) if h is None else h
     (h0, log_mu0), (h1, log_mu1) = _log_mu_grids(math.pi / (2.0 * delta) + 30.0, h)
-    coarse, slope, floor_coarse = _pencil_log_kappa(delta, h0, log_mu0)
-    fine, _, floor_fine = _pencil_log_kappa(delta, h1, log_mu1, slope)
+    coarse, _, floor_coarse = _pencil_log_kappa(delta, h0, log_mu0)
+    fine, _, floor_fine = _pencil_log_kappa(delta, h1, log_mu1)
     log_kappa, _ = sturm_liouville.richardson_step(coarse, fine)
     log_BL = 2.0 * (math.log(2.0 * delta) - log_kappa)
     return CriticalFieldResult(

@@ -196,7 +196,7 @@ class _Grid:
     def threshold(self, window: tuple[float, float]) -> float:
         """T(-1) - 1 on this grid, the lowest eigenvalue of the direct route's
         pencil -(f'/(nu a))' - nu a f = m f, which is m(nu, B) = sqrt(B) m(nu);
-        bisected inside ``window`` once certified."""
+        by the kernel's certified inverse iteration inside ``window``."""
         m, _, self.solves = sturm_liouville.eigenvalue(*self._pencil(-1.0), window=window)
         return m
 
@@ -248,7 +248,7 @@ class _Grid:
         the form of T - 1 outside, at least -nu a at the end samples, must
         lie above the bottom of the bracket; the Neumann pencil at the bottom
         must be positive definite and the Dirichlet one at the top must not,
-        so that the bracket does not rest on the bisection.  For the level
+        so that the bracket does not rest on the eigen-solve.  For the level
         with lo > -1, a Dirichlet side that fails raises AccuracyError: the
         grid's level lies above hi, or at or below lo (module docstring)."""
         if threshold:

@@ -3,25 +3,38 @@
 Second-order central differences with p sampled at cell midpoints and q at
 the interior nodes give a symmetric tridiagonal matrix.  Every eigenvalue the
 package needs is one eigenvalue of such a matrix, and one kernel,
-:func:`eigenvalue`, finds it by Sturm-sequence bisection (LAPACK dstebz
-through ``scipy.linalg.eigh_tridiagonal``) under a single accuracy policy:
-bisection runs to relative accuracy (``RELATIVE_TOL``), so badly scaled
-coefficient ranges cannot degrade small eigenvalues.  Bisection from the
-Gershgorin interval takes about log2(width / |lambda|) steps before the
-relative ones, ~290 for lambda ~ e^-157; a caller that knows where the
-eigenvalue lies passes a ``window=(lo, hi)``.  The window is used only once
-an LDL^T factorisation of the matrix shifted by ``lo`` (LAPACK dpttrf, the
-pivot recurrence of the Sturm count) certifies that no eigenvalue lies at or
-below ``lo`` (Sylvester); bisection then runs inside (lo, hi] alone.  An
-eigenvalue above the lowest, number k, may be windowed too when the caller
+:func:`eigenvalue`, finds it.  A caller that knows where the eigenvalue lies
+passes a ``window=(lo, hi)``, used only once an LDL^T factorisation of the
+matrix shifted by ``lo`` (LAPACK dpttrf, the pivot recurrence of the Sturm
+count) certifies that no eigenvalue lies at or below ``lo`` (Sylvester).  For
+the lowest eigenvalue those factors drive inverse iteration (dpttrs), y =
+(A - lo)^-1 x from a unit x, with the value rho = lo + x^T y / |y|^2, the
+Rayleigh quotient of y taken relative to lo: x^T A x is never formed, since
+its terms ~1/h^2 would cancel against an eigenvalue as small as
+sigma_1 ~ -e^-157 of the log-kappa pencil.  It stops once rho settles
+(SETTLE_TOL), 3-11 steps on the package's pencils, and two more
+factorisations certify rho (Parlett, The Symmetric Eigenvalue Problem): the
+matrix less rho - c |rho| is positive definite and less rho + c |rho| is
+not, c = CERTIFICATE_WIDTH, with rho in (lo, hi].  On these graded matrices
+rho agrees with relative-accuracy bisection to a few 1e-10 of itself, the
+relative accuracy that Barlow and Demmel (SIAM J. Numer. Anal. 27, 1990)
+predict for scaled diagonally dominant matrices.  The eigenvector is
+the last unit iterate, at no extra cost.  Sturm-sequence bisection (LAPACK
+dstebz through ``scipy.linalg.eigh_tridiagonal``) is the fallback, under a
+single accuracy policy: it runs to relative accuracy (``RELATIVE_TOL``), so
+badly scaled coefficient ranges cannot degrade small eigenvalues.  It bisects
+inside (lo, hi] where a certificate fails, from the Gershgorin interval
+(about log2(width / |lambda|) steps before the relative ones, ~290 for
+lambda ~ e^-157) where there is no window, and inside a guarded window.  An
+eigenvalue above the lowest, number k, may be windowed when the caller
 passes a guard: a tridiagonal G whose factorisation G - lo I certifies that
 exactly k eigenvalues lie at or below ``lo``, such as the Schur complement
 of a block known to hold k negative eigenvalues (Haynsworth inertia
-additivity); groundstate's level is one.  A failed certificate or an empty
-window falls back to the index selection, so the kernel always returns
-eigenvalue k.  A weight, -(p f')' + q f = lambda w f, makes the pencil
-(A, diag(w)); :func:`scaled_pencil` returns the symmetric tridiagonal matrix
-with the same eigenvalues.  The problems posed
+additivity); groundstate's level is one, bisected inside its window.  A
+failed certificate or an empty window falls back to the index selection, so
+the kernel always returns eigenvalue k.  A weight, -(p f')' + q f = lambda w f,
+makes the pencil (A, diag(w)); :func:`scaled_pencil` returns the symmetric
+tridiagonal matrix with the same eigenvalues.  The problems posed
 on the sinh-mapped grid sqrt(B) z = sinh(t) (critical_field.m_delta and
 groundstate.ground_state_lambda) share one grid driver,
 :func:`_mapped_richardson`, which samples their coefficients once per
@@ -39,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import CoefficientError, TruncationError
 
@@ -57,11 +70,30 @@ __all__ = [
     "eigenvalue",
 ]
 
-#: LAPACK bisection absolute tolerance of every eigen-solve, so small that
-#: bisection runs to relative accuracy, as the sinh-mapped and log-kappa pencils
-#: need (|m| ~ 3e-13 at delta = 0.05, sigma_1 ~ -e^-157 at delta = 0.01);
-#: inside a certified window that takes ~53 bisection steps
+#: LAPACK bisection absolute tolerance, so small that bisection runs to
+#: relative accuracy, as the sinh-mapped and log-kappa pencils need (|m| ~
+#: 3e-13 at delta = 0.05, sigma_1 ~ -e^-157 at delta = 0.01).  Bisection is
+#: the fallback of the lowest eigenvalue's certified inverse iteration, and
+#: the solve of every other eigenvalue; inside a certified window it takes
+#: ~53 steps
 RELATIVE_TOL = 1e-300
+
+#: relative half-width c of the certificate of an inverse-iteration value rho:
+#: the matrix less rho - c |rho| must factor positive definite and less
+#: rho + c |rho| must not.  At 1e-9 or 3e-10 every lowest-eigenvalue solve of
+#: the direct route (delta in [0.05, 0.99]) and of the Schrodinger one (delta
+#: in [0.01, 0.7], h default, 0.02, 0.1 and 0.5) certifies but both grids of
+#: delta = 0.01 at h = 0.02 (18 707 rows and more, where the float floor of
+#: log B_L is 2e-5); at 1e-10, 9 do not.  The certified values lie within
+#: 3.8e-10 relative of the index selection's bisection
+CERTIFICATE_WIDTH = 1e-9
+
+#: inverse iteration stops once its value moves by at most SETTLE_TOL of
+#: itself in one step, 3-11 steps on those pencils, or after
+#: MAX_INVERSE_STEPS steps; either way the certificate decides.  Capped at 6
+#: steps, the direct route's solves at delta >= 0.91 do not certify
+SETTLE_TOL = 1e-12
+MAX_INVERSE_STEPS = 60
 
 #: Hard cap on interior grid points during domain doubling.
 MAX_GRID_POINTS = 16_000_000
@@ -202,27 +234,37 @@ def eigenvalue(diag: np.ndarray, offdiag: np.ndarray, *, index: int = 0,
                vector: bool = False) -> tuple[float, np.ndarray | None, int]:
     """(eigenvalue number ``index`` (0-based, ascending; the lowest by
     default) of the symmetric tridiagonal matrix (diag, offdiag), its unit
-    eigenvector if ``vector`` else None, the eigen-solves made), bisected to
-    relative accuracy.
+    eigenvector if ``vector`` else None, the eigen-solves made), to relative
+    accuracy.
 
-    ``window=(lo, hi)`` bisects inside (lo, hi] once dpttrf certifies that
-    exactly ``index`` eigenvalues lie at or below ``lo``; if that fails, or
-    the window is empty, the index selection runs instead, and an empty
-    certified window counts two solves.  For the lowest eigenvalue the
-    certificate factors the matrix shifted by ``lo``.  Any other index needs
-    a ``guard=(G_diag, G_offdiag)``, a tridiagonal matrix for which a
+    ``window=(lo, hi)`` is used once dpttrf certifies that exactly ``index``
+    eigenvalues lie at or below ``lo``.  For the lowest eigenvalue the
+    certificate factors the matrix shifted by ``lo``, and inverse iteration
+    from those factors returns the value rho with its vector, certified by
+    factorisations at rho -+ CERTIFICATE_WIDTH |rho| and rho in (lo, hi]
+    (module docstring); it lies within CERTIFICATE_WIDTH |rho| of the index
+    selection's bisection.  Any other index needs a
+    ``guard=(G_diag, G_offdiag)``, a tridiagonal matrix for which a
     successful factorisation of G - lo I certifies the count (a Schur
     complement, by Haynsworth inertia additivity); without one a window
-    raises ValueError.  A windowed value may differ from the index
-    selection's in the last bit or two, since the bisection starts from
-    another interval.  The eigenvector costs an inverse-iteration solve more.
+    raises ValueError.  Where the inverse iteration is not certified, and on
+    a guarded window, bisection runs inside (lo, hi], and where that window
+    is empty or not certified, the index selection runs instead; an empty
+    certified window counts two solves.  A windowed bisection may differ from
+    the index selection in the last bit or two, since it starts from another
+    interval, and its eigenvector costs an inverse-iteration solve more.
     """
     selections = [("i", (index, index))]
     if window is not None:
         if guard is None and index != 0:
             raise ValueError("a window above the lowest eigenvalue needs a guard")
         guard_diag, guard_offdiag = (diag, offdiag) if guard is None else guard
-        if positive_definite(guard_diag - window[0], guard_offdiag):
+        factor_d, factor_e, info = dpttrf(guard_diag - window[0], guard_offdiag)
+        if info == 0:
+            if guard is None:
+                found = _inverse_iteration(diag, offdiag, window, factor_d, factor_e)
+                if found is not None:
+                    return found[0], found[1] if vector else None, 1
             selections.insert(0, ("v", window))
     for solves, (select, select_range) in enumerate(selections, 1):
         found = eigh_tridiagonal(diag, offdiag, eigvals_only=not vector, select=select,
@@ -231,6 +273,31 @@ def eigenvalue(diag: np.ndarray, offdiag: np.ndarray, *, index: int = 0,
         if values.size:
             break
     return float(values[0]), None if vectors is None else vectors[:, 0], solves
+
+
+def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, window: tuple[float, float],
+                       factor_d: np.ndarray, factor_e: np.ndarray
+                       ) -> tuple[float, np.ndarray] | None:
+    """(rho, unit x): the lowest eigenvalue of (diag, offdiag) and its
+    eigenvector by inverse iteration with the dpttrf factors of the matrix
+    less lo, window = (lo, hi), or None where rho is not certified."""
+    lo, hi = window
+    # with negative off-diagonals, as on every pencil here, the lowest
+    # eigenvector has one sign, so the uniform start overlaps it
+    x = np.full(diag.size, diag.size ** -0.5)
+    rho = math.inf
+    for _ in range(MAX_INVERSE_STEPS):
+        y = dpttrs(factor_d, factor_e, x)[0]
+        norm = math.sqrt(float(y @ y))
+        last, rho = rho, lo + float(x @ y) / norm**2
+        x = y / norm
+        if not abs(rho - last) > SETTLE_TOL * abs(rho):  # a nan stops too, uncertified
+            break
+    width = CERTIFICATE_WIDTH * abs(rho)
+    if (lo < rho <= hi and positive_definite(diag - (rho - width), offdiag)
+            and not positive_definite(diag - (rho + width), offdiag)):
+        return rho, x
+    return None
 
 
 def _solve_grid(problem: SturmLiouvilleProblem, L: float, n: int, richardson: bool) -> EigenResult:

@@ -42,6 +42,11 @@ Each takes a different route from the library's one evaluation path:
   on its own nodes, and w_ell calls a_ell again.  The elementwise results
   and the sums are the same, so it must agree with ``evaluate_GB`` bit for
   bit, including when the panel-doubling check raises.
+
+One recorder serves the tests that count eigen-solves: ``record_solves``
+logs every call of the kernel ``sturm_liouville.eigenvalue`` with its rows
+and the path it took, the certified inverse iteration or the bisections it
+ran.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -416,3 +422,48 @@ def evaluate_GB_two_pass(nu: float, B: float, trial: TrialState, *,
             f"of kin/nu + nu pot = {kin / nu + nu * pot_int:.6e}")
     j = g + 2.0 * profile.norm_sq()
     return TrialEvaluation(G_B=g, J_at_minus1=j, certified=j <= 0.0)
+
+
+#: path of a kernel call whose inverse iteration was certified
+INVERSE = ("inverse",)
+
+
+class Solve(NamedTuple):
+    """One call of sturm_liouville.eigenvalue: the rows of its matrix, and
+    its path, INVERSE or the ``select`` of each bisection in order (("v",),
+    ("v", "i") or ("i",))."""
+
+    rows: int
+    path: tuple[str, ...]
+
+
+class SolveLog(list):
+    """The Solve of every kernel call, in order; ``steps`` is every path's
+    steps in one flat list."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps = []
+
+
+def record_solves(monkeypatch) -> SolveLog:
+    """A SolveLog of every call of sturm_liouville.eigenvalue from now on,
+    made through the module attribute (the library's own calls are)."""
+    log, selects = SolveLog(), []
+    real_eigenvalue, real_eigh = sturm_liouville.eigenvalue, sturm_liouville.eigh_tridiagonal
+
+    def bisection(*args, **kwargs):
+        selects.append(kwargs["select"])
+        return real_eigh(*args, **kwargs)
+
+    def eigenvalue(diag, offdiag, **kwargs):
+        selects.clear()
+        found = real_eigenvalue(diag, offdiag, **kwargs)
+        path = tuple(selects) or INVERSE
+        log.append(Solve(len(diag), path))
+        log.steps.extend(path)
+        return found
+
+    monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", bisection)
+    monkeypatch.setattr(sturm_liouville, "eigenvalue", eigenvalue)
+    return log

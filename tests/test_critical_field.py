@@ -18,26 +18,13 @@ from landaucrit.errors import AccuracyError, TruncationError
 from landaucrit.potentials import PotentialSpec
 from landaucrit.sturm_liouville import EigenResult
 
-from _reference import T_of_lambda, uniform_grid
+from _reference import INVERSE, T_of_lambda, record_solves, uniform_grid
 
 NU_BAR_REF = 0.056080339709502179  # 30-digit bisection on 2(nu+sqrt(nu)) = 2-sqrt(2)
 
 #: upper bound on the Schrodinger route's log_BL_error (its float floor, which
 #: grows as delta falls: 1.6e-7 at 0.05, 7.9e-10 at 0.3)
 SCHRODINGER_FLOOR_MAX = {0.05: 1e-6, 0.1: 1e-7, 0.15: 1e-8, 0.3: 1e-9, 0.5: 1e-9, 0.7: 1e-9}
-
-
-def count_eigensolves(monkeypatch):
-    """Row count of every eigen-solve made through sturm_liouville from now on."""
-    rows = []
-    real = sturm_liouville.eigh_tridiagonal
-
-    def counting(diag, *args, **kwargs):
-        rows.append(len(diag))
-        return real(diag, *args, **kwargs)
-
-    monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", counting)
-    return rows
 
 
 @pytest.fixture(scope="module")
@@ -121,11 +108,12 @@ class TestMDelta:
     @pytest.mark.parametrize("delta", [0.05, 0.3])
     def test_eigensolve_count(self, monkeypatch, delta):
         """One pencil pair on the first domain; the sinh-mapped grid needs
-        about 2 (pi/(2 delta) + log 192)/h rows."""
-        rows = count_eigensolves(monkeypatch)
+        about 2 (pi/(2 delta) + log 192)/h rows, each by certified inverse iteration."""
+        solves = record_solves(monkeypatch)
         cf.critical_field_direct(delta)
-        assert len(rows) == 2
-        assert max(rows) <= 10_000
+        assert len(solves) == 2
+        assert max(solve.rows for solve in solves) <= 10_000
+        assert [solve.path for solve in solves] == [INVERSE] * 2
 
     def test_one_potential_pass_per_domain(self, monkeypatch):
         # the potential is sampled once per domain, on the 4n + 3 nodes and
@@ -183,11 +171,11 @@ class TestDirectCertificate:
     @pytest.mark.parametrize("deltas", [np.linspace(0.05, 0.99, 37), np.linspace(0.05, 0.1, 101)],
                              ids=["whole_range", "near_the_gate"])
     def test_every_delta_certifies_on_the_first_domain(self, monkeypatch, deltas):
-        rows = count_eigensolves(monkeypatch)
+        solves = record_solves(monkeypatch)
         for delta in deltas:
-            rows.clear()
+            solves.clear()
             cf.m_delta(float(delta))
-            assert len(rows) == 2, delta
+            assert len(solves) == 2, delta
 
     @pytest.mark.parametrize("delta", [0.05, 0.3, 0.9])
     def test_doubled_domain_lies_in_the_certified_bound(self, monkeypatch, delta):
@@ -202,9 +190,9 @@ class TestDirectCertificate:
     def test_small_pad_doubles_to_the_default_value(self, monkeypatch, delta):
         want = cf.m_delta(delta)
         monkeypatch.setattr(cf, "DIRECT_PAD", 24.0)
-        rows = count_eigensolves(monkeypatch)
+        solves = record_solves(monkeypatch)
         got = cf.m_delta(delta)
-        assert len(rows) > 2
+        assert len(solves) > 2
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_outside_condition_failure_doubles_the_domain(self, monkeypatch):
@@ -223,9 +211,9 @@ class TestDirectCertificate:
             return a
 
         monkeypatch.setattr(groundstate, "a_ell_grid", deep_ends)
-        rows = count_eigensolves(monkeypatch)
+        solves = record_solves(monkeypatch)
         got = cf.m_delta(0.5)
-        assert (len(passes), len(rows)) == (2, 4)
+        assert (len(passes), len(solves)) == (2, 4)
         assert got == pytest.approx(want, rel=cf.DIRECT_DOMAIN_TOL, abs=0.0)
 
     def test_neumann_failure_doubles_the_domain(self, monkeypatch):
@@ -242,9 +230,9 @@ class TestDirectCertificate:
             return real(grid, lam, shift, neumann=neumann)
 
         monkeypatch.setattr(groundstate._Grid, "_above", above)
-        rows = count_eigensolves(monkeypatch)
+        solves = record_solves(monkeypatch)
         got = cf.m_delta(0.5)
-        assert (len(checks), len(rows)) == (4, 4)
+        assert (len(checks), len(solves)) == (4, 4)
         assert got == pytest.approx(want, rel=cf.DIRECT_DOMAIN_TOL, abs=0.0)
 
 
@@ -408,9 +396,10 @@ class TestStepWellRoot:
 class TestSchrodingerSolve:
     @pytest.mark.parametrize("delta", [0.01, 0.5])
     def test_eigensolve_count(self, monkeypatch, delta):
-        rows = count_eigensolves(monkeypatch)
+        solves = record_solves(monkeypatch)
         cf.critical_field_schrodinger(delta)
-        assert len(rows) == 2
+        assert len(solves) == 2
+        assert [solve.path for solve in solves] == [INVERSE] * 2
 
     @pytest.mark.parametrize("delta", [0.03, 0.5])
     def test_pencil_matches_brentq_on_same_grid(self, delta):
@@ -610,43 +599,35 @@ class TestGapConstants:
         assert abs(cf.d_of_delta(1.0 - math.sqrt(2.0) / 2.0)) < 1e-14
 
 
-def record_selects(monkeypatch):
-    """``select`` of every eigen-solve made through sturm_liouville from now on."""
-    selects = []
-    real = sturm_liouville.eigh_tridiagonal
-
-    def recording(*args, **kwargs):
-        selects.append(kwargs["select"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", recording)
-    return selects
-
-
 def window_log_kappa(delta, step):
     """(lower, upper) log kappa edges of the window of the lowest eigenvalue -kappa."""
     lo, hi = cf._window(delta, 1.0, step)
     return math.log(-hi), math.log(-lo)
 
 
+#: paths of a solve whose window held the lowest eigenvalue: the certified
+#: inverse iteration, or the windowed bisection its failed certificate runs
+HELD = (INVERSE, ("v",))
+
+
 class TestBisectionWindow:
-    """Both relative-accuracy pencils bisect inside a window around the
+    """Both relative-accuracy pencils solve inside a window around the
     closed-form log kappa; a miss would fall back to select="i"."""
 
     @pytest.mark.parametrize("h", [None, 0.02, 0.1, 0.5])
     @pytest.mark.parametrize("delta", [0.01, 0.0355, 0.0545, 0.1, 0.2, 0.33, 0.5, 0.7])
     def test_window_holds_on_the_schrodinger_range(self, monkeypatch, delta, h):
-        selects = record_selects(monkeypatch)
+        solves = record_solves(monkeypatch)
         res = cf.critical_field_schrodinger(delta, h=h)
-        assert selects == ["v", "v"]
+        assert len(solves) == 2 and all(solve.path in HELD for solve in solves)
         lower, upper = window_log_kappa(delta, h or cf._step(delta))
         assert lower < res.log_kappa < upper
 
     @pytest.mark.parametrize("delta", [0.05, 0.3, 0.7, 0.9, 0.99])
     def test_window_holds_on_the_direct_range(self, monkeypatch, delta):
-        selects = record_selects(monkeypatch)
+        solves = record_solves(monkeypatch)
         res = cf.m_delta(delta)
-        assert selects and set(selects) == {"v"}
+        assert solves and all(solve.path in HELD for solve in solves)
         lower, upper = window_log_kappa(delta, 0.025)
         assert lower < math.log(-delta * res) < upper
 
@@ -660,22 +641,66 @@ class TestBisectionWindow:
         assert math.log(-lo / 3.0) == pytest.approx(
             closed + cf.WINDOW_GRID * 0.01 + 0.6 * math.exp(closed) + cf.WINDOW_FLOOR, abs=1e-12)
 
-    def test_no_windowed_solve_falls_back(self, monkeypatch):
-        # every grid's lowest eigenvalue lies inside its one-sided window, on
-        # the direct route's whole range and on the Schrodinger pencil's
-        selects = record_selects(monkeypatch)
-        for delta in np.linspace(0.05, 0.95, 37):
-            cf.m_delta(float(delta))
-        for delta in np.linspace(0.01, 0.7, 24):
-            cf.critical_field_schrodinger(float(delta))
-        assert selects and set(selects) == {"v"}
+
+#: the lattice pencils whose inverse iteration does not certify, as (delta,
+#: h): both grids of delta = 0.01 at h = 0.02 (18 707 and 37 415 rows, where
+#: the float floor of log B_L is 2e-5); they fall back to the windowed bisection
+UNCERTIFIED = {(0.01, 0.02)}
+
+
+class TestCertifiedKernel:
+    """The lowest eigenvalue of both pencils comes from inverse iteration,
+    certified by factorisations at rho -+ c |rho|, c = CERTIFICATE_WIDTH."""
+
+    @pytest.mark.parametrize("route, h", [("direct", None), ("schrodinger", None),
+                                          ("schrodinger", 0.02), ("schrodinger", 0.1),
+                                          ("schrodinger", 0.5)])
+    def test_certified_values_bracket_the_bisection(self, monkeypatch, route, h):
+        """Every solve of the direct lattice (48 deltas on [0.05, 0.99]) and of
+        the Schrodinger one (36 on [0.01, 0.7]) at the step h certifies, but
+        for UNCERTIFIED, and its value lies within c |rho| of the index
+        selection's bisection of the same matrix."""
+        solves = record_solves(monkeypatch)
+        matrices = []
+        recorded = sturm_liouville.eigenvalue
+
+        def capturing(diag, offdiag, **kwargs):
+            found = recorded(diag, offdiag, **kwargs)
+            matrices.append((diag, offdiag, found[0]))
+            return found
+
+        monkeypatch.setattr(sturm_liouville, "eigenvalue", capturing)
+        if route == "direct":
+            deltas, solve = np.linspace(0.05, 0.99, 48), cf.m_delta
+        else:
+            deltas = np.linspace(0.01, 0.7, 36)
+            solve = lambda delta: cf.critical_field_schrodinger(delta, h=h)
+        uncertified = []
+        for delta in deltas:
+            start = len(solves)
+            solve(float(delta))
+            uncertified += [(round(float(delta), 4), h) for s in solves[start:]
+                            if s.path != INVERSE]
+        monkeypatch.undo()
+        assert len(solves) == len(matrices) == 2 * len(deltas)
+        assert set(uncertified) <= UNCERTIFIED
+        assert len(uncertified) == 2 * len(set(uncertified))  # both grids of such a pencil
+        for (diag, offdiag, value), s in zip(matrices, solves):
+            bisected = sturm_liouville.eigenvalue(diag, offdiag)[0]
+            # a fallback bisects inside the window, within a few ulp of the index selection
+            tol = (sturm_liouville.CERTIFICATE_WIDTH * abs(value) if s.path == INVERSE
+                   else 4.0 * np.spacing(abs(value)))
+            assert abs(value - bisected) <= tol, s
 
     @pytest.mark.parametrize("route, delta", [(cf.critical_field_schrodinger, 0.0355),
                                               (cf.critical_field_schrodinger, 0.33),
                                               (cf.critical_field_direct, 0.3)])
-    def test_window_leaves_log_BL_unmoved(self, monkeypatch, route, delta):
-        # the windowed bisection ends within a few ulp of sigma_1 from the index
-        # selection, which log B_L ~ -2 log|sigma_1| cannot resolve
-        windowed = route(delta).log_BL
+    def test_log_BL_within_the_certificate_of_the_index_selection(self, monkeypatch, route,
+                                                                  delta):
+        # each grid's value lies within c |rho| of the index selection's, so
+        # log B_L ~ -2 log|rho|, extrapolated as (4 fine - coarse)/3, moves by
+        # at most 2 (4 + 1)/3 c
+        certified = route(delta).log_BL
         monkeypatch.setattr(cf, "_window", lambda *args: None)
-        assert abs(windowed - route(delta).log_BL) <= 4.0 * np.spacing(windowed)
+        bound = 10.0 / 3.0 * sturm_liouville.CERTIFICATE_WIDTH
+        assert abs(certified - route(delta).log_BL) <= bound

@@ -504,7 +504,7 @@ class TestDomainBracket:
         workloads = importlib.import_module("workloads")
         calls = record_eigensolves(monkeypatch)
         passes, factored = [], []
-        real, real_factor = groundstate.a_ell_grid, sturm_liouville.positive_definite
+        real, real_factor = groundstate.a_ell_grid, sturm_liouville.dpttrf
 
         def recording(spec, z):
             passes.append(np.size(z))
@@ -515,7 +515,7 @@ class TestDomainBracket:
             return real_factor(diag, offdiag)
 
         monkeypatch.setattr(groundstate, "a_ell_grid", recording)
-        monkeypatch.setattr(sturm_liouville, "positive_definite", factoring)
+        monkeypatch.setattr(sturm_liouville, "dpttrf", factoring)
         checked = []
         for entry, args in workloads.lattice("zspace_scan"):
             if entry != "ground_state_lambda":

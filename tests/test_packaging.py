@@ -62,14 +62,16 @@ def test_benchmark_wrap_points_exist(monkeypatch):
 
 
 def test_one_tridiagonal_kernel():
-    """Only sturm_liouville names LAPACK's tridiagonal eigen-solver and the
-    factorisation behind its window guard; everything else calls its kernel.
-    Every eigen-solve sits in sturm_liouville.eigenvalue, and only there is a
-    tolerance passed: the kernel's one accuracy policy, RELATIVE_TOL."""
+    """Only sturm_liouville names LAPACK's tridiagonal eigen-solver, the
+    factorisation behind its window guard and certificate, and the solve of
+    its inverse iteration; everything else calls its kernel.  Every bisection
+    sits in sturm_liouville.eigenvalue, the fallback of the certified
+    inverse iteration, and only there is a tolerance passed: the kernel's
+    one accuracy policy, RELATIVE_TOL."""
     solves, tols = [], []
     for path in sorted((ROOT / "src").rglob("*.py")):
         text = path.read_text()
-        for name in ("eigh_tridiagonal", "dpttrf"):
+        for name in ("eigh_tridiagonal", "dpttrf", "dpttrs", "dgtsv"):
             assert name not in text or path.name == "sturm_liouville.py", f"{path.name}: {name}"
         tree = ast.parse(text)
         owner = {}

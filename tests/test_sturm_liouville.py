@@ -12,17 +12,23 @@ from landaucrit.potentials import PotentialSpec
 from landaucrit.sturm_liouville import (
     SturmLiouvilleProblem,
     build_tridiagonal,
-    eigenvalue,
     lowest_eigenvalue,
+    positive_definite,
     scaled_pencil,
 )
 
-from _reference import ConvergenceStudy, convergence_study, sturm_count
+from _reference import ConvergenceStudy, convergence_study, record_solves, sturm_count
 
 ONES = lambda z: np.ones_like(z)
 ZEROS = lambda z: np.zeros_like(z)
 
 BAD_STEPS = [0.0, -0.02, math.nan, math.inf]
+
+
+def eigenvalue(*args, **kwargs):
+    """The kernel, looked up at each call, so that record_solves sees these calls."""
+    return sturm_liouville.eigenvalue(*args, **kwargs)
+
 
 #: every public function that takes a grid step h, called with that step
 ENTRY_POINTS_WITH_STEP = {
@@ -232,37 +238,50 @@ def pencil_matrix():
 
 
 def record_selects(monkeypatch):
-    """``select`` of every eigen-solve made through sturm_liouville from now on."""
-    selects = []
-    real = sturm_liouville.eigh_tridiagonal
-
-    def recording(*args, **kwargs):
-        selects.append(kwargs["select"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", recording)
-    return selects
+    """The path of every kernel call from now on, as one flat list: "inverse"
+    for a certified inverse iteration, else the ``select`` of each bisection."""
+    return record_solves(monkeypatch).steps
 
 
 class TestWindow:
-    """window=(lo, hi): bisection inside (lo, hi] once dpttrf certifies that
-    nothing lies at or below lo, the index selection otherwise."""
+    """window=(lo, hi): once dpttrf certifies that nothing lies at or below
+    lo, inverse iteration from those factors, certified by factorisations at
+    rho -+ c |rho| (c = CERTIFICATE_WIDTH) with rho in (lo, hi]; bisection
+    inside (lo, hi], then the index selection, where that fails, and the
+    index selection alone where lo is not certified."""
 
     @pytest.mark.parametrize("matrix", [tiny_matrix, pencil_matrix])
-    def test_window_holding_the_lowest_matches_index_selection(self, monkeypatch, matrix):
-        # both bisections stop on an interval narrower than 2 eps |lambda|
-        # (< 4 ulp) that holds the eigenvalue, but start from different
-        # intervals, so the midpoints may differ in the last bits (<= 2 ulp seen)
+    def test_window_holding_the_lowest_is_certified(self, monkeypatch, matrix):
+        # the certificate puts an eigenvalue in (rho - c |rho|, rho + c |rho|]
+        # and none at or below its bottom, so rho lies within c |rho| of the
+        # index selection's bisection; the vector comes with the value
         diag, offdiag = matrix()
         value, vector, _ = eigenvalue(diag, offdiag, vector=True)
         window = (4.0 * value, 0.25 * value) if value < 0.0 else (0.25 * value, 4.0 * value)
         selects = record_selects(monkeypatch)
-        got = eigenvalue(diag, offdiag, window=window)[0]
+        got, no_vector, solves = eigenvalue(diag, offdiag, window=window)
         got_pair, got_vector, _ = eigenvalue(diag, offdiag, window=window, vector=True)
-        assert selects == ["v", "v"]
-        assert got_pair == got
-        assert abs(got - value) <= 4.0 * abs(np.spacing(value))
-        assert np.linalg.norm(got_vector - vector) <= 1e-11
+        assert selects == ["inverse", "inverse"]
+        assert (no_vector, solves, got_pair) == (None, 1, got)
+        width = sturm_liouville.CERTIFICATE_WIDTH * abs(got)
+        assert abs(got - value) <= width
+        assert positive_definite(diag - (got - width), offdiag)
+        assert not positive_definite(diag - (got + width), offdiag)
+        assert np.linalg.norm(got_vector) == pytest.approx(1.0, rel=1e-12)
+        assert abs(got_vector @ vector) == pytest.approx(1.0, abs=1e-11)
+
+    def test_unsettled_iteration_falls_back_to_the_bisection(self, monkeypatch):
+        # one inverse step leaves rho far outside the certificate's width on
+        # the tiny matrix (the next eigenvalue is only 4 times larger): the
+        # windowed bisection runs, as it did before inverse iteration
+        diag, offdiag = tiny_matrix()
+        value = eigenvalue(diag, offdiag)[0]
+        window = (0.25 * value, 4.0 * value)
+        monkeypatch.setattr(sturm_liouville, "MAX_INVERSE_STEPS", 1)
+        selects = record_selects(monkeypatch)
+        got, _, solves = eigenvalue(diag, offdiag, window=window)
+        assert (selects, solves) == (["v"], 1)
+        assert abs(got - value) <= 4.0 * np.spacing(value)
 
     @pytest.mark.parametrize("matrix", [tiny_matrix, pencil_matrix])
     @pytest.mark.parametrize("miss, selected", [
