@@ -19,8 +19,11 @@ accuracy down to DELTA_MIN_DIRECT = 0.05.  Its domain, DIRECT_PAD = 96 widths,
 is cut off by the ground level's Dirichlet-Neumann certificate (Reed and
 Simon IV, XIII.15), applied to the threshold: both grids of the first domain
 certify that no longer domain moves m by more than 5/6 DIRECT_DOMAIN_TOL
-relative, so a call makes one pencil pair.  Route two ("schrodinger_form") takes
-y with dy = a_0 dz and mu = 1/a_0, where the same problem reads
+relative, so a call makes one pencil pair.  The bracket's Dirichlet side is
+the top of the kernel's certificate of m, so a grid factors its pencil four
+times: the window's bottom, the certificate's two and the Neumann side.
+Route two ("schrodinger_form") takes y with dy = a_0 dz and mu = 1/a_0,
+where the same problem reads
 -g'' - delta^2 g = -kappa mu g, i.e. delta^2 = E_1(kappa) for the ground
 level of -d^2/dy^2 + kappa mu.  So -kappa is the lowest eigenvalue of the
 pencil (A, M), A = -d^2/dy^2 - delta^2, M = diag(mu): higher modes need
@@ -122,21 +125,13 @@ DIRECT_PAD = 96.0
 
 #: the direct route stops on the first domain whose two grids certify that
 #: the value of every longer grid lies in (lo, hi] = m -+ DIRECT_DOMAIN_TOL
-#: |m|/4 (groundstate._Grid.bracket_width), which bounds the domain error of
-#: the extrapolated m by (4 w_fine + w_coarse)/3 = 5/6 DIRECT_DOMAIN_TOL |m|;
-#: it doubles the domain otherwise, and raises TruncationError after
-#: MAX_DIRECT_DOUBLINGS doublings.  The certificate's factorisations and the
-#: solve of m round differently.  With m bisected, the inertia of the pencil
-#: less x changed at points up to 4.2e-10 |m| from m (delta in [0.03, 0.3]),
-#: so the half-width |m|/4 of the bracket is 1e-9 |m|; at 2.5e-10 |m|
-#: (DIRECT_DOMAIN_TOL = 1e-9) about 1 delta in 15 on [0.05, 0.1] failed to
-#: certify, and 8 in 600 on [0.05, 0.08] ran out of doublings.  With m from
-#: the kernel's certified inverse iteration, whose own factorisations put
-#: the inertia change within sturm_liouville.CERTIFICATE_WIDTH |m| = 1e-9 |m|
-#: of m, the change lies up to 2.7e-10 |m| from m, against 3.7e-10 |m| from
-#: the bisected m on the same 542 grids (271 deltas on [0.03, 0.3]): the
-#: disagreement comes from the factorisation's rounding, not the solve's
-DIRECT_DOMAIN_TOL = 4e-9
+#: |m|/4 (groundstate._Grid.threshold), which bounds the domain error of the
+#: extrapolated m by (4 w_fine + w_coarse)/3 = 5/6 DIRECT_DOMAIN_TOL |m|; it
+#: doubles the domain otherwise, and raises TruncationError after
+#: MAX_DIRECT_DOUBLINGS doublings.  The bracket's half-width is the kernel's
+#: certificate width, so that the certificate of m is the bracket's
+#: Dirichlet side
+DIRECT_DOMAIN_TOL = 4.0 * sturm_liouville.CERTIFICATE_WIDTH
 MAX_DIRECT_DOUBLINGS = 4
 
 #: exponential-wall cap for -g'' + kappa mu(y) g in E1_of_kappa; heights
@@ -269,25 +264,23 @@ def m_delta(delta: float, *, B: float = 1.0, h: float = 0.025) -> float:
     mapped-grid driver (sturm_liouville) Richardson-extrapolates it over
     n -> 2n + 1 (odd n keeps the kink of a_0 at z = 0 on a node).  Each grid
     certifies a Dirichlet-Neumann bracket m -+ DIRECT_DOMAIN_TOL |m|/4 of its
-    value on every longer grid that continues it
-    (groundstate._Grid.bracket_width: -nu a at the end samples lies below
-    the bracket, the Neumann pencil less its bottom is positive definite and
-    the Dirichlet pencil less its top is not), and the call stops on the
-    first domain where both grids certify, (4 w_fine + w_coarse)/3 <=
-    DIRECT_DOMAIN_TOL |m|.  With DIRECT_PAD that is the first domain, one
-    pencil pair, over [DELTA_MIN_DIRECT, 0.99]; otherwise the domain is
-    doubled in z, and TruncationError is raised after MAX_DIRECT_DOUBLINGS
-    doublings.
+    value on every longer grid that continues it, in the same call that
+    solves m (groundstate._Grid.threshold: -nu a at the end samples lies
+    below the bracket, the Neumann pencil less its bottom is positive
+    definite, and the Dirichlet pencil less its top is not, by the kernel's
+    certificate of m), and the call stops on the first domain where both
+    grids certify, (4 w_fine + w_coarse)/3 <= DIRECT_DOMAIN_TOL |m|.  With
+    DIRECT_PAD that is the first domain, one pencil pair, over
+    [DELTA_MIN_DIRECT, 0.99]; otherwise the domain is doubled in z, and
+    TruncationError is raised after MAX_DIRECT_DOUBLINGS doublings.
     """
     spec = PotentialSpec(delta, B)
     window = _window(delta, math.sqrt(B) / delta, h)
     widths = deque(maxlen=2)  # certified bracket widths of the last two grids
 
     def threshold(T: float, n: int, samples: tuple[np.ndarray, np.ndarray]) -> float:
-        grid = groundstate._Grid(spec, T, n, samples=samples)
-        m = grid.threshold(window)
-        slack = 0.25 * DIRECT_DOMAIN_TOL * abs(m)
-        widths.append(grid.bracket_width(m - slack, m + slack, threshold=True))
+        m, width = groundstate._Grid(spec, T, n, samples=samples).threshold(window)
+        widths.append(width)
         return m
 
     m, _, _ = sturm_liouville._mapped_richardson(

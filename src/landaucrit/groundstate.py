@@ -39,17 +39,17 @@ outside.  If lo < 1 - nu a(L) and T_N(lo) - lo is positive definite (an
 LDL^T factorisation: by Haynsworth the Neumann level lies above lo), its
 Phi is positive up to lo, and its level lies in (lo, level].
 :meth:`_Grid.domain_width` certifies (lo, hi] = level -+ DOMAIN_TOL/4 this
-way (:meth:`_Grid.bracket_width`), the top by a T(hi) - hi that is not
-positive definite, so that the bracket does not rest on the bisection, with
-1 - nu a at the grid's end samples, just inside |z| = L.  For lo > -1 it
-holds on the whole line, and its factorisations check the level too, with
-AccuracyError: a T(hi) - hi that is positive definite puts the grid's level
-above hi, and where the Neumann side fails, a T(lo) - lo that is not puts it
-at or below lo.  Only a failing Neumann side or outside condition doubles
-the domain.  A level just below -1, which a coarse grid can have under an
-extrapolated level above -1 near the critical field, is bracketed on every
-longer grid up to |z| = L* with 1 + lo + nu a(L*) = 0; past L* the level
-meets the lower continuum, so its failing bracket doubles.  With both grids
+way, the top by a T(hi) - hi that is not positive definite, so that the
+bracket does not rest on the bisection, with 1 - nu a at the grid's end
+samples, just inside |z| = L.  For lo > -1 it holds on the whole line, and
+its factorisations check the level too, with AccuracyError: a T(hi) - hi
+that is positive definite puts the grid's level above hi, and where the
+Neumann side fails, a T(lo) - lo that is not puts it at or below lo.  Only
+a failing Neumann side or outside condition doubles the domain.  A level
+just below -1, which a coarse grid can have under an extrapolated level
+above -1 near the critical field, is bracketed on every longer grid up to
+|z| = L* with 1 + lo + nu a(L*) = 0; past L* the level meets the lower
+continuum, so its failing bracket doubles.  With both grids
 of a pair certified the extrapolated level lies within (4 w_fine +
 w_coarse)/3 = 5 DOMAIN_TOL/6 of the extrapolation of the longer grids'
 levels.  Over nu
@@ -62,7 +62,11 @@ direct route's m (critical_field.m_delta), on its own pencil: its form
 outside is at least -nu a(L), the kinetic part being nonnegative, so m on a
 longer grid lies in (lo, hi] if lo < -nu a at the end samples, the Neumann
 pencil at lambda = -1 less lo is positive definite and the Dirichlet one
-less hi is not.  The g block 1 + lambda + nu a = nu a is positive there.
+less hi is not.  The g block 1 + lambda + nu a = nu a is positive there, so
+it needs no test.  :meth:`_Grid.threshold` takes (lo, hi] = m -+
+CERTIFICATE_WIDTH |m|, the kernel's certificate of m (sturm_liouville),
+whose top is the Dirichlet side on the same matrix and shift: only where
+the kernel bisected m does the Dirichlet pencil less hi get factored here.
 
 The mapped-grid driver of sturm_liouville does the Richardson extrapolation
 over n -> 2n + 1 and the domain doubling in z, and samples the potential
@@ -164,9 +168,10 @@ class _Grid:
     ``samples`` are :func:`_samples` at the nodes of grid_nodes(T, 2n + 1),
     taken here when not given.  ``centre``, a level close to this grid's (the
     last one computed), centres the bisection window of :meth:`level`.
-    ``solves``, the eigen-solves of the grid's last solve, is 2 when its
-    certified window held no eigenvalue, so that the index selection ran
-    after the bisection, and 1 otherwise."""
+    ``solves``, the bisections of the grid's last :meth:`level` (the only
+    method that sets it; 1 before), is 2 when its certified window held no
+    eigenvalue, so that the index selection ran after the bisection, and 1
+    otherwise."""
 
     def __init__(self, spec: PotentialSpec, T: float, n: int, *,
                  samples: tuple[np.ndarray, np.ndarray] | None = None,
@@ -193,12 +198,25 @@ class _Grid:
         return sturm_liouville.scaled_pencil(p_mid, -self.nu_a[1::2] * dz_nodes,
                                              dz_nodes ** -0.5, self.h)
 
-    def threshold(self, window: tuple[float, float]) -> float:
-        """T(-1) - 1 on this grid, the lowest eigenvalue of the direct route's
-        pencil -(f'/(nu a))' - nu a f = m f, which is m(nu, B) = sqrt(B) m(nu);
-        by the kernel's certified inverse iteration inside ``window``."""
-        m, _, self.solves = sturm_liouville.eigenvalue(*self._pencil(-1.0), window=window)
-        return m
+    def threshold(self, window: tuple[float, float]) -> tuple[float, float]:
+        """(m, width): T(-1) - 1 on this grid, the lowest eigenvalue of the
+        direct route's pencil -(f'/(nu a))' - nu a f = m f, which is m(nu, B)
+        = sqrt(B) m(nu), by the kernel's certified inverse iteration inside
+        ``window``; and the width of (lo, hi] = m -+ CERTIFICATE_WIDTH |m| if
+        this grid certifies that it holds m of every longer grid that
+        continues it (module docstring), else inf.  The form outside, at least
+        -nu a at the end samples, must lie above lo, the Neumann pencil less
+        lo must be positive definite and the Dirichlet pencil less hi must
+        not.  The kernel's certificate of m has factored the last one; only
+        where the kernel bisected is it factored here, so that the bracket
+        never rests on a bisection."""
+        m, _, bisections = sturm_liouville.eigenvalue(*self._pencil(-1.0), window=window)
+        slack = sturm_liouville.CERTIFICATE_WIDTH * abs(m)
+        lo, hi = m - slack, m + slack
+        if (lo < -self.nu_a[[0, -1]].max() and self._above(-1.0, lo, neumann=True)
+                and not (bisections and self._above(-1.0, hi))):
+            return m, hi - lo
+        return m, math.inf
 
     def level(self) -> float:
         """Eigenvalue n + 1 of the scaled staggered H, g at the midpoints
@@ -234,37 +252,24 @@ class _Grid:
                 and not self._above(x, x - 1.0))
 
     def domain_width(self, level: float) -> float:
-        """Width DOMAIN_TOL/2 of the certified bracket (lo, hi] = level -+
-        DOMAIN_TOL/4 of this grid's level (:meth:`bracket_width`), or inf;
-        AccuracyError where lo > -1 and the level is not this grid's."""
-        return self.bracket_width(level - 0.25 * DOMAIN_TOL, level + 0.25 * DOMAIN_TOL)
-
-    def bracket_width(self, lo: float, hi: float, *, threshold: bool = False) -> float:
-        """Width hi - lo of (lo, hi] if this grid certifies that it holds the
-        value of every longer grid that continues it (module docstring), else
-        inf.  The value is the level, tested on T(x) - x at x = lo and hi, or
-        with ``threshold`` the lowest eigenvalue of T(-1) - 1, tested on it
-        less lo and less hi.  The g block must stay negative definite at lo;
-        the form of T - 1 outside, at least -nu a at the end samples, must
-        lie above the bottom of the bracket; the Neumann pencil at the bottom
-        must be positive definite and the Dirichlet one at the top must not,
-        so that the bracket does not rest on the eigen-solve.  For the level
-        with lo > -1, a Dirichlet side that fails raises AccuracyError: the
-        grid's level lies above hi, or at or below lo (module docstring)."""
-        if threshold:
-            (lam_lo, shift_lo), (lam_hi, shift_hi) = (-1.0, lo), (-1.0, hi)
-        else:
-            (lam_lo, shift_lo), (lam_hi, shift_hi) = (lo, lo - 1.0), (hi, hi - 1.0)
+        """Width DOMAIN_TOL/2 of (lo, hi] = level -+ DOMAIN_TOL/4 if this grid
+        certifies that it holds the level of every longer grid that continues
+        it (module docstring), else inf.  The g block must stay negative
+        definite at lo, 1 - nu a at the end samples must lie above lo, T(lo)
+        - lo on the Neumann pencil must be positive definite and T(hi) - hi
+        must not, so that the bracket does not rest on the bisection.  Where
+        lo > -1, a Dirichlet side that fails raises AccuracyError: the grid's
+        level lies above hi, or at or below lo (module docstring)."""
+        lo, hi = level - 0.25 * DOMAIN_TOL, level + 0.25 * DOMAIN_TOL
         ends = self.nu_a[[0, -1]]
-        if 1.0 + lam_lo + ends.min() <= 0.0 or shift_lo >= -ends.max():
+        if 1.0 + lo + ends.min() <= 0.0 or lo - 1.0 >= -ends.max():
             return math.inf
-        checked = not threshold and lo > -1.0
-        if not self._above(lam_lo, shift_lo, neumann=True):
-            if checked and not self._above(lo, shift_lo):
+        if not self._above(lo, lo - 1.0, neumann=True):
+            if lo > -1.0 and not self._above(lo, lo - 1.0):
                 raise AccuracyError(f"the grid's level lies at or below lo = {lo!r}")
             return math.inf
-        if self._above(lam_hi, shift_hi):
-            if checked:
+        if self._above(hi, hi - 1.0):
+            if lo > -1.0:
                 raise AccuracyError(f"the grid's level lies above hi = {hi!r}")
             return math.inf
         return hi - lo

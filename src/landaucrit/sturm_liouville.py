@@ -85,7 +85,9 @@ RELATIVE_TOL = 1e-300
 #: in [0.01, 0.7], h default, 0.02, 0.1 and 0.5) certifies but both grids of
 #: delta = 0.01 at h = 0.02 (18 707 rows and more, where the float floor of
 #: log B_L is 2e-5); at 1e-10, 9 do not.  The certified values lie within
-#: 3.8e-10 relative of the index selection's bisection
+#: 3.8e-10 relative of the index selection's bisection.  It is also the
+#: half-width of the direct route's domain bracket
+#: (critical_field.DIRECT_DOMAIN_TOL)
 CERTIFICATE_WIDTH = 1e-9
 
 #: inverse iteration stops once its value moves by at most SETTLE_TOL of
@@ -234,7 +236,7 @@ def eigenvalue(diag: np.ndarray, offdiag: np.ndarray, *, index: int = 0,
                vector: bool = False) -> tuple[float, np.ndarray | None, int]:
     """(eigenvalue number ``index`` (0-based, ascending; the lowest by
     default) of the symmetric tridiagonal matrix (diag, offdiag), its unit
-    eigenvector if ``vector`` else None, the eigen-solves made), to relative
+    eigenvector if ``vector`` else None, the bisections run), to relative
     accuracy.
 
     ``window=(lo, hi)`` is used once dpttrf certifies that exactly ``index``
@@ -243,16 +245,17 @@ def eigenvalue(diag: np.ndarray, offdiag: np.ndarray, *, index: int = 0,
     from those factors returns the value rho with its vector, certified by
     factorisations at rho -+ CERTIFICATE_WIDTH |rho| and rho in (lo, hi]
     (module docstring); it lies within CERTIFICATE_WIDTH |rho| of the index
-    selection's bisection.  Any other index needs a
+    selection's bisection, and no bisection runs.  Any other index needs a
     ``guard=(G_diag, G_offdiag)``, a tridiagonal matrix for which a
     successful factorisation of G - lo I certifies the count (a Schur
     complement, by Haynsworth inertia additivity); without one a window
     raises ValueError.  Where the inverse iteration is not certified, and on
     a guarded window, bisection runs inside (lo, hi], and where that window
     is empty or not certified, the index selection runs instead; an empty
-    certified window counts two solves.  A windowed bisection may differ from
-    the index selection in the last bit or two, since it starts from another
-    interval, and its eigenvector costs an inverse-iteration solve more.
+    certified window counts two bisections.  A windowed bisection may differ
+    from the index selection in the last bit or two, since it starts from
+    another interval, and its eigenvector costs an inverse-iteration solve
+    more.
     """
     selections = [("i", (index, index))]
     if window is not None:
@@ -264,15 +267,15 @@ def eigenvalue(diag: np.ndarray, offdiag: np.ndarray, *, index: int = 0,
             if guard is None:
                 found = _inverse_iteration(diag, offdiag, window, factor_d, factor_e)
                 if found is not None:
-                    return found[0], found[1] if vector else None, 1
+                    return found[0], found[1] if vector else None, 0
             selections.insert(0, ("v", window))
-    for solves, (select, select_range) in enumerate(selections, 1):
+    for bisections, (select, select_range) in enumerate(selections, 1):
         found = eigh_tridiagonal(diag, offdiag, eigvals_only=not vector, select=select,
                                  select_range=select_range, tol=RELATIVE_TOL)
         values, vectors = found if vector else (found, None)
         if values.size:
             break
-    return float(values[0]), None if vectors is None else vectors[:, 0], solves
+    return float(values[0]), None if vectors is None else vectors[:, 0], bisections
 
 
 def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, window: tuple[float, float],

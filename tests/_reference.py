@@ -46,7 +46,9 @@ Each takes a different route from the library's one evaluation path:
 One recorder serves the tests that count eigen-solves: ``record_solves``
 logs every call of the kernel ``sturm_liouville.eigenvalue`` with its rows
 and the path it took, the certified inverse iteration or the bisections it
-ran.
+ran.  ``record_factorisations`` logs the rows of every LDL^T factorisation
+(dpttrf) made through sturm_liouville: window guards, certificates and
+brackets alike.
 """
 
 from __future__ import annotations
@@ -467,3 +469,16 @@ def record_solves(monkeypatch) -> SolveLog:
     monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", bisection)
     monkeypatch.setattr(sturm_liouville, "eigenvalue", eigenvalue)
     return log
+
+
+def record_factorisations(monkeypatch) -> list[int]:
+    """The rows of every dpttrf factorisation made through sturm_liouville
+    from now on, in order (the kernel's and positive_definite's alike)."""
+    rows, real_factor = [], sturm_liouville.dpttrf
+
+    def factoring(diag, offdiag):
+        rows.append(diag.size)
+        return real_factor(diag, offdiag)
+
+    monkeypatch.setattr(sturm_liouville, "dpttrf", factoring)
+    return rows

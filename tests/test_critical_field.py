@@ -18,7 +18,8 @@ from landaucrit.errors import AccuracyError, TruncationError
 from landaucrit.potentials import PotentialSpec
 from landaucrit.sturm_liouville import EigenResult
 
-from _reference import INVERSE, T_of_lambda, record_solves, uniform_grid
+from _reference import (INVERSE, T_of_lambda, record_factorisations, record_solves,
+                        uniform_grid)
 
 NU_BAR_REF = 0.056080339709502179  # 30-digit bisection on 2(nu+sqrt(nu)) = 2-sqrt(2)
 
@@ -108,12 +109,16 @@ class TestMDelta:
     @pytest.mark.parametrize("delta", [0.05, 0.3])
     def test_eigensolve_count(self, monkeypatch, delta):
         """One pencil pair on the first domain; the sinh-mapped grid needs
-        about 2 (pi/(2 delta) + log 192)/h rows, each by certified inverse iteration."""
-        solves = record_solves(monkeypatch)
+        about 2 (pi/(2 delta) + log 192)/h rows, each by certified inverse
+        iteration.  Each grid factors its pencil four times: the window guard,
+        the certificate's two (its top is the bracket's Dirichlet side) and
+        the bracket's Neumann side."""
+        solves, factored = record_solves(monkeypatch), record_factorisations(monkeypatch)
         cf.critical_field_direct(delta)
         assert len(solves) == 2
         assert max(solve.rows for solve in solves) <= 10_000
         assert [solve.path for solve in solves] == [INVERSE] * 2
+        assert factored == [solves[0].rows] * 4 + [solves[1].rows] * 4
 
     def test_one_potential_pass_per_domain(self, monkeypatch):
         # the potential is sampled once per domain, on the 4n + 3 nodes and
@@ -233,6 +238,32 @@ class TestDirectCertificate:
         solves = record_solves(monkeypatch)
         got = cf.m_delta(0.5)
         assert (len(checks), len(solves)) == (4, 4)
+        assert got == pytest.approx(want, rel=cf.DIRECT_DOMAIN_TOL, abs=0.0)
+
+    def test_bisected_threshold_factors_its_dirichlet_top(self, monkeypatch):
+        # a certified threshold takes its bracket's Dirichlet side from the
+        # kernel's certificate; after one inverse step the kernel bisects, and
+        # the threshold factors the Dirichlet pencil less the top itself.
+        # Forced positive definite on both grids of the first domain, that
+        # side fails and the call doubles the domain
+        want = cf.m_delta(0.5)
+        dirichlet = []
+        real = groundstate._Grid._above
+
+        def above(grid, lam, shift, *, neumann=False):
+            if not neumann:
+                dirichlet.append(grid.n)
+                if len(dirichlet) <= 2:
+                    return True
+            return real(grid, lam, shift, neumann=neumann)
+
+        monkeypatch.setattr(groundstate._Grid, "_above", above)
+        assert (cf.m_delta(0.5), dirichlet) == (want, [])
+        monkeypatch.setattr(sturm_liouville, "MAX_INVERSE_STEPS", 1)
+        solves = record_solves(monkeypatch)
+        got = cf.m_delta(0.5)
+        assert [solve.path for solve in solves] == [("v",)] * 4
+        assert len(dirichlet) == 4
         assert got == pytest.approx(want, rel=cf.DIRECT_DOMAIN_TOL, abs=0.0)
 
 

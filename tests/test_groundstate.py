@@ -18,7 +18,8 @@ from landaucrit.errors import AccuracyError, TruncationError
 from landaucrit.groundstate import FixedPointResult, ground_state_lambda, ground_state_per_ell
 from landaucrit.potentials import PotentialSpec, a_ell_grid
 
-from _reference import RESIDUAL_FLOOR, T_of_lambda, phi_on
+from _reference import (INVERSE, RESIDUAL_FLOOR, T_of_lambda, phi_on, record_factorisations,
+                        record_solves)
 
 
 # --- independent oracle -----------------------------------------------------
@@ -445,39 +446,43 @@ class TestDomainBracket:
         assert res.lam == pytest.approx(want.lam, abs=groundstate.DOMAIN_TOL)
 
     @pytest.mark.parametrize("delta", [0.05, 0.3, 0.9])
-    def test_threshold_bracket_holds_its_neumann_value(self, delta):
+    def test_threshold_bracket_holds_its_neumann_value(self, monkeypatch, delta):
         # the direct route's first coarse grid certifies m -+ DIRECT_DOMAIN_TOL
-        # |m|/4, and its Neumann threshold lies inside, less than 1e-11 |m|
-        # below m
+        # |m|/4, with m certified in its window or bisected without one, and
+        # its Neumann threshold lies inside, less than 1e-11 |m| below the
+        # bisected m (the certified one lies within CERTIFICATE_WIDTH |m| of it)
         spec = PotentialSpec(delta, 1.0)
         T = math.asinh(cf.DIRECT_PAD * math.exp(math.pi / (2.0 * delta)))
         grid = groundstate._Grid(spec, T, sturm_liouville.odd_points(T, 0.025))
-        m = grid.threshold(None)
-        slack = 0.25 * cf.DIRECT_DOMAIN_TOL * abs(m)
-        assert grid.bracket_width(m - slack, m + slack, threshold=True) == pytest.approx(
-            2.0 * slack, rel=1e-9)
-        # a bracket whose top lies below m does not rest on the bisection
-        assert grid.bracket_width(m - 2.0 * slack, m - slack, threshold=True) == math.inf
+        for window in (cf._window(delta, 1.0 / delta, 0.025), None):
+            m, width = grid.threshold(window)
+            assert width == pytest.approx(0.5 * cf.DIRECT_DOMAIN_TOL * abs(m), rel=1e-9)
         neumann = sturm_liouville.eigenvalue(*grid._pencil(-1.0, neumann=True))[0]
         assert m - 1e-11 * abs(m) < neumann <= m + 4.0 * np.spacing(abs(m))
+        # a bisected value whose bracket tops out below m does not certify:
+        # the Dirichlet pencil less that top is positive definite
+        low = m - 2.5 * sturm_liouville.CERTIFICATE_WIDTH * abs(m)
+        monkeypatch.setattr(sturm_liouville, "eigenvalue", lambda *args, **kwargs: (low, None, 1))
+        assert grid.threshold(None) == (low, math.inf)
 
     def test_longer_grid_threshold_lies_between_neumann_and_dirichlet(self):
-        # on |z| <= e^(pi/2delta) the threshold's bracket is wide (-0.114,
-        # -0.065], and the threshold of the grid continued k steps past each
+        # on |z| <= e^(pi/2delta) the threshold's bracket (-0.114, -0.065]
+        # is wide, and the threshold of the grid continued k steps past each
         # end falls inside it, far from both ends
         spec = PotentialSpec(0.5, 1.0)
         T = math.asinh(math.exp(math.pi))
         grid = groundstate._Grid(spec, T, sturm_liouville.odd_points(T, 0.025))
-        m = grid.threshold(None)
+        m, width = grid.threshold(None)
+        assert width == math.inf  # far wider than DIRECT_DOMAIN_TOL |m|
         k = grid.n // 2
         longer = groundstate._Grid(spec, T + k * grid.h, grid.n + 2 * k)
         assert longer.h == pytest.approx(grid.h, rel=1e-14)
         neumann = sturm_liouville.eigenvalue(*grid._pencil(-1.0, neumann=True))[0]
-        assert neumann < longer.threshold(None) < m
+        assert neumann < longer.threshold(None)[0] < m
+        # the wide bracket meets the threshold's three conditions
         lo, hi = neumann - 1e-3 * abs(m), m + 1e-3 * abs(m)
-        assert grid.bracket_width(lo, hi, threshold=True) == hi - lo
-        slack = 0.25 * cf.DIRECT_DOMAIN_TOL * abs(m)
-        assert grid.bracket_width(m - slack, m + slack, threshold=True) == math.inf
+        assert lo < -grid.nu_a[[0, -1]].max()
+        assert grid._above(-1.0, lo, neumann=True) and not grid._above(-1.0, hi)
 
     def test_truncation_error_names_the_last_certified_bound(self, monkeypatch):
         # first domains too short to certify, and no doubling allowed: both
@@ -497,42 +502,45 @@ class TestDomainBracket:
 
     def test_zspace_lattice_certifies_on_the_first_domain(self, monkeypatch):
         # every call of the benchmark's zspace_scan lattice: one potential
-        # pass, and the coarse and fine level, or on a degenerate call the
-        # coarse level alone; the factorisations are the fine level's window
-        # guard and two per bracket, or the one that settles degeneracy
+        # pass.  A ground-level call bisects the coarse and fine level, or on
+        # a degenerate call the coarse level alone; its factorisations are the
+        # fine level's window guard and two per bracket, or the one that
+        # settles degeneracy.  A direct call certifies both thresholds by
+        # inverse iteration, with four factorisations each: the window guard,
+        # the certificate's two, whose top is the bracket's Dirichlet side,
+        # and the bracket's Neumann side
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         workloads = importlib.import_module("workloads")
-        calls = record_eigensolves(monkeypatch)
-        passes, factored = [], []
-        real, real_factor = groundstate.a_ell_grid, sturm_liouville.dpttrf
+        solves, factored = record_solves(monkeypatch), record_factorisations(monkeypatch)
+        passes, real = [], groundstate.a_ell_grid
 
         def recording(spec, z):
             passes.append(np.size(z))
             return real(spec, z)
 
-        def factoring(diag, offdiag):
-            factored.append(diag.size)
-            return real_factor(diag, offdiag)
-
         monkeypatch.setattr(groundstate, "a_ell_grid", recording)
-        monkeypatch.setattr(sturm_liouville, "dpttrf", factoring)
         checked = []
         for entry, args in workloads.lattice("zspace_scan"):
-            if entry != "ground_state_lambda":
-                continue
-            calls.clear()
+            solves.clear()
+            solves.steps.clear()
             passes.clear()
             factored.clear()
+            if entry == "critical_field_direct":
+                critical_field_direct(*args)
+                assert [solve.path for solve in solves] == [INVERSE] * 2, args
+                assert (len(factored), len(passes)) == (8, 1), args
+                checked.append(entry)
+                continue
             res = ground_state_lambda(PotentialSpec(*args))
             if res.degenerate:
-                assert (len(calls), res.iterations, len(passes)) == (1, 1, 1), args
+                assert (len(solves.steps), res.iterations, len(passes)) == (1, 1, 1), args
                 assert len(factored) == 1, args
             else:
-                assert (len(calls), res.iterations, len(passes)) == (2, 2, 1), args
+                assert (len(solves.steps), res.iterations, len(passes)) == (2, 2, 1), args
                 assert len(factored) == 5, args
                 assert res.domain_error <= groundstate.DOMAIN_TOL
-            checked.append(res.degenerate)
-        assert (checked.count(False), checked.count(True)) == (11, 6)
+            checked.append("degenerate" if res.degenerate else "level")
+        assert [checked.count(kind) for kind in ("level", "degenerate", entry)] == [11, 6, 8]
 
 
 class TestPerEll:

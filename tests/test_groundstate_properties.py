@@ -55,7 +55,7 @@ def test_T_at_minus_one_is_one_plus_sqrt_B_m(nu, log10_B):
 
     def m(B):
         window = critical_field._window(nu, math.sqrt(B) / nu)
-        return groundstate._Grid(PotentialSpec(nu, B), T, n).threshold(window)
+        return groundstate._Grid(PotentialSpec(nu, B), T, n).threshold(window)[0]
 
     one_plus_m = 1.0 + m(B)
     assert abs((phi - 1.0) - one_plus_m) <= 4.0 * floor
