@@ -17,11 +17,14 @@ is fine near z = 0 and uniform in log z far out, so the eigenfunction width
 weight cosh(t)/sqrt(B) gives a symmetric-definite pencil, solved to relative
 accuracy down to DELTA_MIN_DIRECT = 0.05.  Its domain, DIRECT_PAD = 96 widths,
 is cut off by the ground level's Dirichlet-Neumann certificate (Reed and
-Simon IV, XIII.15), applied to the threshold: both grids of the first domain
-certify that no longer domain moves m by more than 5/6 DIRECT_DOMAIN_TOL
-relative, so a call makes one pencil pair.  The bracket's Dirichlet side is
-the top of the kernel's certificate of m, so a grid factors its pencil four
-times: the window's bottom, the certificate's two and the Neumann side.
+Simon IV, XIII.15), applied to the threshold: the call stops on the first
+domain where both grids certify their bracket m -+ CERTIFICATE_WIDTH |m|,
+and then no longer domain moves the extrapolated m by more than
+10/3 CERTIFICATE_WIDTH relative.  Over [DELTA_MIN_DIRECT, 0.99] the first
+domain certifies, so a call makes one pencil pair.  The bracket's Dirichlet
+side is the top of the kernel's certificate of m, so a grid factors its
+pencil four times: the window's bottom, the certificate's two and the
+Neumann side.
 Route two ("schrodinger_form") takes y with dy = a_0 dz and mu = 1/a_0,
 where the same problem reads
 -g'' - delta^2 g = -kappa mu g, i.e. delta^2 = E_1(kappa) for the ground
@@ -65,14 +68,13 @@ direct range and on the Schrodinger one at the steps default, 0.02, 0.1 and
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import loggamma
 
 from . import groundstate, sturm_liouville
-from .errors import AccuracyError, BracketError
+from .errors import AccuracyError, BracketError, TruncationError
 # a0_scaled is called nowhere here; the benchmark's trace (perfbench/layers.py)
 # still wraps critical_field.a0_scaled
 from .potentials import (LOG_OFFSET, PotentialSpec, a0_scaled,  # noqa: F401
@@ -114,24 +116,22 @@ DELTA_MAX_SCHRODINGER = 0.7
 DELTA_MIN_DIRECT = 0.05
 
 #: initial domain of the direct route, in widths e^(pi/2delta) of the
-#: eigenfunction: the smallest 24 2^k whose first domain certifies (see
-#: DIRECT_DOMAIN_TOL) over [DELTA_MIN_DIRECT, 0.99].  The Dirichlet-Neumann
-#: gap of the threshold, (4 w_fine + w_coarse)/3 relative to |m| with w the
-#: gap of each grid, at 24 / 48 / 96 measures 5.8e-6 / 1.1e-8 / 2e-12 at
-#: delta = 0.05, 4.1e-6 / 6.3e-9 / 1.9e-13 at 0.15, 1.4e-6 / 1.2e-9 / 0 at
-#: 0.3 and 3.0e-9 / 0 / 0 at 0.8; a doubling in z adds only about
-#: 2 ln 2/h = 55 rows, but a second domain costs a second pencil pair
+#: eigenfunction: the smallest 24 2^k whose first domain certifies on both
+#: grids (see MAX_DIRECT_DOUBLINGS) over [DELTA_MIN_DIRECT, 0.99].  The
+#: Dirichlet-Neumann gap of the threshold, (4 w_fine + w_coarse)/3 relative
+#: to |m| with w the gap of each grid, at 24 / 48 / 96 measures
+#: 5.8e-6 / 1.1e-8 / 2e-12 at delta = 0.05, 4.1e-6 / 6.3e-9 / 1.9e-13 at
+#: 0.15, 1.4e-6 / 1.2e-9 / 0 at 0.3 and 3.0e-9 / 0 / 0 at 0.8; a doubling in
+#: z adds only about 2 ln 2/h = 55 rows, but a second domain costs a second
+#: pencil pair
 DIRECT_PAD = 96.0
 
-#: the direct route stops on the first domain whose two grids certify that
-#: the value of every longer grid lies in (lo, hi] = m -+ DIRECT_DOMAIN_TOL
-#: |m|/4 (groundstate._Grid.threshold), which bounds the domain error of the
-#: extrapolated m by (4 w_fine + w_coarse)/3 = 5/6 DIRECT_DOMAIN_TOL |m|; it
-#: doubles the domain otherwise, and raises TruncationError after
-#: MAX_DIRECT_DOUBLINGS doublings.  The bracket's half-width is the kernel's
-#: certificate width, so that the certificate of m is the bracket's
-#: Dirichlet side
-DIRECT_DOMAIN_TOL = 4.0 * sturm_liouville.CERTIFICATE_WIDTH
+#: the direct route stops on the first domain whose two grids both certify
+#: that the value of every longer grid lies in (lo, hi] = m -+
+#: CERTIFICATE_WIDTH |m| (groundstate._Grid.threshold), which bounds the
+#: domain error of the extrapolated m by (4 w_fine + w_coarse)/3 =
+#: 10/3 CERTIFICATE_WIDTH |m|; it doubles the domain otherwise, and raises
+#: TruncationError after MAX_DIRECT_DOUBLINGS doublings
 MAX_DIRECT_DOUBLINGS = 4
 
 #: exponential-wall cap for -g'' + kappa mu(y) g in E1_of_kappa; heights
@@ -260,35 +260,35 @@ def m_delta(delta: float, *, B: float = 1.0, h: float = 0.025) -> float:
     2 (pi/(2 delta) + log(2 DIRECT_PAD))/h rows (839 at delta = 0.3, 2 933 at
     0.05).  The pencil is the ground level's T(-1) - 1 at nu = delta
     (groundstate._Grid.threshold), solved to relative accuracy (|m| ~ 3e-13
-    at delta = 0.05) inside the window of m = -sqrt(B) kappa / delta.  The
-    mapped-grid driver (sturm_liouville) Richardson-extrapolates it over
-    n -> 2n + 1 (odd n keeps the kink of a_0 at z = 0 on a node).  Each grid
-    certifies a Dirichlet-Neumann bracket m -+ DIRECT_DOMAIN_TOL |m|/4 of its
-    value on every longer grid that continues it, in the same call that
-    solves m (groundstate._Grid.threshold: -nu a at the end samples lies
-    below the bracket, the Neumann pencil less its bottom is positive
-    definite, and the Dirichlet pencil less its top is not, by the kernel's
-    certificate of m), and the call stops on the first domain where both
-    grids certify, (4 w_fine + w_coarse)/3 <= DIRECT_DOMAIN_TOL |m|.  With
+    at delta = 0.05) inside the window of m = -sqrt(B) kappa / delta, on each
+    domain of the mapped-grid generator (sturm_liouville) on n and 2n + 1
+    nodes (odd n keeps the kink of a_0 at z = 0 on a node) and
+    Richardson-extrapolated over the two.  Each grid certifies a
+    Dirichlet-Neumann bracket m -+ CERTIFICATE_WIDTH |m| of its value on
+    every longer grid that continues it, in the same call that solves m
+    (groundstate._Grid.threshold: -nu a at the end samples lies below the
+    bracket, the Neumann pencil less its bottom is positive definite, and
+    the Dirichlet pencil less its top is not, by the kernel's certificate of
+    m), or reports an infinite width.  The call stops on the first domain
+    where both widths are finite, which bounds the extrapolated m's domain
+    error by (4 w_fine + w_coarse)/3 = 10/3 CERTIFICATE_WIDTH |m|.  With
     DIRECT_PAD that is the first domain, one pencil pair, over
     [DELTA_MIN_DIRECT, 0.99]; otherwise the domain is doubled in z, and
-    TruncationError is raised after MAX_DIRECT_DOUBLINGS doublings.
+    TruncationError, naming the last extrapolated m, is raised after
+    MAX_DIRECT_DOUBLINGS doublings.
     """
     spec = PotentialSpec(delta, B)
     window = _window(delta, math.sqrt(B) / delta, h)
-    widths = deque(maxlen=2)  # certified bracket widths of the last two grids
-
-    def threshold(T: float, n: int, samples: tuple[np.ndarray, np.ndarray]) -> float:
-        m, width = groundstate._Grid(spec, T, n, samples=samples).threshold(window)
-        widths.append(width)
-        return m
-
-    m, _, _ = sturm_liouville._mapped_richardson(
-        lambda t: groundstate._samples(spec, t), threshold,
-        math.asinh(DIRECT_PAD * math.exp(math.pi / (2.0 * delta))), h,
-        lambda m: ((4.0 * widths[1] + widths[0]) / 3.0, DIRECT_DOMAIN_TOL * abs(m)),
-        MAX_DIRECT_DOUBLINGS)
-    return m
+    for T, n, coarse, fine in sturm_liouville._mapped_domains(
+            lambda t: groundstate._samples(spec, t),
+            math.asinh(DIRECT_PAD * math.exp(math.pi / (2.0 * delta))), h, MAX_DIRECT_DOUBLINGS):
+        m_coarse, w_coarse = groundstate._Grid(spec, T, n, samples=coarse).threshold(window)
+        m_fine, w_fine = groundstate._Grid(spec, T, 2 * n + 1, samples=fine).threshold(window)
+        m = sturm_liouville.richardson_step(m_coarse, m_fine)[0]
+        if w_coarse + w_fine < math.inf:
+            return m
+    raise TruncationError(f"threshold m = {m!r} not certified within {MAX_DIRECT_DOUBLINGS} "
+                          "domain doublings", last_values=(m,))
 
 
 def critical_field_direct(delta: float) -> CriticalFieldResult:

@@ -49,13 +49,12 @@ a failing Neumann side or outside condition doubles the domain.  A level
 just below -1, which a coarse grid can have under an extrapolated level
 above -1 near the critical field, is bracketed on every longer grid up to
 |z| = L* with 1 + lo + nu a(L*) = 0; past L* the level meets the lower
-continuum, so its failing bracket doubles.  With both grids
-of a pair certified the extrapolated level lies within (4 w_fine +
-w_coarse)/3 = 5 DOMAIN_TOL/6 of the extrapolation of the longer grids'
-levels.  Over nu
-0.05-0.9, B 1e-3-1e8 and ell 0, 1, 3 every grid of the first domain
-certifies, with its level at least 4.1e-4 below 1 - nu a at its ends and
-its Neumann level less than 1e-13 below it.
+continuum, so its failing bracket doubles.  With both grids of a pair
+certified, each to a width w = DOMAIN_TOL/2, the extrapolated level lies
+within (4 w_fine + w_coarse)/3 = 5 DOMAIN_TOL/6 of the extrapolation of the
+longer grids' levels.  Over nu 0.05-0.9, B 1e-3-1e8 and ell 0, 1, 3 every
+grid of the first domain certifies, with its level at least 4.1e-4 below
+1 - nu a at its ends and its Neumann level less than 1e-13 below it.
 
 The same certificate bounds the truncation of the threshold T(-1) - 1, the
 direct route's m (critical_field.m_delta), on its own pencil: its form
@@ -68,18 +67,21 @@ CERTIFICATE_WIDTH |m|, the kernel's certificate of m (sturm_liouville),
 whose top is the Dirichlet side on the same matrix and shift: only where
 the kernel bisected m does the Dirichlet pencil less hi get factored here.
 
-The mapped-grid driver of sturm_liouville does the Richardson extrapolation
-over n -> 2n + 1 and the domain doubling in z, and samples the potential
-once per domain for both grids of the pair.  Only the first grid of a
-call bisects its level from the Gershgorin interval.  Every later one (the
-fine grid after the coarse one, the next domain's coarse grid after the
-last fine one) bisects inside (lo, hi] = c -+ LEVEL_WINDOW around the last
-level c, if lo > -1: by the inertia count above, a successful LDL^T
-factorisation of the T-pencil at lambda = lo, shifted by lo, certifies that
-exactly n + 1 eigenvalues of H lie at or below lo (the gap min-max of
-Dolbeault, Esteban and Sere used as a Sylvester certificate), so the level
-is the smallest eigenvalue in the window.  A failed certificate or an
-empty window falls back to the index selection.
+The domains come from the mapped-grid generator of sturm_liouville, which
+doubles them in z and samples the potential once per domain for both grids
+of the pair.  ground_state_lambda's loop solves the coarse level, then the
+fine one, Richardson-extrapolates over n -> 2n + 1, and stops on the first
+domain whose extrapolated level is degenerate or whose two grids both
+certify their brackets.  Only the first grid of a call bisects its level
+from the Gershgorin interval.  Every later one (the fine grid after the
+coarse one, the next domain's coarse grid after the last fine one) bisects
+inside (lo, hi] = c -+ LEVEL_WINDOW around the last level c, if lo > -1: by
+the inertia count above, a successful LDL^T factorisation of the T-pencil at
+lambda = lo, shifted by lo, certifies that exactly n + 1 eigenvalues of H
+lie at or below lo (the gap min-max of Dolbeault, Esteban and Sere used as a
+Sylvester certificate), so the level is the smallest eigenvalue in the
+window.  A failed certificate or an empty window falls back to the index
+selection.
 
 A fine grid whose coarse level c lies within LEVEL_WINDOW of -1, or below,
 has no window.  Its level f makes the call degenerate iff f <= x = (c - 3)/4,
@@ -91,14 +93,13 @@ factorisation in place of the fine solve, which runs where f <= x is not shown.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import sturm_liouville
-from .errors import AccuracyError
+from .errors import AccuracyError, TruncationError
 from .potentials import PotentialSpec, a_ell_grid
 
 __all__ = ["FixedPointResult", "ground_state_lambda", "ground_state_per_ell"]
@@ -108,11 +109,12 @@ __all__ = ["FixedPointResult", "ground_state_lambda", "ground_state_per_ell"]
 C_FIELD = 20.0
 C_COULOMB = 30.0
 
-# Stopping rules of ground_state_lambda: the domain grows until the
-# certified bound (4 w_fine + w_coarse)/3 on the extrapolated level's domain
-# error, each grid's bracket width w being DOMAIN_TOL/2, is at most
-# DOMAIN_TOL, at most MAX_DOUBLINGS times before TruncationError (module
-# docstring), whose brackets also check each level (AccuracyError).
+# Each grid's Dirichlet-Neumann bracket is (lo, hi] = level -+ DOMAIN_TOL/4,
+# whose factorisations also check the level (AccuracyError; module
+# docstring).  ground_state_lambda stops on the first domain where both grids
+# certify it, which bounds the extrapolated level's domain error by
+# 5/6 DOMAIN_TOL; otherwise it doubles the domain, at most MAX_DOUBLINGS
+# times before TruncationError.
 DOMAIN_TOL = 1e-7
 MAX_DOUBLINGS = 6
 
@@ -134,7 +136,8 @@ class FixedPointResult:
     window that held no eigenvalue counts twice.  |z| <= L = sinh(T)/sqrt(B)
     is the certified domain (the last one of the call), and n is the point
     count of its fine t-grid.  ``domain_error`` is the certified bound
-    (4 w_fine + w_coarse)/3 on the truncation error of ``lam``, <= DOMAIN_TOL,
+    (4 w_fine + w_coarse)/3 on the truncation error of ``lam``, each grid's
+    bracket width w being DOMAIN_TOL/2, so 5/6 DOMAIN_TOL up to rounding,
     from brackets that also certify each level's index; a degenerate result
     reports 0.
     """
@@ -291,10 +294,12 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
     refinement, Richardson-extrapolated over the two; the first domain is
     |z| <= max(C_FIELD/sqrt(B), C_COULOMB/nu, 10).  Each grid certifies a
     Dirichlet-Neumann bracket of its level of width w = DOMAIN_TOL/2 (module
-    docstring), and the call stops on the first domain whose pair bounds the
-    extrapolated level's domain error by (4 w_fine + w_coarse)/3 <= DOMAIN_TOL;
-    a domain that does not certify is doubled in z, at most MAX_DOUBLINGS
-    times before TruncationError.  Every level after the first is bisected
+    docstring), the fine grid only once the coarse one did, and the call
+    stops on the first domain where both grids certify: the extrapolated
+    level's domain error is then at most (4 w_fine + w_coarse)/3 =
+    5/6 DOMAIN_TOL.  A domain that does not certify is doubled in z, at most
+    MAX_DOUBLINGS times before TruncationError, which names the last
+    extrapolated level.  Every level after the first is bisected
     inside a certified window of LEVEL_WINDOW around the last one.  The
     result is degenerate, lam = -1, as soon as the extrapolated level is
     <= -1: a wider domain only lowers it, and near -1 one factorisation may
@@ -302,35 +307,32 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
     bracket raises AccuracyError at once.
     """
     rootB = math.sqrt(spec.B)
-    solves, pair = 0, deque(maxlen=2)  # pair: (grid, level) of the last two grids
-
-    def level(T: float, n: int, samples: tuple[np.ndarray, np.ndarray]) -> float:
-        nonlocal solves
-        grid = _Grid(spec, T, n, samples=samples, centre=pair[-1][1] if pair else None)
-        if pair and n == 2 * pair[-1][0].n + 1 and grid.degenerate():
-            value = -math.inf  # only known to lie at or below (c - 3)/4
+    solves, centre = 0, None
+    for T, n, coarse_samples, fine_samples in sturm_liouville._mapped_domains(
+            lambda t: _samples(spec, t), math.asinh(rootB * _default_domain(spec)), h,
+            MAX_DOUBLINGS):
+        coarse = _Grid(spec, T, n, samples=coarse_samples, centre=centre)
+        level_coarse = coarse.level()
+        fine = _Grid(spec, T, 2 * n + 1, samples=fine_samples, centre=level_coarse)
+        solves += coarse.solves
+        if fine.degenerate():
+            level_fine = -math.inf  # only known to lie at or below (c - 3)/4
         else:
-            value = grid.level()
-            solves += grid.solves
-        pair.append((grid, value))
-        return value
-
-    def certified(lam: float) -> tuple[float, float]:
-        if lam <= -1.0:
-            return 0.0, DOMAIN_TOL
-        (coarse, level_coarse), (fine, level_fine) = pair
-        # the fine grid's bracket is not tried once the coarse one failed
-        bound = coarse.domain_width(level_coarse)
-        if bound < math.inf:
+            level_fine = fine.level()
+            solves += fine.solves
+        lam = sturm_liouville.richardson_step(level_coarse, level_fine)[0]
+        # a degenerate level needs no bracket, and the fine grid's bracket is
+        # not tried once the coarse one failed
+        bound = 0.0 if lam <= -1.0 else coarse.domain_width(level_coarse)
+        if 0.0 < bound < math.inf:
             bound = (4.0 * fine.domain_width(level_fine) + bound) / 3.0
-        return bound, DOMAIN_TOL
-
-    lam, T, bound = sturm_liouville._mapped_richardson(
-        lambda t: _samples(spec, t), level, math.asinh(rootB * _default_domain(spec)), h,
-        certified, MAX_DOUBLINGS)
-    return FixedPointResult(lam=min(max(lam, -1.0), 1.0), iterations=solves,
-                            degenerate=lam <= -1.0, L=math.sinh(T) / rootB, n=pair[-1][0].n,
-                            domain_error=bound)
+        if bound < math.inf:
+            return FixedPointResult(lam=min(max(lam, -1.0), 1.0), iterations=solves,
+                                    degenerate=lam <= -1.0, L=math.sinh(T) / rootB, n=fine.n,
+                                    domain_error=bound)
+        centre = level_fine
+    raise TruncationError(f"ground level lam = {lam!r} not certified within {MAX_DOUBLINGS} "
+                          "domain doublings", last_values=(lam,))
 
 
 def ground_state_per_ell(spec: PotentialSpec,

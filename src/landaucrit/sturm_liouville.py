@@ -36,19 +36,22 @@ the kernel always returns eigenvalue k.  A weight, -(p f')' + q f = lambda w f,
 makes the pencil (A, diag(w)); :func:`scaled_pencil` returns the symmetric
 tridiagonal matrix with the same eigenvalues.  The problems posed
 on the sinh-mapped grid sqrt(B) z = sinh(t) (critical_field.m_delta and
-groundstate.ground_state_lambda) share one grid driver,
-:func:`_mapped_richardson`, which samples their coefficients once per
-domain: the Richardson pair's fine grid of 2n + 1 nodes has the coarse
-grid's nodes and midpoints as its nodes, bit for bit (the halved step is
-exact), so one pass over the fine grid's nodes and midpoints serves both
-grids, the coarse one reading its odd samples.
+groundstate.ground_state_lambda) lay out their domains with one generator,
+:func:`_mapped_domains`, which samples their coefficients once per domain:
+the Richardson pair's fine grid of 2n + 1 nodes has the coarse grid's nodes
+and midpoints as its nodes, bit for bit (the halved step is exact), so one
+pass over the fine grid's nodes and midpoints serves both grids, the coarse
+one reading its odd samples.  Each caller writes its own loop over the
+domains: it solves both grids, Richardson-extrapolates, and stops on the
+first domain where both grids certify their Dirichlet-Neumann brackets, or
+raises TruncationError once the domains run out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -87,7 +90,7 @@ RELATIVE_TOL = 1e-300
 #: log B_L is 2e-5); at 1e-10, 9 do not.  The certified values lie within
 #: 3.8e-10 relative of the index selection's bisection.  It is also the
 #: half-width of the direct route's domain bracket
-#: (critical_field.DIRECT_DOMAIN_TOL)
+#: (groundstate._Grid.threshold), whose Dirichlet side is the certificate's top
 CERTIFICATE_WIDTH = 1e-9
 
 #: inverse iteration stops once its value moves by at most SETTLE_TOL of
@@ -157,36 +160,24 @@ def richardson_step(coarse: float, fine: float) -> tuple[float, float]:
     return (4.0 * fine - coarse) / 3.0, abs(fine - coarse) / 3.0
 
 
-def _mapped_richardson(sample: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-                       level: Callable[[float, int, tuple[np.ndarray, ...]], float],
-                       T: float, h: float, stop: Callable[[float], tuple[float, float]],
-                       max_doublings: int) -> tuple[float, float, float]:
-    """(value, T, bound) of a problem on the sinh-mapped grid sqrt(B) z = sinh(t).
+def _mapped_domains(sample: Callable[[np.ndarray], tuple[np.ndarray, ...]], T: float, h: float,
+                    max_doublings: int) -> Iterator[tuple[float, int, tuple, tuple]]:
+    """(T, n, coarse samples, fine samples) of each domain t in [-T, T] of the
+    sinh-mapped grid sqrt(B) z = sinh(t), the first one's T given, each next
+    one doubled in z, T -> asinh(2 sinh T), ``max_doublings`` times.
 
-    ``level(T, n, samples)``, the problem's value on n interior nodes of t in
-    [-T, T], is called on n = odd_points(T, h), then on 2n + 1 (odd n keeps
-    z = 0 on a node), and the two are Richardson-extrapolated.  ``samples``
-    are ``sample(t)`` at the nodes of grid_nodes(T, 2n + 1), the grid's
-    midpoints and nodes interleaved: one call per domain, on the fine grid.
-    ``stop(value)`` gives the certified bound on the value's domain error and
-    its tolerance; the domain is doubled in z, T -> asinh(2 sinh T), until the
-    bound is within the tolerance, and TruncationError, naming the last bound,
-    follows ``max_doublings`` doublings.
+    The coarse grid has n = odd_points(T, h) interior nodes, the fine one
+    2n + 1 (odd n keeps z = 0 on a node).  The fine samples are ``sample(t)``
+    at the nodes of grid_nodes(T, 4n + 3), the fine grid's midpoints and nodes
+    interleaved (a grid's midpoint samples are its even ones, its node samples
+    its odd ones); the coarse samples are their odd entries, the fine grid's
+    nodes.  Nothing is sampled for a domain the caller does not ask for.
     """
     for _ in range(max_doublings + 1):
         n = odd_points(T, h)
         samples = sample(grid_nodes(T, 4 * n + 3)[1])
-        value = richardson_step(level(T, n, tuple(s[1::2] for s in samples)),
-                                level(T, 2 * n + 1, samples))[0]
-        bound, tol = stop(value)
-        if bound <= tol:
-            return value, T, bound
+        yield T, n, tuple(s[1::2] for s in samples), samples
         T = math.asinh(2.0 * math.sinh(T))
-    raise TruncationError(
-        f"mapped-grid value {value!r} not certified within {max_doublings} domain doublings "
-        f"(last certified bound {bound:.3e} > {tol:.3e})",
-        last_values=(value,),
-    )
 
 
 def build_tridiagonal(problem: SturmLiouvilleProblem, L: float | None = None,

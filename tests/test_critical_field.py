@@ -167,8 +167,8 @@ class TestMDelta:
 
 
 class TestDirectCertificate:
-    """m_delta stops on the first domain whose two grids certify the
-    Dirichlet-Neumann bracket m -+ DIRECT_DOMAIN_TOL |m|/4 of the threshold."""
+    """m_delta stops on the first domain whose two grids both certify the
+    Dirichlet-Neumann bracket m -+ CERTIFICATE_WIDTH |m| of the threshold."""
 
     # near the gate the factorisations and the bisection of m disagree on the
     # inertia by up to 4.2e-10 |m|; with a bracket half-width of 2.5e-10 |m|
@@ -184,20 +184,23 @@ class TestDirectCertificate:
 
     @pytest.mark.parametrize("delta", [0.05, 0.3, 0.9])
     def test_doubled_domain_lies_in_the_certified_bound(self, monkeypatch, delta):
-        # the bound (4 w_fine + w_coarse)/3 is 5/6 DIRECT_DOMAIN_TOL |m|, up
+        # the bound (4 w_fine + w_coarse)/3 is 10/3 CERTIFICATE_WIDTH |m|, up
         # to the grid error of m; the doubled domain moves m by at most
         # 1.5e-10 relative
         m = cf.m_delta(delta)
         monkeypatch.setattr(cf, "DIRECT_PAD", 2.0 * cf.DIRECT_PAD)
-        assert abs(cf.m_delta(delta) - m) <= 5.0 / 6.0 * cf.DIRECT_DOMAIN_TOL * abs(m)
+        bound = 10.0 / 3.0 * sturm_liouville.CERTIFICATE_WIDTH * abs(m)
+        assert abs(cf.m_delta(delta) - m) <= bound
 
     @pytest.mark.parametrize("delta", [0.05, 0.5])
     def test_small_pad_doubles_to_the_default_value(self, monkeypatch, delta):
         want = cf.m_delta(delta)
         monkeypatch.setattr(cf, "DIRECT_PAD", 24.0)
-        solves = record_solves(monkeypatch)
+        solves, factored = record_solves(monkeypatch), record_factorisations(monkeypatch)
         got = cf.m_delta(delta)
         assert len(solves) > 2
+        # four factorisations per grid, on three domains at 0.05 and two at 0.5
+        assert len(factored) == {0.05: 24, 0.5: 16}[delta]
         assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_outside_condition_failure_doubles_the_domain(self, monkeypatch):
@@ -219,7 +222,8 @@ class TestDirectCertificate:
         solves = record_solves(monkeypatch)
         got = cf.m_delta(0.5)
         assert (len(passes), len(solves)) == (2, 4)
-        assert got == pytest.approx(want, rel=cf.DIRECT_DOMAIN_TOL, abs=0.0)
+        assert got == pytest.approx(want, rel=4.0 * sturm_liouville.CERTIFICATE_WIDTH,
+                                    abs=0.0)
 
     def test_neumann_failure_doubles_the_domain(self, monkeypatch):
         # the Neumann check of both grids of the first domain fails
@@ -238,7 +242,8 @@ class TestDirectCertificate:
         solves = record_solves(monkeypatch)
         got = cf.m_delta(0.5)
         assert (len(checks), len(solves)) == (4, 4)
-        assert got == pytest.approx(want, rel=cf.DIRECT_DOMAIN_TOL, abs=0.0)
+        assert got == pytest.approx(want, rel=4.0 * sturm_liouville.CERTIFICATE_WIDTH,
+                                    abs=0.0)
 
     def test_bisected_threshold_factors_its_dirichlet_top(self, monkeypatch):
         # a certified threshold takes its bracket's Dirichlet side from the
@@ -264,7 +269,8 @@ class TestDirectCertificate:
         got = cf.m_delta(0.5)
         assert [solve.path for solve in solves] == [("v",)] * 4
         assert len(dirichlet) == 4
-        assert got == pytest.approx(want, rel=cf.DIRECT_DOMAIN_TOL, abs=0.0)
+        assert got == pytest.approx(want, rel=4.0 * sturm_liouville.CERTIFICATE_WIDTH,
+                                    abs=0.0)
 
 
 class TestCrossMethod:

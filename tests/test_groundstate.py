@@ -168,8 +168,17 @@ class TestGroundState:
         # a first domain of |z| <= 10, too short for the bracket to certify
         monkeypatch.setattr(groundstate, "C_FIELD", 1.0)
         monkeypatch.setattr(groundstate, "C_COULOMB", 1.0)
+        solves, factored = record_solves(monkeypatch), record_factorisations(monkeypatch)
         res = ground_state_lambda(PotentialSpec(0.5, 1.0), h=0.05)
         assert len(grids) >= 4 and len(grids) == res.iterations
+        # only the first level bisects from the Gershgorin interval: the next
+        # domain's coarse grid is windowed on the last fine level
+        assert solves.steps == ["i"] + ["v"] * (len(grids) - 1)
+        # the first domain's coarse bracket fails on its Neumann side (with
+        # the Dirichlet check at lo), and its fine bracket is not tried: one
+        # window guard and two factorisations there, three guards and two
+        # brackets of two on the second domain
+        assert len(factored) == 9
         coarse, fine = grids[0::2], grids[1::2]
         for (T, n), (T_fine, n_fine) in zip(coarse, fine):
             assert n == sturm_liouville.odd_points(T, 0.05) and n % 2 == 1
@@ -425,8 +434,9 @@ class TestDomainBracket:
 
     def test_outside_condition_failure_doubles_the_domain(self, monkeypatch):
         # 1 - nu a = 0 at the first domain's end samples, below the level
-        # 0.71: the bracket is not certified there, though both its
-        # factorisations pass, and the call doubles the domain
+        # 0.71: the fine grid's bracket is not certified there, and the call
+        # doubles the domain.  The coarse grid reads the odd samples, so its
+        # bracket certifies
         points = []
         real = groundstate.a_ell_grid
 
@@ -440,15 +450,20 @@ class TestDomainBracket:
         spec = PotentialSpec(0.5, 1.0)
         want = ground_state_lambda(spec)
         monkeypatch.setattr(groundstate, "a_ell_grid", deep_ends)
+        factored = record_factorisations(monkeypatch)
         res = ground_state_lambda(spec)
         assert len(points) == 2
+        # the fine window guard and the coarse bracket's two on the first
+        # domain, where the fine bracket fails before it factors; three
+        # guards and two brackets of two on the second
+        assert len(factored) == 9
         assert res.L == pytest.approx(2.0 * want.L, rel=1e-12)
         assert res.lam == pytest.approx(want.lam, abs=groundstate.DOMAIN_TOL)
 
     @pytest.mark.parametrize("delta", [0.05, 0.3, 0.9])
     def test_threshold_bracket_holds_its_neumann_value(self, monkeypatch, delta):
-        # the direct route's first coarse grid certifies m -+ DIRECT_DOMAIN_TOL
-        # |m|/4, with m certified in its window or bisected without one, and
+        # the direct route's first coarse grid certifies m -+ CERTIFICATE_WIDTH
+        # |m|, with m certified in its window or bisected without one, and
         # its Neumann threshold lies inside, less than 1e-11 |m| below the
         # bisected m (the certified one lies within CERTIFICATE_WIDTH |m| of it)
         spec = PotentialSpec(delta, 1.0)
@@ -456,7 +471,8 @@ class TestDomainBracket:
         grid = groundstate._Grid(spec, T, sturm_liouville.odd_points(T, 0.025))
         for window in (cf._window(delta, 1.0 / delta, 0.025), None):
             m, width = grid.threshold(window)
-            assert width == pytest.approx(0.5 * cf.DIRECT_DOMAIN_TOL * abs(m), rel=1e-9)
+            assert width == pytest.approx(2.0 * sturm_liouville.CERTIFICATE_WIDTH * abs(m),
+                                          rel=1e-9)
         neumann = sturm_liouville.eigenvalue(*grid._pencil(-1.0, neumann=True))[0]
         assert m - 1e-11 * abs(m) < neumann <= m + 4.0 * np.spacing(abs(m))
         # a bisected value whose bracket tops out below m does not certify:
@@ -473,7 +489,7 @@ class TestDomainBracket:
         T = math.asinh(math.exp(math.pi))
         grid = groundstate._Grid(spec, T, sturm_liouville.odd_points(T, 0.025))
         m, width = grid.threshold(None)
-        assert width == math.inf  # far wider than DIRECT_DOMAIN_TOL |m|
+        assert width == math.inf  # far wider than 2 CERTIFICATE_WIDTH |m|
         k = grid.n // 2
         longer = groundstate._Grid(spec, T + k * grid.h, grid.n + 2 * k)
         assert longer.h == pytest.approx(grid.h, rel=1e-14)
@@ -484,18 +500,24 @@ class TestDomainBracket:
         assert lo < -grid.nu_a[[0, -1]].max()
         assert grid._above(-1.0, lo, neumann=True) and not grid._above(-1.0, hi)
 
-    def test_truncation_error_names_the_last_certified_bound(self, monkeypatch):
-        # first domains too short to certify, and no doubling allowed: both
-        # routes report the bound their stop tests, not a shift between domains
+    def test_truncation_error_names_the_route_and_its_last_value(self, monkeypatch):
+        # first domains too short to certify, and no doubling allowed: each
+        # route names itself, its last extrapolated value and the doublings
         monkeypatch.setattr(groundstate, "C_FIELD", 1.0)
         monkeypatch.setattr(groundstate, "C_COULOMB", 1.0)
         monkeypatch.setattr(groundstate, "MAX_DOUBLINGS", 0)
-        with pytest.raises(TruncationError, match=r"last certified bound inf > 1\.000e-07"):
+        with pytest.raises(TruncationError) as err:
             ground_state_lambda(PotentialSpec(0.5, 1.0))
+        (lam,) = err.value.last_values
+        assert str(err.value) == f"ground level lam = {lam!r} not certified within 0 domain doublings"
+        assert lam == pytest.approx(0.70637, abs=1e-5)
         monkeypatch.setattr(cf, "DIRECT_PAD", 24.0)
         monkeypatch.setattr(cf, "MAX_DIRECT_DOUBLINGS", 0)
-        with pytest.raises(TruncationError, match=r"last certified bound inf > \d"):
+        with pytest.raises(TruncationError) as err:
             cf.m_delta(0.5)
+        (m,) = err.value.last_values
+        assert str(err.value) == f"threshold m = {m!r} not certified within 0 domain doublings"
+        assert m == pytest.approx(-0.0898189, rel=1e-6)
 
     def test_degenerate_result_reports_no_domain_error(self):
         assert ground_state_lambda(PotentialSpec(0.85, 1e4)).domain_error == 0.0

@@ -21,7 +21,7 @@ T_AND_N = dict(T=st.floats(0.5, 12.0), n=st.integers(8, 1000).map(lambda k: 2 * 
 
 
 def sliced(samples):
-    """The coarse grid's samples, as the mapped-grid driver reads them."""
+    """The coarse grid's samples, as sturm_liouville._mapped_domains yields them."""
     return tuple(s[1::2] for s in samples)
 
 
