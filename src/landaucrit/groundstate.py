@@ -20,7 +20,7 @@ removes.  Eliminating g gives the three-point pencil of T(lambda).  While
 the g block -(1 + lambda + nu a) is negative definite, Haynsworth's inertia
 additivity puts n + 1 + #{eigenvalues of T(lambda) below lambda} eigenvalues
 of H below lambda: a grid's root of Phi is eigenvalue n + 1 (0-based), one
-bisection with no iteration in lambda, and it lies below -1 exactly when
+eigen-solve with no iteration in lambda, and it lies below -1 exactly when
 Phi(-1) < 0.  At lambda = -1 the T-pencil less the identity is the direct
 route's problem -(f'/(nu a))' - nu a f = m f, and critical_field.m_delta
 solves it on this grid (:meth:`_Grid.threshold`), so T(-1) = 1 + sqrt(B) m(nu)
@@ -31,7 +31,8 @@ Dirichlet-Neumann bracketing (Reed and Simon IV, XIII.15).  Continue a grid
 past +-T with the same map and step to a longer one, and take lo with the g
 block negative definite on it, 1 + lo + nu a > 0.  The longer grid's T-form
 is the Neumann form inside (the T-pencil with p_mid[0] = p_mid[-1] = 0,
-f' = 0 at the ends: the Schur complement of H without its two end g rows),
+f' = 0 at the ends: the Schur complement of H without its two end g rows,
+the Dirichlet pencil with its two end diagonal entries recomputed),
 plus the form outside, at least 1 - nu a(L) times the norm as a_ell falls
 with |z|, plus the two cut links, which are nonnegative.  So its T is at
 least min(T_N, 1 - nu a(L)), and at most T, whose trial functions vanish
@@ -40,8 +41,11 @@ LDL^T factorisation: by Haynsworth the Neumann level lies above lo), its
 Phi is positive up to lo, and its level lies in (lo, level].
 :meth:`_Grid.domain_width` certifies (lo, hi] = level -+ DOMAIN_TOL/4 this
 way, the top by a T(hi) - hi that is not positive definite, so that the
-bracket does not rest on the bisection, with 1 - nu a at the grid's end
-samples, just inside |z| = L.  For lo > -1 it holds on the whole line, and
+bracket does not rest on the level's solve, with 1 - nu a at the grid's end
+samples, just inside |z| = L.  A level that the kernel certified has shown
+that already: T(x) - x is not positive definite from its certificate's top
+x = rho + CERTIFICATE_WIDTH |rho| on, below hi, so only a bisected level
+gets T(hi) - hi factored.  For lo > -1 it holds on the whole line, and
 its factorisations check the level too, with AccuracyError: a T(hi) - hi
 that is positive definite puts the grid's level above hi, and where the
 Neumann side fails, a T(lo) - lo that is not puts it at or below lo.  Only
@@ -72,22 +76,35 @@ doubles them in z and samples the potential once per domain for both grids
 of the pair.  ground_state_lambda's loop solves the coarse level, then the
 fine one, Richardson-extrapolates over n -> 2n + 1, and stops on the first
 domain whose extrapolated level is degenerate or whose two grids both
-certify their brackets.  Only the first grid of a call bisects its level
-from the Gershgorin interval.  Every later one (the fine grid after the
-coarse one, the next domain's coarse grid after the last fine one) bisects
-inside (lo, hi] = c -+ LEVEL_WINDOW around the last level c, if lo > -1: by
-the inertia count above, a successful LDL^T factorisation of the T-pencil at
-lambda = lo, shifted by lo, certifies that exactly n + 1 eigenvalues of H
-lie at or below lo (the gap min-max of Dolbeault, Esteban and Sere used as a
-Sylvester certificate), so the level is the smallest eigenvalue in the
-window.  A failed certificate or an empty window falls back to the index
-selection.
+certify their brackets.  Every level is solved inside (lo, hi] = c -+ w
+around a centre c, w = min(LEVEL_WINDOW, (1 - c)/32), if lo > -1.  The
+centre is the last level of the call (the coarse level for the fine grid,
+the last fine level for the next domain's coarse grid); the first level's
+is a loose index selection of H (sturm_liouville.CENTRING_TOL), which only
+places its window and is never returned.  By the inertia count above, the
+Schur complement of the g block of H - lo, the T-pencil at lambda = lo
+shifted by lo up to the sign of its off-diagonal, factors positive definite
+iff exactly n + 1 eigenvalues of H lie at or below lo (the gap min-max of
+Dolbeault, Esteban and Sere used as a Sylvester certificate).  The kernel
+(sturm_liouville.eigenvalue) forms it from H, and its factors drive
+shifted inverse iteration on H from lo, each step a solve with it between
+eliminating g and substituting back.  Two more factorisations certify the
+value rho: the Schur complement at rho - c |rho| is positive definite and at
+rho + c |rho| is not, c = CERTIFICATE_WIDTH.  Where that fails (the shift
+converged to another eigenvalue, or the window missed), the kernel bisects
+inside the window and then by index, so the level is always eigenvalue
+n + 1.  The half-width shrinks with the distance to the upper continuum
+edge, where the next bound level crowds the window's bottom below B ~ 0.1.
 
 A fine grid whose coarse level c lies within LEVEL_WINDOW of -1, or below,
 has no window.  Its level f makes the call degenerate iff f <= x = (c - 3)/4,
 and where 1 + x + nu a > 0 at every midpoint, the g block of H - x is
 negative definite, so f <= x iff T(x) - x is not positive definite: one
 factorisation in place of the fine solve, which runs where f <= x is not shown.
+On the first domain the factorisation comes before the coarse level, with
+the loose centre's lower bound c_loose - CENTRING_TOL <= c in place of c, so
+that where it decides, no level is solved at all; where it does not, the
+coarse level is bisected by index, as a level with no window.
 """
 
 from __future__ import annotations
@@ -118,12 +135,18 @@ C_COULOMB = 30.0
 DOMAIN_TOL = 1e-7
 MAX_DOUBLINGS = 6
 
-# Half-width of the bisection window of every level solve after the first,
-# around the last level of the call.  The largest shift measured between a
-# level and its centre is 6.5e-5 (nu in [0.05, 0.9], B in [1e-3, 1e8], ell
-# 0-3), from a coarse level to its fine one and from a fine level to the next
-# domain's coarse one, whose step is twice as large.  A window reaching -1
-# is not used; the fine grid's degeneracy is tested first (module docstring).
+# Largest half-width of the window of every level solve, around the last level
+# of the call or, for the first, a loose one.  The largest shift measured
+# between a level and its centre is 6.5e-5 (nu in [0.05, 0.9], B in
+# [1e-3, 1e8], ell 0-3), from a coarse level to its fine one and from a fine
+# level to the next domain's coarse one, whose step is twice as large.  The
+# window's bottom is the shift of the level's inverse iteration, so the
+# half-width is (1 - c)/32 where that is smaller, c the centre: at B <= 0.1
+# the next bound level lies closer than LEVEL_WINDOW, and from the fixed
+# shift the iteration takes up to 36 steps where the scaled one takes 4-6
+# (nu 0.05-0.9, B 1e-3-0.1, ell 0, 1, 3).  A
+# window reaching -1 is not used; the fine grid's degeneracy is tested first
+# (module docstring).
 LEVEL_WINDOW = 1e-3
 
 
@@ -132,14 +155,15 @@ class FixedPointResult:
     """Converged lowest level lambda_1(nu, B) with solve diagnostics.
 
     ``iterations`` counts the eigen-solves of the call, one per level solved
-    (a degenerate call's fine level may be settled by a factorisation); a
-    window that held no eigenvalue counts twice.  |z| <= L = sinh(T)/sqrt(B)
-    is the certified domain (the last one of the call), and n is the point
-    count of its fine t-grid.  ``domain_error`` is the certified bound
-    (4 w_fine + w_coarse)/3 on the truncation error of ``lam``, each grid's
-    bracket width w being DOMAIN_TOL/2, so 5/6 DOMAIN_TOL up to rounding,
-    from brackets that also certify each level's index; a degenerate result
-    reports 0.
+    (a degenerate call's fine level may be settled by a factorisation, and on
+    the first domain its coarse one too, counted once for the pass that
+    centred it); a window that held no eigenvalue counts twice.
+    |z| <= L = sinh(T)/sqrt(B) is the certified domain (the last one of the
+    call), and n is the point count of its fine t-grid.  ``domain_error`` is
+    the certified bound (4 w_fine + w_coarse)/3 on the truncation error of
+    ``lam``, each grid's bracket width w being DOMAIN_TOL/2, so
+    5/6 DOMAIN_TOL up to rounding, from brackets that also certify each
+    level's index; a degenerate result reports 0.
     """
 
     lam: float
@@ -170,11 +194,13 @@ class _Grid:
 
     ``samples`` are :func:`_samples` at the nodes of grid_nodes(T, 2n + 1),
     taken here when not given.  ``centre``, a level close to this grid's (the
-    last one computed), centres the bisection window of :meth:`level`.
-    ``solves``, the bisections of the grid's last :meth:`level` (the only
-    method that sets it; 1 before), is 2 when its certified window held no
+    last one computed, or a loose one), places the window of :meth:`level`.
+    ``solves``, the eigen-solves of the grid's last :meth:`level` (the only
+    method that sets it; 1 before), is 2 where its certified window held no
     eigenvalue, so that the index selection ran after the bisection, and 1
-    otherwise."""
+    otherwise.  ``top`` is the top rho + CERTIFICATE_WIDTH |rho| of the
+    kernel's certificate of that level, the point from which T(x) - x is
+    known not to be positive definite, or inf where the level was bisected."""
 
     def __init__(self, spec: PotentialSpec, T: float, n: int, *,
                  samples: tuple[np.ndarray, np.ndarray] | None = None,
@@ -186,20 +212,24 @@ class _Grid:
         self.nu_a = spec.nu * a
         self.centre = centre
         self.solves = 1
+        self.top = math.inf
 
-    def _pencil(self, lam: float, *, neumann: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def _pencil(self, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pencil of T(lambda) - 1, -(p/z' f_t)_t - nu a z' f = (T - 1) z' f
         with p = 1/(1 + lambda + nu a), as its scaled symmetric tridiagonal
-        matrix.  The identity is left out so that T(-1) - 1 = sqrt(B) m keeps
-        its relative accuracy (|m| ~ 3e-13 at nu = 0.05).  ``neumann`` drops
-        the two end links, p_mid[0] = p_mid[-1] = 0: f' = 0 at the ends, the
-        Schur complement of the Dirac matrix without its two end g rows."""
+        matrix (diagonal, offdiagonal, Neumann diagonal).  The identity is left
+        out so that T(-1) - 1 = sqrt(B) m keeps its relative accuracy (|m| ~
+        3e-13 at nu = 0.05).  The Neumann pencil drops the two end links,
+        p_mid[0] = p_mid[-1] = 0: f' = 0 at the ends, the Schur complement of
+        the Dirac matrix without its two end g rows.  It differs only in the
+        two end diagonal entries, recomputed here as the assembly would."""
         dz_nodes = self.dz[1::2]
         p_mid = 1.0 / (self.dz[0::2] * (1.0 + lam + self.nu_a[0::2]))
-        if neumann:
-            p_mid[[0, -1]] = 0.0
-        return sturm_liouville.scaled_pencil(p_mid, -self.nu_a[1::2] * dz_nodes,
-                                             dz_nodes ** -0.5, self.h)
+        q_node, scale = -self.nu_a[1::2] * dz_nodes, dz_nodes ** -0.5
+        diag, offdiag = sturm_liouville.scaled_pencil(p_mid, q_node, scale, self.h)
+        neumann, ends = diag.copy(), [0, -1]
+        neumann[ends] = (p_mid[[1, -2]] / self.h**2 + q_node[ends]) * scale[ends] * scale[ends]
+        return diag, offdiag, neumann
 
     def threshold(self, window: tuple[float, float]) -> tuple[float, float]:
         """(m, width): T(-1) - 1 on this grid, the lowest eigenvalue of the
@@ -213,28 +243,39 @@ class _Grid:
         not.  The kernel's certificate of m has factored the last one; only
         where the kernel bisected is it factored here, so that the bracket
         never rests on a bisection."""
-        m, _, bisections = sturm_liouville.eigenvalue(*self._pencil(-1.0), window=window)
+        pencil = self._pencil(-1.0)
+        m, _, bisections = sturm_liouville.eigenvalue(*pencil[:2], window=window)
         slack = sturm_liouville.CERTIFICATE_WIDTH * abs(m)
         lo, hi = m - slack, m + slack
-        if (lo < -self.nu_a[[0, -1]].max() and self._above(-1.0, lo, neumann=True)
-                and not (bisections and self._above(-1.0, hi))):
+        if (lo < -self.nu_a[[0, -1]].max() and self._above(pencil, lo, neumann=True)
+                and not (bisections and self._above(pencil, hi))):
             return m, hi - lo
         return m, math.inf
+
+    def window(self, centre: float) -> tuple[float, float] | None:
+        """(c - w, c + w] around the level c = ``centre``, w =
+        min(LEVEL_WINDOW, (1 - c)/32), or None where it reaches -1."""
+        width = min(LEVEL_WINDOW, (1.0 - centre) / 32.0)
+        return (centre - width, centre + width) if centre - width > -1.0 else None
+
+    def centring(self) -> float:
+        """A loose level, to CENTRING_TOL, from the kernel's index selection:
+        the centre of the first window of a call, never a level it returns."""
+        return sturm_liouville._centre(*self.dirac(), self.n + 1)
 
     def level(self) -> float:
         """Eigenvalue n + 1 of the scaled staggered H, g at the midpoints
         interleaved with f at the nodes: the root of Phi on this grid, and
-        below -1 iff Phi(-1) < 0.  With a centre c and lo = c - LEVEL_WINDOW
-        > -1 it is bisected inside (lo, c + LEVEL_WINDOW], guarded by the
-        T-pencil at lo: H - lo I has the negative definite g block
-        -(1 + lo + nu a), whose Schur complement is that pencil shifted by lo."""
-        window = guard = None
-        if self.centre is not None and self.centre - LEVEL_WINDOW > -1.0:
-            window = (self.centre - LEVEL_WINDOW, self.centre + LEVEL_WINDOW)
-            guard_diag, guard_offdiag = self._pencil(window[0])
-            guard = (guard_diag + 1.0, guard_offdiag)
-        level, _, self.solves = sturm_liouville.eigenvalue(
-            *self.dirac(), index=self.n + 1, window=window, guard=guard)
+        below -1 iff Phi(-1) < 0.  With a centre whose :meth:`window` exists
+        it is the kernel's certified inverse iteration inside that window,
+        guarded at its bottom lo by the Schur complement of the g block
+        -(1 + lo + nu a), the T-pencil shifted by lo (module docstring)."""
+        window = None if self.centre is None else self.window(self.centre)
+        level, _, bisections = sturm_liouville.eigenvalue(*self.dirac(), index=self.n + 1,
+                                                          window=window)
+        self.solves = max(bisections, 1)
+        width = sturm_liouville.CERTIFICATE_WIDTH * abs(level)
+        self.top = math.inf if bisections else level + width
         return level
 
     def dirac(self) -> tuple[np.ndarray, np.ndarray]:
@@ -245,14 +286,14 @@ class _Grid:
         diag[1::2] = 1.0 - self.nu_a[1::2]
         return diag, 1.0 / (self.h * np.sqrt(self.dz[:-1] * self.dz[1:]))
 
-    def degenerate(self) -> bool:
-        """Whether this fine grid's level is at most x = (c - 3)/4, c its
-        centre (the coarse level), by one factorisation where the grid has no
-        window and the g block of H - x is negative definite (module
-        docstring); False where that does not decide it."""
-        x = 0.25 * (self.centre - 3.0)
-        return (self.centre - LEVEL_WINDOW <= -1.0 and 1.0 + x + self.nu_a[[0, -1]].min() > 0.0
-                and not self._above(x, x - 1.0))
+    def degenerate(self, lower: float) -> bool:
+        """Whether this fine grid's level is at most x = (lower - 3)/4, for a
+        ``lower`` at most the coarse level, by one factorisation where
+        ``lower`` places no window and the g block of H - x is negative
+        definite (module docstring); False where that does not decide it."""
+        x = 0.25 * (lower - 3.0)
+        return (self.window(lower) is None and 1.0 + x + self.nu_a[[0, -1]].min() > 0.0
+                and not self._above(self._pencil(x), x - 1.0))
 
     def domain_width(self, level: float) -> float:
         """Width DOMAIN_TOL/2 of (lo, hi] = level -+ DOMAIN_TOL/4 if this grid
@@ -260,30 +301,37 @@ class _Grid:
         it (module docstring), else inf.  The g block must stay negative
         definite at lo, 1 - nu a at the end samples must lie above lo, T(lo)
         - lo on the Neumann pencil must be positive definite and T(hi) - hi
-        must not, so that the bracket does not rest on the bisection.  Where
-        lo > -1, a Dirichlet side that fails raises AccuracyError: the grid's
-        level lies above hi, or at or below lo (module docstring)."""
+        must not, so that the bracket does not rest on the bisection: that
+        holds from the kernel's certificate ``top`` on, so T(hi) is factored
+        only where hi lies below it.  Where lo > -1, a Dirichlet side that
+        fails raises AccuracyError: the grid's level lies above hi, or at or
+        below lo (module docstring)."""
         lo, hi = level - 0.25 * DOMAIN_TOL, level + 0.25 * DOMAIN_TOL
         ends = self.nu_a[[0, -1]]
         if 1.0 + lo + ends.min() <= 0.0 or lo - 1.0 >= -ends.max():
             return math.inf
-        if not self._above(lo, lo - 1.0, neumann=True):
-            if lo > -1.0 and not self._above(lo, lo - 1.0):
+        pencil = self._pencil(lo)
+        if not self._above(pencil, lo - 1.0, neumann=True):
+            if lo > -1.0 and not self._above(pencil, lo - 1.0):
                 raise AccuracyError(f"the grid's level lies at or below lo = {lo!r}")
             return math.inf
-        if self._above(hi, hi - 1.0):
+        if hi < self.top and self._above(self._pencil(hi), hi - 1.0):
             if lo > -1.0:
                 raise AccuracyError(f"the grid's level lies above hi = {hi!r}")
             return math.inf
         return hi - lo
 
-    def _above(self, lam: float, shift: float, *, neumann: bool = False) -> bool:
-        """Whether T(lam) - 1 - shift is positive definite, i.e. its lowest
-        eigenvalue lies above shift; for shift = lam - 1 (Haynsworth, with the
-        g block negative definite at lam) the level of H lies above lam.
-        ``neumann`` drops the two end g rows of H."""
-        diag, offdiag = self._pencil(lam, neumann=neumann)
-        return sturm_liouville.positive_definite(diag - shift, offdiag)
+    @staticmethod
+    def _above(pencil: tuple[np.ndarray, np.ndarray, np.ndarray], shift: float, *,
+               neumann: bool = False) -> bool:
+        """Whether T(lam) - 1 - shift is positive definite, the ``pencil``
+        being :meth:`_pencil` at lam, i.e. its lowest eigenvalue lies above
+        shift; for shift = lam - 1 (Haynsworth, with the g block negative
+        definite at lam) the level of H lies above lam.  ``neumann`` takes the
+        Neumann pencil, H without its two end g rows."""
+        diag, offdiag, neumann_diag = pencil
+        return sturm_liouville.positive_definite((neumann_diag if neumann else diag) - shift,
+                                                 offdiag)
 
 
 def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointResult:
@@ -299,12 +347,13 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
     level's domain error is then at most (4 w_fine + w_coarse)/3 =
     5/6 DOMAIN_TOL.  A domain that does not certify is doubled in z, at most
     MAX_DOUBLINGS times before TruncationError, which names the last
-    extrapolated level.  Every level after the first is bisected
-    inside a certified window of LEVEL_WINDOW around the last one.  The
-    result is degenerate, lam = -1, as soon as the extrapolated level is
-    <= -1: a wider domain only lowers it, and near -1 one factorisation may
-    decide that in place of the fine solve.  A level outside its grid's
-    bracket raises AccuracyError at once.
+    extrapolated level.  Every level comes from the kernel's certified
+    inverse iteration inside a window around the last one, the first level's
+    window around a loose one.  The result is degenerate, lam = -1, as soon
+    as the extrapolated level is <= -1: a wider domain only lowers it, and
+    near -1 one factorisation may decide that in place of the fine solve,
+    and on the first domain in place of the coarse one too.  A level outside
+    its grid's bracket raises AccuracyError at once.
     """
     rootB = math.sqrt(spec.B)
     solves, centre = 0, None
@@ -312,14 +361,22 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
             lambda t: _samples(spec, t), math.asinh(rootB * _default_domain(spec)), h,
             MAX_DOUBLINGS):
         coarse = _Grid(spec, T, n, samples=coarse_samples, centre=centre)
-        level_coarse = coarse.level()
-        fine = _Grid(spec, T, 2 * n + 1, samples=fine_samples, centre=level_coarse)
-        solves += coarse.solves
-        if fine.degenerate():
-            level_fine = -math.inf  # only known to lie at or below (c - 3)/4
+        fine = _Grid(spec, T, 2 * n + 1, samples=fine_samples)
+        if centre is None:  # the call's first level: a loose one places its window
+            coarse.centre = coarse.centring()
+        # near -1 one factorisation may put the fine level at or below (c - 3)/4,
+        # on the first domain already below the loose coarse level's lower bound
+        if centre is None and fine.degenerate(coarse.centre - sturm_liouville.CENTRING_TOL):
+            level_coarse, level_fine = coarse.centre, -math.inf
+            solves += 1
         else:
-            level_fine = fine.level()
-            solves += fine.solves
+            level_coarse = fine.centre = coarse.level()
+            solves += coarse.solves
+            if fine.degenerate(level_coarse):
+                level_fine = -math.inf
+            else:
+                level_fine = fine.level()
+                solves += fine.solves
         lam = sturm_liouville.richardson_step(level_coarse, level_fine)[0]
         # a degenerate level needs no bracket, and the fine grid's bracket is
         # not tried once the coarse one failed

@@ -6,16 +6,26 @@ package needs is one eigenvalue of such a matrix, and one kernel,
 :func:`eigenvalue`, finds it.  A caller that knows where the eigenvalue lies
 passes a ``window=(lo, hi)``, used only once an LDL^T factorisation of the
 matrix shifted by ``lo`` (LAPACK dpttrf, the pivot recurrence of the Sturm
-count) certifies that no eigenvalue lies at or below ``lo`` (Sylvester).  For
-the lowest eigenvalue those factors drive inverse iteration (dpttrs), y =
-(A - lo)^-1 x from a unit x, with the value rho = lo + x^T y / |y|^2, the
-Rayleigh quotient of y taken relative to lo: x^T A x is never formed, since
-its terms ~1/h^2 would cancel against an eigenvalue as small as
-sigma_1 ~ -e^-157 of the log-kappa pencil.  It stops once rho settles
-(SETTLE_TOL), 3-11 steps on the package's pencils, and two more
-factorisations certify rho (Parlett, The Symmetric Eigenvalue Problem): the
-matrix less rho - c |rho| is positive definite and less rho + c |rho| is
-not, c = CERTIFICATE_WIDTH, with rho in (lo, hi].  On these graded matrices
+count) certifies that no eigenvalue lies at or below ``lo`` (Sylvester).
+Those factors drive inverse iteration (dpttrs), y = (A - lo)^-1 x from a
+unit x, with the value rho = lo + x^T y / |y|^2, the Rayleigh quotient of y
+taken relative to lo: x^T A x is never formed, since its terms ~1/h^2 would
+cancel against an eigenvalue as small as sigma_1 ~ -e^-157 of the log-kappa
+pencil.  It stops once rho settles (SETTLE_TOL), 3-11 steps on the
+package's pencils, and two more factorisations certify rho (Parlett, The
+Symmetric Eigenvalue Problem): the matrix less rho - c |rho| is positive
+definite and less rho + c |rho| is not, c = CERTIFICATE_WIDTH, with rho in
+(lo, hi].  An eigenvalue above the lowest is windowed the same way on a
+staggered matrix, a Dirac matrix whose n + 1 even rows couple only to its n
+odd ones, for its eigenvalue number n + 1, the lowest above the even rows'
+block: while that block less lo is negative definite, the Schur complement
+S of it in the matrix less lo, tridiagonal on the odd rows, has as many
+negative eigenvalues as the matrix has beyond n + 1 below lo (Haynsworth
+inertia additivity).  So a positive definite S certifies the count at lo,
+and its factors solve (A - lo) y = x by eliminating the even rows, one
+dpttrs solve with S, and substituting back; the certificate factors S at
+rho -+ c |rho|.  groundstate's level is that eigenvalue, 3-6 steps from the
+bottom of its window.  On these graded matrices
 rho agrees with relative-accuracy bisection to a few 1e-10 of itself, the
 relative accuracy that Barlow and Demmel (SIAM J. Numer. Anal. 27, 1990)
 predict for scaled diagonally dominant matrices.  The eigenvector is
@@ -23,16 +33,13 @@ the last unit iterate, at no extra cost.  Sturm-sequence bisection (LAPACK
 dstebz through ``scipy.linalg.eigh_tridiagonal``) is the fallback, under a
 single accuracy policy: it runs to relative accuracy (``RELATIVE_TOL``), so
 badly scaled coefficient ranges cannot degrade small eigenvalues.  It bisects
-inside (lo, hi] where a certificate fails, from the Gershgorin interval
+inside (lo, hi] where a certificate fails, and from the Gershgorin interval
 (about log2(width / |lambda|) steps before the relative ones, ~290 for
-lambda ~ e^-157) where there is no window, and inside a guarded window.  An
-eigenvalue above the lowest, number k, may be windowed when the caller
-passes a guard: a tridiagonal G whose factorisation G - lo I certifies that
-exactly k eigenvalues lie at or below ``lo``, such as the Schur complement
-of a block known to hold k negative eigenvalues (Haynsworth inertia
-additivity); groundstate's level is one, bisected inside its window.  A
-failed certificate or an empty window falls back to the index selection, so
-the kernel always returns eigenvalue k.  A weight, -(p f')' + q f = lambda w f,
+lambda ~ e^-157) where there is no window.  A window that is empty or not
+certified falls back to the index selection, so the kernel always returns
+eigenvalue k.  The one looser bisection, :func:`_centre` to CENTRING_TOL,
+centres the window of an eigenvalue that has no value near it yet; the
+kernel never returns its value.  A weight, -(p f')' + q f = lambda w f,
 makes the pencil (A, diag(w)); :func:`scaled_pencil` returns the symmetric
 tridiagonal matrix with the same eigenvalues.  The problems posed
 on the sinh-mapped grid sqrt(B) z = sinh(t) (critical_field.m_delta and
@@ -76,9 +83,8 @@ __all__ = [
 #: LAPACK bisection absolute tolerance, so small that bisection runs to
 #: relative accuracy, as the sinh-mapped and log-kappa pencils need (|m| ~
 #: 3e-13 at delta = 0.05, sigma_1 ~ -e^-157 at delta = 0.01).  Bisection is
-#: the fallback of the lowest eigenvalue's certified inverse iteration, and
-#: the solve of every other eigenvalue; inside a certified window it takes
-#: ~53 steps
+#: the fallback of the certified inverse iteration, and the solve of an
+#: eigenvalue with no window; inside a certified window it takes ~53 steps
 RELATIVE_TOL = 1e-300
 
 #: relative half-width c of the certificate of an inverse-iteration value rho:
@@ -88,17 +94,28 @@ RELATIVE_TOL = 1e-300
 #: in [0.01, 0.7], h default, 0.02, 0.1 and 0.5) certifies but both grids of
 #: delta = 0.01 at h = 0.02 (18 707 rows and more, where the float floor of
 #: log B_L is 2e-5); at 1e-10, 9 do not.  The certified values lie within
-#: 3.8e-10 relative of the index selection's bisection.  It is also the
-#: half-width of the direct route's domain bracket
-#: (groundstate._Grid.threshold), whose Dirichlet side is the certificate's top
+#: 3.8e-10 relative of the index selection's bisection.  Every ground level
+#: solve with a window certifies too (164 specs over nu 0.05-0.9, B 1e-3-1e8,
+#: ell 0, 1, 3 and B/B_L 0.99-1.01), within 2.6e-11 of the bisected level.
+#: It is also the half-width of the direct route's domain bracket
+#: (groundstate._Grid.threshold), whose Dirichlet side is the certificate's
+#: top, and it spares the ground level's bracket its Dirichlet side
 CERTIFICATE_WIDTH = 1e-9
 
 #: inverse iteration stops once its value moves by at most SETTLE_TOL of
-#: itself in one step, 3-11 steps on those pencils, or after
+#: itself in one step, 3-11 steps on those pencils and 3-6 on the ground
+#: level's Dirac matrices, or after
 #: MAX_INVERSE_STEPS steps; either way the certificate decides.  Capped at 6
 #: steps, the direct route's solves at delta >= 0.91 do not certify
 SETTLE_TOL = 1e-12
 MAX_INVERSE_STEPS = 60
+
+#: absolute tolerance of the loose index selection (:func:`_centre`) that
+#: centres the window of an eigenvalue with no value near it yet: on the
+#: ground level's Dirac matrices it bisects 23-34 times from the Gershgorin
+#: interval against 55-66 to relative accuracy, and takes 0.57-0.63 of the
+#: time.  The certified solve inside that window returns the value
+CENTRING_TOL = 1e-6
 
 #: Hard cap on interior grid points during domain doubling.
 MAX_GRID_POINTS = 16_000_000
@@ -223,7 +240,6 @@ def positive_definite(diag: np.ndarray, offdiag: np.ndarray) -> bool:
 
 def eigenvalue(diag: np.ndarray, offdiag: np.ndarray, *, index: int = 0,
                window: tuple[float, float] | None = None,
-               guard: tuple[np.ndarray, np.ndarray] | None = None,
                vector: bool = False) -> tuple[float, np.ndarray | None, int]:
     """(eigenvalue number ``index`` (0-based, ascending; the lowest by
     default) of the symmetric tridiagonal matrix (diag, offdiag), its unit
@@ -231,34 +247,35 @@ def eigenvalue(diag: np.ndarray, offdiag: np.ndarray, *, index: int = 0,
     accuracy.
 
     ``window=(lo, hi)`` is used once dpttrf certifies that exactly ``index``
-    eigenvalues lie at or below ``lo``.  For the lowest eigenvalue the
-    certificate factors the matrix shifted by ``lo``, and inverse iteration
-    from those factors returns the value rho with its vector, certified by
-    factorisations at rho -+ CERTIFICATE_WIDTH |rho| and rho in (lo, hi]
-    (module docstring); it lies within CERTIFICATE_WIDTH |rho| of the index
-    selection's bisection, and no bisection runs.  Any other index needs a
-    ``guard=(G_diag, G_offdiag)``, a tridiagonal matrix for which a
-    successful factorisation of G - lo I certifies the count (a Schur
-    complement, by Haynsworth inertia additivity); without one a window
-    raises ValueError.  Where the inverse iteration is not certified, and on
-    a guarded window, bisection runs inside (lo, hi], and where that window
-    is empty or not certified, the index selection runs instead; an empty
-    certified window counts two bisections.  A windowed bisection may differ
-    from the index selection in the last bit or two, since it starts from
-    another interval, and its eigenvector costs an inverse-iteration solve
-    more.
+    eigenvalues lie at or below ``lo``: for the lowest eigenvalue it factors
+    the matrix less ``lo``; above the lowest the matrix must be staggered
+    (:func:`_shifted`), with ``index`` its count of even rows, and it factors
+    the Schur complement of their block less ``lo`` (Haynsworth); any other
+    windowed index raises ValueError.  Inverse iteration from those factors
+    returns the value rho with its vector, certified by factorisations at
+    rho -+ CERTIFICATE_WIDTH |rho| and rho in (lo, hi] (module docstring); it
+    lies within CERTIFICATE_WIDTH |rho| of the index selection's bisection,
+    and no bisection runs.  Where the inverse iteration is not certified,
+    bisection runs inside (lo, hi], and where that window is empty or not
+    certified, the index selection runs instead; an empty certified window
+    counts two bisections.  A windowed bisection may differ from the index
+    selection in the last bit or two, since it starts from another interval,
+    and its eigenvector costs an inverse-iteration solve more.
     """
     selections = [("i", (index, index))]
     if window is not None:
-        if guard is None and index != 0:
-            raise ValueError("a window above the lowest eigenvalue needs a guard")
-        guard_diag, guard_offdiag = (diag, offdiag) if guard is None else guard
-        factor_d, factor_e, info = dpttrf(guard_diag - window[0], guard_offdiag)
+        staggered = index > 0
+        if staggered and 2 * index != diag.size + 1:
+            raise ValueError("a window above the lowest eigenvalue needs a staggered matrix "
+                             "whose even rows number index")
+        shifted = _shifted(diag, offdiag, window[0], staggered)
+        factor_d, factor_e, info = dpttrf(*shifted) if shifted is not None else (None, None, 1)
         if info == 0:
-            if guard is None:
-                found = _inverse_iteration(diag, offdiag, window, factor_d, factor_e)
-                if found is not None:
-                    return found[0], found[1] if vector else None, 0
+            found = _inverse_iteration(diag, offdiag, window, staggered,
+                                       _solver(diag, offdiag, window[0], staggered,
+                                               factor_d, factor_e))
+            if found is not None:
+                return found[0], found[1] if vector else None, 0
             selections.insert(0, ("v", window))
     for bisections, (select, select_range) in enumerate(selections, 1):
         found = eigh_tridiagonal(diag, offdiag, eigvals_only=not vector, select=select,
@@ -269,27 +286,102 @@ def eigenvalue(diag: np.ndarray, offdiag: np.ndarray, *, index: int = 0,
     return float(values[0]), None if vectors is None else vectors[:, 0], bisections
 
 
+def _centre(diag: np.ndarray, offdiag: np.ndarray, index: int) -> float:
+    """Eigenvalue ``index`` of (diag, offdiag) by the index selection to
+    CENTRING_TOL only: the centre of a window inside which :func:`eigenvalue`
+    then certifies the eigenvalue, never a value the package returns."""
+    return float(eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
+                                  select_range=(index, index), tol=CENTRING_TOL)[0])
+
+
+def _shifted(diag: np.ndarray, offdiag: np.ndarray, shift: float,
+             staggered: bool) -> tuple[np.ndarray, np.ndarray] | None:
+    """The tridiagonal matrix whose positive definiteness certifies that the
+    eigenvalues at or below ``shift`` are exactly those below the sought one:
+    the matrix less ``shift`` for the lowest eigenvalue.
+
+    A staggered matrix of size 2n + 1 has its n + 1 even rows coupled only to
+    its odd neighbours (a Dirac matrix, g at the even rows and f at the odd
+    ones); while the block of its even rows less ``shift`` is negative
+    definite, it has n + 1 + (the negative eigenvalues of the Schur
+    complement S of that block) eigenvalues below ``shift`` (Haynsworth
+    inertia additivity), so a positive definite S puts exactly n + 1 there.
+    S is returned, tridiagonal on the odd rows, or None where that block is
+    not negative definite."""
+    if not staggered:
+        return diag - shift, offdiag
+    g = diag[0::2] - shift
+    if not g.max() < 0.0:
+        return None
+    left, right = offdiag[0::2], offdiag[1::2]
+    return (diag[1::2] - shift - left * left / g[:-1] - right * right / g[1:],
+            -right[:-1] * left[1:] / g[1:-1])
+
+
+def _solver(diag: np.ndarray, offdiag: np.ndarray, shift: float, staggered: bool,
+            factor_d: np.ndarray, factor_e: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> (A - shift)^-1 x from the dpttrf factors of :func:`_shifted`: one
+    dpttrs solve, on a staggered matrix of the Schur complement S between
+    eliminating the even rows' block G and substituting back,
+    S y_odd = x_odd - C^T G^-1 x_even, y_even = G^-1 (x_even - C y_odd)."""
+    if not staggered:
+        return lambda x: dpttrs(factor_d, factor_e, x)[0]
+    g = diag[0::2] - shift
+    left, right = offdiag[0::2], offdiag[1::2]
+
+    def solve(x):
+        u = x[0::2] / g
+        y = np.empty_like(x)
+        y_odd = y[1::2] = dpttrs(factor_d, factor_e, x[1::2] - left * u[:-1] - right * u[1:])[0]
+        coupled = np.zeros_like(u)
+        coupled[:-1] = left * y_odd
+        coupled[1:] += right * y_odd
+        y[0::2] = u - coupled / g
+        return y
+
+    return solve
+
+
+def _sought_above(diag: np.ndarray, offdiag: np.ndarray, shift: float,
+                  staggered: bool) -> bool:
+    """Whether the sought eigenvalue lies above ``shift``: :func:`_shifted`
+    factors positive definite there.  False also where a staggered matrix's
+    even block less ``shift`` is not negative definite, which a certificate
+    meets only at its bottom: its top lies above lo, where the block was."""
+    shifted = _shifted(diag, offdiag, shift, staggered)
+    return shifted is not None and positive_definite(*shifted)
+
+
 def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, window: tuple[float, float],
-                       factor_d: np.ndarray, factor_e: np.ndarray
+                       staggered: bool, solve: Callable[[np.ndarray], np.ndarray]
                        ) -> tuple[float, np.ndarray] | None:
-    """(rho, unit x): the lowest eigenvalue of (diag, offdiag) and its
-    eigenvector by inverse iteration with the dpttrf factors of the matrix
-    less lo, window = (lo, hi), or None where rho is not certified."""
+    """(rho, unit x): the sought eigenvalue of (diag, offdiag) and its
+    eigenvector by inverse iteration, ``solve`` applying the inverse of the
+    matrix less lo, window = (lo, hi), or None where rho is not certified."""
     lo, hi = window
     # with negative off-diagonals, as on every pencil here, the lowest
-    # eigenvector has one sign, so the uniform start overlaps it
-    x = np.full(diag.size, diag.size ** -0.5)
+    # eigenvector has one sign, so the uniform start overlaps it.  The Schur
+    # complement of a staggered matrix with positive couplings, as the Dirac
+    # matrix's, has positive off-diagonals, and its lowest eigenvector, the
+    # sought one's odd rows, alternates in sign: so does the start there,
+    # with 0 on the even rows
+    if staggered:
+        x = np.zeros(diag.size)
+        x[1::4], x[3::4] = 1.0, -1.0
+        x /= math.sqrt(float(x @ x))
+    else:
+        x = np.full(diag.size, diag.size ** -0.5)
     rho = math.inf
     for _ in range(MAX_INVERSE_STEPS):
-        y = dpttrs(factor_d, factor_e, x)[0]
+        y = solve(x)
         norm = math.sqrt(float(y @ y))
         last, rho = rho, lo + float(x @ y) / norm**2
         x = y / norm
         if not abs(rho - last) > SETTLE_TOL * abs(rho):  # a nan stops too, uncertified
             break
     width = CERTIFICATE_WIDTH * abs(rho)
-    if (lo < rho <= hi and positive_definite(diag - (rho - width), offdiag)
-            and not positive_definite(diag - (rho + width), offdiag)):
+    if (lo < rho <= hi and _sought_above(diag, offdiag, rho - width, staggered)
+            and not _sought_above(diag, offdiag, rho + width, staggered)):
         return rho, x
     return None
 

@@ -33,6 +33,10 @@ Each takes a different route from the library's one evaluation path:
   sinh-mapped grids, T by the index selection of the T-pencil, whose root
   the grid's level must be; at the level |Phi| stays within
   ``RESIDUAL_FLOOR`` times its float floor.
+- ``bisected_ground_level`` is ground_state_lambda as it was before its
+  levels came from certified inverse iteration: every level by the index
+  selection's bisection of the staggered Dirac matrix, degeneracy read off
+  the extrapolated level, on the same domains and brackets.
 - ``evaluate_GB_quad`` sums the zero-mode trial functional by adaptive
   ``quad`` of point-wise integrands, with the kinetic weight from ``w_ell``,
   where ``trial_bounds.evaluate_GB`` uses fixed Gauss-Legendre panels and one
@@ -66,7 +70,7 @@ from landaucrit import groundstate, sturm_liouville
 from landaucrit import potentials as pot
 from landaucrit.potentials import PotentialSpec, VariableMap
 from landaucrit.sturm_liouville import EigenResult, SturmLiouvilleProblem
-from landaucrit.errors import AccuracyError
+from landaucrit.errors import AccuracyError, TruncationError
 from landaucrit.trial_bounds import TrialEvaluation, TrialState, _check_positive_finite, _panel_edges
 
 _QUAD_OPTS = dict(epsabs=1e-300, epsrel=1e-13, limit=400)
@@ -342,10 +346,31 @@ def phi_on(grid: groundstate._Grid, lam: float) -> tuple[float, float]:
     """(Phi(lambda) = T(lambda) - lambda, the float floor eps max|diag| of
     T) on ``grid``; T(lambda) is the lowest eigenvalue of the grid's pencil
     of T - 1 plus the identity."""
-    diag, offdiag = grid._pencil(lam)
+    diag, offdiag, _ = grid._pencil(lam)
     diag += 1.0
     T = sturm_liouville.eigenvalue(diag, offdiag)[0]
     return T - lam, float(np.finfo(float).eps * np.max(np.abs(diag)))
+
+
+def bisected_ground_level(spec: PotentialSpec, *, h: float = 0.025) -> tuple[float, bool]:
+    """(lam, degenerate) of ``ground_state_lambda(spec, h=h)`` with each level
+    bisected to relative accuracy by the index selection (a grid with no
+    centre), no window, no centring pass and no factorisation in place of a
+    level: the extrapolated level of the first domain where both grids
+    certify their brackets, or the degenerate -1 once it is <= -1."""
+    rootB = math.sqrt(spec.B)
+    for T, n, coarse, fine in sturm_liouville._mapped_domains(
+            lambda t: groundstate._samples(spec, t),
+            math.asinh(rootB * groundstate._default_domain(spec)), h, groundstate.MAX_DOUBLINGS):
+        grids = (groundstate._Grid(spec, T, n, samples=coarse),
+                 groundstate._Grid(spec, T, 2 * n + 1, samples=fine))
+        levels = [grid.level() for grid in grids]
+        lam = sturm_liouville.richardson_step(*levels)[0]
+        if lam <= -1.0:
+            return -1.0, True
+        if all(grid.domain_width(level) < math.inf for grid, level in zip(grids, levels)):
+            return lam, False
+    raise TruncationError(f"bisected ground level {lam!r} not certified", last_values=(lam,))
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +454,15 @@ def evaluate_GB_two_pass(nu: float, B: float, trial: TrialState, *,
 #: path of a kernel call whose inverse iteration was certified
 INVERSE = ("inverse",)
 
+#: path of a centring pass (sturm_liouville._centre): a loose index
+#: selection whose value only places the window of a certified solve
+CENTRE = ("centre",)
+
 
 class Solve(NamedTuple):
     """One call of sturm_liouville.eigenvalue: the rows of its matrix, and
     its path, INVERSE or the ``select`` of each bisection in order (("v",),
-    ("v", "i") or ("i",))."""
+    ("v", "i") or ("i",)); or one centring pass, with the path CENTRE."""
 
     rows: int
     path: tuple[str, ...]
@@ -450,12 +479,18 @@ class SolveLog(list):
 
 def record_solves(monkeypatch) -> SolveLog:
     """A SolveLog of every call of sturm_liouville.eigenvalue from now on,
-    made through the module attribute (the library's own calls are)."""
+    made through the module attribute (the library's own calls are), and of
+    every centring pass: a bisection to another tolerance than the kernel's
+    RELATIVE_TOL, whose value the kernel never returns."""
     log, selects = SolveLog(), []
     real_eigenvalue, real_eigh = sturm_liouville.eigenvalue, sturm_liouville.eigh_tridiagonal
 
     def bisection(*args, **kwargs):
-        selects.append(kwargs["select"])
+        if kwargs["tol"] == sturm_liouville.RELATIVE_TOL:
+            selects.append(kwargs["select"])
+        else:
+            log.append(Solve(len(args[0]), CENTRE))
+            log.steps.extend(CENTRE)
         return real_eigh(*args, **kwargs)
 
     def eigenvalue(diag, offdiag, **kwargs):

@@ -231,14 +231,14 @@ class TestDirectCertificate:
         checks = []
         real = groundstate._Grid._above
 
-        def above(grid, lam, shift, *, neumann=False):
+        def above(pencil, shift, *, neumann=False):
             if neumann:
-                checks.append(grid.n)
+                checks.append(pencil[0].size)
                 if len(checks) <= 2:
                     return False
-            return real(grid, lam, shift, neumann=neumann)
+            return real(pencil, shift, neumann=neumann)
 
-        monkeypatch.setattr(groundstate._Grid, "_above", above)
+        monkeypatch.setattr(groundstate._Grid, "_above", staticmethod(above))
         solves = record_solves(monkeypatch)
         got = cf.m_delta(0.5)
         assert (len(checks), len(solves)) == (4, 4)
@@ -255,14 +255,14 @@ class TestDirectCertificate:
         dirichlet = []
         real = groundstate._Grid._above
 
-        def above(grid, lam, shift, *, neumann=False):
+        def above(pencil, shift, *, neumann=False):
             if not neumann:
-                dirichlet.append(grid.n)
+                dirichlet.append(pencil[0].size)
                 if len(dirichlet) <= 2:
                     return True
-            return real(grid, lam, shift, neumann=neumann)
+            return real(pencil, shift, neumann=neumann)
 
-        monkeypatch.setattr(groundstate._Grid, "_above", above)
+        monkeypatch.setattr(groundstate._Grid, "_above", staticmethod(above))
         assert (cf.m_delta(0.5), dirichlet) == (want, [])
         monkeypatch.setattr(sturm_liouville, "MAX_INVERSE_STEPS", 1)
         solves = record_solves(monkeypatch)

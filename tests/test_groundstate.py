@@ -18,8 +18,8 @@ from landaucrit.errors import AccuracyError, TruncationError
 from landaucrit.groundstate import FixedPointResult, ground_state_lambda, ground_state_per_ell
 from landaucrit.potentials import PotentialSpec, a_ell_grid
 
-from _reference import (INVERSE, RESIDUAL_FLOOR, T_of_lambda, phi_on, record_factorisations,
-                        record_solves)
+from _reference import (CENTRE, INVERSE, RESIDUAL_FLOOR, T_of_lambda, bisected_ground_level,
+                        phi_on, record_factorisations, record_solves)
 
 
 # --- independent oracle -----------------------------------------------------
@@ -70,19 +70,6 @@ def record_eigensolves(monkeypatch):
 
     monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", recording)
     return calls
-
-
-def record_selects(monkeypatch):
-    """``select`` of every eigen-solve made through sturm_liouville from now on."""
-    selects = []
-    real = sturm_liouville.eigh_tridiagonal
-
-    def recording(*args, **kwargs):
-        selects.append(kwargs["select"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sturm_liouville, "eigh_tridiagonal", recording)
-    return selects
 
 
 def oracle_lambda(nu, B, L=60.0, ell=0):
@@ -171,14 +158,16 @@ class TestGroundState:
         solves, factored = record_solves(monkeypatch), record_factorisations(monkeypatch)
         res = ground_state_lambda(PotentialSpec(0.5, 1.0), h=0.05)
         assert len(grids) >= 4 and len(grids) == res.iterations
-        # only the first level bisects from the Gershgorin interval: the next
-        # domain's coarse grid is windowed on the last fine level
-        assert solves.steps == ["i"] + ["v"] * (len(grids) - 1)
-        # the first domain's coarse bracket fails on its Neumann side (with
-        # the Dirichlet check at lo), and its fine bracket is not tried: one
-        # window guard and two factorisations there, three guards and two
-        # brackets of two on the second domain
-        assert len(factored) == 9
+        # a loose centring pass places the first level's window, and every
+        # level is certified inside its window: the next domain's coarse grid
+        # is windowed on the last fine level
+        assert solves.steps == ["centre"] + ["inverse"] * len(grids)
+        # each level factors three times: its window guard and its
+        # certificate's two.  The first domain's coarse bracket fails on its
+        # Neumann side (with the Dirichlet check at lo), and its fine bracket
+        # is not tried; on the second domain each bracket factors its Neumann
+        # side only, since the certificate's top lies below its Dirichlet side
+        assert len(factored) == 3 * len(grids) + 2 + 2
         coarse, fine = grids[0::2], grids[1::2]
         for (T, n), (T_fine, n_fine) in zip(coarse, fine):
             assert n == sturm_liouville.odd_points(T, 0.05) and n % 2 == 1
@@ -248,32 +237,36 @@ class TestGroundState:
         assert len(grids) == 2
 
     def test_eigensolve_count(self, monkeypatch):
-        calls = record_eigensolves(monkeypatch)
+        # one solve per level, each certified; the centring pass before them
+        # bisects, and is not a level
+        calls, solves = record_eigensolves(monkeypatch), record_solves(monkeypatch)
         res = ground_state_lambda(PotentialSpec(0.3, 2.0))
-        assert 0 < len(calls) == res.iterations <= 8
+        assert [solve.path for solve in solves] == [CENTRE, INVERSE, INVERSE]
+        assert len(calls) == 1 and res.iterations == 2
 
     @pytest.mark.parametrize("nu,B,ell", [(0.2, 0.4, 1), (0.3, 2.0, 0), (0.65, 50.0, 3),
                                           (0.1, 1e8, 0), (0.05, 1e-3, 0), (0.6, 1e-3, 3)])
     def test_every_solve_after_the_first_is_windowed(self, monkeypatch, nu, B, ell):
-        # the first coarse level is selected by index; the fine levels and
-        # the next domain's coarse level bisect inside certified windows
-        # around the last level, with no miss
-        selects = record_selects(monkeypatch)
+        # the first solve, a loose index selection, centres the first level's
+        # window; every level, the first included, is then certified by
+        # inverse iteration inside its window, with no miss
+        solves = record_solves(monkeypatch)
         res = ground_state_lambda(PotentialSpec(nu, B, ell))
-        assert selects == ["i"] + ["v"] * (res.iterations - 1)
+        assert solves.steps == ["centre"] + ["inverse"] * res.iterations
 
     def test_iterations_count_a_missed_window(self, monkeypatch):
-        # a window far narrower than the coarse-to-fine shift misses; a
-        # certified but empty one costs a second eigen-solve, the index
-        # selection, and iterations counts it
+        # a window far narrower than the centring pass's accuracy and the
+        # coarse-to-fine shift misses; a certified but empty one costs a
+        # second eigen-solve, the index selection, and iterations counts it
         spec = PotentialSpec(0.3, 2.0)
         want = ground_state_lambda(spec).lam
         monkeypatch.setattr(groundstate, "LEVEL_WINDOW", 1e-13)
-        selects = record_selects(monkeypatch)
+        solves = record_solves(monkeypatch)
         res = ground_state_lambda(spec)
-        assert res.iterations == len(selects)
-        assert "vi" in "".join(selects)
-        assert res.lam == pytest.approx(want, rel=1e-15)
+        levels = [solve.path for solve in solves if solve.path != CENTRE]
+        assert res.iterations == sum(map(len, levels))
+        assert ("v", "i") in levels and INVERSE not in levels
+        assert res.lam == pytest.approx(want, rel=sturm_liouville.CERTIFICATE_WIDTH)
 
     def test_nothing_outlives_a_call(self, monkeypatch):
         # the same call twice does the same work: one potential pass of
@@ -298,8 +291,9 @@ class TestGroundState:
         assert 2 * len(points) == first.iterations and points[-1] == 2 * first.n + 1
 
     def test_degenerate_call_is_one_domain(self, monkeypatch):
-        # the extrapolated level of the first domain is <= -1: the coarse
-        # level solve, and one factorisation in place of the fine one
+        # the extrapolated level of the first domain is <= -1: the pass that
+        # centres the coarse level, and one factorisation from its lower
+        # bound in place of both levels
         calls = record_eigensolves(monkeypatch)
         res = ground_state_lambda(PotentialSpec(0.85, 1e4))
         assert res.degenerate
@@ -349,7 +343,7 @@ class TestDegenerateDecision:
         for r in (0.99, 0.999, 1.001, 1.01):
             coarse, fine = first_pair(PotentialSpec(nu, r * B_L, ell))
             want = sturm_liouville.richardson_step(coarse, fine.level())[0] <= -1.0
-            assert fine.degenerate() == want, r
+            assert fine.degenerate(coarse) == want, r
             # past B_L the lowest level is degenerate
             assert want or r < 1.0 or ell > 0
 
@@ -360,7 +354,28 @@ class TestDegenerateDecision:
         # the zspace_scan lattice's degenerate calls, and one far past B_L
         coarse, fine = first_pair(PotentialSpec(nu, B, ell))
         assert sturm_liouville.richardson_step(coarse, fine.level())[0] <= -1.0
-        assert fine.degenerate()
+        assert fine.degenerate(coarse)
+
+    @pytest.mark.parametrize("nu,B,ell", [(0.85, 1e4, 0), (0.9, 1e4, 0), (0.65, 200.0, 0),
+                                          (0.75, 100.0, 0), (0.75, 200.0, 0), (0.75, 200.0, 1),
+                                          (0.3, 1.001, None), (0.3, 1.01, None),
+                                          (0.65, 1.001, None), (0.65, 1.01, None)])
+    def test_loose_lower_bound_decides_as_the_coarse_level(self, nu, B, ell):
+        # the first domain decides from the centring pass, c_loose -
+        # CENTRING_TOL <= c, what the coarse level c itself decides: on the
+        # zspace_scan lattice's degenerate calls, and just past B_L (B given
+        # as B/B_L there, at ell 0 and 1)
+        specs = [PotentialSpec(nu, B, ell)] if ell is not None else [
+            PotentialSpec(nu, B * math.exp(critical_field_direct(nu).log_BL), ell)
+            for ell in (0, 1)]
+        for spec in specs:
+            coarse, fine = first_pair(spec)
+            T = math.asinh(math.sqrt(spec.B) * groundstate._default_domain(spec))
+            loose = groundstate._Grid(spec, T, (fine.n - 1) // 2).centring()
+            assert abs(loose - coarse) <= sturm_liouville.CENTRING_TOL
+            lower = loose - sturm_liouville.CENTRING_TOL
+            assert fine.degenerate(lower) == fine.degenerate(coarse), spec
+            assert fine.degenerate(lower) == ground_state_lambda(spec).degenerate, spec
 
     @pytest.mark.parametrize("coarse", [-1.5, -1.05])
     def test_no_decision_where_the_g_block_is_not_negative_definite(self, coarse):
@@ -371,8 +386,93 @@ class TestDegenerateDecision:
         _, fine = first_pair(spec)
         forced = groundstate._Grid(spec, math.asinh(groundstate._default_domain(spec)), fine.n,
                                    centre=coarse)
-        assert not forced._above(0.25 * (coarse - 3.0), 0.25 * (coarse - 3.0) - 1.0)
-        assert not forced.degenerate() and forced.level() > 0.7
+        x = 0.25 * (coarse - 3.0)
+        assert not forced._above(forced._pencil(x), x - 1.0)
+        assert not forced.degenerate(coarse) and forced.level() > 0.7
+
+
+def check_lattice():
+    """nu 0.05-0.9, B 1e-3-1e8 and ell 0, 1, 3 (144 specs), and B/B_L in
+    {0.99, 0.999, 0.9998, 1.001, 1.01} at nu 0.3 and 0.65, ell 0 and 1 (20)."""
+    specs = [PotentialSpec(nu, B, ell) for nu in (0.05, 0.1, 0.3, 0.5, 0.65, 0.9)
+             for B in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, 1e5, 1e8) for ell in (0, 1, 3)]
+    for nu in (0.3, 0.65):
+        B_L = math.exp(critical_field_direct(nu).log_BL)
+        specs += [PotentialSpec(nu, r * B_L, ell) for r in (0.99, 0.999, 0.9998, 1.001, 1.01)
+                  for ell in (0, 1)]
+    return specs
+
+
+class TestCertifiedLevel:
+    """Every level by the kernel's certified inverse iteration inside its
+    window, the first window centred by a loose pass; bisection is the
+    fallback, so the result is the bisected level's (``bisected_ground_level``)."""
+
+    def test_check_lattice_matches_the_bisection_oracle(self, monkeypatch):
+        # only the levels within LEVEL_WINDOW of -1 of the four non-degenerate
+        # specs at B/B_L 0.999 and 0.9998, ell 0, have no window: the index
+        # selection solves both of their grids
+        solves = record_solves(monkeypatch)
+        uncertified = []
+        for spec in check_lattice():
+            start = len(solves)
+            res = ground_state_lambda(spec)
+            paths = [solve.path for solve in solves[start:]]
+            lam, degenerate = bisected_ground_level(spec)
+            assert abs(res.lam - lam) <= 1e-10, spec
+            assert res.degenerate == degenerate, spec
+            assert paths[0] == CENTRE and CENTRE not in paths[1:], spec
+            uncertified += [(spec, path) for path in paths[1:] if path != INVERSE]
+            # one solve per level, two where a window missed; a degenerate call
+            # whose fine grid was settled from the centring pass counts that pass
+            assert res.iterations == max(1, sum(map(len, paths[1:]))), spec
+        assert len(uncertified) == 8
+        assert all(path == ("i",) and spec.B > 100.0 and spec.ell == 0 and spec.nu in (0.3, 0.65)
+                   for spec, path in uncertified)
+
+    def test_unsettled_iteration_falls_back_to_the_bisection(self, monkeypatch):
+        # one inverse step does not certify: each level is bisected inside
+        # its window, as before inverse iteration, to a few ulp of the index
+        # selection
+        spec = PotentialSpec(0.3, 2.0, 1)
+        want, _ = bisected_ground_level(spec)
+        monkeypatch.setattr(sturm_liouville, "MAX_INVERSE_STEPS", 1)
+        solves = record_solves(monkeypatch)
+        res = ground_state_lambda(spec)
+        assert [solve.path for solve in solves] == [CENTRE, ("v",), ("v",)]
+        assert abs(res.lam - want) <= 8.0 * np.spacing(want)
+
+    def test_shift_converging_to_the_next_eigenvalue_below_falls_back(self, monkeypatch):
+        # a window whose bottom lies just above -1: the shift is closer to
+        # eigenvalue n, the top of the lower continuum, than to the level,
+        # the iteration converges there, below the window, and the level is
+        # bisected inside the window
+        spec = PotentialSpec(0.5, 1.0)
+        want, _ = bisected_ground_level(spec)
+        monkeypatch.setattr(groundstate._Grid, "window",
+                            lambda self, centre: (-1.0 + 1e-6, centre + 1e-3))
+        solves = record_solves(monkeypatch)
+        res = ground_state_lambda(spec)
+        assert [solve.path for solve in solves] == [CENTRE, ("v",), ("v",)]
+        assert abs(res.lam - want) <= 8.0 * np.spacing(want)
+
+    @pytest.mark.parametrize("miss, path", [(10.0, ("i",)), (-10.0, ("v", "i"))],
+                             ids=["above", "below"])
+    def test_missed_centring_falls_back_to_the_index_selection(self, monkeypatch, miss, path):
+        # a loose centre 10 windows off: above the level the Schur complement
+        # at the window's bottom is not positive definite; below, the window
+        # is certified but empty.  The coarse level is then the index
+        # selection's, and the fine one is certified around it
+        spec = PotentialSpec(0.3, 2.0)
+        want, _ = bisected_ground_level(spec)
+        real = sturm_liouville._centre
+        monkeypatch.setattr(sturm_liouville, "_centre", lambda *args: real(*args)
+                            + miss * groundstate.LEVEL_WINDOW)
+        solves = record_solves(monkeypatch)
+        res = ground_state_lambda(spec)
+        assert [solve.path for solve in solves] == [CENTRE, path, INVERSE]
+        assert res.iterations == len(path) + 1
+        assert abs(res.lam - want) <= sturm_liouville.CERTIFICATE_WIDTH * abs(want)
 
 
 def first_grid(spec, L=None, h=0.025):
@@ -453,10 +553,11 @@ class TestDomainBracket:
         factored = record_factorisations(monkeypatch)
         res = ground_state_lambda(spec)
         assert len(points) == 2
-        # the fine window guard and the coarse bracket's two on the first
-        # domain, where the fine bracket fails before it factors; three
-        # guards and two brackets of two on the second
-        assert len(factored) == 9
+        # three per level (the window guard and the certificate's two); the
+        # coarse bracket's Neumann side on the first domain, where the fine
+        # bracket fails before it factors, and both Neumann sides on the
+        # second, whose Dirichlet sides the certificates' tops settle
+        assert len(factored) == 3 * 4 + 1 + 2
         assert res.L == pytest.approx(2.0 * want.L, rel=1e-12)
         assert res.lam == pytest.approx(want.lam, abs=groundstate.DOMAIN_TOL)
 
@@ -473,7 +574,8 @@ class TestDomainBracket:
             m, width = grid.threshold(window)
             assert width == pytest.approx(2.0 * sturm_liouville.CERTIFICATE_WIDTH * abs(m),
                                           rel=1e-9)
-        neumann = sturm_liouville.eigenvalue(*grid._pencil(-1.0, neumann=True))[0]
+        _, offdiag, neumann_diag = grid._pencil(-1.0)
+        neumann = sturm_liouville.eigenvalue(neumann_diag, offdiag)[0]
         assert m - 1e-11 * abs(m) < neumann <= m + 4.0 * np.spacing(abs(m))
         # a bisected value whose bracket tops out below m does not certify:
         # the Dirichlet pencil less that top is positive definite
@@ -493,12 +595,14 @@ class TestDomainBracket:
         k = grid.n // 2
         longer = groundstate._Grid(spec, T + k * grid.h, grid.n + 2 * k)
         assert longer.h == pytest.approx(grid.h, rel=1e-14)
-        neumann = sturm_liouville.eigenvalue(*grid._pencil(-1.0, neumann=True))[0]
+        _, offdiag, neumann_diag = grid._pencil(-1.0)
+        neumann = sturm_liouville.eigenvalue(neumann_diag, offdiag)[0]
         assert neumann < longer.threshold(None)[0] < m
         # the wide bracket meets the threshold's three conditions
         lo, hi = neumann - 1e-3 * abs(m), m + 1e-3 * abs(m)
         assert lo < -grid.nu_a[[0, -1]].max()
-        assert grid._above(-1.0, lo, neumann=True) and not grid._above(-1.0, hi)
+        pencil = grid._pencil(-1.0)
+        assert grid._above(pencil, lo, neumann=True) and not grid._above(pencil, hi)
 
     def test_truncation_error_names_the_route_and_its_last_value(self, monkeypatch):
         # first domains too short to certify, and no doubling allowed: each
@@ -524,10 +628,13 @@ class TestDomainBracket:
 
     def test_zspace_lattice_certifies_on_the_first_domain(self, monkeypatch):
         # every call of the benchmark's zspace_scan lattice: one potential
-        # pass.  A ground-level call bisects the coarse and fine level, or on
-        # a degenerate call the coarse level alone; its factorisations are the
-        # fine level's window guard and two per bracket, or the one that
-        # settles degeneracy.  A direct call certifies both thresholds by
+        # pass.  A ground-level call centres the coarse level's window by a
+        # loose pass, then certifies the coarse and the fine level by inverse
+        # iteration, three factorisations each (window guard and certificate),
+        # and factors each bracket's Neumann side once; the certificates' tops
+        # settle the Dirichlet sides.  A degenerate call centres the coarse
+        # level, and one factorisation settles degeneracy from its loose
+        # lower bound, with no level solved.  A direct call certifies both thresholds by
         # inverse iteration, with four factorisations each: the window guard,
         # the certificate's two, whose top is the bracket's Dirichlet side,
         # and the bracket's Neumann side
@@ -555,11 +662,12 @@ class TestDomainBracket:
                 continue
             res = ground_state_lambda(PotentialSpec(*args))
             if res.degenerate:
-                assert (len(solves.steps), res.iterations, len(passes)) == (1, 1, 1), args
+                assert (solves.steps, res.iterations, len(passes)) == (["centre"], 1, 1), args
                 assert len(factored) == 1, args
             else:
-                assert (len(solves.steps), res.iterations, len(passes)) == (2, 2, 1), args
-                assert len(factored) == 5, args
+                assert solves.steps == ["centre", "inverse", "inverse"], args
+                assert (res.iterations, len(passes)) == (2, 1), args
+                assert len(factored) == 8, args
                 assert res.domain_error <= groundstate.DOMAIN_TOL
             checked.append("degenerate" if res.degenerate else "level")
         assert [checked.count(kind) for kind in ("level", "degenerate", entry)] == [11, 6, 8]

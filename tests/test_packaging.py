@@ -65,10 +65,14 @@ def test_one_tridiagonal_kernel():
     """Only sturm_liouville names LAPACK's tridiagonal eigen-solver, the
     factorisation behind its window guard and certificate, and the solve of
     its inverse iteration; everything else calls its kernel.  Every bisection
-    sits in sturm_liouville.eigenvalue, the fallback of the certified
-    inverse iteration, and only there is a tolerance passed: the kernel's
-    one accuracy policy, RELATIVE_TOL."""
-    solves, tols = [], []
+    that returns a value sits in sturm_liouville.eigenvalue, the fallback of
+    the certified inverse iteration, at the kernel's one accuracy policy,
+    RELATIVE_TOL.  The one other tolerance, CENTRING_TOL, is the centring
+    pass's (sturm_liouville._centre), which groundstate calls only to centre
+    the window of a level that the kernel then certifies."""
+    from landaucrit import groundstate, sturm_liouville
+
+    solves, tols, centring = [], [], []
     for path in sorted((ROOT / "src").rglob("*.py")):
         text = path.read_text()
         for name in ("eigh_tridiagonal", "dpttrf", "dpttrs", "dgtsv"):
@@ -85,9 +89,16 @@ def test_one_tridiagonal_kernel():
             where = (path.stem, owner.get(id(node)), called)
             if called.endswith("eigh_tridiagonal"):
                 solves.append(where)
+            if called.endswith("_centre"):
+                centring.append(where)
             tols += [(*where, ast.unparse(k.value)) for k in node.keywords if k.arg == "tol"]
-    assert solves == [("sturm_liouville", "eigenvalue", "eigh_tridiagonal")]
-    assert tols == [("sturm_liouville", "eigenvalue", "eigh_tridiagonal", "RELATIVE_TOL")]
+    assert solves == [("sturm_liouville", "eigenvalue", "eigh_tridiagonal"),
+                      ("sturm_liouville", "_centre", "eigh_tridiagonal")]
+    assert tols == [("sturm_liouville", "eigenvalue", "eigh_tridiagonal", "RELATIVE_TOL"),
+                    ("sturm_liouville", "_centre", "eigh_tridiagonal", "CENTRING_TOL")]
+    assert centring == [("groundstate", "centring", "sturm_liouville._centre")]
+    # the centring pass's accuracy lies well inside the window it centres
+    assert sturm_liouville.CENTRING_TOL < 0.01 * groundstate.LEVEL_WINDOW
 
 
 def test_one_panel_rule():

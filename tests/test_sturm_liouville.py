@@ -318,49 +318,89 @@ def dirac_matrix(n=200, h=0.05):
     """Free staggered Dirac matrix of size 2n + 1: -1 at the n + 1 even rows,
     +1 at the n odd ones, coupling 1/h.  It has n + 1 eigenvalues at or below
     -1, and eigenvalue n + 1 (0-based), the lowest above the gap, is
-    sqrt(1 + (2/h)^2 sin^2(pi/(2(n + 1))))."""
+    sqrt(1 + (2/h)^2 sin^2(pi/(2(n + 1)))); eigenvalue n is its negative."""
     diag = np.empty(2 * n + 1)
     diag[0::2], diag[1::2] = -1.0, 1.0
     level = math.sqrt(1.0 + (2.0 / h * math.sin(math.pi / (2.0 * (n + 1)))) ** 2)
     return diag, np.full(2 * n, 1.0 / h), level
 
 
-def dirac_guard(lo, n=200, h=0.05):
-    """G with G - lo I the Schur complement of the -(1 + lo) block of
-    dirac_matrix - lo I: for lo > -1 a factorisation of G - lo I certifies
-    that exactly n + 1 eigenvalues lie at or below lo (Haynsworth)."""
-    c = 1.0 / (h * h * (1.0 + lo))
-    return np.full(n, 1.0 + 2.0 * c), np.full(n - 1, c)
-
-
-class TestGuardedWindow:
-    """window=(lo, hi) with index > 0: bisection inside (lo, hi] once the
-    guard certifies the count at lo, the index selection otherwise."""
+class TestStaggeredWindow:
+    """window=(lo, hi) with index > 0 on a staggered matrix: the kernel
+    factors the Schur complement of its even rows' block less lo, which
+    certifies the count at lo (Haynsworth), and runs the certified inverse
+    iteration from those factors; the windowed bisection, then the index
+    selection, where that fails."""
 
     @pytest.mark.parametrize("half_width", [0.5, 1e-3, 1e-9])
-    def test_guarded_window_matches_index_selection(self, monkeypatch, half_width):
+    def test_staggered_window_is_certified(self, monkeypatch, half_width):
         diag, offdiag, level = dirac_matrix()
         value = eigenvalue(diag, offdiag, index=201)[0]
         assert value == pytest.approx(level, rel=1e-15)
         lo = level - half_width
         selects = record_selects(monkeypatch)
-        got = eigenvalue(diag, offdiag, index=201, window=(lo, level + half_width),
-                         guard=dirac_guard(lo))[0]
-        assert selects == ["v"]
-        assert abs(got - value) <= 2.0 * np.spacing(value)
+        got, vector, bisections = eigenvalue(diag, offdiag, index=201,
+                                             window=(lo, level + half_width), vector=True)
+        assert (selects, bisections) == (["inverse"], 0)
+        assert abs(got - value) <= sturm_liouville.CERTIFICATE_WIDTH * abs(value)
+        # the vector is the last unit iterate of the full matrix
+        residual = diag * vector - got * vector
+        residual[:-1] += offdiag * vector[1:]
+        residual[1:] += offdiag * vector[:-1]
+        assert np.linalg.norm(vector) == pytest.approx(1.0, rel=1e-12)
+        assert np.max(np.abs(residual)) < 1e-6
+
+    def test_schur_complement_is_the_t_pencil(self):
+        # on a ground-level grid the Schur complement of H less x is the
+        # T-pencil less x, T(x) - x, up to the sign of its off-diagonal
+        from landaucrit import groundstate
+        spec = PotentialSpec(0.5, 1.0)
+        T = math.asinh(60.0)
+        grid = groundstate._Grid(spec, T, sturm_liouville.odd_points(T, 0.025))
+        schur_diag, schur_offdiag = sturm_liouville._shifted(*grid.dirac(), 0.3, True)
+        diag, offdiag, _ = grid._pencil(0.3)
+        assert np.allclose(schur_diag, diag + 1.0 - 0.3, rtol=1e-13, atol=0.0)
+        assert np.allclose(schur_offdiag, -offdiag, rtol=1e-13, atol=0.0)
+        # no Schur complement where the even rows' block is not negative definite
+        assert sturm_liouville._shifted(*grid.dirac(), -1.0 - grid.nu_a.max(), True) is None
 
     @pytest.mark.parametrize("window, selected", [
-        # lo above the level: the guard's factorisation fails, index selection alone
+        # lo above the level: the Schur complement is not positive definite,
+        # index selection alone
         ((1.1, 2.0), ["i"]),
-        # certified but empty: bisection, then the index selection
+        # lo at the even block's top: no Schur complement, index selection alone
+        ((-1.0, 2.0), ["i"]),
+        # certified but empty: inverse iteration finds the level above hi,
+        # bisection, then the index selection
         ((0.5, 1.0), ["v", "i"]),
-    ], ids=["guard_fails", "empty"])
-    def test_missed_guarded_window_falls_back_to_index_selection(self, monkeypatch, window,
-                                                                 selected):
+        # lo just above eigenvalue n, the level's mirror below the gap: the
+        # shift is closer to it, inverse iteration converges there, below lo,
+        # and the bisection inside the window returns the level
+        ((-0.95, 1.2), ["v"]),
+    ], ids=["guard_fails", "no_schur_complement", "empty", "converges_to_eigenvalue_n"])
+    def test_missed_staggered_window_falls_back_to_bisection(self, monkeypatch, window,
+                                                             selected):
         diag, offdiag, _ = dirac_matrix()
         value = eigenvalue(diag, offdiag, index=201)[0]
         selects = record_selects(monkeypatch)
-        got, _, solves = eigenvalue(diag, offdiag, index=201, window=window,
-                                    guard=dirac_guard(window[0]))
-        assert selects == selected and solves == len(selected)
-        assert got == value
+        got, _, bisections = eigenvalue(diag, offdiag, index=201, window=window)
+        assert selects == selected and bisections == len(selected)
+        assert abs(got - value) <= 2.0 * np.spacing(value)
+
+    def test_unsettled_iteration_falls_back_to_the_bisection(self, monkeypatch):
+        # one inverse step from a shift half-way to the level does not certify
+        diag, offdiag, level = dirac_matrix()
+        value = eigenvalue(diag, offdiag, index=201)[0]
+        monkeypatch.setattr(sturm_liouville, "MAX_INVERSE_STEPS", 1)
+        selects = record_selects(monkeypatch)
+        got, _, bisections = eigenvalue(diag, offdiag, index=201, window=(0.5, 1.5))
+        assert (selects, bisections) == (["v"], 1)
+        assert abs(got - value) <= 2.0 * np.spacing(value)
+
+    @pytest.mark.parametrize("index", [200, 202])
+    def test_window_needs_the_staggered_index(self, index):
+        diag, offdiag, _ = dirac_matrix()
+        with pytest.raises(ValueError):
+            eigenvalue(diag, offdiag, index=index, window=(0.5, 1.5))
+        with pytest.raises(ValueError):
+            eigenvalue(diag[:-1], offdiag[:-1], index=200, window=(0.5, 1.5))
