@@ -73,38 +73,42 @@ the kernel bisected m does the Dirichlet pencil less hi get factored here.
 
 The domains come from the mapped-grid generator of sturm_liouville, which
 doubles them in z and samples the potential once per domain for both grids
-of the pair.  ground_state_lambda's loop solves the coarse level, then the
-fine one, Richardson-extrapolates over n -> 2n + 1, and stops on the first
-domain whose extrapolated level is degenerate or whose two grids both
-certify their brackets.  Every level is solved inside (lo, hi] = c -+ w
-around a centre c, w = min(LEVEL_WINDOW, (1 - c)/32), if lo > -1.  The
-centre is the last level of the call (the coarse level for the fine grid,
-the last fine level for the next domain's coarse grid); the first level's
-is a loose index selection of H (sturm_liouville.CENTRING_TOL), which only
-places its window and is never returned.  By the inertia count above, the
-Schur complement of the g block of H - lo, the T-pencil at lambda = lo
-shifted by lo up to the sign of its off-diagonal, factors positive definite
-iff exactly n + 1 eigenvalues of H lie at or below lo (the gap min-max of
-Dolbeault, Esteban and Sere used as a Sylvester certificate).  The kernel
-(sturm_liouville.eigenvalue) forms it from H, and its factors drive
-shifted inverse iteration on H from lo, each step a solve with it between
-eliminating g and substituting back.  Two more factorisations certify the
-value rho: the Schur complement at rho - c |rho| is positive definite and at
-rho + c |rho| is not, c = CERTIFICATE_WIDTH.  Where that fails (the shift
-converged to another eigenvalue, or the window missed), the kernel bisects
-inside the window and then by index, so the level is always eigenvalue
-n + 1.  The half-width shrinks with the distance to the upper continuum
-edge, where the next bound level crowds the window's bottom below B ~ 0.1.
+of the pair.  Every domain of ground_state_lambda's loop runs the same
+steps.  A loose index selection of the coarse grid's H
+(sturm_liouville.CENTRING_TOL) gives c_loose, which only places a window
+and is never returned.  The degeneracy test below runs from its lower bound
+c_loose - CENTRING_TOL.  Where that does not decide, the coarse level is
+solved in a window centred on c_loose, then the fine one in a window
+centred on the coarse level.  The loop Richardson-extrapolates over
+n -> 2n + 1 and stops on the first domain whose extrapolated level is
+degenerate or whose two grids both certify their brackets.  Every level is
+solved inside (lo, hi] around its centre c, w = min(LEVEL_WINDOW,
+(1 - c)/32), lo = max(c - w, -1) and hi = max(c, lo) + w: the bottom is
+clipped at -1, where the g block -(1 + lo + nu a) = -nu a is still negative
+definite, and the window never inverts or closes.  By the inertia count
+above, the Schur complement of the g block of H - lo, the T-pencil at
+lambda = lo shifted by lo up to the sign of its off-diagonal, factors
+positive definite iff exactly n + 1 eigenvalues of H lie at or below lo
+(the gap min-max of Dolbeault, Esteban and Sere used as a Sylvester
+certificate).  The kernel (sturm_liouville.eigenvalue) forms it from H, and
+its factors drive shifted inverse iteration on H from lo, each step a solve
+with it between eliminating g and substituting back.  Two more
+factorisations certify the value rho: the Schur complement at rho - c |rho|
+is positive definite and at rho + c |rho| is not, c = CERTIFICATE_WIDTH.
+Where that fails (the shift converged to another eigenvalue, or the window
+missed), the kernel bisects inside the window and then by index, so the
+level is always eigenvalue n + 1.  The half-width shrinks with the distance
+to the upper continuum edge, where the next bound level crowds the window's
+bottom below B ~ 0.1.
 
-A fine grid whose coarse level c lies within LEVEL_WINDOW of -1, or below,
-has no window.  Its level f makes the call degenerate iff f <= x = (c - 3)/4,
-and where 1 + x + nu a > 0 at every midpoint, the g block of H - x is
-negative definite, so f <= x iff T(x) - x is not positive definite: one
-factorisation in place of the fine solve, which runs where f <= x is not shown.
-On the first domain the factorisation comes before the coarse level, with
-the loose centre's lower bound c_loose - CENTRING_TOL <= c in place of c, so
-that where it decides, no level is solved at all; where it does not, the
-coarse level is bisected by index, as a level with no window.
+A domain's extrapolated level (4f - c)/3, f the fine level and c the coarse
+one, is at most -1 iff f <= (c - 3)/4, which f <= x = (lower - 3)/4 implies
+for any lower <= c.  Where the window around lower is clipped at -1 and
+1 + x + nu a > 0 at every midpoint, the g block of H - x is negative
+definite, so f <= x iff T(x) - x is not positive definite: one
+factorisation.  From lower = c_loose - CENTRING_TOL it takes the place of
+both levels of the domain where it shows f <= x; where it does not, both
+levels are solved.
 """
 
 from __future__ import annotations
@@ -135,17 +139,16 @@ C_COULOMB = 30.0
 DOMAIN_TOL = 1e-7
 MAX_DOUBLINGS = 6
 
-# Largest half-width of the window of every level solve, around the last level
-# of the call or, for the first, a loose one.  The largest shift measured
-# between a level and its centre is 6.5e-5 (nu in [0.05, 0.9], B in
-# [1e-3, 1e8], ell 0-3), from a coarse level to its fine one and from a fine
-# level to the next domain's coarse one, whose step is twice as large.  The
-# window's bottom is the shift of the level's inverse iteration, so the
-# half-width is (1 - c)/32 where that is smaller, c the centre: at B <= 0.1
-# the next bound level lies closer than LEVEL_WINDOW, and from the fixed
-# shift the iteration takes up to 36 steps where the scaled one takes 4-6
-# (nu 0.05-0.9, B 1e-3-0.1, ell 0, 1, 3).  A
-# window reaching -1 is not used; the fine grid's degeneracy is tested first
+# Largest half-width of the window of every level solve, around the loose
+# level of the centring pass (coarse grid) or the coarse level (fine grid).
+# The largest shift measured between a level and its centre is 6.5e-5 (nu in
+# [0.05, 0.9], B in [1e-3, 1e8], ell 0-3), from a coarse level to its fine
+# one; from the loose level to the coarse one it is 4.8e-7.  The window's
+# bottom is the shift of the level's inverse iteration, so the half-width is
+# (1 - c)/32 where that is smaller, c the centre: at B <= 0.1 the next bound
+# level lies closer than LEVEL_WINDOW, and from the fixed shift the
+# iteration takes up to 36 steps where the scaled one takes 4-6 (nu
+# 0.05-0.9, B 1e-3-0.1, ell 0, 1, 3).  A window reaching -1 is clipped there
 # (module docstring).
 LEVEL_WINDOW = 1e-3
 
@@ -154,10 +157,10 @@ LEVEL_WINDOW = 1e-3
 class FixedPointResult:
     """Converged lowest level lambda_1(nu, B) with solve diagnostics.
 
-    ``iterations`` counts the eigen-solves of the call, one per level solved
-    (a degenerate call's fine level may be settled by a factorisation, and on
-    the first domain its coarse one too, counted once for the pass that
-    centred it); a window that held no eigenvalue counts twice.
+    ``iterations`` counts the eigen-solves of the call, one per level solved;
+    a window that held no eigenvalue counts twice, and a domain whose
+    degeneracy one factorisation settles counts once, for the pass that
+    centred it, in place of its two levels.
     |z| <= L = sinh(T)/sqrt(B) is the certified domain (the last one of the
     call), and n is the point count of its fine t-grid.  ``domain_error`` is
     the certified bound (4 w_fine + w_coarse)/3 on the truncation error of
@@ -193,24 +196,21 @@ class _Grid:
     shared by the level, its brackets and the threshold.
 
     ``samples`` are :func:`_samples` at the nodes of grid_nodes(T, 2n + 1),
-    taken here when not given.  ``centre``, a level close to this grid's (the
-    last one computed, or a loose one), places the window of :meth:`level`.
-    ``solves``, the eigen-solves of the grid's last :meth:`level` (the only
-    method that sets it; 1 before), is 2 where its certified window held no
-    eigenvalue, so that the index selection ran after the bisection, and 1
-    otherwise.  ``top`` is the top rho + CERTIFICATE_WIDTH |rho| of the
-    kernel's certificate of that level, the point from which T(x) - x is
-    known not to be positive definite, or inf where the level was bisected."""
+    taken here when not given.  ``solves``, the eigen-solves of the grid's
+    last :meth:`level` (the only method that sets it; 1 before), is 2 where
+    its certified window held no eigenvalue, so that the index selection ran
+    after the bisection, and 1 otherwise.  ``top`` is the top
+    rho + CERTIFICATE_WIDTH |rho| of the kernel's certificate of that level,
+    the point from which T(x) - x is known not to be positive definite, or
+    inf where the level was bisected."""
 
     def __init__(self, spec: PotentialSpec, T: float, n: int, *,
-                 samples: tuple[np.ndarray, np.ndarray] | None = None,
-                 centre: float | None = None):
+                 samples: tuple[np.ndarray, np.ndarray] | None = None):
         self.n = n
         self.h = 2.0 * T / (n + 1)
         self.dz, a = (_samples(spec, sturm_liouville.grid_nodes(T, 2 * n + 1)[1])
                       if samples is None else samples)
         self.nu_a = spec.nu * a
-        self.centre = centre
         self.solves = 1
         self.top = math.inf
 
@@ -252,27 +252,30 @@ class _Grid:
             return m, hi - lo
         return m, math.inf
 
-    def window(self, centre: float) -> tuple[float, float] | None:
-        """(c - w, c + w] around the level c = ``centre``, w =
-        min(LEVEL_WINDOW, (1 - c)/32), or None where it reaches -1."""
+    def window(self, centre: float) -> tuple[float, float]:
+        """(lo, hi] around the level c = ``centre``, w = min(LEVEL_WINDOW,
+        (1 - c)/32): (c - w, c + w] with its bottom clipped at -1, lo =
+        max(c - w, -1), and its top kept above it, hi = max(c, lo) + w."""
         width = min(LEVEL_WINDOW, (1.0 - centre) / 32.0)
-        return (centre - width, centre + width) if centre - width > -1.0 else None
+        lo = max(centre - width, -1.0)
+        return lo, max(centre, lo) + width
 
     def centring(self) -> float:
         """A loose level, to CENTRING_TOL, from the kernel's index selection:
-        the centre of the first window of a call, never a level it returns."""
+        the centre of the coarse level's window on every domain, never a
+        level the call returns."""
         return sturm_liouville._centre(*self.dirac(), self.n + 1)
 
-    def level(self) -> float:
+    def level(self, centre: float) -> float:
         """Eigenvalue n + 1 of the scaled staggered H, g at the midpoints
         interleaved with f at the nodes: the root of Phi on this grid, and
-        below -1 iff Phi(-1) < 0.  With a centre whose :meth:`window` exists
-        it is the kernel's certified inverse iteration inside that window,
-        guarded at its bottom lo by the Schur complement of the g block
-        -(1 + lo + nu a), the T-pencil shifted by lo (module docstring)."""
-        window = None if self.centre is None else self.window(self.centre)
+        below -1 iff Phi(-1) < 0.  It is the kernel's certified inverse
+        iteration inside the :meth:`window` around ``centre``, a level close
+        to this grid's, guarded at its bottom lo by the Schur complement of
+        the g block -(1 + lo + nu a), the T-pencil shifted by lo (module
+        docstring)."""
         level, _, bisections = sturm_liouville.eigenvalue(*self.dirac(), index=self.n + 1,
-                                                          window=window)
+                                                          window=self.window(centre))
         self.solves = max(bisections, 1)
         width = sturm_liouville.CERTIFICATE_WIDTH * abs(level)
         self.top = math.inf if bisections else level + width
@@ -288,11 +291,12 @@ class _Grid:
 
     def degenerate(self, lower: float) -> bool:
         """Whether this fine grid's level is at most x = (lower - 3)/4, for a
-        ``lower`` at most the coarse level, by one factorisation where
-        ``lower`` places no window and the g block of H - x is negative
-        definite (module docstring); False where that does not decide it."""
+        ``lower`` at most the coarse level, by one factorisation where the
+        window around ``lower`` is clipped at -1 and the g block of H - x is
+        negative definite (module docstring); False where that does not
+        decide it."""
         x = 0.25 * (lower - 3.0)
-        return (self.window(lower) is None and 1.0 + x + self.nu_a[[0, -1]].min() > 0.0
+        return (self.window(lower)[0] == -1.0 and 1.0 + x + self.nu_a[[0, -1]].min() > 0.0
                 and not self._above(self._pencil(x), x - 1.0))
 
     def domain_width(self, level: float) -> float:
@@ -347,36 +351,32 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
     level's domain error is then at most (4 w_fine + w_coarse)/3 =
     5/6 DOMAIN_TOL.  A domain that does not certify is doubled in z, at most
     MAX_DOUBLINGS times before TruncationError, which names the last
-    extrapolated level.  Every level comes from the kernel's certified
-    inverse iteration inside a window around the last one, the first level's
-    window around a loose one.  The result is degenerate, lam = -1, as soon
-    as the extrapolated level is <= -1: a wider domain only lowers it, and
-    near -1 one factorisation may decide that in place of the fine solve,
-    and on the first domain in place of the coarse one too.  A level outside
-    its grid's bracket raises AccuracyError at once.
+    extrapolated level.  Every domain centres its coarse level's window on a
+    loose index selection and its fine level's on the coarse level, and every
+    level comes from the kernel's certified inverse iteration inside its
+    window.  The result is degenerate, lam = -1, as soon as the extrapolated
+    level is <= -1: a wider domain only lowers it, and near -1 one
+    factorisation from the loose level may decide that in place of both
+    levels.  A level outside its grid's bracket raises AccuracyError at
+    once.
     """
     rootB = math.sqrt(spec.B)
-    solves, centre = 0, None
+    solves = 0
     for T, n, coarse_samples, fine_samples in sturm_liouville._mapped_domains(
             lambda t: _samples(spec, t), math.asinh(rootB * _default_domain(spec)), h,
             MAX_DOUBLINGS):
-        coarse = _Grid(spec, T, n, samples=coarse_samples, centre=centre)
+        coarse = _Grid(spec, T, n, samples=coarse_samples)
         fine = _Grid(spec, T, 2 * n + 1, samples=fine_samples)
-        if centre is None:  # the call's first level: a loose one places its window
-            coarse.centre = coarse.centring()
+        loose = coarse.centring()
         # near -1 one factorisation may put the fine level at or below (c - 3)/4,
-        # on the first domain already below the loose coarse level's lower bound
-        if centre is None and fine.degenerate(coarse.centre - sturm_liouville.CENTRING_TOL):
-            level_coarse, level_fine = coarse.centre, -math.inf
+        # c the coarse level, already from the loose level's lower bound
+        if fine.degenerate(loose - sturm_liouville.CENTRING_TOL):
+            level_coarse, level_fine = loose, -math.inf
             solves += 1
         else:
-            level_coarse = fine.centre = coarse.level()
-            solves += coarse.solves
-            if fine.degenerate(level_coarse):
-                level_fine = -math.inf
-            else:
-                level_fine = fine.level()
-                solves += fine.solves
+            level_coarse = coarse.level(loose)
+            level_fine = fine.level(level_coarse)
+            solves += coarse.solves + fine.solves
         lam = sturm_liouville.richardson_step(level_coarse, level_fine)[0]
         # a degenerate level needs no bracket, and the fine grid's bracket is
         # not tried once the coarse one failed
@@ -387,7 +387,6 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
             return FixedPointResult(lam=min(max(lam, -1.0), 1.0), iterations=solves,
                                     degenerate=lam <= -1.0, L=math.sinh(T) / rootB, n=fine.n,
                                     domain_error=bound)
-        centre = level_fine
     raise TruncationError(f"ground level lam = {lam!r} not certified within {MAX_DOUBLINGS} "
                           "domain doublings", last_values=(lam,))
 

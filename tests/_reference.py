@@ -352,19 +352,25 @@ def phi_on(grid: groundstate._Grid, lam: float) -> tuple[float, float]:
     return T - lam, float(np.finfo(float).eps * np.max(np.abs(diag)))
 
 
+def index_level(grid: groundstate._Grid) -> float:
+    """Eigenvalue n + 1 of ``grid``'s Dirac matrix, the grid's level, by the
+    kernel's index selection: bisected to relative accuracy, with no window."""
+    return sturm_liouville.eigenvalue(*grid.dirac(), index=grid.n + 1)[0]
+
+
 def bisected_ground_level(spec: PotentialSpec, *, h: float = 0.025) -> tuple[float, bool]:
     """(lam, degenerate) of ``ground_state_lambda(spec, h=h)`` with each level
-    bisected to relative accuracy by the index selection (a grid with no
-    centre), no window, no centring pass and no factorisation in place of a
-    level: the extrapolated level of the first domain where both grids
-    certify their brackets, or the degenerate -1 once it is <= -1."""
+    bisected to relative accuracy by the index selection (:func:`index_level`),
+    no window, no centring pass and no factorisation in place of a level: the
+    extrapolated level of the first domain where both grids certify their
+    brackets, or the degenerate -1 once it is <= -1."""
     rootB = math.sqrt(spec.B)
     for T, n, coarse, fine in sturm_liouville._mapped_domains(
             lambda t: groundstate._samples(spec, t),
             math.asinh(rootB * groundstate._default_domain(spec)), h, groundstate.MAX_DOUBLINGS):
         grids = (groundstate._Grid(spec, T, n, samples=coarse),
                  groundstate._Grid(spec, T, 2 * n + 1, samples=fine))
-        levels = [grid.level() for grid in grids]
+        levels = [index_level(grid) for grid in grids]
         lam = sturm_liouville.richardson_step(*levels)[0]
         if lam <= -1.0:
             return -1.0, True

@@ -19,7 +19,7 @@ from landaucrit.groundstate import FixedPointResult, ground_state_lambda, ground
 from landaucrit.potentials import PotentialSpec, a_ell_grid
 
 from _reference import (CENTRE, INVERSE, RESIDUAL_FLOOR, T_of_lambda, bisected_ground_level,
-                        phi_on, record_factorisations, record_solves)
+                        index_level, phi_on, record_factorisations, record_solves)
 
 
 # --- independent oracle -----------------------------------------------------
@@ -158,12 +158,13 @@ class TestGroundState:
         solves, factored = record_solves(monkeypatch), record_factorisations(monkeypatch)
         res = ground_state_lambda(PotentialSpec(0.5, 1.0), h=0.05)
         assert len(grids) >= 4 and len(grids) == res.iterations
-        # a loose centring pass places the first level's window, and every
-        # level is certified inside its window: the next domain's coarse grid
-        # is windowed on the last fine level
-        assert solves.steps == ["centre"] + ["inverse"] * len(grids)
+        # every domain runs the same steps: a loose centring pass places its
+        # coarse level's window, and both levels are certified inside their
+        # windows, the fine one's centred on the coarse level
+        assert solves.steps == ["centre", "inverse", "inverse"] * (len(grids) // 2)
         # each level factors three times: its window guard and its
-        # certificate's two.  The first domain's coarse bracket fails on its
+        # certificate's two; the degeneracy test, far from -1, factors
+        # nothing.  The first domain's coarse bracket fails on its
         # Neumann side (with the Dirichlet check at lo), and its fine bracket
         # is not tried; on the second domain each bracket factors its Neumann
         # side only, since the certificate's top lies below its Dirichlet side
@@ -191,10 +192,10 @@ class TestGroundState:
                 self.order = len(grids)
                 super().__init__(spec, T, n, **kwargs)
 
-            def level(self):
+            def level(self, centre):
                 if self.order <= 2:
                     return forced[self.order - 1]
-                return super().level()
+                return super().level(centre)
 
         monkeypatch.setattr(groundstate, "_Grid", RecordingGrid)
         res = ground_state_lambda(PotentialSpec(0.5, 1.0))
@@ -210,8 +211,8 @@ class TestGroundState:
         # a level off by 1e-3 on every grid extrapolates like a true one;
         # the Dirichlet side of its bracket exposes it
         class ShiftedGrid(groundstate._Grid):
-            def level(self):
-                return super().level() + 1e-3
+            def level(self, centre):
+                return super().level(centre) + 1e-3
 
         monkeypatch.setattr(groundstate, "_Grid", ShiftedGrid)
         with pytest.raises(AccuracyError):
@@ -227,9 +228,9 @@ class TestGroundState:
         grids = []
 
         class ShiftedGrid(groundstate._Grid):
-            def level(self):
+            def level(self, centre):
                 grids.append(self.n)
-                return super().level() + shift
+                return super().level(centre) + shift
 
         monkeypatch.setattr(groundstate, "_Grid", ShiftedGrid)
         with pytest.raises(AccuracyError):
@@ -305,7 +306,7 @@ class TestGroundState:
         # the root of Phi is eigenvalue n + 1 of the staggered Dirac matrix
         T = math.asinh(math.sqrt(B) * 60.0)
         grid = groundstate._Grid(PotentialSpec(nu, B, ell), T, sturm_liouville.odd_points(T, 0.025))
-        level = grid.level()
+        level = index_level(grid)
         want = brentq(lambda lam: phi_on(grid, lam)[0], -1.0, 1.0, xtol=1e-13, rtol=8.9e-16)
         assert abs(level - want) <= 1e-10
         phi, floor = phi_on(grid, level)
@@ -325,11 +326,11 @@ class TestGroundState:
 
 
 def first_pair(spec, h=0.025):
-    """The coarse level of the first domain and its fine grid, centred on it."""
+    """The coarse level of the first domain, by the index selection, and its
+    fine grid; the fine level is solved centred on the coarse one."""
     T = math.asinh(math.sqrt(spec.B) * groundstate._default_domain(spec))
     n = sturm_liouville.odd_points(T, h)
-    coarse = groundstate._Grid(spec, T, n).level()
-    return coarse, groundstate._Grid(spec, T, 2 * n + 1, centre=coarse)
+    return index_level(groundstate._Grid(spec, T, n)), groundstate._Grid(spec, T, 2 * n + 1)
 
 
 class TestDegenerateDecision:
@@ -342,7 +343,7 @@ class TestDegenerateDecision:
         B_L = math.exp(critical_field_direct(nu).log_BL)
         for r in (0.99, 0.999, 1.001, 1.01):
             coarse, fine = first_pair(PotentialSpec(nu, r * B_L, ell))
-            want = sturm_liouville.richardson_step(coarse, fine.level())[0] <= -1.0
+            want = sturm_liouville.richardson_step(coarse, fine.level(coarse))[0] <= -1.0
             assert fine.degenerate(coarse) == want, r
             # past B_L the lowest level is degenerate
             assert want or r < 1.0 or ell > 0
@@ -353,7 +354,7 @@ class TestDegenerateDecision:
     def test_agrees_on_degenerate_calls(self, nu, B, ell):
         # the zspace_scan lattice's degenerate calls, and one far past B_L
         coarse, fine = first_pair(PotentialSpec(nu, B, ell))
-        assert sturm_liouville.richardson_step(coarse, fine.level())[0] <= -1.0
+        assert sturm_liouville.richardson_step(coarse, fine.level(coarse))[0] <= -1.0
         assert fine.degenerate(coarse)
 
     @pytest.mark.parametrize("nu,B,ell", [(0.85, 1e4, 0), (0.9, 1e4, 0), (0.65, 200.0, 0),
@@ -361,7 +362,7 @@ class TestDegenerateDecision:
                                           (0.3, 1.001, None), (0.3, 1.01, None),
                                           (0.65, 1.001, None), (0.65, 1.01, None)])
     def test_loose_lower_bound_decides_as_the_coarse_level(self, nu, B, ell):
-        # the first domain decides from the centring pass, c_loose -
+        # every domain decides from its centring pass, c_loose -
         # CENTRING_TOL <= c, what the coarse level c itself decides: on the
         # zspace_scan lattice's degenerate calls, and just past B_L (B given
         # as B/B_L there, at ell 0 and 1)
@@ -384,36 +385,46 @@ class TestDegenerateDecision:
         # factorisation must not decide
         spec = PotentialSpec(0.5, 1.0)
         _, fine = first_pair(spec)
-        forced = groundstate._Grid(spec, math.asinh(groundstate._default_domain(spec)), fine.n,
-                                   centre=coarse)
+        forced = groundstate._Grid(spec, math.asinh(groundstate._default_domain(spec)), fine.n)
         x = 0.25 * (coarse - 3.0)
         assert not forced._above(forced._pencil(x), x - 1.0)
-        assert not forced.degenerate(coarse) and forced.level() > 0.7
+        assert not forced.degenerate(coarse)
+        # the window around the forced centre, clipped at -1, must not invert:
+        # it is certified at -1 but holds no level, and the index selection
+        # finds the level
+        lo, hi = forced.window(coarse)
+        assert lo == -1.0 < hi
+        assert forced.level(coarse) > 0.7 and forced.solves == 2
 
 
 def check_lattice():
     """nu 0.05-0.9, B 1e-3-1e8 and ell 0, 1, 3 (144 specs), and B/B_L in
-    {0.99, 0.999, 0.9998, 1.001, 1.01} at nu 0.3 and 0.65, ell 0 and 1 (20)."""
+    {0.99, 0.999, 0.9998, 0.99999, 1.001, 1.01} at nu 0.3 and 0.65, ell 0
+    and 1 (24)."""
     specs = [PotentialSpec(nu, B, ell) for nu in (0.05, 0.1, 0.3, 0.5, 0.65, 0.9)
              for B in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, 1e5, 1e8) for ell in (0, 1, 3)]
     for nu in (0.3, 0.65):
         B_L = math.exp(critical_field_direct(nu).log_BL)
-        specs += [PotentialSpec(nu, r * B_L, ell) for r in (0.99, 0.999, 0.9998, 1.001, 1.01)
-                  for ell in (0, 1)]
+        specs += [PotentialSpec(nu, r * B_L, ell)
+                  for r in (0.99, 0.999, 0.9998, 0.99999, 1.001, 1.01) for ell in (0, 1)]
     return specs
 
 
 class TestCertifiedLevel:
     """Every level by the kernel's certified inverse iteration inside its
-    window, the first window centred by a loose pass; bisection is the
-    fallback, so the result is the bisected level's (``bisected_ground_level``)."""
+    window, each domain's coarse window centred by a loose pass; bisection is
+    the fallback, so the result is the bisected level's
+    (``bisected_ground_level``)."""
 
     def test_check_lattice_matches_the_bisection_oracle(self, monkeypatch):
-        # only the levels within LEVEL_WINDOW of -1 of the four non-degenerate
-        # specs at B/B_L 0.999 and 0.9998, ell 0, have no window: the index
-        # selection solves both of their grids
+        # every non-degenerate call centres its coarse window by a loose pass
+        # and certifies both levels, those within LEVEL_WINDOW of -1 inside
+        # windows clipped at -1; a degenerate one is settled by the pass and
+        # one factorisation.  Only at B/B_L 0.99999, ell 0, do both grids'
+        # levels lie below -1, under every window, though their extrapolation
+        # lies above: the index selection solves them
         solves = record_solves(monkeypatch)
-        uncertified = []
+        below = []
         for spec in check_lattice():
             start = len(solves)
             res = ground_state_lambda(spec)
@@ -421,14 +432,17 @@ class TestCertifiedLevel:
             lam, degenerate = bisected_ground_level(spec)
             assert abs(res.lam - lam) <= 1e-10, spec
             assert res.degenerate == degenerate, spec
-            assert paths[0] == CENTRE and CENTRE not in paths[1:], spec
-            uncertified += [(spec, path) for path in paths[1:] if path != INVERSE]
-            # one solve per level, two where a window missed; a degenerate call
-            # whose fine grid was settled from the centring pass counts that pass
-            assert res.iterations == max(1, sum(map(len, paths[1:]))), spec
-        assert len(uncertified) == 8
-        assert all(path == ("i",) and spec.B > 100.0 and spec.ell == 0 and spec.nu in (0.3, 0.65)
-                   for spec, path in uncertified)
+            if degenerate:
+                assert (paths, res.iterations) == ([CENTRE], 1), spec
+            elif paths != [CENTRE, INVERSE, INVERSE]:
+                assert (paths, res.iterations) == ([CENTRE, ("i",), ("i",)], 2), spec
+                coarse, fine = first_pair(spec)
+                assert coarse < index_level(fine) < -1.0 < res.lam, spec
+                below.append(spec)
+            else:
+                assert res.iterations == 2, spec
+        assert len(below) == 2
+        assert all(spec.ell == 0 and spec.B > 100.0 for spec in below)
 
     def test_unsettled_iteration_falls_back_to_the_bisection(self, monkeypatch):
         # one inverse step does not certify: each level is bisected inside
@@ -479,7 +493,7 @@ def first_grid(spec, L=None, h=0.025):
     """The coarse grid of the first domain (or of |z| <= L) and its level."""
     T = math.asinh(math.sqrt(spec.B) * (groundstate._default_domain(spec) if L is None else L))
     grid = groundstate._Grid(spec, T, sturm_liouville.odd_points(T, h))
-    return grid, grid.level()
+    return grid, index_level(grid)
 
 
 def neumann_level(grid):
@@ -516,7 +530,7 @@ class TestDomainBracket:
         k = grid.n // 2
         longer = groundstate._Grid(spec, T + k * grid.h, grid.n + 2 * k)
         assert longer.h == pytest.approx(grid.h, rel=1e-14)
-        inside = longer.level()
+        inside = index_level(longer)
         assert neumann_level(grid) < inside < level
         assert grid.domain_width(level) == math.inf  # far wider than DOMAIN_TOL
 
@@ -741,8 +755,8 @@ class TestLargeField:
     def test_wrong_level_fails_the_residual_check_at_large_field(self, monkeypatch):
         # the bracket's DOMAIN_TOL/4 is far below a 1e-3 shift at any field
         class ShiftedGrid(groundstate._Grid):
-            def level(self):
-                return super().level() + 1e-3
+            def level(self, centre):
+                return super().level(centre) + 1e-3
 
         monkeypatch.setattr(groundstate, "_Grid", ShiftedGrid)
         with pytest.raises(AccuracyError):

@@ -3,6 +3,7 @@ Phi, its certified window reproduces the index selection to the
 certificate's width, and T(-1) is the direct route's pencil plus one."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.optimize import brentq
 from landaucrit import critical_field, groundstate, sturm_liouville
 from landaucrit.potentials import PotentialSpec
 
-from _reference import phi_on
+from _reference import index_level, phi_on
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -26,25 +27,41 @@ def test_level_is_the_root_of_phi(nu, log10_B, ell):
     # Phi = T - lambda changes sign on [-1, 1]: a root, not a degenerate level
     hypothesis.assume(phi_on(grid, -1.0)[0] > 0.0 > phi_on(grid, 1.0)[0])
     want = brentq(lambda lam: phi_on(grid, lam)[0], -1.0, 1.0, xtol=1e-13, rtol=8.9e-16)
-    assert abs(grid.level() - want) <= 1e-10
+    assert abs(index_level(grid) - want) <= 1e-10
 
 
 @SETTINGS
 @hypothesis.given(nu=st.floats(0.05, 0.9), log10_B=st.floats(-1.0, 3.0), ell=st.integers(0, 3),
-                  offset=st.floats(-0.5, 0.5), far=st.sampled_from([-10.0, 10.0]))
-def test_windowed_level_matches_index_selection(nu, log10_B, ell, offset, far):
+                  offset=st.floats(-0.5, 0.5), far=st.sampled_from([-10.0, 10.0]),
+                  log10_gap=st.none() | st.floats(-7.0, -3.5))
+def test_windowed_level_matches_index_selection(nu, log10_B, ell, offset, far, log10_gap):
     spec, T, n = PotentialSpec(nu, 10.0**log10_B, ell), 6.0, 479
+    if log10_gap is not None:
+        # B a fraction 1 - gap of the grid's own critical field 4/m^2, where
+        # T(-1) = 1 + sqrt(B) m reaches -1: the level lies less than 2e-4
+        # above -1, and its windows are clipped there
+        m = groundstate._Grid(replace(spec, B=1.0), T, n).threshold(None)[0]
+        hypothesis.assume(m < 0.0)
+        spec = replace(spec, B=(1.0 - 10.0**log10_gap) * 4.0 / m**2)
+    grid = groundstate._Grid(spec, T, n)
     W = groundstate.LEVEL_WINDOW
-    want = groundstate._Grid(spec, T, n).level()
-    # every window below stays above -1, where the Schur complement applies
-    hypothesis.assume(want - 11.0 * W > -1.0)
+    want = index_level(grid)
+    # a level at or below -1 lies under every window, whose bottom is -1
+    hypothesis.assume(want > -1.0)
     # half a window off, the level is certified within CERTIFICATE_WIDTH of itself
-    near = groundstate._Grid(spec, T, n, centre=want + offset * min(W, (1.0 - want) / 32.0))
-    got = near.level()
+    near = want + offset * min(W, (1.0 - want) / 32.0)
+    assert (grid.window(near)[0] == -1.0) == (log10_gap is not None or near - W <= -1.0)
+    got = grid.level(near)
     width = sturm_liouville.CERTIFICATE_WIDTH * abs(got)
-    assert abs(got - want) <= width and near.solves == 1 and near.top == got + width
-    # 10 windows away the window misses: identical through the index selection
-    assert groundstate._Grid(spec, T, n, centre=want + far * W).level() == want
+    assert abs(got - want) <= width and grid.solves == 1 and grid.top == got + width
+    # 10 windows away the window misses: identical through the index selection,
+    # unless it is clipped at -1 up to a level just above -1
+    lo, hi = grid.window(want + far * W)
+    got = grid.level(want + far * W)
+    if lo < want <= hi:
+        assert lo == -1.0 and abs(got - want) <= sturm_liouville.CERTIFICATE_WIDTH * abs(got)
+    else:
+        assert got == want
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=20, database=None)

@@ -11,6 +11,8 @@ from landaucrit import critical_field, groundstate
 from landaucrit.potentials import PotentialSpec, log_mu_of_y
 from landaucrit.sturm_liouville import grid_nodes, odd_points
 
+from _reference import index_level
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -33,8 +35,8 @@ def test_ground_level_grid(nu, log10_B, ell, T, n):
     fine = groundstate._samples(spec, grid_nodes(T, 4 * n + 3)[1])
     own = groundstate._samples(spec, grid_nodes(T, 2 * n + 1)[1])
     assert all(np.array_equal(a, b) for a, b in zip(sliced(fine), own))
-    assert (groundstate._Grid(spec, T, n, samples=sliced(fine)).level()
-            == groundstate._Grid(spec, T, n).level())
+    assert (index_level(groundstate._Grid(spec, T, n, samples=sliced(fine)))
+            == index_level(groundstate._Grid(spec, T, n)))
 
 
 @SETTINGS
