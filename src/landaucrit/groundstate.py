@@ -74,18 +74,23 @@ the kernel bisected m does the Dirichlet pencil less hi get factored here.
 The domains come from the mapped-grid generator of sturm_liouville, which
 doubles them in z and samples the potential once per domain for both grids
 of the pair.  Every domain of ground_state_lambda's loop runs the same
-steps.  A loose index selection of the coarse grid's H
-(sturm_liouville.CENTRING_TOL) gives c_loose, which only places a window
-and is never returned.  The degeneracy test below runs from its lower bound
-c_loose - CENTRING_TOL.  Where that does not decide, the coarse level is
-solved in a window centred on c_loose, then the fine one in a window
-centred on the coarse level.  The loop Richardson-extrapolates over
-n -> 2n + 1 and stops on the first domain whose extrapolated level is
+steps.  A loose index selection (sturm_liouville.CENTRING_TOL) of the H of
+the nested half-rows grid, (n - 1)/2 nodes at step 2h whose midpoints and
+nodes are the coarse grid's nodes, so that it needs no sampling, gives
+c_half at half the cost of the coarse grid's own.  It only places a window
+and is never returned; on the check lattice it lies within 0.26 w of the
+coarse level, w the window's half-width below.  The degeneracy test below
+runs from a certified lower bound near it.  Where that does not decide, the
+coarse level is solved in a window centred on c_half, then the fine one in
+a window centred on the coarse level.  The loop Richardson-extrapolates
+over n -> 2n + 1 and stops on the first domain whose extrapolated level is
 degenerate or whose two grids both certify their brackets.  Every level is
 solved inside (lo, hi] around its centre c, w = min(LEVEL_WINDOW,
-(1 - c)/32), lo = max(c - w, -1) and hi = max(c, lo) + w: the bottom is
-clipped at -1, where the g block -(1 + lo + nu a) = -nu a is still negative
-definite, and the window never inverts or closes.  By the inertia count
+(1 - c)/32), lo = max(c - w, -1 - min(nu a)/2) and hi = max(c, lo) + w:
+the bottom is clipped halfway to -1 - min(nu a), below which the g block
+-(1 + lo + nu a) at the midpoints is no longer negative definite, so that a
+grid's level just below -1 is windowed too, and the window never inverts or
+closes.  By the inertia count
 above, the Schur complement of the g block of H - lo, the T-pencil at
 lambda = lo shifted by lo up to the sign of its off-diagonal, factors
 positive definite iff exactly n + 1 eigenvalues of H lie at or below lo
@@ -103,12 +108,19 @@ bottom below B ~ 0.1.
 
 A domain's extrapolated level (4f - c)/3, f the fine level and c the coarse
 one, is at most -1 iff f <= (c - 3)/4, which f <= x = (lower - 3)/4 implies
-for any lower <= c.  Where the window around lower is clipped at -1 and
-1 + x + nu a > 0 at every midpoint, the g block of H - x is negative
-definite, so f <= x iff T(x) - x is not positive definite: one
-factorisation.  From lower = c_loose - CENTRING_TOL it takes the place of
-both levels of the domain where it shows f <= x; where it does not, both
-levels are solved.
+for any lower <= c.  Where lower - w <= -1 and 1 + x + nu a > 0 at every
+midpoint, the g block of H - x is negative definite, so f <= x iff
+T(x) - x is not positive definite: one factorisation.  c_half is no bound
+on c, so the lower that decides is certified by one Sturm count of the
+coarse H (sturm_liouville._count): at most n + 1 eigenvalues at or below
+lower put c, eigenvalue n + 1, above it.  The count rests on no g block, so
+it holds where c lies below -1 too.  lower = c_half - w is tried first;
+where its factorisation does not decide, as at B/B_L 1.001, nu 0.3, where it
+lies too far below c, c_half - w/10 is tried once, certified the same way
+(it lies above c on 6 check-lattice specs, up to 2.8e-4, where the count
+refuses it).  Where one shows f <= x, it takes the place of both levels of
+the domain: 33 of the check lattice's 34 degenerate calls from c_half - w,
+one from c_half - w/10.  Where neither does, both levels are solved.
 """
 
 from __future__ import annotations
@@ -140,16 +152,16 @@ DOMAIN_TOL = 1e-7
 MAX_DOUBLINGS = 6
 
 # Largest half-width of the window of every level solve, around the loose
-# level of the centring pass (coarse grid) or the coarse level (fine grid).
-# The largest shift measured between a level and its centre is 6.5e-5 (nu in
-# [0.05, 0.9], B in [1e-3, 1e8], ell 0-3), from a coarse level to its fine
-# one; from the loose level to the coarse one it is 4.8e-7.  The window's
+# level of the centring pass (half-rows grid) or the coarse level (fine
+# grid).  The largest shift measured from a coarse level to its fine one is
+# 6.5e-5 (nu in [0.05, 0.9], B in [1e-3, 1e8], ell 0-3); from the half-rows
+# level to the coarse one it is 0.26 of the half-width.  The window's
 # bottom is the shift of the level's inverse iteration, so the half-width is
 # (1 - c)/32 where that is smaller, c the centre: at B <= 0.1 the next bound
 # level lies closer than LEVEL_WINDOW, and from the fixed shift the
 # iteration takes up to 36 steps where the scaled one takes 4-6 (nu
-# 0.05-0.9, B 1e-3-0.1, ell 0, 1, 3).  A window reaching -1 is clipped there
-# (module docstring).
+# 0.05-0.9, B 1e-3-0.1, ell 0, 1, 3).  A window's bottom is clipped at
+# -1 - min(nu a)/2 (module docstring).
 LEVEL_WINDOW = 1e-3
 
 
@@ -159,7 +171,7 @@ class FixedPointResult:
 
     ``iterations`` counts the eigen-solves of the call, one per level solved;
     a window that held no eigenvalue counts twice, and a domain whose
-    degeneracy one factorisation settles counts once, for the pass that
+    degeneracy a factorisation settles counts once, for the pass that
     centred it, in place of its two levels.
     |z| <= L = sinh(T)/sqrt(B) is the certified domain (the last one of the
     call), and n is the point count of its fine t-grid.  ``domain_error`` is
@@ -189,6 +201,12 @@ def _samples(spec: PotentialSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """(z', a_ell) at the points t, sqrt(B) z = sinh(t)."""
     rootB = math.sqrt(spec.B)
     return np.cosh(t) / rootB, a_ell_grid(spec, np.sinh(t) / rootB)
+
+
+def _half_width(centre: float) -> float:
+    """Half-width min(LEVEL_WINDOW, (1 - c)/32) of the window of a level
+    centred on c."""
+    return min(LEVEL_WINDOW, (1.0 - centre) / 32.0)
 
 
 class _Grid:
@@ -253,18 +271,26 @@ class _Grid:
         return m, math.inf
 
     def window(self, centre: float) -> tuple[float, float]:
-        """(lo, hi] around the level c = ``centre``, w = min(LEVEL_WINDOW,
-        (1 - c)/32): (c - w, c + w] with its bottom clipped at -1, lo =
-        max(c - w, -1), and its top kept above it, hi = max(c, lo) + w."""
-        width = min(LEVEL_WINDOW, (1.0 - centre) / 32.0)
-        lo = max(centre - width, -1.0)
+        """(lo, hi] around the level c = ``centre``, w = :func:`_half_width`:
+        (c - w, c + w] with its bottom clipped halfway to where the g block
+        -(1 + lo + nu a) stops being negative definite, lo = max(c - w,
+        -1 - min(nu a)/2), and its top kept above it, hi = max(c, lo) + w.
+        The minimum of nu a over the midpoints is at the grid's ends."""
+        width = _half_width(centre)
+        lo = max(centre - width, -1.0 - 0.5 * self.nu_a[[0, -1]].min())
         return lo, max(centre, lo) + width
 
     def centring(self) -> float:
-        """A loose level, to CENTRING_TOL, from the kernel's index selection:
-        the centre of the coarse level's window on every domain, never a
-        level the call returns."""
+        """A loose level, to CENTRING_TOL, from the kernel's index selection,
+        never a level the call returns: on the nested half-rows grid of a
+        domain's coarse grid it is the centre of the coarse level's window."""
         return sturm_liouville._centre(*self.dirac(), self.n + 1)
+
+    def below(self, x: float) -> bool:
+        """Whether x lies below this grid's level, eigenvalue n + 1 of H: at
+        most n + 1 eigenvalues of H lie at or below x, by one Sturm count.
+        It rests on no g block, so it holds for levels below -1 too."""
+        return sturm_liouville._count(*self.dirac(), x) <= self.n + 1
 
     def level(self, centre: float) -> float:
         """Eigenvalue n + 1 of the scaled staggered H, g at the midpoints
@@ -290,13 +316,13 @@ class _Grid:
         return diag, 1.0 / (self.h * np.sqrt(self.dz[:-1] * self.dz[1:]))
 
     def degenerate(self, lower: float) -> bool:
-        """Whether this fine grid's level is at most x = (lower - 3)/4, for a
-        ``lower`` at most the coarse level, by one factorisation where the
-        window around ``lower`` is clipped at -1 and the g block of H - x is
-        negative definite (module docstring); False where that does not
-        decide it."""
+        """Whether this fine grid's level is at most x = (lower - 3)/4, by one
+        factorisation where lower - w <= -1, w = :func:`_half_width`, and
+        the g block of H - x is negative definite (module docstring); False
+        where that does not decide it.  With ``lower`` at most the coarse
+        level it decides that the extrapolated level is at most -1."""
         x = 0.25 * (lower - 3.0)
-        return (self.window(lower)[0] == -1.0 and 1.0 + x + self.nu_a[[0, -1]].min() > 0.0
+        return (lower - _half_width(lower) <= -1.0 and 1.0 + x + self.nu_a[[0, -1]].min() > 0.0
                 and not self._above(self._pencil(x), x - 1.0))
 
     def domain_width(self, level: float) -> float:
@@ -338,6 +364,19 @@ class _Grid:
                                                  offdiag)
 
 
+def _settles_degenerate(coarse: _Grid, fine: _Grid, centre: float) -> bool:
+    """Whether the domain's extrapolated level is at most -1 by one
+    factorisation of the fine grid (:meth:`_Grid.degenerate`) from a lower
+    bound on the coarse level near ``centre``: from c - w, or where that does
+    not decide, from c - w/10, w = :func:`_half_width`.  The bound that
+    decides is certified by one Sturm count of the coarse H."""
+    width = _half_width(centre)
+    for lower in (centre - width, centre - 0.1 * width):
+        if fine.degenerate(lower):
+            return coarse.below(lower)
+    return False
+
+
 def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointResult:
     """Ground state lambda_1(nu, B) of the lowest-Landau effective theory.
 
@@ -352,13 +391,13 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
     5/6 DOMAIN_TOL.  A domain that does not certify is doubled in z, at most
     MAX_DOUBLINGS times before TruncationError, which names the last
     extrapolated level.  Every domain centres its coarse level's window on a
-    loose index selection and its fine level's on the coarse level, and every
-    level comes from the kernel's certified inverse iteration inside its
-    window.  The result is degenerate, lam = -1, as soon as the extrapolated
-    level is <= -1: a wider domain only lowers it, and near -1 one
-    factorisation from the loose level may decide that in place of both
-    levels.  A level outside its grid's bracket raises AccuracyError at
-    once.
+    loose index selection of its nested half-rows grid and its fine level's
+    on the coarse level, and every level comes from the kernel's certified
+    inverse iteration inside its window.  The result is degenerate, lam = -1,
+    as soon as the extrapolated level is <= -1: a wider domain only lowers
+    it, and near -1 one factorisation from a lower bound on the coarse level,
+    certified by a Sturm count, may decide that in place of both levels.  A
+    level outside its grid's bracket raises AccuracyError at once.
     """
     rootB = math.sqrt(spec.B)
     solves = 0
@@ -367,14 +406,17 @@ def ground_state_lambda(spec: PotentialSpec, *, h: float = 0.025) -> FixedPointR
             MAX_DOUBLINGS):
         coarse = _Grid(spec, T, n, samples=coarse_samples)
         fine = _Grid(spec, T, 2 * n + 1, samples=fine_samples)
-        loose = coarse.centring()
-        # near -1 one factorisation may put the fine level at or below (c - 3)/4,
-        # c the coarse level, already from the loose level's lower bound
-        if fine.degenerate(loose - sturm_liouville.CENTRING_TOL):
-            level_coarse, level_fine = loose, -math.inf
+        # the nested grid of step 2h: its midpoints and nodes are the coarse
+        # grid's nodes
+        centre = _Grid(spec, T, (n - 1) // 2,
+                       samples=tuple(s[1::2] for s in coarse_samples)).centring()
+        # near -1 a factorisation may put the fine level at or below (c - 3)/4,
+        # c the coarse level, already from a lower bound near the centre
+        if _settles_degenerate(coarse, fine, centre):
+            level_coarse, level_fine = centre, -math.inf
             solves += 1
         else:
-            level_coarse = coarse.level(loose)
+            level_coarse = coarse.level(centre)
             level_fine = fine.level(level_coarse)
             solves += coarse.solves + fine.solves
         lam = sturm_liouville.richardson_step(level_coarse, level_fine)[0]

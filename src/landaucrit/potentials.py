@@ -7,11 +7,13 @@ one-dimensional attraction
 
 which obeys the exact scaling a_ell(z; B) = sqrt(B) * a_ell(sqrt(B) z; 1), so
 everything is computed in the scaled variable zeta = sqrt(B) z.  For ell = 0
-the closed form sqrt(pi/2) erfcx(|zeta|/sqrt(2)) holds everywhere; for
-ell >= 1, |zeta| <= SWITCH_RADIUS uses a degree-80 Chebyshev fit of composite
-Gauss-Legendre panels of the defining integral, and larger |zeta| the
-Gaussian-moment asymptotic series in 1/zeta^2.  The module owns the package's
-one panel rule (:func:`_panel_nodes`) and its one 1/zeta^2 series (:func:`_series`).
+the closed form sqrt(pi/2) erfcx(|zeta|/sqrt(2)) holds everywhere.  Up to
+|zeta| = SWITCH_RADIUS, ell = 1 uses the closed form a_1 = (|zeta| +
+(1 - zeta^2) a_0)/2 and ell >= 2 a degree-80 Chebyshev fit of composite
+Gauss-Legendre panels of the defining integral; for ell >= 1 larger |zeta|
+use the Gaussian-moment asymptotic series in 1/zeta^2.  The module owns the
+package's one panel rule (:func:`_panel_nodes`) and its one 1/zeta^2 series
+(:func:`_series`).
 
 The change of variables y(z) = ∫_0^z a_0(t;1) dt and the weight
 mu(y) = 1/a_0(z(y);1) turn the critical-field condition into a Schrodinger
@@ -179,18 +181,26 @@ def _scaled_cheb_coeffs(ell: int) -> np.ndarray:
 
 
 def a_scaled_vec(ell: int, zeta) -> np.ndarray:
-    """Vectorized a_ell(zeta; 1): erfcx closed form for ell = 0, cached
-    Chebyshev interpolant inside the switch radius plus the asymptotic series
-    outside for ell >= 1.  ValueError unless ell is a nonnegative integer."""
+    """Vectorized a_ell(zeta; 1): erfcx closed form for ell = 0; inside the
+    switch radius the closed form a_1 = (|zeta| + (1 - zeta^2) a_0)/2 for
+    ell = 1 and the cached Chebyshev interpolant for ell >= 2, outside it the
+    asymptotic series.  ValueError unless ell is a nonnegative integer.
+
+    a_1 is the ell = 0 case of the kinetic weight's identity w_ell =
+    zeta^2 a_ell + 2(ell + 1) a_(ell+1) = |zeta| + sum_(j <= ell) a_j
+    (trial_bounds), within 1.7e-13 relative of the fit it replaces; near
+    zeta = 30 its cancellation costs about 1e-13.  Solved for a_(ell+1) at
+    ell >= 1 it would cost a_2 3e-11 there, so ell >= 2 keeps the fit."""
     ell = _check_ell(ell)
     zeta = np.abs(np.asarray(zeta, dtype=float))
     if ell == 0:
         return a0_scaled(zeta)
-    coeffs = _scaled_cheb_coeffs(ell)
     out = np.empty_like(zeta)
     near = zeta <= SWITCH_RADIUS
     if np.any(near):
-        out[near] = chebyshev.chebval(2.0 * zeta[near] / SWITCH_RADIUS - 1.0, coeffs)
+        inner = zeta[near]
+        out[near] = (0.5 * (inner + (1.0 - inner * inner) * a0_scaled(inner)) if ell == 1 else
+                     chebyshev.chebval(2.0 * inner / SWITCH_RADIUS - 1.0, _scaled_cheb_coeffs(ell)))
     if np.any(~near):
         out[~near] = _a_scaled_asymptotic(ell, zeta[~near])
     return out

@@ -24,7 +24,7 @@ negative eigenvalues as the matrix has beyond n + 1 below lo (Haynsworth
 inertia additivity).  So a positive definite S certifies the count at lo,
 and its factors solve (A - lo) y = x by eliminating the even rows, one
 dpttrs solve with S, and substituting back; the certificate factors S at
-rho -+ c |rho|.  groundstate's level is that eigenvalue, 3-6 steps from the
+rho -+ c |rho|.  groundstate's level is that eigenvalue, 3-8 steps from the
 bottom of its window.  On these graded matrices
 rho agrees with relative-accuracy bisection to a few 1e-10 of itself, the
 relative accuracy that Barlow and Demmel (SIAM J. Numer. Anal. 27, 1990)
@@ -39,8 +39,12 @@ lambda ~ e^-157) where there is no window.  A window that is empty or not
 certified falls back to the index selection, so the kernel always returns
 eigenvalue k.  The one looser bisection, :func:`_centre` to CENTRING_TOL,
 centres the window of an eigenvalue that has no value near it yet; the
-kernel never returns its value.  A weight, -(p f')' + q f = lambda w f,
-makes the pencil (A, diag(w)); :func:`scaled_pencil` returns the symmetric
+kernel never returns its value.  :func:`_count` is one Sturm count, the
+number of eigenvalues at or below a point (dstebz with a tolerance as wide
+as the spectrum, so that it bisects nothing): it bounds eigenvalue k from
+below whether or not a staggered matrix's even block less that point is
+negative definite, as its Schur complement needs.  A weight,
+-(p f')' + q f = lambda w f, makes the pencil (A, diag(w)); :func:`scaled_pencil` returns the symmetric
 tridiagonal matrix with the same eigenvalues.  The problems posed
 on the sinh-mapped grid sqrt(B) z = sinh(t) (critical_field.m_delta and
 groundstate.ground_state_lambda) lay out their domains with one generator,
@@ -62,7 +66,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs, dstebz
 
 from .errors import CoefficientError, TruncationError
 
@@ -95,15 +99,17 @@ RELATIVE_TOL = 1e-300
 #: delta = 0.01 at h = 0.02 (18 707 rows and more, where the float floor of
 #: log B_L is 2e-5); at 1e-10, 9 do not.  The certified values lie within
 #: 3.8e-10 relative of the index selection's bisection.  Every ground level
-#: solve with a window certifies too (164 specs over nu 0.05-0.9, B 1e-3-1e8,
-#: ell 0, 1, 3 and B/B_L 0.99-1.01), within 2.6e-11 of the bisected level.
+#: solve certifies too: all 268 on groundstate's check lattice (nu 0.05-0.9,
+#: B 1e-3-1e8, ell 0, 1, 3 and B/B_L 0.99-1.01, the 4 grid levels just below
+#: -1 at B/B_L 0.99999 included), within 1.1e-10 relative of the bisected
+#: level.
 #: It is also the half-width of the direct route's domain bracket
 #: (groundstate._Grid.threshold), whose Dirichlet side is the certificate's
 #: top, and it spares the ground level's bracket its Dirichlet side
 CERTIFICATE_WIDTH = 1e-9
 
 #: inverse iteration stops once its value moves by at most SETTLE_TOL of
-#: itself in one step, 3-11 steps on those pencils and 3-6 on the ground
+#: itself in one step, 3-11 steps on those pencils and 3-8 on the ground
 #: level's Dirac matrices, or after
 #: MAX_INVERSE_STEPS steps; either way the certificate decides.  Capped at 6
 #: steps, the direct route's solves at delta >= 0.91 do not certify
@@ -112,9 +118,13 @@ MAX_INVERSE_STEPS = 60
 
 #: absolute tolerance of the loose index selection (:func:`_centre`) that
 #: centres the window of an eigenvalue with no value near it yet: on the
-#: ground level's Dirac matrices it bisects 23-34 times from the Gershgorin
-#: interval against 55-66 to relative accuracy, and takes 0.57-0.63 of the
-#: time.  The certified solve inside that window returns the value
+#: ground level's coarse Dirac matrices it bisects 23-34 times from the
+#: Gershgorin interval against 55-66 to relative accuracy, and takes
+#: 0.57-0.63 of the time.  groundstate runs it on each domain's nested
+#: half-rows grid, at 0.52 the cost of the coarse grid's (4.6 against 8.9 ms
+#: over zspace_scan's 17 ground specs); the lower bound of its degeneracy test
+#: near that value is certified by :func:`_count`.  The certified solve
+#: inside the window returns the value
 CENTRING_TOL = 1e-6
 
 #: Hard cap on interior grid points during domain doubling.
@@ -292,6 +302,23 @@ def _centre(diag: np.ndarray, offdiag: np.ndarray, index: int) -> float:
     then certifies the eigenvalue, never a value the package returns."""
     return float(eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
                                   select_range=(index, index), tol=CENTRING_TOL)[0])
+
+
+def _count(diag: np.ndarray, offdiag: np.ndarray, bound: float) -> int:
+    """The number of eigenvalues of (diag, offdiag) at or below ``bound``, by
+    one Sturm count: LAPACK dstebz over (vl, bound], vl below the Gershgorin
+    interval, with an absolute tolerance as wide as that interval, so that it
+    counts at both ends and bisects no further.  Unlike the window guard of
+    :func:`eigenvalue` it needs no factorisation to succeed."""
+    radius = np.zeros_like(diag)
+    radius[:-1] = np.abs(offdiag)
+    radius[1:] += np.abs(offdiag)
+    low, high = float((diag - radius).min()), float((diag + radius).max())
+    vl = min(low, bound) - 1.0
+    count, *_, info = dstebz(diag, offdiag, 1, vl, bound, 0, 0, high - vl, b"E")
+    if info:
+        raise ValueError(f"dstebz failed with info = {info}")
+    return count
 
 
 def _shifted(diag: np.ndarray, offdiag: np.ndarray, shift: float,

@@ -279,18 +279,19 @@ class UpperBoundCertificate:
 
 # --- kinetic weight w_ell(zeta; 1) = ∫ rho_ell(t) sqrt(t^2 + zeta^2) dt, where
 # rho_ell(t) = t^(2ell+1) e^(-t^2/2)/(2^ell ell!) is the density that gives
-# a_ell(zeta; 1) = ∫ rho_ell(t)/sqrt(t^2 + zeta^2) dt.  Since
-# t^2 rho_ell = 2(ell+1) rho_(ell+1), writing sqrt(t^2 + zeta^2) as
-# (t^2 + zeta^2)/sqrt(t^2 + zeta^2) gives w_ell = zeta^2 a_ell + 2(ell+1) a_(ell+1);
-# for ell = 0 that is |zeta| + a_0.  _weights holds the identity and reuses a_ell.
+# a_ell(zeta; 1) = ∫ rho_ell(t)/sqrt(t^2 + zeta^2) dt.  Since rho_ell -
+# rho_(ell-1) = -(t^(2ell) e^(-t^2/2))'/(2^ell ell!), by parts w_ell - w_(ell-1)
+# = a_ell, and w_0 = |zeta| + a_0 (the boundary term at t = 0 is |zeta|), so
+# w_ell = |zeta| + sum_(j <= ell) a_j: a sum of positive terms, with one
+# Chebyshev evaluation for ell = 2 and none below.  _weights holds the identity
+# and reuses a_ell.
 
 def _weights(ell: int, zeta) -> tuple[np.ndarray, np.ndarray]:
-    """(a_ell, w_ell) at B = 1 on an array of zeta, from one a_ell evaluation."""
+    """(a_ell, w_ell) at B = 1 on an array of zeta, from one a_j evaluation
+    per j <= ell."""
     zeta = np.abs(np.asarray(zeta, dtype=float))
-    a = a_scaled_vec(ell, zeta)
-    if ell == 0:
-        return a, zeta + a
-    return a, zeta * zeta * a + 2.0 * (ell + 1) * a_scaled_vec(ell + 1, zeta)
+    terms = [a_scaled_vec(j, zeta) for j in range(potentials._check_ell(ell) + 1)]
+    return terms[-1], zeta + sum(terms)
 
 
 def w_scaled_vec(ell: int, zeta) -> np.ndarray:

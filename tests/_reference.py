@@ -43,9 +43,10 @@ Each takes a different route from the library's one evaluation path:
   array pass on both rules' nodes.
 - ``evaluate_GB_two_pass`` is the panel-rule evaluation as it was before it
   became one array pass: each rule evaluates the weights and the profile
-  on its own nodes, and w_ell calls a_ell again.  The elementwise results
-  and the sums are the same, so it must agree with ``evaluate_GB`` bit for
-  bit, including when the panel-doubling check raises.
+  on its own nodes, and w_ell = |zeta| + sum_(j <= ell) a_j evaluates
+  a_ell again.  The elementwise results and the sums are the same, so it
+  must agree with ``evaluate_GB`` bit for bit, including when the
+  panel-doubling check raises.
 
 One recorder serves the tests that count eigen-solves: ``record_solves``
 logs every call of the kernel ``sturm_liouville.eigenvalue`` with its rows
@@ -421,10 +422,7 @@ def evaluate_GB_quad(nu: float, B: float, trial: TrialState, *,
 
 def _w_scaled_two_pass(ell: int, zeta) -> np.ndarray:
     zeta = np.abs(np.asarray(zeta, dtype=float))
-    if ell == 0:
-        return zeta + pot.a0_scaled(zeta)
-    return (zeta * zeta * pot.a_scaled_vec(ell, zeta)
-            + 2.0 * (ell + 1) * pot.a_scaled_vec(ell + 1, zeta))
+    return zeta + sum(pot.a_scaled_vec(j, zeta) for j in range(ell + 1))
 
 
 def evaluate_GB_two_pass(nu: float, B: float, trial: TrialState, *,

@@ -142,8 +142,9 @@ class TestGroundState:
         assert abs(a - b) < 1e-6
 
     def test_domain_doubling_keeps_spacing_and_odd_n(self, monkeypatch):
-        # every domain solves on n = odd_points(T, h) and 2n + 1 points; the
-        # next doubles z, T -> asinh(2 sinh T), at the same step h
+        # every domain solves on n = odd_points(T, h) and 2n + 1 points, and
+        # centres on (n - 1)/2; the next doubles z, T -> asinh(2 sinh T), at
+        # the same step h
         grids = []
 
         class RecordingGrid(groundstate._Grid):
@@ -157,22 +158,25 @@ class TestGroundState:
         monkeypatch.setattr(groundstate, "C_COULOMB", 1.0)
         solves, factored = record_solves(monkeypatch), record_factorisations(monkeypatch)
         res = ground_state_lambda(PotentialSpec(0.5, 1.0), h=0.05)
-        assert len(grids) >= 4 and len(grids) == res.iterations
+        # three grids per domain: the coarse and fine ones, and the nested
+        # half-rows grid of the centring pass
+        assert len(grids) >= 6 and len(grids) == 3 * res.iterations // 2
         # every domain runs the same steps: a loose centring pass places its
         # coarse level's window, and both levels are certified inside their
         # windows, the fine one's centred on the coarse level
-        assert solves.steps == ["centre", "inverse", "inverse"] * (len(grids) // 2)
+        assert solves.steps == ["centre", "inverse", "inverse"] * (len(grids) // 3)
         # each level factors three times: its window guard and its
         # certificate's two; the degeneracy test, far from -1, factors
         # nothing.  The first domain's coarse bracket fails on its
         # Neumann side (with the Dirichlet check at lo), and its fine bracket
         # is not tried; on the second domain each bracket factors its Neumann
         # side only, since the certificate's top lies below its Dirichlet side
-        assert len(factored) == 3 * len(grids) + 2 + 2
-        coarse, fine = grids[0::2], grids[1::2]
-        for (T, n), (T_fine, n_fine) in zip(coarse, fine):
+        assert len(factored) == 3 * res.iterations + 2 + 2
+        coarse, fine, half = grids[0::3], grids[1::3], grids[2::3]
+        for (T, n), (T_fine, n_fine), (T_half, n_half) in zip(coarse, fine, half):
             assert n == sturm_liouville.odd_points(T, 0.05) and n % 2 == 1
             assert (T_fine, n_fine) == (T, 2 * n + 1)
+            assert (T_half, n_half) == (T, (n - 1) // 2)
         for (T0, _), (T1, _) in zip(coarse, coarse[1:]):
             assert T1 == pytest.approx(math.asinh(2.0 * math.sinh(T0)), rel=1e-15)
         assert res.grid == pytest.approx((math.sinh(fine[-1][0]), fine[-1][1]), rel=1e-15)
@@ -201,7 +205,8 @@ class TestGroundState:
         res = ground_state_lambda(PotentialSpec(0.5, 1.0))
         assert res.degenerate == degenerate
         if degenerate:
-            assert res.lam == -1.0 and res.iterations == len(grids) == 2
+            # one domain: its two levels and its half-rows grid
+            assert res.lam == -1.0 and res.iterations == 2 and len(grids) == 3
         else:
             # one domain more than the unforced call, within DOMAIN_TOL of it
             assert res.lam == pytest.approx(ground_state_lambda(PotentialSpec(0.5, 1.0)).lam,
@@ -325,12 +330,14 @@ class TestGroundState:
             assert 0 < res.domain_error <= groundstate.DOMAIN_TOL
 
 
-def first_pair(spec, h=0.025):
-    """The coarse level of the first domain, by the index selection, and its
-    fine grid; the fine level is solved centred on the coarse one."""
+def first_domain(spec, h=0.025):
+    """(the coarse level by the index selection, the coarse grid, the fine
+    grid, the half-rows grid's loose level) of the first domain."""
     T = math.asinh(math.sqrt(spec.B) * groundstate._default_domain(spec))
     n = sturm_liouville.odd_points(T, h)
-    return index_level(groundstate._Grid(spec, T, n)), groundstate._Grid(spec, T, 2 * n + 1)
+    coarse = groundstate._Grid(spec, T, n)
+    return (index_level(coarse), coarse, groundstate._Grid(spec, T, 2 * n + 1),
+            groundstate._Grid(spec, T, (n - 1) // 2).centring())
 
 
 class TestDegenerateDecision:
@@ -342,7 +349,7 @@ class TestDegenerateDecision:
     def test_agrees_with_the_extrapolated_level_near_the_critical_field(self, nu, ell):
         B_L = math.exp(critical_field_direct(nu).log_BL)
         for r in (0.99, 0.999, 1.001, 1.01):
-            coarse, fine = first_pair(PotentialSpec(nu, r * B_L, ell))
+            coarse, _, fine, _ = first_domain(PotentialSpec(nu, r * B_L, ell))
             want = sturm_liouville.richardson_step(coarse, fine.level(coarse))[0] <= -1.0
             assert fine.degenerate(coarse) == want, r
             # past B_L the lowest level is degenerate
@@ -353,7 +360,7 @@ class TestDegenerateDecision:
                                           (0.3, 1e8, 0)])
     def test_agrees_on_degenerate_calls(self, nu, B, ell):
         # the zspace_scan lattice's degenerate calls, and one far past B_L
-        coarse, fine = first_pair(PotentialSpec(nu, B, ell))
+        coarse, _, fine, _ = first_domain(PotentialSpec(nu, B, ell))
         assert sturm_liouville.richardson_step(coarse, fine.level(coarse))[0] <= -1.0
         assert fine.degenerate(coarse)
 
@@ -361,22 +368,34 @@ class TestDegenerateDecision:
                                           (0.75, 100.0, 0), (0.75, 200.0, 0), (0.75, 200.0, 1),
                                           (0.3, 1.001, None), (0.3, 1.01, None),
                                           (0.65, 1.001, None), (0.65, 1.01, None)])
-    def test_loose_lower_bound_decides_as_the_coarse_level(self, nu, B, ell):
-        # every domain decides from its centring pass, c_loose -
-        # CENTRING_TOL <= c, what the coarse level c itself decides: on the
-        # zspace_scan lattice's degenerate calls, and just past B_L (B given
-        # as B/B_L there, at ell 0 and 1)
+    def test_half_rows_lower_bound_decides_as_the_coarse_level(self, nu, B, ell):
+        # every domain decides from its half-rows centre c, from c - w or
+        # c - w/10, each certified below the coarse level by a Sturm count,
+        # what the coarse level itself decides: on the zspace_scan lattice's
+        # degenerate calls, and just past B_L (B given as B/B_L there, at ell
+        # 0 and 1)
         specs = [PotentialSpec(nu, B, ell)] if ell is not None else [
             PotentialSpec(nu, B * math.exp(critical_field_direct(nu).log_BL), ell)
             for ell in (0, 1)]
         for spec in specs:
-            coarse, fine = first_pair(spec)
-            T = math.asinh(math.sqrt(spec.B) * groundstate._default_domain(spec))
-            loose = groundstate._Grid(spec, T, (fine.n - 1) // 2).centring()
-            assert abs(loose - coarse) <= sturm_liouville.CENTRING_TOL
-            lower = loose - sturm_liouville.CENTRING_TOL
-            assert fine.degenerate(lower) == fine.degenerate(coarse), spec
-            assert fine.degenerate(lower) == ground_state_lambda(spec).degenerate, spec
+            level, coarse, fine, centre = first_domain(spec)
+            settled = groundstate._settles_degenerate(coarse, fine, centre)
+            assert settled == fine.degenerate(level) == ground_state_lambda(spec).degenerate, spec
+
+    def test_neither_lower_bound_suffices_alone(self):
+        # (decides, certified) from c - w and from c - w/10 at B/B_L 1.001,
+        # ell 0: at nu 0.3 c - w lies too far below the coarse level to
+        # decide, and c - w/10 settles the call; at nu 0.65 c - w settles it,
+        # and c - w/10 lies above the coarse level, where the count refuses it
+        found = {}
+        for nu in (0.3, 0.65):
+            spec = PotentialSpec(nu, 1.001 * math.exp(critical_field_direct(nu).log_BL))
+            level, coarse, fine, centre = first_domain(spec)
+            width = groundstate._half_width(centre)
+            found[nu] = [(fine.degenerate(lower), coarse.below(lower))
+                         for lower in (centre - width, centre - 0.1 * width)]
+            assert coarse.below(centre - 0.1 * width) == (centre - 0.1 * width < level)
+        assert found == {0.3: [(False, True), (True, True)], 0.65: [(True, True), (True, False)]}
 
     @pytest.mark.parametrize("coarse", [-1.5, -1.05])
     def test_no_decision_where_the_g_block_is_not_negative_definite(self, coarse):
@@ -384,16 +403,16 @@ class TestDegenerateDecision:
         # is then not positive definite although the level is 0.71, so the
         # factorisation must not decide
         spec = PotentialSpec(0.5, 1.0)
-        _, fine = first_pair(spec)
+        fine = first_domain(spec)[2]
         forced = groundstate._Grid(spec, math.asinh(groundstate._default_domain(spec)), fine.n)
         x = 0.25 * (coarse - 3.0)
         assert not forced._above(forced._pencil(x), x - 1.0)
         assert not forced.degenerate(coarse)
-        # the window around the forced centre, clipped at -1, must not invert:
-        # it is certified at -1 but holds no level, and the index selection
-        # finds the level
+        # the window around the forced centre, clipped at -1 - min(nu a)/2,
+        # must not invert: it is certified there but holds no level, and the
+        # index selection finds the level
         lo, hi = forced.window(coarse)
-        assert lo == -1.0 < hi
+        assert lo == -1.0 - 0.5 * forced.nu_a[[0, -1]].min() < hi
         assert forced.level(coarse) > 0.7 and forced.solves == 2
 
 
@@ -418,11 +437,10 @@ class TestCertifiedLevel:
 
     def test_check_lattice_matches_the_bisection_oracle(self, monkeypatch):
         # every non-degenerate call centres its coarse window by a loose pass
-        # and certifies both levels, those within LEVEL_WINDOW of -1 inside
-        # windows clipped at -1; a degenerate one is settled by the pass and
-        # one factorisation.  Only at B/B_L 0.99999, ell 0, do both grids'
-        # levels lie below -1, under every window, though their extrapolation
-        # lies above: the index selection solves them
+        # and certifies both levels; a degenerate one is settled by the pass
+        # and a factorisation.  At B/B_L 0.99999, ell 0, both grids' levels
+        # lie below -1 though their extrapolation lies above: windows whose
+        # bottom reaches -1 - min(nu a)/2 certify them too
         solves = record_solves(monkeypatch)
         below = []
         for spec in check_lattice():
@@ -434,15 +452,28 @@ class TestCertifiedLevel:
             assert res.degenerate == degenerate, spec
             if degenerate:
                 assert (paths, res.iterations) == ([CENTRE], 1), spec
-            elif paths != [CENTRE, INVERSE, INVERSE]:
-                assert (paths, res.iterations) == ([CENTRE, ("i",), ("i",)], 2), spec
-                coarse, fine = first_pair(spec)
-                assert coarse < index_level(fine) < -1.0 < res.lam, spec
-                below.append(spec)
-            else:
-                assert res.iterations == 2, spec
+                continue
+            assert (paths, res.iterations) == ([CENTRE, INVERSE, INVERSE], 2), spec
+            if res.lam < -0.9999:
+                coarse, _, fine, _ = first_domain(spec)
+                if index_level(fine) < -1.0:
+                    assert coarse < index_level(fine) < -1.0 < res.lam, spec
+                    below.append(spec)
         assert len(below) == 2
         assert all(spec.ell == 0 and spec.B > 100.0 for spec in below)
+
+    def test_half_rows_centre_windows_the_coarse_level(self):
+        # the loose level of the nested grid at step 2h, whose midpoints and
+        # nodes are the coarse grid's nodes, lies within 0.26 of the
+        # half-width w from the coarse level on the check lattice (asserted
+        # to 0.3 w), so its window holds that level wherever a level is solved
+        for spec in check_lattice():
+            if bisected_ground_level(spec)[1]:
+                continue
+            level, coarse, _, centre = first_domain(spec)
+            lo, hi = coarse.window(centre)
+            assert lo < level <= hi, spec
+            assert abs(level - centre) <= 0.3 * groundstate._half_width(centre), spec
 
     def test_unsettled_iteration_falls_back_to_the_bisection(self, monkeypatch):
         # one inverse step does not certify: each level is bisected inside

@@ -33,33 +33,37 @@ def test_level_is_the_root_of_phi(nu, log10_B, ell):
 @SETTINGS
 @hypothesis.given(nu=st.floats(0.05, 0.9), log10_B=st.floats(-1.0, 3.0), ell=st.integers(0, 3),
                   offset=st.floats(-0.5, 0.5), far=st.sampled_from([-10.0, 10.0]),
-                  log10_gap=st.none() | st.floats(-7.0, -3.5))
-def test_windowed_level_matches_index_selection(nu, log10_B, ell, offset, far, log10_gap):
+                  log10_gap=st.none() | st.floats(-7.0, -3.5), past=st.booleans())
+def test_windowed_level_matches_index_selection(nu, log10_B, ell, offset, far, log10_gap, past):
     spec, T, n = PotentialSpec(nu, 10.0**log10_B, ell), 6.0, 479
     if log10_gap is not None:
-        # B a fraction 1 - gap of the grid's own critical field 4/m^2, where
-        # T(-1) = 1 + sqrt(B) m reaches -1: the level lies less than 2e-4
-        # above -1, and its windows are clipped there
+        # B a fraction gap below (or ``past`` it, above) the grid's own
+        # critical field 4/m^2, where T(-1) = 1 + sqrt(B) m reaches -1: the
+        # level lies less than 2e-4 above -1 (or just below it), and its
+        # windows reach down to their bottom
         m = groundstate._Grid(replace(spec, B=1.0), T, n).threshold(None)[0]
         hypothesis.assume(m < 0.0)
-        spec = replace(spec, B=(1.0 - 10.0**log10_gap) * 4.0 / m**2)
+        spec = replace(spec, B=(1.0 + (1.0 if past else -1.0) * 10.0**log10_gap) * 4.0 / m**2)
     grid = groundstate._Grid(spec, T, n)
     W = groundstate.LEVEL_WINDOW
     want = index_level(grid)
-    # a level at or below -1 lies under every window, whose bottom is -1
-    hypothesis.assume(want > -1.0)
+    # every window's bottom lies at or above -1 - min(nu a)/2, above which the
+    # g block -(1 + lo + nu a) is negative definite; a level below it lies
+    # under every window
+    bottom = -1.0 - 0.5 * grid.nu_a[[0, -1]].min()
+    hypothesis.assume(want > bottom)
     # half a window off, the level is certified within CERTIFICATE_WIDTH of itself
     near = want + offset * min(W, (1.0 - want) / 32.0)
-    assert (grid.window(near)[0] == -1.0) == (log10_gap is not None or near - W <= -1.0)
+    assert (grid.window(near)[0] == bottom) == (near - W <= bottom)
     got = grid.level(near)
     width = sturm_liouville.CERTIFICATE_WIDTH * abs(got)
     assert abs(got - want) <= width and grid.solves == 1 and grid.top == got + width
     # 10 windows away the window misses: identical through the index selection,
-    # unless it is clipped at -1 up to a level just above -1
+    # unless it is clipped at its bottom up to a level just above it
     lo, hi = grid.window(want + far * W)
     got = grid.level(want + far * W)
     if lo < want <= hi:
-        assert lo == -1.0 and abs(got - want) <= sturm_liouville.CERTIFICATE_WIDTH * abs(got)
+        assert lo == bottom and abs(got - want) <= sturm_liouville.CERTIFICATE_WIDTH * abs(got)
     else:
         assert got == want
 

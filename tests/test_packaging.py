@@ -63,19 +63,22 @@ def test_benchmark_wrap_points_exist(monkeypatch):
 
 def test_one_tridiagonal_kernel():
     """Only sturm_liouville names LAPACK's tridiagonal eigen-solver, the
-    factorisation behind its window guard and certificate, and the solve of
-    its inverse iteration; everything else calls its kernel.  Every bisection
-    that returns a value sits in sturm_liouville.eigenvalue, the fallback of
-    the certified inverse iteration, at the kernel's one accuracy policy,
-    RELATIVE_TOL.  The one other tolerance, CENTRING_TOL, is the centring
-    pass's (sturm_liouville._centre), which groundstate calls only to centre
-    the window of a level that the kernel then certifies."""
+    factorisation behind its window guard and certificate, the solve of its
+    inverse iteration and the Sturm count; everything else calls its kernel.
+    Every bisection that returns a value sits in sturm_liouville.eigenvalue,
+    the fallback of the certified inverse iteration, at the kernel's one
+    accuracy policy, RELATIVE_TOL.  The one other tolerance, CENTRING_TOL, is
+    the centring pass's (sturm_liouville._centre), which groundstate runs on
+    each domain's nested half-rows grid only to centre the window of a coarse
+    level that the kernel then certifies.  The count (sturm_liouville._count,
+    dstebz with a tolerance as wide as the spectrum, so it bisects nothing)
+    certifies the lower bound that groundstate's degeneracy test starts from."""
     from landaucrit import groundstate, sturm_liouville
 
-    solves, tols, centring = [], [], []
+    solves, tols, centring, counts = [], [], [], []
     for path in sorted((ROOT / "src").rglob("*.py")):
         text = path.read_text()
-        for name in ("eigh_tridiagonal", "dpttrf", "dpttrs", "dgtsv"):
+        for name in ("eigh_tridiagonal", "dpttrf", "dpttrs", "dgtsv", "dstebz"):
             assert name not in text or path.name == "sturm_liouville.py", f"{path.name}: {name}"
         tree = ast.parse(text)
         owner = {}
@@ -91,12 +94,16 @@ def test_one_tridiagonal_kernel():
                 solves.append(where)
             if called.endswith("_centre"):
                 centring.append(where)
+            if called.endswith(("_count", "dstebz")):
+                counts.append(where)
             tols += [(*where, ast.unparse(k.value)) for k in node.keywords if k.arg == "tol"]
     assert solves == [("sturm_liouville", "eigenvalue", "eigh_tridiagonal"),
                       ("sturm_liouville", "_centre", "eigh_tridiagonal")]
     assert tols == [("sturm_liouville", "eigenvalue", "eigh_tridiagonal", "RELATIVE_TOL"),
                     ("sturm_liouville", "_centre", "eigh_tridiagonal", "CENTRING_TOL")]
     assert centring == [("groundstate", "centring", "sturm_liouville._centre")]
+    assert counts == [("groundstate", "below", "sturm_liouville._count"),
+                      ("sturm_liouville", "_count", "dstebz")]
     # the centring pass's accuracy lies well inside the window it centres
     assert sturm_liouville.CENTRING_TOL < 0.01 * groundstate.LEVEL_WINDOW
 

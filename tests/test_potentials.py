@@ -95,9 +95,21 @@ class TestAEll:
             ref = np.array([a_ell(spec, z).value for z in zs])
             assert np.max(np.abs(grid - ref) / ref) < 1e-11
 
+    def test_a1_closed_form(self):
+        # a_1 = (|zeta| + (1 - zeta^2) a_0)/2 inside the switch radius against
+        # the adaptive quadrature of its defining integral, and continuous
+        # across the switch radius into the series
+        zetas = np.concatenate((np.linspace(0.0, pot.SWITCH_RADIUS, 61), [1e-9, 29.99]))
+        ref = np.array([a_scaled_quadrature(1, zeta) for zeta in zetas])
+        assert np.max(np.abs(pot.a_scaled_vec(1, zetas) - ref) / ref) <= 2e-13
+        edge = np.array([pot.SWITCH_RADIUS, np.nextafter(pot.SWITCH_RADIUS, np.inf)])
+        inside, outside = pot.a_scaled_vec(1, edge)
+        assert abs(outside - inside) <= 1e-13 * inside
+
     def test_chebyshev_fit_matches_panels(self):
-        # the fit inside the switch radius against the Gauss-Legendre panels
-        # it interpolates, on a grid far denser than its nodes
+        # the fit (ell >= 2; the closed form for ell = 1) inside the switch
+        # radius against the Gauss-Legendre panels it interpolates, on a grid
+        # far denser than its nodes
         zetas = np.linspace(0.0, pot.SWITCH_RADIUS, 20001)
         for ell in (1, 2, 3, 5):
             ref = pot._a_scaled_grid_gl(ell, zetas)

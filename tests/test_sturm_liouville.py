@@ -325,6 +325,44 @@ def dirac_matrix(n=200, h=0.05):
     return diag, np.full(2 * n, 1.0 / h), level
 
 
+class TestCount:
+    """sturm_liouville._count, one Sturm count, against a dense count of the
+    eigenvalues at or below x, on the ground level's Dirac matrices: levels
+    above -1, just below it (B/B_L 0.99999, ell 0) and far below it (past
+    B_L), at x between neighbouring eigenvalues around the level."""
+
+    @pytest.mark.parametrize("nu,B,ell,below", [
+        (0.3, 2.0, 0, False), (0.65, 50.0, 1, False), (0.3, None, 0, True), (0.65, None, 0, True),
+        (0.85, 1e4, 0, True), (0.9, 1e8, 3, True)])
+    def test_matches_a_dense_count(self, nu, B, ell, below):
+        # B None is B/B_L 0.99999
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        from landaucrit import groundstate
+        if B is None:
+            B = 0.99999 * math.exp(critical_field.critical_field_direct(nu).log_BL)
+        spec = PotentialSpec(nu, B, ell)
+        T = math.asinh(math.sqrt(B) * groundstate._default_domain(spec))
+        grid = groundstate._Grid(spec, T, sturm_liouville.odd_points(T, 0.025))
+        diag, offdiag = grid.dirac()
+        values = eigvalsh_tridiagonal(diag, offdiag)
+        around = values[grid.n - 3:grid.n + 6]
+        points = [*(0.5 * (around[:-1] + around[1:])), values[0] - 1.0, values[-1] + 1.0, -1.0]
+        for x in points:
+            assert sturm_liouville._count(diag, offdiag, x) == np.count_nonzero(values <= x), x
+        level = values[grid.n + 1]
+        assert (level < -1.0) == below
+        assert grid.below(0.5 * (values[grid.n] + level)) and not grid.below(around[-1])
+
+    def test_free_dirac_matrix(self):
+        diag, offdiag, level = dirac_matrix()
+        assert sturm_liouville._count(diag, offdiag, -1.0) == 201
+        assert sturm_liouville._count(diag, offdiag, 0.5 * (level + 1.0)) == 201
+        assert sturm_liouville._count(diag, offdiag, level * (1.0 + 1e-9)) == 202
+        assert sturm_liouville._count(diag, offdiag, -1e3) == 0
+        assert sturm_liouville._count(diag, offdiag, 1e3) == 401
+
+
 class TestStaggeredWindow:
     """window=(lo, hi) with index > 0 on a staggered matrix: the kernel
     factors the Schur complement of its even rows' block less lo, which
