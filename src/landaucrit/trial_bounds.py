@@ -16,6 +16,12 @@ Families used for certificates are canonical shapes modulo the longitudinal
 rescaling f -> B^(1/4) f(sqrt(B) z) (the rescaling direction is exactly what
 the field scan consumes): the Gaussian family has a single canonical member,
 the plateau family keeps its width and ramp-ratio as shape parameters.
+
+Both families are even in z, as a_ell and w_ell are, so their integrals are
+summed on the half line z >= 0 and doubled; doubling a float is exact, so
+the fold moves G only by the half-line sums' rounding (evaluate_GB).  A
+profile says it is even by an ``even`` attribute; one without it is taken
+as not even.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ _RAMP_SQ_INTEGRAL = 181.0 / 462.0     # ∫_0^1 s(t)^2 dt
 def __getattr__(name: str):
     # quad is called nowhere here; it resolves, lazily, only because the
     # benchmark's trace (perfbench/layers.WRAP_POINTS) wraps trial_bounds.quad.
-    # It goes when that wrap point is dropped (ROADMAP item 6).
+    # It goes when that wrap point is dropped (ROADMAP item 5).
     if name == "quad":
         from scipy.integrate import quad
         return quad
@@ -70,6 +76,8 @@ def _check_positive_finite(**values: float) -> None:
 
 class GaussianProfile:
     """f(z) = (2 pi w^2)^(-1/4) exp(-z^2/(4 w^2)), unit L2 norm."""
+
+    even = True
 
     def __init__(self, width: float = 1.0):
         _check_positive_finite(width=width)
@@ -97,24 +105,26 @@ class GaussianProfile:
 class PlateauProfile:
     """f = 1 on [-d, d], quintic smoothstep to 0 across [d, d + ramp]."""
 
+    even = True
+
     def __init__(self, half_width: float, ramp: float):
         _check_positive_finite(half_width=half_width, ramp=ramp)
         self.half_width = half_width
         self.ramp = ramp
 
+    def _t(self, z):
+        """Position on the ramp, clipped to [0, 1]: 0 on the plateau, 1 past it."""
+        return np.clip((np.abs(z) - self.half_width) / self.ramp, 0.0, 1.0)
+
     def value(self, z):
-        az = np.abs(np.asarray(z, dtype=float))
-        t = np.clip((az - self.half_width) / self.ramp, 0.0, 1.0)
+        t = self._t(np.asarray(z, dtype=float))
         return 1.0 - t**3 * (10.0 - 15.0 * t + 6.0 * t * t)
 
     def derivative(self, z):
+        # s'(t) = -30 (t (1 - t))^2 vanishes at both clipped ends
         z = np.asarray(z, dtype=float)
-        az = np.abs(z)
-        t = (az - self.half_width) / self.ramp
-        inside = (t > 0.0) & (t < 1.0)
-        t = np.clip(t, 0.0, 1.0)
-        slope = -30.0 * t * t * (1.0 - t) ** 2 / self.ramp
-        return np.where(inside, slope * np.sign(z), 0.0)
+        t = self._t(z)
+        return -30.0 / self.ramp * np.sign(z) * (t * (1.0 - t)) ** 2
 
     def norm_sq(self) -> float:
         return 2.0 * self.half_width + 2.0 * self.ramp * _RAMP_SQ_INTEGRAL
@@ -128,6 +138,8 @@ class PlateauProfile:
 
 class TabulatedProfile:
     """Cubic-spline profile through sample points, clamped to zero outside."""
+
+    even = False
 
     def __init__(self, z: np.ndarray, values: np.ndarray):
         z = np.asarray(z, dtype=float)
@@ -171,6 +183,8 @@ class HermiteBasisProfile:
     norm_sq = sum c_k^2; the random-state generator of the inequality check
     draws its coefficients here.
     """
+
+    even = False
 
     def __init__(self, coeffs, scale: float = 2.0):
         self.coeffs = np.asarray(coeffs, dtype=float)
@@ -224,6 +238,7 @@ class RescaledProfile:
         _check_positive_finite(B=B)
         self.base = base
         self.B = B
+        self.even = getattr(base, "even", False)
         self._rootB = math.sqrt(B)
 
     def value(self, z):
@@ -304,11 +319,15 @@ def w_scaled_vec(ell: int, zeta) -> np.ndarray:
 def _panel_edges(profile, rootB: float) -> np.ndarray:
     """±R, 0, the profile's breakpoints and the dyadic edges ±2^k/(4 sqrt(B))
     below R; the dyadic edges keep the 1/|z| tail of a_ell to a ratio of two
-    per panel."""
+    per panel.  For an even profile only the edges at z >= 0."""
     R = profile.support_radius()
-    dyadic = 0.25 / rootB * 2.0 ** np.arange(max(0, math.ceil(math.log2(4.0 * R * rootB))))
-    edges = np.concatenate(([-R, 0.0, R], profile.breakpoints(), dyadic, -dyadic))
-    return np.unique(edges[(edges >= -R) & (edges <= R)])
+    lo = 0.0 if getattr(profile, "even", False) else -R
+    step = 0.25 / rootB
+    dyadic = [step * 2.0**k for k in range(max(0, math.ceil(math.log2(4.0 * R * rootB))))]
+    edges = {0.0, lo, R, *dyadic, *profile.breakpoints()}
+    if lo < 0.0:
+        edges.update([-d for d in dyadic])
+    return np.array(sorted(e for e in edges if lo <= e <= R))
 
 
 def evaluate_GB(nu: float, B: float, trial: TrialState, *,
@@ -321,9 +340,14 @@ def evaluate_GB(nu: float, B: float, trial: TrialState, *,
     0, the profile's breakpoints and the dyadic edges ±2^k/(4 sqrt(B)), and
     again with every panel split in two; the split rule's value is returned.
     The weights and the profile are evaluated in one array pass on both
-    rules' nodes together.  ``epsrel`` is the stopping criterion: if the two
-    values of G differ by more than epsrel (kin/nu + nu pot), AccuracyError
-    is raised; it must be positive and finite.
+    rules' nodes together.  a_ell and w_ell are even in z, so for a profile
+    whose ``even`` attribute is true both integrands are even: the panels
+    cover [0, R] only and both rules' kin and pot are doubled.  Doubling is
+    exact in floating point, so it scales G, the gap and the bound alike and
+    leaves the check's decision as the half-line sums make it.  ``epsrel``
+    is the stopping criterion: if the two values of G differ by more than
+    epsrel (kin/nu + nu pot), AccuracyError is raised; it must be positive
+    and finite.
     """
     PotentialSpec(nu, B, trial.ell)  # ValueError for nu, B or ell out of range
     _check_positive_finite(epsrel=epsrel)
@@ -339,8 +363,9 @@ def evaluate_GB(nu: float, B: float, trial: TrialState, *,
     kin_density = w / rootB * profile.derivative(z) ** 2
     pot_density = rootB * a * profile.value(z) ** 2
     k = z_c.size
-    kin_c, pot_c = float(wt_c @ kin_density[:k]), float(wt_c @ pot_density[:k])
-    kin, pot = float(wt_f @ kin_density[k:]), float(wt_f @ pot_density[k:])
+    fold = 2.0 if getattr(profile, "even", False) else 1.0
+    kin_c, pot_c = fold * float(wt_c @ kin_density[:k]), fold * float(wt_c @ pot_density[:k])
+    kin, pot = fold * float(wt_f @ kin_density[k:]), fold * float(wt_f @ pot_density[k:])
     g = kin / nu - nu * pot
     gap = abs(g - (kin_c / nu - nu * pot_c))
     if gap > epsrel * (kin / nu + nu * pot):
@@ -357,14 +382,15 @@ def _g1(nu: float, ell: int, profile) -> float:
     return ev.G_B / profile.norm_sq()
 
 
-def _line_search(f, bounds: tuple[float, float]) -> float:
-    """Bounded golden-section argmin of f; AccuracyError unless it converged."""
+def _line_search(f, bounds: tuple[float, float]) -> tuple[float, float]:
+    """Bounded golden-section argmin of f and f there; AccuracyError unless
+    it converged."""
     # imported here, so that only the plateau search loads the optimizers
     from scipy.optimize import minimize_scalar
     res = minimize_scalar(f, bounds=bounds, method="bounded", options={"xatol": 1e-6})
     if not res.success:
         raise AccuracyError(f"plateau line search did not converge: {res.message}")
-    return float(res.x)
+    return float(res.x), float(res.fun)
 
 
 def certify_critical_upper_bound(nu: float, family: str = "gaussian") -> UpperBoundCertificate:
@@ -397,11 +423,11 @@ def certify_critical_upper_bound(nu: float, family: str = "gaussian") -> UpperBo
         x = math.log10(50.0)
         rho = 1.0
         for _ in range(PLATEAU_SWEEPS):
-            x = _line_search(lambda lx: _g1(nu, 0, PlateauProfile(10.0**lx, rho * 10.0**lx)),
-                             (-0.5, 6.5))
-            rho = _line_search(lambda r: _g1(nu, 0, PlateauProfile(10.0**x, r * 10.0**x)),
-                               (0.1, 24.0))
-        m_star = _g1(nu, 0, PlateauProfile(10.0**x, rho * 10.0**x))
+            x, _ = _line_search(lambda lx: _g1(nu, 0, PlateauProfile(10.0**lx, rho * 10.0**lx)),
+                                (-0.5, 6.5))
+            # m* is the last search's value: _g1 at the params reported below
+            rho, m_star = _line_search(
+                lambda r: _g1(nu, 0, PlateauProfile(10.0**x, r * 10.0**x)), (0.1, 24.0))
         params = {"half_width": 10.0**x, "ramp": rho * 10.0**x}
     else:
         raise ValueError(f"unknown trial family {family!r}")

@@ -44,9 +44,11 @@ Each takes a different route from the library's one evaluation path:
 - ``evaluate_GB_two_pass`` is the panel-rule evaluation as it was before it
   became one array pass: each rule evaluates the weights and the profile
   on its own nodes, and w_ell = |zeta| + sum_(j <= ell) a_j evaluates
-  a_ell again.  The elementwise results and the sums are the same, so it
-  must agree with ``evaluate_GB`` bit for bit, including when the
-  panel-doubling check raises.
+  a_ell again.  It takes the library's panels, which cover only z >= 0 for
+  an even profile, and doubles both rules' sums there as the library does
+  (exact in floating point).  The elementwise results and the sums are the
+  same, so it must agree with ``evaluate_GB`` bit for bit, including when
+  the panel-doubling check raises.
 
 One recorder serves the tests that count eigen-solves: ``record_solves``
 logs every call of the kernel ``sturm_liouville.eigenvalue`` with its rows
@@ -428,18 +430,20 @@ def _w_scaled_two_pass(ell: int, zeta) -> np.ndarray:
 def evaluate_GB_two_pass(nu: float, B: float, trial: TrialState, *,
                          epsrel: float = 1e-10) -> TrialEvaluation:
     """The library's panel rule with the weights and the profile evaluated
-    once per rule, coarse then split, and w_ell apart from a_ell."""
+    once per rule, coarse then split, and w_ell apart from a_ell; an even
+    profile's half-line sums are doubled, which is exact."""
     PotentialSpec(nu, B, trial.ell)  # ValueError for nu, B or ell out of range
     _check_positive_finite(epsrel=epsrel)
     ell = trial.ell
     profile = trial.profile
     rootB = math.sqrt(B)
+    fold = 2.0 if getattr(profile, "even", False) else 1.0
 
     def integrals(edges):
         z, wt = pot._panel_nodes(edges)
         kin = wt @ (_w_scaled_two_pass(ell, rootB * z) / rootB * profile.derivative(z) ** 2)
         pot_int = wt @ (rootB * pot.a_scaled_vec(ell, rootB * z) * profile.value(z) ** 2)
-        return float(kin), float(pot_int)
+        return fold * float(kin), fold * float(pot_int)
 
     edges = _panel_edges(profile, rootB)
     kin_c, pot_c = integrals(edges)

@@ -1,6 +1,7 @@
 """Tests for zero-mode trial evaluations and certified field bounds."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,6 +65,28 @@ ONE_PASS_BASES = {
     "tabulated": TabulatedProfile(_ZS, np.cos(_ZS) ** 2 * np.exp(-_ZS**2 / 4.0)),
 }
 
+#: the even profiles, whose integrals evaluate_GB folds onto z >= 0
+EVEN_NAMES = ("gaussian", "plateau", "rescaled plateau")
+
+
+def even_profile(name, B):
+    """An even profile; the rescaled plateau is rescaled to the field B."""
+    plateau = PlateauProfile(1.5, 1.0)
+    return {"gaussian": GaussianProfile(1.3), "plateau": plateau,
+            "rescaled plateau": RescaledProfile(plateau, B)}[name]
+
+
+class FullLine:
+    """An even profile that does not say so: evaluate_GB sums it over ±R."""
+
+    even = False
+
+    def __init__(self, base):
+        self.base = base
+
+    def __getattr__(self, name):
+        return getattr(self.base, name)
+
 
 class TestWeights:
     def test_weight_matches_absz_plus_a_for_ell0(self):
@@ -106,6 +129,32 @@ class TestProfiles:
         num = quad(lambda z: p.derivative(z) ** 2, -d - r, d + r,
                    points=[-d, d], epsabs=0.0, epsrel=1e-12)[0]
         assert num == pytest.approx(20.0 / (7.0 * r), rel=1e-10)
+
+    @pytest.mark.parametrize("d,r", [(1.5, 1.0), (2.0, 3.0), (0.5, 0.25)])
+    def test_plateau_matches_the_closed_smoothstep(self, d, r):
+        # s(t) = 1 - 10 t^3 + 15 t^4 - 6 t^5 and s'(t)/r = -30 t^2 (1 - t)^2/r,
+        # t = (|z| - d)/r on the ramp; exact at the centre and both ends of the ramps
+        p = PlateauProfile(d, r)
+        ends = np.array([0.0, d, -d, d + r, -(d + r)])
+        assert p.value(ends).tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
+        assert p.derivative(ends).tolist() == [0.0] * 5
+        z = np.linspace(-(d + 1.5 * r), d + 1.5 * r, 301)
+        t = np.clip((np.abs(z) - d) / r, 0.0, 1.0)
+        smoothstep = 1.0 - 10.0 * t**3 + 15.0 * t**4 - 6.0 * t**5
+        slope = -30.0 * t**2 * (1.0 - t) ** 2 / r * np.sign(z)
+        # the expanded quintic cancels terms up to 15 near t = 1
+        np.testing.assert_allclose(p.value(z), smoothstep, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(p.derivative(z), slope, rtol=0.0, atol=2e-15 / r)
+
+    def test_even_attribute(self):
+        assert GaussianProfile().even and PlateauProfile(1.0, 1.0).even
+        assert not ONE_PASS_BASES["hermite"].even and not ONE_PASS_BASES["tabulated"].even
+        assert RescaledProfile(PlateauProfile(1.0, 1.0), 4.0).even
+        assert not RescaledProfile(ONE_PASS_BASES["hermite"], 4.0).even
+        # a profile without the attribute is taken as not even
+        plain = SimpleNamespace(support_radius=lambda: 2.0, breakpoints=lambda: [0.0])
+        assert not RescaledProfile(plain, 4.0).even
+        assert trial_bounds._panel_edges(plain, 1.0)[0] == -2.0
 
     def test_plateau_derivative_consistent(self):
         p = PlateauProfile(1.0, 2.0)
@@ -260,6 +309,63 @@ class TestEvaluateGB:
         assert calls == list(range(ell + 1))
         assert counts == {"value": 1, "derivative": 1}
 
+    @pytest.mark.parametrize("ell", range(4))
+    @pytest.mark.parametrize("name", EVEN_NAMES)
+    def test_even_profile_sends_the_half_line_nodes(self, monkeypatch, name, ell):
+        # 32 nodes per panel on the coarse rule and 64 on the split one, all at z >= 0
+        sizes = []
+        real = trial_bounds.a_scaled_vec
+
+        def counting(index, zeta):
+            sizes.append(np.size(zeta))
+            return real(index, zeta)
+
+        B = 9.0
+        profile = even_profile(name, B)
+        edges = trial_bounds._panel_edges(profile, math.sqrt(B))
+        assert edges[0] == 0.0
+        monkeypatch.setattr(trial_bounds, "a_scaled_vec", counting)
+        evaluate_GB(0.5, B, TrialState(ell, profile))
+        assert sizes == [96 * (len(edges) - 1)] * (ell + 1)
+
+    @pytest.mark.parametrize("rootB", [0.03, 1.0, 100.0])
+    @pytest.mark.parametrize("name", EVEN_NAMES)
+    def test_even_edges_are_the_half_of_the_full_line(self, name, rootB):
+        profile = even_profile(name, rootB**2)
+        full = trial_bounds._panel_edges(FullLine(profile), rootB)
+        assert full[0] < 0.0
+        assert trial_bounds._panel_edges(profile, rootB).tobytes() == full[full >= 0.0].tobytes()
+
+    @pytest.mark.parametrize("B", [1e-3, 1.0, 1e4])
+    @pytest.mark.parametrize("ell", range(5))
+    @pytest.mark.parametrize("name", EVEN_NAMES)
+    def test_half_line_fold_matches_the_full_line(self, name, ell, B):
+        profile = even_profile(name, B)
+        nus = (0.6, 0.3)
+
+        def G(p, nu):
+            # epsrel = 1: the values only, the check's decision is compared below
+            return evaluate_GB(nu, B, TrialState(ell, p), epsrel=1.0)
+
+        full = [G(FullLine(profile), nu) for nu in nus]
+        half = [G(profile, nu) for nu in nus]
+        # nu G = kin - nu^2 pot at two couplings gives kin and pot
+        (nu_a, nu_b), (g_a, g_b) = nus, [ev.G_B for ev in full]
+        pot = (nu_b * g_b - nu_a * g_a) / (nu_a**2 - nu_b**2)
+        kin = nu_a * g_a + nu_a**2 * pot
+        for nu, f, h in zip(nus, full, half):
+            assert abs(h.G_B - f.G_B) <= 1e-13 * (kin / nu + nu * pot)
+            assert h.certified == f.certified
+
+        def raises(p):
+            try:
+                evaluate_GB(nus[0], B, TrialState(ell, p), epsrel=1e-10)
+            except AccuracyError:
+                return True
+            return False
+
+        assert raises(profile) == raises(FullLine(profile))
+
     @pytest.mark.parametrize("epsrel", [1e-10, 1e-15])
     @pytest.mark.parametrize("B", [1e-3, 1.0, 1e4])
     @pytest.mark.parametrize("ell", range(5))
@@ -338,6 +444,33 @@ class TestCertificates:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             certify_critical_upper_bound(0.5, "lorentzian")
+
+    @pytest.mark.parametrize("nu", [0.5, 0.9])
+    def test_plateau_m_star_is_the_last_line_search_value(self, monkeypatch, nu):
+        # every evaluation belongs to a line search; m* is the last search's
+        # value, bit for bit _g1 at the reported shape
+        evaluations = []
+        evaluate = trial_bounds.evaluate_GB
+
+        def counting(*args, **kwargs):
+            evaluations.append(args)
+            return evaluate(*args, **kwargs)
+
+        nfev = []
+        search = scipy.optimize.minimize_scalar
+
+        def counted_search(*args, **kwargs):
+            res = search(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(trial_bounds, "evaluate_GB", counting)
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", counted_search)
+        cert = certify_critical_upper_bound(nu, "plateau")
+        assert len(nfev) == 2 * trial_bounds.PLATEAU_SWEEPS
+        assert len(evaluations) == sum(nfev)
+        shape = PlateauProfile(cert.params["half_width"], cert.params["ramp"])
+        assert cert.m_star == trial_bounds._g1(nu, 0, shape)
 
     def test_plateau_line_search_must_converge(self, monkeypatch):
         # stopped after two iterations, an unchecked search "certifies" m* = -0.0079
